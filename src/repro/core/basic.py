@@ -16,7 +16,6 @@ Per location update (§III-C):
 
 from __future__ import annotations
 
-import math
 from typing import Any, Iterable, Mapping, Sequence
 
 from repro.core import kernels
@@ -27,6 +26,7 @@ from repro.core.topk import MaintainedPlaces
 from repro.geometry import Point
 from repro.grid.cellstate import (
     CellState,
+    access_below_sk,
     export_cell_states,
     restore_cell_states,
 )
@@ -133,7 +133,9 @@ class BasicCTUP(CTUPMonitor):
                 obs=self.obs,
             )
         else:
-            accessed = self._illuminate_below_sk()
+            accessed = access_below_sk(
+                self.cell_states, self.sk, self._illuminate, skip_illuminated=True
+            )
         # Step 4: darken illuminated cells that hold no top-k place.
         self._darken_unneeded()
         return accessed
@@ -154,23 +156,6 @@ class BasicCTUP(CTUPMonitor):
             elif delta < 0:
                 state.decrease(-delta)
                 self.counters.lb_decrements += 1
-
-    def _illuminate_below_sk(self) -> int:
-        """Step 3: repeatedly light the darkest offending cell."""
-        accessed = 0
-        while True:
-            sk = self.sk()
-            best: CellId | None = None
-            best_bound = math.inf
-            for cell, state in self.cell_states.items():
-                if not state.illuminated and state.lower_bound < sk:
-                    if state.lower_bound < best_bound:
-                        best_bound = state.lower_bound
-                        best = cell
-            if best is None:
-                return accessed
-            self._illuminate(best)
-            accessed += 1
 
     def _darken_unneeded(self) -> None:
         """Step 4: discard illuminated cells without a top-k place."""

@@ -441,7 +441,8 @@ def refill_below_sk(
     The scalar access loops re-scan the whole cell table per access to
     find the minimum offending bound. During a refill no *other* cell's
     bound moves (accessing a cell rewrites only its own state) and SK
-    never increases (accesses only add maintained places), so the scalar
+    never increases (an access takes SK over the table plus the cell's
+    fresh safeties, which include the exact rows it dropped), so the scalar
     pick order is exactly ascending snapshot-bound order — with ties
     resolved by table iteration order, because the scalar argmin takes
     the first strict minimum. One gather + one stable argsort reproduces

@@ -38,6 +38,7 @@ from repro.core.topk import MaintainedPlaces, kth_smallest
 from repro.geometry import Point
 from repro.grid.cellstate import (
     CellState,
+    access_below_sk,
     export_cell_states,
     restore_cell_states,
 )
@@ -117,26 +118,19 @@ class OptCTUP(CTUPMonitor):
             self.counters.cells_accessed += 1
             self.counters.places_loaded += len(places)
             self.counters.distance_rows += len(places) * compared
-        # Step 3: keep only the places below SK + Δ (ties at SK always
-        # kept, see _trim_cell); the dropped minima become the bounds.
-        threshold = sk + self.delta
+        # Step 3: keep only the Δ band (MaintainedPlaces.insert_band);
+        # the dropped minima become the bounds.
         for cell, places, safeties in accessed:
             state = self.cell_states[cell]
             state.access_count += 1
-            linear = self.grid.linear(cell)
-            keep = (safeties < threshold) | (safeties <= sk)
-            dropped = safeties[~keep]
-            state.lower_bound = (
-                float(dropped.min()) if len(dropped) else math.inf
+            state.lower_bound = self.maintained.insert_band(
+                places, safeties, self.grid.linear(cell), sk, self.delta
             )
-            for place, safety, kept in zip(places, safeties, keep):
-                if kept:
-                    self.maintained.insert(place, float(safety), linear)
         # Step 4 of the paper: DecHash starts empty.
         self.dechash.clear()
 
     def _running_sk(self, scratch: list[np.ndarray]) -> float:
-        """The SK estimate during initialisation's access loop.
+        """The SK over the safeties in ``scratch`` (init and cell access).
 
         Overridable: the threshold variant (§VII) monitors against a
         fixed safety threshold instead of the k-th smallest value.
@@ -200,7 +194,9 @@ class OptCTUP(CTUPMonitor):
                 skip_illuminated=False,
                 obs=self.obs,
             )
-        return self._access_below_sk()
+        return access_below_sk(
+            self.cell_states, self.sk, self._access_cell, skip_illuminated=False
+        )
 
     def _adjust_bounds(
         self, unit_id: int, old: Point, new: Point, radius: float
@@ -238,65 +234,33 @@ class OptCTUP(CTUPMonitor):
                 state.decrease(-delta)
                 self.counters.lb_decrements += 1
 
-    def _access_below_sk(self) -> int:
-        """Step 3: access offending cells until every bound clears SK."""
-        accessed = 0
-        while True:
-            sk = self.sk()
-            best: CellId | None = None
-            best_bound = math.inf
-            for cell, state in self.cell_states.items():
-                if state.lower_bound < sk and state.lower_bound < best_bound:
-                    best_bound = state.lower_bound
-                    best = cell
-            if best is None:
-                return accessed
-            self._access_cell(best)
-            accessed += 1
-
     def _access_cell(self, cell: CellId) -> None:
         """Reload a cell: exact safeties, adjust SK, keep the Δ band.
 
-        The cell's maintained places are replaced wholesale by the fresh
-        computation, its DecHash pairs are cleared (the new bound is
-        exact, so every unit is re-armed for one future decrease), and
-        the bound becomes the minimum safety of the places *not* kept.
+        The cell's rows are replaced by its fresh safeties, trimmed
+        before they are appended: SK is taken over the remaining and the
+        fresh safeties, and only the Δ band (which holds every place
+        ``<= SK``) is kept, its bound being the minimum of the rest. The
+        cell's DecHash pairs are cleared (the new bound is exact, so
+        every unit is re-armed for one future decrease).
         """
         state = self.cell_states[cell]
         linear = self.grid.linear(cell)
         self.maintained.remove_rows(self.maintained.rows_of_cell(linear).tolist())
-        self._load_cell_into_maintained(cell)
-        self._trim_cell(cell)
-        self.dechash.clear_cell(cell)
-        state.access_count += 1
-
-    def _load_cell_into_maintained(self, cell: CellId) -> None:
         places, arrays = self.store.read_cell_with_arrays(cell)
         ap, compared = self.units.ap_counts_near(
             arrays.xs, arrays.ys, self.grid.cell_rect(cell)
         )
         safeties = ap - arrays.required
-        self.maintained.insert_batch(places, safeties, self.grid.linear(cell))
+        sk = self._running_sk([self.maintained.safeties(), safeties])
+        state.lower_bound = self.maintained.insert_band(
+            places, safeties, linear, sk, self.delta
+        )
+        self.dechash.clear_cell(cell)
+        state.access_count += 1
         self.counters.cells_accessed += 1
         self.counters.places_loaded += len(places)
         self.counters.distance_rows += len(places) * compared
-
-    def _trim_cell(self, cell: CellId) -> None:
-        """Keep only the places below ``SK + Δ``; bound the rest.
-
-        Places with ``safety <= SK`` are always kept even when Δ is 0:
-        dropping a place tied at SK would evict part of the top-k result
-        and make the access loop oscillate. For any Δ >= 1 (safeties are
-        integers in the core model) this coincides with the paper's rule.
-        """
-        state = self.cell_states[cell]
-        linear = self.grid.linear(cell)
-        sk = self.sk()
-        threshold = sk + self.delta
-        rows = self.maintained.rows_of_cell(linear)
-        safeties = self.maintained.safety_at_rows(rows)
-        drop = rows[(safeties >= threshold) & (safeties > sk)]
-        state.lower_bound = self.maintained.remove_rows(drop.tolist())
 
     # -- reconfiguration (repro.control) ------------------------------------
 

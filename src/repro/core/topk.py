@@ -15,6 +15,7 @@ stay dense.
 from __future__ import annotations
 
 import math
+from itertools import compress
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
 import numpy as np
@@ -137,14 +138,58 @@ class MaintainedPlaces:
         self._n += 1
 
     def insert_batch(
-        self, places: Sequence[Place], safeties: np.ndarray, cell: int
+        self,
+        places: Sequence[Place],
+        safeties: np.ndarray | Sequence[float],
+        cell: int | np.ndarray | Sequence[int],
     ) -> None:
-        """Add all ``places`` of one cell with their computed safeties."""
-        if len(places) != len(safeties):
-            raise ValueError("places and safeties length mismatch")
-        self._ensure_capacity(self._n + len(places))
-        for place, safety in zip(places, safeties):
-            self.insert(place, float(safety), cell)
+        """Append ``places`` with their safeties in one vectorised pass.
+
+        ``cell`` is one owning cell for every row, or one per row. Equals
+        :meth:`insert` row by row, except that a bad batch (a length
+        mismatch, or an id repeated or already maintained) raises
+        ``ValueError`` before anything is written.
+        """
+        start, m = self._n, len(places)
+        if len(safeties) != m or (np.ndim(cell) and np.size(cell) != m):
+            raise ValueError("places, safeties and cells length mismatch")
+        ids = [place.place_id for place in places]
+        end = start + m
+        index = dict(zip(ids, range(start, end)))
+        if len(index) != m or not self._row_of.keys().isdisjoint(index):
+            raise ValueError("batch repeats a place id or one already maintained")
+        self._ensure_capacity(end)
+        self._ids[start:end] = ids
+        self._xs[start:end] = [place.location.x for place in places]
+        self._ys[start:end] = [place.location.y for place in places]
+        self._safety[start:end] = safeties
+        self._cell[start:end] = cell
+        self._place_at[start:end] = places
+        self._row_of.update(index)
+        self._n = end
+
+    def insert_band(
+        self,
+        places: Sequence[Place],
+        safeties: np.ndarray,
+        cell: int,
+        sk: float,
+        delta: float,
+    ) -> float:
+        """Append the accessed cell's places below ``SK + Δ``; bound the rest.
+
+        The Δ-band rule of a cell access (§IV-E step 3); returns the
+        minimum safety of the places not kept (``+inf`` if none), the
+        cell's new bound. Places with ``safety <= SK`` are always kept
+        even when Δ is 0: dropping a place tied at SK would evict part
+        of the top-k result and make the access loop oscillate. For any
+        Δ >= 1 (safeties are integers in the core model) this coincides
+        with the paper's rule.
+        """
+        keep = (safeties < sk + delta) | (safeties <= sk)
+        self.insert_batch(list(compress(places, keep.tolist())), safeties[keep], cell)
+        dropped = safeties[~keep]
+        return float(dropped.min()) if len(dropped) else math.inf
 
     # -- removal --------------------------------------------------------
 
@@ -233,10 +278,6 @@ class MaintainedPlaces:
         """Row indices of the places owned by ``cell``."""
         return np.nonzero(self._cell[: self._n] == cell)[0]
 
-    def safety_at_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Safeties of the given rows (read-only copy)."""
-        return self._safety[rows].copy()
-
     def cells_present(self) -> set[int]:
         """The owning cells of all maintained places."""
         return set(np.unique(self._cell[: self._n]).tolist())
@@ -263,6 +304,12 @@ class MaintainedPlaces:
             [int(self._ids[row]), float(self._safety[row]), int(self._cell[row])]
             for row in range(self._n)
         ]
+
+    def safeties(self) -> np.ndarray:
+        """Read-only view of the live safety column, in row order."""
+        view = self._safety[: self._n]
+        view.flags.writeable = False
+        return view
 
     def safeties_snapshot(self) -> dict[int, float]:
         """id -> safety for every maintained place (testing/diagnostics)."""
@@ -371,10 +418,10 @@ class MaintainedPlaces:
         """Rebuild the table from :meth:`export_rows` output.
 
         Each referenced cell is read once from the store to recover the
-        :class:`Place` records, then the rows are re-inserted front to
-        back — row placement is identical to the snapshotted table, so a
-        resumed monitor's swap-removals evolve exactly like the
-        original's. Must be called on an empty table.
+        :class:`Place` records, then the rows are appended in one batch
+        in their exported order — row placement is identical to the
+        snapshotted table, so a resumed monitor's swap-removals evolve
+        exactly like the original's. Must be called on an empty table.
         """
         if self._n:
             raise ValueError("restore_rows requires an empty table")
@@ -383,8 +430,11 @@ class MaintainedPlaces:
         for linear in sorted({int(row[2]) for row in materialized}):
             for place in store.read_cell(grid.from_linear(linear)):
                 place_of[place.place_id] = place
-        for pid, safety, cell in materialized:
-            self.insert(place_of[int(pid)], float(safety), int(cell))
+        self.insert_batch(
+            [place_of[int(row[0])] for row in materialized],
+            [row[1] for row in materialized],
+            [row[2] for row in materialized],
+        )
 
     def apply_unit_move_weighted(
         self,

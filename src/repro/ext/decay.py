@@ -36,6 +36,7 @@ from repro.geometry import Circle, Point
 from repro.geometry.distance import point_rect_distance
 from repro.grid.cellstate import (
     CellState,
+    access_below_sk,
     export_cell_states,
     restore_cell_states,
 )
@@ -138,19 +139,12 @@ class DecayCTUP(CTUPMonitor):
             accessed.append((cell, places, safeties))
             scratch.append(safeties)
             sk = kth_smallest(np.concatenate(scratch), self.config.k)
-        threshold = sk + self.config.delta
         for cell, places, safeties in accessed:
             state = self.cell_states[cell]
             state.access_count += 1
-            linear = self.grid.linear(cell)
-            keep = (safeties < threshold) | (safeties <= sk)
-            dropped = safeties[~keep]
-            state.lower_bound = (
-                float(dropped.min()) if len(dropped) else math.inf
+            state.lower_bound = self.maintained.insert_band(
+                places, safeties, self.grid.linear(cell), sk, self.config.delta
             )
-            for place, safety, kept in zip(places, safeties, keep):
-                if kept:
-                    self.maintained.insert(place, float(safety), linear)
 
     def _evaluate_cell(self, cell: CellId) -> tuple[list[Place], np.ndarray]:
         places, arrays = self.store.read_cell_with_arrays(cell)
@@ -178,7 +172,9 @@ class DecayCTUP(CTUPMonitor):
         self._decay_bounds(old, new, self.config.protection_range)
 
     def _refresh(self) -> int:
-        return self._access_below_sk()
+        return access_below_sk(
+            self.cell_states, self.sk, self._access_cell, skip_illuminated=False
+        )
 
     def _decay_bounds(self, old: Point, new: Point, radius: float) -> None:
         """Lower every reachable cell's bound by the possible loss."""
@@ -201,44 +197,16 @@ class DecayCTUP(CTUPMonitor):
                 state.decrease(loss)
                 self.counters.lb_decrements += 1
 
-    def _access_below_sk(self) -> int:
-        accessed = 0
-        while True:
-            sk = self.sk()
-            best: CellId | None = None
-            best_bound = math.inf
-            for cell, state in self.cell_states.items():
-                if state.lower_bound < sk and state.lower_bound < best_bound:
-                    best_bound = state.lower_bound
-                    best = cell
-            if best is None:
-                return accessed
-            self._access_cell(best)
-            accessed += 1
-
     def _access_cell(self, cell: CellId) -> None:
         state = self.cell_states[cell]
         linear = self.grid.linear(cell)
         self.maintained.remove_cell(linear)
         places, safeties = self._evaluate_cell(cell)
-        sk_before = self.sk()
-        merged = (
-            np.concatenate(
-                [safeties, np.array(list(
-                    self.maintained.safeties_snapshot().values()
-                ))]
-            )
-            if len(self.maintained)
-            else safeties
+        merged = np.concatenate([safeties, self.maintained.safeties()])
+        sk = min(self.sk(), kth_smallest(merged, self.config.k))
+        state.lower_bound = self.maintained.insert_band(
+            places, safeties, linear, sk, self.config.delta
         )
-        sk = min(sk_before, kth_smallest(merged, self.config.k))
-        threshold = sk + self.config.delta
-        keep = (safeties < threshold) | (safeties <= sk)
-        dropped = safeties[~keep]
-        state.lower_bound = float(dropped.min()) if len(dropped) else math.inf
-        for place, safety, kept in zip(places, safeties, keep):
-            if kept:
-                self.maintained.insert(place, float(safety), linear)
         state.access_count += 1
 
     # -- result ---------------------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from repro.grid.partition import CellId, GridPartition
 
@@ -43,6 +43,38 @@ class CellState:
     def increase(self, amount: float = 1.0) -> None:
         """Raise the bound by ``amount`` (a unit now protects the whole cell)."""
         self.lower_bound += amount
+
+
+def access_below_sk(
+    cell_states: Mapping[CellId, CellState],
+    sk_of: Callable[[], float],
+    access: Callable[[CellId], None],
+    *,
+    skip_illuminated: bool,
+) -> int:
+    """Access the lowest-bound cell below SK until every bound clears it.
+
+    The schemes' scalar access loop: each round re-reads SK and takes
+    the first cell, in table order, with the smallest bound below it
+    (illuminated cells are passed over when ``skip_illuminated``).
+    :func:`repro.core.kernels.refill_below_sk` is its vectorised twin.
+    Returns the number of cells accessed.
+    """
+    accessed = 0
+    while True:
+        sk = sk_of()
+        best: CellId | None = None
+        best_bound = math.inf
+        for cell, state in cell_states.items():
+            if skip_illuminated and state.illuminated:
+                continue
+            if state.lower_bound < sk and state.lower_bound < best_bound:
+                best_bound = state.lower_bound
+                best = cell
+        if best is None:
+            return accessed
+        access(best)
+        accessed += 1
 
 
 # -- checkpoint codec ------------------------------------------------------

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.topk import MaintainedPlaces, kth_smallest, topk_rows
@@ -144,6 +144,94 @@ class TestInsertRemove:
         assert 3 in table
 
 
+def _rows_strategy(pids: range):
+    """Distinct ``(pid, x, y, safety, cell)`` rows drawn from ``pids``."""
+    row = st.tuples(
+        st.floats(0, 1, allow_nan=False),
+        st.floats(0, 1, allow_nan=False),
+        st.integers(-6, 6),
+        st.integers(0, 3),
+    )
+    return st.lists(
+        st.sampled_from(pids), unique=True, max_size=len(pids)
+    ).flatmap(
+        lambda ids: st.lists(row, min_size=len(ids), max_size=len(ids)).map(
+            lambda rest: [(pid, *values) for pid, values in zip(ids, rest)]
+        )
+    )
+
+
+def _table_state(table: MaintainedPlaces, k: int):
+    return (
+        len(table),
+        table.export_rows(),
+        {pid: table.place_of(pid) for pid, _, _ in table.export_rows()},
+        table.sk(k),
+        [(r.place_id, r.safety) for r in table.top_k(k)],
+    )
+
+
+class TestInsertBatch:
+    @settings(max_examples=60)
+    @given(
+        prefix=_rows_strategy(range(0, 60)),
+        batch=_rows_strategy(range(60, 200)),
+        per_row_cells=st.booleans(),
+        k=st.integers(0, 8),
+    )
+    @example(prefix=[], batch=[], per_row_cells=False, k=3)
+    @example(
+        # 60 + 80 rows: the batch crosses the 64 and 128 capacity doublings.
+        prefix=[(pid, 0.5, 0.5, pid % 7 - 3, pid % 4) for pid in range(60)],
+        batch=[(pid, 0.25, 0.75, pid % 5 - 2, pid % 4) for pid in range(60, 140)],
+        per_row_cells=True,
+        k=5,
+    )
+    def test_bulk_equals_one_by_one(self, prefix, batch, per_row_cells, k):
+        bulk, single = MaintainedPlaces(), MaintainedPlaces()
+        for table in (bulk, single):
+            for pid, x, y, safety, cell in prefix:
+                table.insert(place(pid, x, y), float(safety), cell)
+        places = [place(pid, x, y) for pid, x, y, _, _ in batch]
+        safeties = np.array([row[3] for row in batch], dtype=np.float64)
+        if per_row_cells:
+            cells = np.array([row[4] for row in batch], dtype=np.int64)
+        else:
+            cells = 2
+        bulk.insert_batch(places, safeties, cells)
+        for i, (p, safety) in enumerate(zip(places, safeties)):
+            cell = int(cells[i]) if per_row_cells else cells
+            single.insert(p, float(safety), cell)
+        assert _table_state(bulk, k) == _table_state(single, k)
+
+    def test_empty_batch_is_a_no_op(self):
+        table = table_with([(1, -1.0)])
+        table.insert_batch([], np.empty(0), 0)
+        assert table.export_rows() == [[1, -1.0, 0]]
+
+    @pytest.mark.parametrize(
+        "places, safeties, cells",
+        [
+            ([place(1), place(100)], [0.0, 0.0], 0),
+            ([place(1), place(2), place(1)], [0.0, 0.0, 0.0], 0),
+            ([place(1), place(2)], [0.0], 0),
+            ([place(1), place(2)], [0.0, 0.0], np.array([0])),
+        ],
+        ids=["already-maintained", "repeated-in-batch", "safeties", "cells"],
+    )
+    def test_bad_batch_raises_and_leaves_table_unchanged(
+        self, places, safeties, cells
+    ):
+        # 63 rows: a successful 2-row batch would cross a capacity doubling.
+        table = table_with([(pid, float(pid)) for pid in range(100, 163)])
+        before = (len(table), table.export_rows())
+        with pytest.raises(ValueError):
+            table.insert_batch(places, np.array(safeties), cells)
+        assert (len(table), table.export_rows()) == before
+        assert 1 not in table and 2 not in table
+        assert table.place_of(100).place_id == 100
+
+
 class TestCellQueries:
     def test_rows_of_cell(self):
         table = MaintainedPlaces()
@@ -159,11 +247,14 @@ class TestCellQueries:
         table.insert(place(2), 0.0, cell=9)
         assert table.cells_present() == {3, 9}
 
-    def test_safety_at_rows_is_copy(self):
-        table = table_with([(1, -1.0)])
-        values = table.safety_at_rows(np.array([0]))
-        values[0] = 99.0
-        assert table.safety_of(1) == -1.0
+    def test_safeties_is_a_live_read_only_view(self):
+        table = table_with([(1, -1.0), (2, 3.0)])
+        view = table.safeties()
+        assert view.tolist() == [-1.0, 3.0]
+        with pytest.raises(ValueError):
+            view[0] = 9.0
+        table.set_safety(2, 4.0)
+        assert view.tolist() == [-1.0, 4.0]
 
 
 class TestSkAndTopK:
