@@ -1,8 +1,7 @@
 """Sharded-execution benchmark: fan-out routing and the global merge.
 
 Runs the OptCTUP scheme over a pinned-seed workload unsharded (``mono``)
-and sharded (``s1``, ``s4``, serial and ``s4p`` with a 4-thread drain
-pool) and writes a canonical JSON document. ``repro.bench.guard``
+and sharded (``s1``, ``s4``) and writes a canonical JSON document. ``repro.bench.guard``
 compares it against the committed baseline (``BENCH_shard.json`` at the
 repository root): structural mismatch fails, numeric drift only warns.
 
@@ -47,13 +46,8 @@ BASELINE_PATH = pathlib.Path(__file__).resolve().parent.parent / "BENCH_shard.js
 BENCH_NAME = "shard"
 SCHEME = "opt"
 
-#: execution modes: (shards, parallelism); 0 shards = the plain scheme.
-MODES = {
-    "mono": (0, 0),
-    "s1": (1, 0),
-    "s4": (4, 0),
-    "s4p": (4, 4),
-}
+#: execution modes: shard count; 0 shards = the plain scheme.
+MODES = {"mono": 0, "s1": 1, "s4": 4}
 
 #: deterministic counters guarded tightly (absent ones are skipped, so
 #: the sharding-only counters don't break the ``mono`` comparison).
@@ -90,13 +84,13 @@ def machine_metadata() -> dict:
     }
 
 
-def _run_mode(workload, config: CTUPConfig, shards: int, parallelism: int) -> dict:
+def _run_mode(workload, config: CTUPConfig, shards: int) -> dict:
     monitor = make_monitor(
         SCHEME,
         places=workload.places,
         units=workload.units,
         config=config,
-        shard=ShardSpec(shards=shards, parallelism=parallelism),
+        shard=ShardSpec(shards=shards),
     )
     monitor.initialize()
     sharded = shards != 0
@@ -122,7 +116,6 @@ def _run_mode(workload, config: CTUPConfig, shards: int, parallelism: int) -> di
             merge_refills=monitor.merger.stats.refills,
             merge_records_pulled=monitor.merger.stats.records_pulled,
         )
-        monitor.close()
     return metrics
 
 
@@ -131,8 +124,8 @@ def run_profile(name: str, validate: bool = True) -> dict:
     workload = build_workload(**params)
     config = CTUPConfig(k=K)
     modes = {
-        mode: _run_mode(workload, config, shards, parallelism)
-        for mode, (shards, parallelism) in MODES.items()
+        mode: _run_mode(workload, config, shards)
+        for mode, shards in MODES.items()
     }
     if validate:
         oracle = Oracle(workload.places, workload.units)
@@ -203,9 +196,6 @@ def test_shard_smoke_matches_baseline():
     assert modes["s1"]["cells_accessed"] == mono["cells_accessed"]
     assert modes["s1"]["distance_rows"] == mono["distance_rows"]
     assert modes["s1"]["sync_deliveries"] == 0
-    # the thread pool must not change any deterministic counter.
-    for metric in COUNTER_METRICS:
-        assert modes["s4p"][metric] == modes["s4"][metric], metric
     # routing pays off: most deliveries are cheap unit-position syncs.
     assert modes["s4"]["sync_deliveries"] > modes["s4"]["full_deliveries"]
     report = _guard(load_baseline(BASELINE_PATH), doc)

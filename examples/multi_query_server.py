@@ -15,11 +15,13 @@ Combines four production concerns on one shared monitor:
 Run:  python examples/multi_query_server.py
 """
 
+import json
+
 from repro import CTUPConfig
 from repro.core import MultiQueryCTUP
 from repro.engine import MonitorHooks, MonitorSession
-from repro.persist import restore_optctup, snapshot_optctup
 from repro.roadnet import NetworkMobility, grid_network
+from repro.state import restore_monitor, snapshot_monitor
 from repro.workloads import generate_places, record_stream
 
 BATCH = 32
@@ -78,9 +80,11 @@ def main() -> None:
     )
 
     # -- checkpoint, crash, restore ---------------------------------------
-    checkpoint = snapshot_optctup(server.monitor)
+    checkpoint = json.dumps(snapshot_monitor(server.monitor))
     print(f"checkpoint taken ({len(checkpoint):,} bytes of JSON)")
-    restored = restore_optctup(checkpoint, places)
+    restored = restore_monitor(
+        json.loads(checkpoint), places=places, units=units
+    )
     assert restored.topk_ids() == server.monitor.topk_ids()
     print("restored monitor agrees with the live one — no re-initialization")
 

@@ -39,7 +39,7 @@ def main() -> None:
         places=places,
         units=units,
         config=config,
-        shard=ShardSpec(shards=4, parallelism=2),
+        shard=ShardSpec(shards=4),
         batch_size=16,
         obs=ObsSpec(metrics=True, trace=True, serve_port=0),
     )

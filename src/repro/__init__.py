@@ -47,14 +47,14 @@ from repro.core import (
     OptCTUP,
     TopKChange,
 )
-from repro.engine import MonitorSession
+from repro.engine import MonitorSession, UpdateRejected
 from repro.geometry import Circle, Point, Rect
 from repro.model import LocationUpdate, Place, SafetyRecord, Unit
 from repro.shard import GlobalTopK, ShardedMonitor, ShardPlan, ShardRouter
 from repro.validate import Oracle
 from repro.workloads import generate_places, generate_units
 
-__version__ = "1.6.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "CTUPConfig",
@@ -74,6 +74,7 @@ __all__ = [
     "ObsSpec",
     "Observability",
     "MonitorSession",
+    "UpdateRejected",
     "ChangeTracker",
     "TopKChange",
     "Place",

@@ -11,7 +11,7 @@ differently. This facade gives them a single stable surface:
 ...     places=places,
 ...     units=units,
 ...     config=CTUPConfig(k=10),
-...     shard=ShardSpec(shards=4, parallelism=2),
+...     shard=ShardSpec(shards=4),
 ...     obs=ObsSpec(metrics=True),
 ... )
 >>> session.start()
@@ -25,8 +25,7 @@ keyword sprawl: :class:`ShardSpec` (how the place set splits across
 shard monitors), :class:`DurabilitySpec` (journal + checkpoint
 directory, snapshot cadence, resume), and
 :class:`~repro.obs.ObsSpec` (metrics, tracing, the ``/metrics``
-endpoint). The pre-1.4 flat kwargs (``shards=``, ``checkpoint_dir=``,
-…) still work through a shim that emits ``DeprecationWarning``.
+endpoint).
 
 :func:`make_monitor` builds any registered scheme — including the
 sharded wrapper (``"sharded"``, or any scheme plus a ``shard=`` spec) —
@@ -37,7 +36,6 @@ hooks and observability included).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
@@ -73,7 +71,7 @@ class _SchemeRegistry(dict):
                           (:class:`~repro.shard.monitor.ShardedMonitor`) —
                           a first-class entry path resolved by
                           :func:`scheme_factory` and sized with
-                          ``shard=ShardSpec(shards=..., parallelism=...)``.
+                          ``shard=ShardSpec(shards=...)``.
                           It deliberately does not live in the mapping
                           itself: iterating ``SCHEMES`` yields exactly the
                           single-monitor schemes the equivalence suites
@@ -101,13 +99,11 @@ class ShardSpec:
 
     ``shards`` is 0 (unsharded, the default), a shard count, an explicit
     :class:`~repro.shard.plan.ShardPlan`, or a per-linear-cell shard-id
-    sequence. ``parallelism`` > 1 drains shard queues on a thread pool;
-    ``strategy`` picks the cell→shard assignment (``striped`` /
-    ``interleaved`` / ``hashed`` / ``explicit``).
+    sequence. ``strategy`` picks the cell→shard assignment (``striped``
+    / ``interleaved`` / ``hashed`` / ``explicit``).
     """
 
     shards: int | Sequence[int] | ShardPlan = 0
-    parallelism: int = 0
     strategy: str = "striped"
 
     @property
@@ -162,7 +158,7 @@ def scheme_factory(scheme: str | Callable) -> Callable:
     A factory is any callable ``(config, places, units) -> CTUPMonitor``
     — the scheme classes themselves qualify. The name ``"sharded"``
     resolves to :class:`~repro.shard.monitor.ShardedMonitor`; size it by
-    passing ``shard=ShardSpec(shards=..., parallelism=...)`` to
+    passing ``shard=ShardSpec(shards=...)`` to
     :func:`make_monitor` / :func:`open_session`.
     """
     if callable(scheme):
@@ -174,56 +170,16 @@ def scheme_factory(scheme: str | Callable) -> Callable:
     except KeyError:
         raise ValueError(
             f"unknown scheme {scheme!r}; pick one of {sorted(SCHEMES)}, "
-            f"{ShardedMonitor.name!r} (sized via shard=ShardSpec(shards=..., "
-            "parallelism=...)), or pass a factory "
+            f"{ShardedMonitor.name!r} (sized via shard=ShardSpec(shards=...)), "
+            "or pass a factory "
             "(config, places, units) -> CTUPMonitor"
         ) from None
 
 
-def _warn_flat_kwargs(caller: str, names: Sequence[str], spec: str) -> None:
-    """The pre-1.4 flat-kwarg deprecation shim (one warning per call)."""
-    warnings.warn(
-        f"{caller}: flat keyword argument(s) {', '.join(names)} are "
-        f"deprecated since 1.4; pass {spec} instead",
-        DeprecationWarning,
-        # _warn_flat_kwargs -> _coerce_* -> public facade fn -> caller
-        stacklevel=4,
-    )
-
-
 def _coerce_shard(
     shard: "ShardSpec | int | Sequence[int] | ShardPlan | None",
-    shards: int | Sequence[int] | ShardPlan | None,
-    parallelism: int | None,
-    shard_strategy: str | None,
-    caller: str,
 ) -> ShardSpec:
-    """Normalize the grouped ``shard=`` spec and the deprecated flats."""
-    flat = {
-        name: value
-        for name, value in (
-            ("shards", shards),
-            ("parallelism", parallelism),
-            ("shard_strategy", shard_strategy),
-        )
-        if value is not None
-    }
-    if flat:
-        if shard is not None:
-            raise TypeError(
-                f"{caller}: pass shard=ShardSpec(...) or the flat "
-                f"{sorted(flat)} kwargs, not both"
-            )
-        _warn_flat_kwargs(  # reprolint: disable=RPL005 -- this IS the sanctioned shim call site; external flat-kwarg callers get the warning from here
-            caller,
-            sorted(flat),
-            "shard=ShardSpec(shards=..., parallelism=..., strategy=...)",
-        )
-        return ShardSpec(
-            shards=shards if shards is not None else 0,
-            parallelism=parallelism if parallelism is not None else 0,
-            strategy=shard_strategy if shard_strategy is not None else "striped",
-        )
+    """Normalize ``shard=``: a spec, its bare ``shards`` value, or None."""
     if shard is None:
         return ShardSpec()
     if isinstance(shard, ShardSpec):
@@ -233,51 +189,14 @@ def _coerce_shard(
 
 def _coerce_durability(
     durability: "DurabilitySpec | str | Path | None",
-    checkpoint_dir: str | Path | None,
-    checkpoint_every: int | None,
-    resume: bool | None,
-    caller: str,
 ) -> DurabilitySpec | None:
-    """Normalize the grouped ``durability=`` spec and the deprecated flats."""
-    flat = {
-        name: value
-        for name, value in (
-            ("checkpoint_dir", checkpoint_dir),
-            ("checkpoint_every", checkpoint_every),
-            ("resume", resume),
-        )
-        if value is not None
-    }
-    if flat:
-        if durability is not None:
-            raise TypeError(
-                f"{caller}: pass durability=DurabilitySpec(...) or the flat "
-                f"{sorted(flat)} kwargs, not both"
-            )
-        _warn_flat_kwargs(  # reprolint: disable=RPL005 -- this IS the sanctioned shim call site; external flat-kwarg callers get the warning from here
-            caller,
-            sorted(flat),
-            "durability=DurabilitySpec(checkpoint_dir, every=..., resume=...)",
-        )
-        if checkpoint_dir is None:
-            # matches the pre-1.4 behavior: the other knobs were inert
-            # without a directory, except that resuming nothing is an error.
-            if resume:
-                raise ValueError("resume=True needs a checkpoint_dir")
-            return None
-        return DurabilitySpec(
-            checkpoint_dir=checkpoint_dir,
-            every=checkpoint_every if checkpoint_every is not None else 0,
-            resume=bool(resume),
-        )
-    if durability is None:
-        return None
-    if isinstance(durability, DurabilitySpec):
+    """Normalize ``durability=``: a spec, a bare directory, or None."""
+    if durability is None or isinstance(durability, DurabilitySpec):
         return durability
     if isinstance(durability, (str, Path)):
         return DurabilitySpec(checkpoint_dir=durability)
     raise TypeError(
-        f"{caller}: durability= takes a DurabilitySpec or a checkpoint "
+        "open_session: durability= takes a DurabilitySpec or a checkpoint "
         f"directory path (got {type(durability).__name__})"
     )
 
@@ -289,9 +208,6 @@ def make_monitor(
     units: Iterable[Unit],
     config: CTUPConfig | None = None,
     shard: "ShardSpec | int | Sequence[int] | ShardPlan | None" = None,
-    shards: int | Sequence[int] | ShardPlan | None = None,
-    parallelism: int | None = None,
-    shard_strategy: str | None = None,
 ) -> CTUPMonitor:
     """Build a monitor of any scheme, optionally sharded.
 
@@ -303,30 +219,15 @@ def make_monitor(
     :class:`~repro.shard.monitor.ShardedMonitor`. ``scheme="sharded"``
     builds the wrapper directly over its default per-shard scheme. The
     returned monitor is not yet initialized.
-
-    .. deprecated:: 1.4
-        The flat ``shards=`` / ``parallelism=`` / ``shard_strategy=``
-        kwargs; pass ``shard=ShardSpec(...)``.
     """
-    spec = _coerce_shard(shard, shards, parallelism, shard_strategy, "make_monitor")
+    spec = _coerce_shard(shard)
     config = config if config is not None else CTUPConfig()
     factory = scheme_factory(scheme)
     if factory is ShardedMonitor:
         if not spec.sharded:
-            return ShardedMonitor(
-                config,
-                places,
-                units,
-                parallelism=spec.parallelism,
-                strategy=spec.strategy,
-            )
+            return ShardedMonitor(config, places, units, strategy=spec.strategy)
         return ShardedMonitor(
-            config,
-            places,
-            units,
-            shards=spec.shards,
-            parallelism=spec.parallelism,
-            strategy=spec.strategy,
+            config, places, units, shards=spec.shards, strategy=spec.strategy
         )
     if not spec.sharded:
         return factory(config, places, units)
@@ -336,7 +237,6 @@ def make_monitor(
         units,
         shards=spec.shards,
         scheme=factory,
-        parallelism=spec.parallelism,
         strategy=spec.strategy,
     )
 
@@ -356,12 +256,6 @@ def open_session(
     audit_every: int = 0,
     hooks: MonitorHooks | Sequence[MonitorHooks] = (),
     track_changes: bool = True,
-    shards: int | Sequence[int] | ShardPlan | None = None,
-    parallelism: int | None = None,
-    shard_strategy: str | None = None,
-    checkpoint_dir: str | Path | None = None,
-    checkpoint_every: int | None = None,
-    resume: bool | None = None,
 ) -> MonitorSession:
     """A configured :class:`MonitorSession`, ready to ``start()``.
 
@@ -395,19 +289,9 @@ def open_session(
     sessions): registry metrics bridge the monitor's ledgers, spans
     trace phases / kernels / shard drains / journal I/O, and a serve
     port runs a ``/metrics`` endpoint for the session's lifetime.
-
-    .. deprecated:: 1.4
-        The flat ``shards=`` / ``parallelism=`` / ``shard_strategy=`` /
-        ``checkpoint_dir=`` / ``checkpoint_every=`` / ``resume=``
-        kwargs; pass ``shard=ShardSpec(...)`` and
-        ``durability=DurabilitySpec(...)``.
     """
-    shard_spec = _coerce_shard(
-        shard, shards, parallelism, shard_strategy, "open_session"
-    )
-    dura = _coerce_durability(
-        durability, checkpoint_dir, checkpoint_every, resume, "open_session"
-    )
+    shard_spec = _coerce_shard(shard)
+    dura = _coerce_durability(durability)
     bundle = coerce_observability(obs)
     if control is None:
         control = ControlSpec()
@@ -431,7 +315,6 @@ def open_session(
             places=places,
             units=units,
             factory=scheme if callable(scheme) else None,
-            parallelism=shard_spec.parallelism,
         )
         session = manager.resume_session(
             fresh_monitor=lambda: make_monitor(

@@ -89,12 +89,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="run the scheme sharded over this many shards (0 = unsharded)",
     )
     simulate.add_argument(
-        "--parallelism",
-        type=int,
-        default=0,
-        help="with --shards: drain shards on this many worker threads",
-    )
-    simulate.add_argument(
         "--map", action="store_true", help="render the final cell map"
     )
     simulate.add_argument(
@@ -227,29 +221,6 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also run mypy over the strict-typed module set, if installed",
     )
-    lint.add_argument(
-        "--cache",
-        nargs="?",
-        const="__DEFAULT__",
-        default=None,
-        metavar="PATH",
-        help="use the incremental analysis cache (optional PATH)",
-    )
-    lint.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="rule-pass worker threads (0 = auto; default serial)",
-    )
-    lint.add_argument(
-        "--changed",
-        nargs="?",
-        const="HEAD",
-        default=None,
-        metavar="REF",
-        help="report only files changed vs the git baseline REF",
-    )
     return parser
 
 
@@ -301,9 +272,7 @@ def _cmd_simulate(args) -> int:
             places=places,
             units=units,
             config=config,
-            shard=ShardSpec(
-                shards=args.shards, parallelism=args.parallelism
-            ),
+            shard=ShardSpec(shards=args.shards),
         )
 
     if args.resume and args.checkpoint_dir is None:
@@ -534,14 +503,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         forwarded.append("--list-rules")
     if args.mypy:
         forwarded.append("--mypy")
-    if args.cache is not None:
-        forwarded.append("--cache")
-        if args.cache != "__DEFAULT__":
-            forwarded.append(args.cache)
-    if args.jobs is not None:
-        forwarded += ["--jobs", str(args.jobs)]
-    if args.changed is not None:
-        forwarded += ["--changed", args.changed]
     return lint_main(forwarded)
 
 

@@ -59,6 +59,7 @@ if TYPE_CHECKING:
     from repro.obs.spec import Observability
 
 _CODE_OF_REL = {rel: code for code, rel in RELATION_OF_CODE.items()}
+_N = _CODE_OF_REL[CellRelation.NO_INTERSECT]
 
 #: Table I delta per packed transition code ``old * 3 + new``.
 _TABLE1_LUT = np.zeros(9, dtype=np.int64)
@@ -121,18 +122,23 @@ def _chain_groups(
 ]:
     """Classify every chain's waypoint disks, grouped by waypoint count.
 
-    Yields ``(unit_ids, i_lo, j_lo, codes, valid)`` per group: ``codes``
-    is the ``(G, p, bi, bj)`` relation-code tensor of each chain's
-    waypoints against its *union* candidate block (anchored at
-    ``(i_lo[g], j_lo[g])``, padded to the group's max block shape), and
-    ``valid`` masks the padding. The union block is exactly the union of
-    the per-waypoint blocks (floor is monotone and the bbox min/max are
-    attained waypoint coordinates), so it covers every cell any waypoint
-    disk can touch; cells beyond a single waypoint's own block are N for
-    that waypoint by geometry, which is what makes classifying the union
-    equivalent to the scalar per-step block walk.
+    Yields ``(unit_ids, i_lo, j_lo, rel_old, rel_new)`` per group: the
+    ``(G, p - 1, bi, bj)`` relation codes of each chain step's old and
+    new disk against the chain's *union* candidate block (anchored at
+    ``(i_lo[g], j_lo[g])``, padded to the group's max block shape).
+
+    Each step is scoped exactly like :meth:`CircleStencil.classify_move`
+    scopes one update: when the two waypoints' candidate blocks touch,
+    both disks are classified over their merged block; otherwise each
+    disk only over its own block, the other side reading ``N``. Cells
+    outside a step's scope (padding included) read ``N → N``. The scope
+    matters at block edges: the floor arithmetic of ``block_of`` can
+    leave out a cell whose edge the circle meets to within one ulp (a
+    unit at ``x = 1.0`` with ``R`` a multiple of the cell width), which
+    the distance test alone would call ``P``.
     """
     radius = stencil.radius
+    space = grid.space
     by_count: dict[int, list[int]] = {}
     for pos, move in enumerate(moves):  # reprolint: disable=RPL009 -- O(#chains) grouping bookkeeping, not per-element compute
         by_count.setdefault(move.raw_count + 1, []).append(pos)
@@ -156,42 +162,77 @@ def _chain_groups(
         unit_ids = np.array(
             [moves[pos].unit_id for pos in members], dtype=np.int64
         )
-        # union candidate block per chain: same floor arithmetic as
-        # CircleStencil.block_of applied to the waypoint bbox.
-        space = grid.space
-        i_lo = np.floor(
-            (cx.min(axis=1) - radius - space.xmin) / grid.cell_width
+        # per-waypoint candidate blocks (i_lo, i_hi, j_lo, j_hi), each
+        # (G, p): CircleStencil.block_of's floor arithmetic, clamped to
+        # the grid. Their union is the chain's block (floor is monotone).
+        blocks = np.floor(
+            np.stack(
+                [
+                    (cx - radius - space.xmin) / grid.cell_width,
+                    (cx + radius - space.xmin) / grid.cell_width,
+                    (cy - radius - space.ymin) / grid.cell_height,
+                    (cy + radius - space.ymin) / grid.cell_height,
+                ]
+            )
         ).astype(np.int64)
-        i_hi = np.floor(
-            (cx.max(axis=1) + radius - space.xmin) / grid.cell_width
-        ).astype(np.int64)
-        j_lo = np.floor(
-            (cy.min(axis=1) - radius - space.ymin) / grid.cell_height
-        ).astype(np.int64)
-        j_hi = np.floor(
-            (cy.max(axis=1) + radius - space.ymin) / grid.cell_height
-        ).astype(np.int64)
-        np.maximum(i_lo, 0, out=i_lo)
-        np.minimum(i_hi, grid.nx - 1, out=i_hi)
-        np.maximum(j_lo, 0, out=j_lo)
-        np.minimum(j_hi, grid.ny - 1, out=j_hi)
-        bi = i_hi - i_lo + 1
-        bj = j_hi - j_lo + 1
+        np.maximum(blocks[0::2], 0, out=blocks[0::2])
+        np.minimum(blocks[1], grid.nx - 1, out=blocks[1])
+        np.minimum(blocks[3], grid.ny - 1, out=blocks[3])
+        i_lo, j_lo = blocks[0].min(axis=1), blocks[2].min(axis=1)
+        bi = blocks[1].max(axis=1) - i_lo + 1
+        bj = blocks[3].max(axis=1) - j_lo + 1
         live = (bi > 0) & (bj > 0)
-        if not live.all():
-            cx, cy = cx[live], cy[live]
-            unit_ids = unit_ids[live]
-            i_lo, j_lo = i_lo[live], j_lo[live]
-            bi, bj = bi[live], bj[live]
-        if len(cx) == 0:
+        if not live.any():
             continue
+        if not live.all():
+            cx, cy, unit_ids = cx[live], cy[live], unit_ids[live]
+            blocks = blocks[:, live]
+            i_lo, j_lo, bi, bj = i_lo[live], j_lo[live], bi[live], bj[live]
         codes = stencil.classify_centers(
             cx, cy, i_lo, j_lo, int(bi.max()), int(bj.max())
         )
-        valid = (
-            np.arange(codes.shape[2])[None, :, None] < bi[:, None, None]
-        ) & (np.arange(codes.shape[3])[None, None, :] < bj[:, None, None])
-        yield unit_ids, i_lo, j_lo, codes, valid
+        # per-step scopes: each side's own block or, when the two
+        # touch, their merged bounding block for both sides.
+        old_side, new_side = blocks[:, :, :-1], blocks[:, :, 1:]
+        touch = (
+            (old_side[0] <= old_side[1]) & (old_side[2] <= old_side[3])
+            & (new_side[0] <= new_side[1]) & (new_side[2] <= new_side[3])
+            & (old_side[0] <= new_side[1]) & (new_side[0] <= old_side[1])
+            & (old_side[2] <= new_side[3]) & (new_side[2] <= old_side[3])
+        )
+        merged = np.stack(
+            [
+                np.minimum(old_side[0], new_side[0]),
+                np.maximum(old_side[1], new_side[1]),
+                np.minimum(old_side[2], new_side[2]),
+                np.maximum(old_side[3], new_side[3]),
+            ]
+        )
+        cols = i_lo[:, None] + np.arange(codes.shape[2])
+        rows = j_lo[:, None] + np.arange(codes.shape[3])
+        rel_old = np.where(
+            _in_blocks(cols, rows, np.where(touch, merged, old_side)),
+            codes[:, :-1],
+            _N,
+        )
+        rel_new = np.where(
+            _in_blocks(cols, rows, np.where(touch, merged, new_side)),
+            codes[:, 1:],
+            _N,
+        )
+        yield unit_ids, i_lo, j_lo, rel_old, rel_new
+
+
+def _in_blocks(
+    cols: np.ndarray, rows: np.ndarray, bounds: np.ndarray
+) -> np.ndarray:
+    """``(G, s, bi, bj)`` membership of each anchored block cell (absolute
+    ``cols`` ``(G, bi)`` / ``rows`` ``(G, bj)``) in per-step blocks
+    ``bounds = (i_lo, i_hi, j_lo, j_hi)``, each ``(G, s)``."""
+    i_lo, i_hi, j_lo, j_hi = (b[..., None] for b in bounds)
+    in_i = (cols[:, None, :] >= i_lo) & (cols[:, None, :] <= i_hi)
+    in_j = (rows[:, None, :] >= j_lo) & (rows[:, None, :] <= j_hi)
+    return in_i[..., :, None] & in_j[..., None, :]
 
 
 def _maintained_endpoint_pass(
@@ -237,14 +278,14 @@ def _table1_pass(
     net_parts: list[np.ndarray] = []
     inc_parts: list[np.ndarray] = []
     dec_parts: list[np.ndarray] = []
-    for _unit_ids, i_lo, j_lo, codes, valid in _chain_groups(
+    for _unit_ids, i_lo, j_lo, rel_old, rel_new in _chain_groups(
         grid, stencil, moves, olds
     ):
-        deltas = _TABLE1_LUT[codes[:, :-1] * 3 + codes[:, 1:]]
+        deltas = _TABLE1_LUT[rel_old * 3 + rel_new]
         net = deltas.sum(axis=1)
         incs = np.count_nonzero(deltas > 0, axis=1)
         decs = np.count_nonzero(deltas < 0, axis=1)
-        touched = valid & ((incs + decs) > 0)
+        touched = (incs + decs) > 0
         g_idx, a_idx, b_idx = np.nonzero(touched)
         if len(g_idx) == 0:
             continue
@@ -310,12 +351,12 @@ def _table2_pass(
     counters = monitor.counters
     t2 = _TABLE2_LUT
     t1 = _TABLE1_DELTAS
-    for unit_ids, i_lo, j_lo, codes, valid in _chain_groups(
+    for unit_ids, i_lo, j_lo, rel_old, rel_new in _chain_groups(
         grid, stencil, moves, olds
     ):
-        packed = codes[:, :-1] * 3 + codes[:, 1:]
+        packed = rel_old * 3 + rel_new
         eff = _TABLE2_EFFECTIVE[packed]
-        touched = valid & eff.any(axis=1)
+        touched = eff.any(axis=1)
         g_idx, a_idx, b_idx = np.nonzero(touched)
         if len(g_idx) == 0:
             continue

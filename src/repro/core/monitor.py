@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import abc
 import time
-import warnings
 from typing import TYPE_CHECKING, Any, ClassVar, Iterable, Mapping, Sequence
 
 if TYPE_CHECKING:
@@ -524,35 +523,3 @@ class CTUPMonitor(abc.ABC):
     def topk_ids(self) -> list[int]:
         """Place ids of the current result (convenience for tests)."""
         return [record.place_id for record in self.top_k()]
-
-    def run_stream(
-        self,
-        updates: Iterable[LocationUpdate],
-        collect: bool = False,
-    ) -> int | list[UpdateReport]:
-        """Process a whole stream.
-
-        .. deprecated:: 1.1
-            Drive monitors through :func:`repro.api.open_session` /
-            :class:`repro.engine.MonitorSession` instead — the session
-            is the one code path with batching, audits and hooks. This
-            method now delegates to a plain session and will be removed.
-
-        Returns the number of updates consumed, or the per-update
-        :class:`UpdateReport` list when ``collect`` is set.
-        """
-        warnings.warn(
-            "CTUPMonitor.run_stream is deprecated; drive monitors "
-            "through repro.api.open_session / repro.engine.MonitorSession",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self._require_initialized()
-        # local import: repro.engine sits above repro.core in the layering.
-        from repro.engine.session import MonitorSession
-
-        session = MonitorSession(self, track_changes=False)
-        session.start()
-        if collect:
-            return [session.feed(update) for update in updates]
-        return session.run(updates)

@@ -18,6 +18,7 @@ objects rather than by editing the loop.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -35,6 +36,13 @@ from repro.state.snapshot import snapshot_monitor
 if TYPE_CHECKING:
     from repro.obs.expo import MetricsServer
     from repro.obs.spec import Observability
+
+
+class UpdateRejected(ValueError):
+    """An update :meth:`MonitorSession.feed` refuses: its unit id is
+    unknown or a coordinate is not finite. It is rejected before it is
+    journaled or buffered, so the session and its checkpoint directory
+    are left exactly as they were."""
 
 
 class MonitorSession:
@@ -227,8 +235,18 @@ class MonitorSession:
 
         In single mode, processes it and returns its report. In batch
         mode, buffers it and returns the burst report when the buffer
-        reaches ``batch_size`` (``None`` otherwise).
+        reaches ``batch_size`` (``None`` otherwise). Raises
+        :class:`UpdateRejected` — before anything is journaled — for an
+        unknown unit id or a non-finite coordinate, either of which
+        would otherwise fail every later resume of the directory.
         """
+        if update.unit_id not in self.monitor.units:
+            raise UpdateRejected(f"unknown unit {update.unit_id}")
+        for point in (update.old_location, update.new_location):
+            if not (math.isfinite(point.x) and math.isfinite(point.y)):
+                raise UpdateRejected(
+                    f"unit {update.unit_id}: non-finite coordinate {point}"
+                )
         if not self._started:
             self.start()
         self.hooks.on_update_start(update)

@@ -21,19 +21,15 @@ RPL002    counter discipline — ``IoStats`` / ``MonitorCounters`` timing
 RPL003    determinism — no ``random``/wall-clock/unordered-set
           iteration in the ``core``/``shard``/``index``/``grid`` update
           paths; ties go through the documented ``(safety, id)`` key.
-RPL004    shard thread-safety — functions drained on the shard thread
-          pool never mutate shared monitor state.
-RPL005    deprecation hygiene — no in-package calls to surfaces that
-          raise ``DeprecationWarning`` (``run_stream`` and friends).
 RPL006    no mutable default arguments.
 RPL007    no shadowing of load-bearing builtins.
 RPL011    durability discipline — every checkpoint/journal write path
           reaches flush+fsync before its rename/publish, and no state
           mutation survives a swallowed exception without rollback
           (flow-sensitive, ``repro.lint.flow``).
-RPL012    lock discipline — attributes shared with the drain pool or
-          the ``/metrics`` thread are accessed with the owning lock
-          definitely held (the ``GUARDED_FIELDS`` contract).
+RPL012    lock discipline — attributes shared with the ``/metrics``
+          thread are accessed with the owning lock definitely held (the
+          ``GUARDED_FIELDS`` contract).
 RPL013    counter conservation — once-per-call ``MonitorCounters``
           charges happen on every normal exit path and never twice.
 RPL014    phase protocol — no access-phase helper (reachable from
@@ -51,15 +47,12 @@ Violations are suppressed per line with ``# reprolint: disable=RPL003
 -- reason`` (the reason is mandatory, enforced by RPL000) or per file
 with ``# reprolint: disable-file=RPL003 -- reason``.
 
-Run as ``python -m repro.lint src tests`` or ``ctup lint``. Useful
-flags: ``--format sarif`` (code-scanning uploads), ``--cache``
-(incremental re-runs), ``--changed REF`` (report only files changed vs
-a git baseline), ``--jobs N`` (parallel rule pass).
+Run as ``python -m repro.lint src tests`` or ``ctup lint``;
+``--format sarif`` writes a code-scanning upload.
 """
 
 from __future__ import annotations
 
-from repro.lint.cache import DEFAULT_CACHE_PATH, LintCache
 from repro.lint.config import LintConfig, load_config
 from repro.lint.engine import LintResult, lint_paths, lint_sources
 from repro.lint.registry import RULES, Rule, Violation, rule
@@ -67,8 +60,6 @@ from repro.lint.report import render_json, render_sarif, render_text
 from repro.lint import rules as _rules  # noqa: F401  (populate registry)
 
 __all__ = [
-    "DEFAULT_CACHE_PATH",
-    "LintCache",
     "LintConfig",
     "LintResult",
     "RULES",

@@ -3,33 +3,20 @@
 Exit code 0 means the tree is clean (including the RPLT01 typing gate
 for the strict module set); any violation or unparsable file exits 1.
 ``--mypy`` additionally shells out to mypy when one is installed —
-absence is reported as a skip, not a pass.
-
-Incremental workflow flags:
-
-* ``--cache [PATH]`` — keep/reuse the incremental analysis cache (a
-  warm run re-lints an unchanged tree without re-parsing a single
-  file);
-* ``--changed [REF]`` — only *report* files that differ from the git
-  baseline (default ``HEAD``) plus untracked files; the project
-  pre-pass still covers the whole tree so cross-file rules stay exact;
-* ``--jobs N`` — fan the rule pass out over N worker threads
-  (``0`` = let the pool pick);
-* ``--format sarif`` — SARIF 2.1.0 for code-scanning uploads.
+absence is reported as a skip, not a pass. ``--format sarif`` emits
+SARIF 2.1.0 for code-scanning uploads.
 """
 
 from __future__ import annotations
 
 import argparse
 import pathlib
-import subprocess
 import sys
 from typing import Sequence
 
 from repro.lint import rules as _rules  # noqa: F401  (populate registry)
-from repro.lint.cache import DEFAULT_CACHE_PATH, LintCache
 from repro.lint.config import load_config
-from repro.lint.engine import collect_files, lint_paths
+from repro.lint.engine import lint_paths
 from repro.lint.report import (
     render_json,
     render_rules,
@@ -44,9 +31,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro.lint",
         description=(
             "repo-aware static analysis: scheme contracts, counter "
-            "discipline, determinism, thread-safety, deprecation "
-            "hygiene, flow-sensitive safety rules and the strict "
-            "typing gate"
+            "discipline, determinism, flow-sensitive safety rules and "
+            "the strict typing gate"
         ),
     )
     parser.add_argument(
@@ -72,64 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="additionally run mypy (skipped with a notice if not installed)",
     )
-    parser.add_argument(
-        "--cache",
-        nargs="?",
-        const=DEFAULT_CACHE_PATH,
-        default=None,
-        metavar="PATH",
-        help=(
-            "use the incremental analysis cache at PATH (default "
-            f"{DEFAULT_CACHE_PATH} when the flag is given bare)"
-        ),
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="rule-pass worker threads (0 = auto; default serial)",
-    )
-    parser.add_argument(
-        "--changed",
-        nargs="?",
-        const="HEAD",
-        default=None,
-        metavar="REF",
-        help=(
-            "report only files differing from the git baseline REF "
-            "(default HEAD) plus untracked files; the project pre-pass "
-            "still sees the whole tree"
-        ),
-    )
     return parser
-
-
-def _git_changed_files(baseline: str) -> set[str] | None:
-    """Paths changed vs ``baseline`` plus untracked files, or ``None``
-    when git is unavailable (then everything is reported)."""
-    changed: set[str] = set()
-    for argv in (
-        ["git", "diff", "--name-only", baseline, "--", "*.py"],
-        ["git", "ls-files", "--others", "--exclude-standard", "--", "*.py"],
-    ):
-        try:
-            proc = subprocess.run(
-                argv, capture_output=True, text=True, timeout=30, check=False
-            )
-        except (OSError, subprocess.TimeoutExpired):
-            return None
-        if proc.returncode != 0:
-            print(
-                f"reprolint: --changed: {' '.join(argv[:2])} failed: "
-                f"{proc.stderr.strip() or 'unknown error'}",
-                file=sys.stderr,
-            )
-            return None
-        changed.update(
-            line.strip() for line in proc.stdout.splitlines() if line.strip()
-        )
-    return changed
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -138,20 +67,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(render_rules())
         return 0
     config = load_config(pathlib.Path(args.paths[0]))
-    cache = LintCache(args.cache) if args.cache is not None else None
-    only: set[str] | None = None
-    if args.changed is not None:
-        changed = _git_changed_files(args.changed)
-        if changed is not None:
-            collected = {str(path) for path in collect_files(args.paths)}
-            only = {
-                str(pathlib.Path(item))
-                for item in changed
-                if str(pathlib.Path(item)) in collected
-            }
-    result = lint_paths(
-        args.paths, config, cache=cache, jobs=args.jobs, only=only
-    )
+    result = lint_paths(args.paths, config)
     if args.output_format == "json":
         print(render_json(result))
     elif args.output_format == "sarif":

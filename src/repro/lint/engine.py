@@ -1,35 +1,24 @@
 """The lint driver: file loading, suppressions, the project pre-pass.
 
-Linting is two-phase. The pre-pass parses every file once and distils
-it to a :class:`FileSummary` — the class declarations, deprecated
-surfaces, scheme-registry entries, and call-graph function summaries
-the cross-file rules need. The :class:`ProjectIndex` merges those
-summaries into the class hierarchy, the deprecated set, and the
-project call graph. The rule pass then runs every registered rule over
-every file against that shared index, filters the findings through the
-suppression comments, and returns one sorted report.
-
-Summaries are plain data, which is what makes the incremental cache
-(:mod:`repro.lint.cache`) work: for an unchanged file the pre-pass
-reuses the cached summary without re-parsing, and the rule pass reuses
-cached findings per bucket — "local" rules keyed on content hash +
-rule versions, "project-dependent" rules additionally keyed on a
-digest over *every* file's summary. A fully warm run touches no AST at
-all. The rule pass itself fans out over a thread pool (``jobs``).
+Linting is two-phase. The pre-pass walks every parsed file once for the
+facts the cross-file rules need — class declarations, scheme-registry
+entries and call-graph function summaries — and merges them into one
+:class:`ProjectIndex` (the class hierarchy and the project call graph).
+The rule pass then runs every registered rule over every file against
+that shared index, filters the findings through the suppression
+comments, and returns one sorted report. A cold run over ``src tests``
+takes a few seconds, so every run is cold.
 """
 
 from __future__ import annotations
 
 import ast
-import concurrent.futures
 import dataclasses
-import hashlib
 import io
-import json
 import pathlib
 import re
 import tokenize
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from repro.lint.config import LintConfig, load_config
 from repro.lint.flow.callgraph import (
@@ -37,12 +26,7 @@ from repro.lint.flow.callgraph import (
     FunctionSummary,
     function_summaries,
 )
-from repro.lint.registry import (
-    RULES,
-    Violation,
-    known_codes,
-    rule_signature,
-)
+from repro.lint.registry import RULES, Violation, known_codes
 
 #: ``# reprolint: disable=RPL001,RPL002 -- reason`` (file-level with
 #: ``disable-file``). The reason is mandatory; RPL000 enforces it.
@@ -146,118 +130,6 @@ class ClassInfo:
     #: ``TRANSIENT_FIELDS`` tuple literal, same convention.
     transient_fields: tuple[str, ...] | None = None
 
-    def to_payload(self) -> dict[str, Any]:
-        return {
-            "name": self.name,
-            "module": self.module,
-            "path": self.path,
-            "line": self.line,
-            "bases": list(self.bases),
-            "methods": self.methods,
-            "method_arity": self.method_arity,
-            "state_fields": (
-                None if self.state_fields is None else list(self.state_fields)
-            ),
-            "transient_fields": (
-                None
-                if self.transient_fields is None
-                else list(self.transient_fields)
-            ),
-        }
-
-    @classmethod
-    def from_payload(cls, payload: Mapping[str, Any]) -> "ClassInfo":
-        raw_state = payload.get("state_fields")
-        raw_transient = payload.get("transient_fields")
-        return cls(
-            name=str(payload["name"]),
-            module=payload.get("module"),
-            path=str(payload["path"]),
-            line=int(payload["line"]),
-            bases=tuple(payload["bases"]),
-            methods={k: int(v) for k, v in payload["methods"].items()},
-            method_arity={
-                k: int(v) for k, v in payload["method_arity"].items()
-            },
-            state_fields=None if raw_state is None else tuple(raw_state),
-            transient_fields=(
-                None if raw_transient is None else tuple(raw_transient)
-            ),
-        )
-
-
-@dataclasses.dataclass(slots=True)
-class FileSummary:
-    """Everything the project pre-pass keeps from one file.
-
-    Plain data — JSON round-trippable so the incremental cache can
-    restore it for unchanged files without re-parsing.
-    """
-
-    path: str
-    module: str | None
-    classes: tuple[ClassInfo, ...]
-    #: function name -> definition line, for DeprecationWarning raisers.
-    deprecated: tuple[tuple[str, int], ...]
-    #: class names registered in a ``SCHEMES`` literal, with line.
-    schemes: tuple[tuple[str, int], ...]
-    functions: tuple[FunctionSummary, ...]
-
-    def to_payload(self) -> dict[str, Any]:
-        return {
-            "path": self.path,
-            "module": self.module,
-            "classes": [info.to_payload() for info in self.classes],
-            "deprecated": [list(item) for item in self.deprecated],
-            "schemes": [list(item) for item in self.schemes],
-            "functions": [fn.to_payload() for fn in self.functions],
-        }
-
-    @classmethod
-    def from_payload(cls, payload: Mapping[str, Any]) -> "FileSummary":
-        return cls(
-            path=str(payload["path"]),
-            module=payload.get("module"),
-            classes=tuple(
-                ClassInfo.from_payload(item) for item in payload["classes"]
-            ),
-            deprecated=tuple(
-                (str(name), int(line)) for name, line in payload["deprecated"]
-            ),
-            schemes=tuple(
-                (str(name), int(line)) for name, line in payload["schemes"]
-            ),
-            functions=tuple(
-                FunctionSummary.from_payload(item)
-                for item in payload["functions"]
-            ),
-        )
-
-
-def summarize_source(source: SourceFile) -> FileSummary:
-    """Distil one parsed file to the facts the project index keeps."""
-    classes: list[ClassInfo] = []
-    deprecated: list[tuple[str, int]] = []
-    schemes: list[tuple[str, int]] = []
-    for node in ast.walk(source.tree):
-        if isinstance(node, ast.ClassDef):
-            classes.append(_class_info(source, node))
-        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            if _raises_deprecation(node):
-                deprecated.append((node.name, node.lineno))
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            schemes.extend(_scheme_entries(node))
-    return FileSummary(
-        path=source.path,
-        module=source.module,
-        classes=tuple(classes),
-        deprecated=tuple(deprecated),
-        schemes=tuple(schemes),
-        functions=function_summaries(
-            source.tree, source.module or "", source.path
-        ),
-    )
-
 
 def _class_info(source: SourceFile, node: ast.ClassDef) -> ClassInfo:
     methods: dict[str, int] = {}
@@ -325,48 +197,35 @@ class ProjectIndex:
     ) -> None:
         self.config = config or LintConfig()
         self.sources = tuple(sources)
-        self._merge([summarize_source(source) for source in sources])
-
-    @classmethod
-    def from_summaries(
-        cls,
-        summaries: Sequence[FileSummary],
-        config: LintConfig | None = None,
-    ) -> "ProjectIndex":
-        """Build the index without any parsed sources — the warm-cache
-        path (no rule may rely on ``index.sources`` being populated)."""
-        index = cls.__new__(cls)
-        index.config = config or LintConfig()
-        index.sources = ()
-        index._merge(list(summaries))
-        return index
-
-    def _merge(self, summaries: Sequence[FileSummary]) -> None:
-        self.summaries = tuple(summaries)
         #: simple class name -> info (package classes shadow fixture ones).
         self.classes: dict[str, ClassInfo] = {}
-        #: function names whose body raises DeprecationWarning, with the
-        #: (path, line) of the definition.
-        self.deprecated: dict[str, tuple[str, int]] = {}
         #: class names registered as values of ``repro.api.SCHEMES``.
         self.scheme_classes: dict[str, tuple[str, int]] = {}
+        functions: list[FunctionSummary] = []
+        for source in self.sources:
+            for node in ast.walk(source.tree):
+                if isinstance(node, ast.ClassDef):
+                    info = _class_info(source, node)
+                    existing = self.classes.get(info.name)
+                    # package classes win over same-named fixture/test
+                    # classes.
+                    if existing is None or (
+                        existing.module is None and info.module
+                    ):
+                        self.classes[info.name] = info
+                elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                    for name, line in _scheme_entries(node):
+                        self.scheme_classes.setdefault(
+                            name, (source.path, line)
+                        )
+            functions.extend(
+                function_summaries(
+                    source.tree, source.module or "", source.path
+                )
+            )
         #: call-graph function summaries across the whole project.
-        self.functions: tuple[FunctionSummary, ...] = tuple(
-            fn for summary in summaries for fn in summary.functions
-        )
+        self.functions = tuple(functions)
         self._callgraph: CallGraph | None = None
-        for summary in summaries:
-            for info in summary.classes:
-                existing = self.classes.get(info.name)
-                # package classes win over same-named fixture/test classes.
-                if existing is None or (
-                    existing.module is None and info.module
-                ):
-                    self.classes[info.name] = info
-            for name, line in summary.deprecated:
-                self.deprecated.setdefault(name, (summary.path, line))
-            for name, line in summary.schemes:
-                self.scheme_classes.setdefault(name, (summary.path, line))
 
     @property
     def callgraph(self) -> CallGraph:
@@ -374,16 +233,6 @@ class ProjectIndex:
         if self._callgraph is None:
             self._callgraph = CallGraph(self.functions, self)
         return self._callgraph
-
-    def project_digest(self) -> str:
-        """A content fingerprint over every file's summary — the
-        invalidation key for project-dependent cached findings."""
-        hasher = hashlib.sha256()
-        for summary in sorted(self.summaries, key=lambda s: s.path):
-            hasher.update(
-                json.dumps(summary.to_payload(), sort_keys=True).encode()
-            )
-        return hasher.hexdigest()
 
     # -- hierarchy queries ------------------------------------------------
 
@@ -458,27 +307,6 @@ def _field_tuple_literal(
     return names.pop(), tuple(fields)
 
 
-def _raises_deprecation(node: ast.FunctionDef | ast.AsyncFunctionDef) -> bool:
-    for inner in ast.walk(node):
-        if not isinstance(inner, ast.Call):
-            continue
-        func = inner.func
-        is_warn = (
-            isinstance(func, ast.Attribute) and func.attr == "warn"
-        ) or (isinstance(func, ast.Name) and func.id == "warn")
-        if not is_warn:
-            continue
-        candidates = list(inner.args[1:]) + [
-            kw.value for kw in inner.keywords if kw.arg == "category"
-        ]
-        for arg in candidates:
-            if isinstance(arg, ast.Name) and arg.id == "DeprecationWarning":
-                return True
-            if isinstance(arg, ast.Attribute) and arg.attr == "DeprecationWarning":
-                return True
-    return False
-
-
 def _base_name(node: ast.expr) -> str | None:
     if isinstance(node, ast.Name):
         return node.id
@@ -541,16 +369,6 @@ class LintResult:
         )
 
 
-def _partition_codes(
-    active: frozenset[str],
-) -> tuple[frozenset[str], frozenset[str]]:
-    """(local, project-dependent) split of the active rule set."""
-    local = frozenset(
-        code for code in active if not RULES[code].project_dependent
-    )
-    return local, active - local
-
-
 def _run_codes(
     source: SourceFile, project: ProjectIndex, codes: Iterable[str]
 ) -> list[Violation]:
@@ -566,39 +384,17 @@ def _run_codes(
     return found
 
 
-def _config_fingerprint(config: LintConfig, active: frozenset[str]) -> str:
-    """The configuration facts that change findings — part of every
-    cache signature."""
-    return "|".join(
-        [
-            ",".join(sorted(active)),
-            ",".join(sorted(config.strict_typed_modules)),
-        ]
-    )
-
-
 def lint_sources(
     sources: Sequence[SourceFile],
     config: LintConfig | None = None,
-    *,
-    jobs: int | None = None,
 ) -> LintResult:
     """Run every active rule over already-parsed sources."""
     config = config or LintConfig()
     project = ProjectIndex(sources, config)
     active = config.active_codes(known_codes())
     violations: list[Violation] = []
-    if jobs is not None and jobs != 1 and len(sources) > 1:
-        with concurrent.futures.ThreadPoolExecutor(
-            max_workers=jobs or None, thread_name_prefix="reprolint"
-        ) as pool:
-            for found in pool.map(
-                lambda source: _run_codes(source, project, active), sources
-            ):
-                violations.extend(found)
-    else:
-        for source in sources:
-            violations.extend(_run_codes(source, project, active))
+    for source in sources:
+        violations.extend(_run_codes(source, project, active))
     violations.sort(key=Violation.sort_key)
     return LintResult(
         violations=violations,
@@ -607,217 +403,32 @@ def lint_sources(
     )
 
 
-@dataclasses.dataclass(slots=True)
-class _FileState:
-    """Per-file working state of the cached driver."""
-
-    path: pathlib.Path
-    content_hash: str
-    summary: FileSummary | None = None
-    source: SourceFile | None = None
-    parse_error: Violation | None = None
-    #: cached findings carried over, keyed by bucket name.
-    reused: dict[str, list[Violation]] = dataclasses.field(
-        default_factory=dict
-    )
-
-    def ensure_source(self) -> SourceFile:
-        """Parse on demand (a warm summary skips parsing until a stale
-        rule bucket actually needs the AST)."""
-        if self.source is None:
-            text = self.path.read_text(encoding="utf-8")
-            self.source = SourceFile(
-                str(self.path), text, module_name_of(self.path)
-            )
-        return self.source
-
-
-def _load_file_state(
-    path: pathlib.Path, cached: Mapping[str, Any] | None
-) -> _FileState:
-    """Hash one file and restore whatever the cache still covers."""
-    try:
-        raw = path.read_bytes()
-    except OSError as exc:
-        state = _FileState(path=path, content_hash="")
-        state.parse_error = Violation(
-            code="RPLE00",
-            message=f"could not parse: {exc}",
-            path=str(path),
-            line=1,
-        )
-        return state
-    content_hash = hashlib.sha256(raw).hexdigest()
-    state = _FileState(path=path, content_hash=content_hash)
-    if cached is not None and cached.get("content_hash") == content_hash:
-        if cached.get("parse_error") is not None:
-            state.parse_error = Violation.from_payload(cached["parse_error"])
-            return state
-        if cached.get("summary") is not None:
-            state.summary = FileSummary.from_payload(cached["summary"])
-        return state
-    return state
-
-
-def _materialize(state: _FileState) -> None:
-    """Parse + summarize a file the cache couldn't cover."""
-    if state.summary is not None or state.parse_error is not None:
-        return
-    try:
-        state.ensure_source()
-    except (SyntaxError, UnicodeDecodeError, OSError) as exc:
-        line = getattr(exc, "lineno", None) or 1
-        state.parse_error = Violation(
-            code="RPLE00",
-            message=f"could not parse: {exc}",
-            path=str(state.path),
-            line=int(line),
-        )
-        return
-    state.summary = summarize_source(state.source)  # type: ignore[arg-type]
-
-
 def lint_paths(
     paths: Sequence[str | pathlib.Path],
     config: LintConfig | None = None,
-    *,
-    cache: "Any | None" = None,
-    jobs: int | None = None,
-    only: Iterable[str | pathlib.Path] | None = None,
 ) -> LintResult:
-    """Lint every Python file under ``paths``.
-
-    ``cache`` is a :class:`repro.lint.cache.LintCache` (or ``None`` to
-    analyse from scratch). ``jobs`` fans the rule pass out over a
-    thread pool (``0`` / ``None`` picks a default). ``only`` restricts
-    *reporting* to a file subset — the project pre-pass still covers
-    every collected file, so cross-file rules see the whole tree.
-    """
+    """Lint every Python file under ``paths``; an unreadable or
+    unparsable file is reported as ``RPLE00`` and left out of the
+    project index."""
     files = collect_files(paths)
     if config is None:
         anchor = files[0] if files else pathlib.Path.cwd()
         config = load_config(pathlib.Path(anchor))
-    active = config.active_codes(known_codes())
-    local_codes, project_codes = _partition_codes(active)
-    fingerprint = _config_fingerprint(config, active)
-    local_sig = f"{rule_signature(local_codes)}|{fingerprint}"
-    project_sig = f"{rule_signature(project_codes)}|{fingerprint}"
-
-    # phase A: hash everything, restore summaries, parse the rest.
-    states: list[_FileState] = [
-        _load_file_state(
-            path, cache.entry(str(path)) if cache is not None else None
-        )
-        for path in files
-    ]
-    for state in states:
-        _materialize(state)
-
-    # phase B: one index over every summary, then the per-file rule pass.
-    summaries = [
-        state.summary for state in states if state.summary is not None
-    ]
-    project = ProjectIndex.from_summaries(summaries, config)
-    digest = project.project_digest()
-
-    selected: set[str] | None = None
-    if only is not None:
-        selected = {str(pathlib.Path(item)) for item in only}
-    targets = [
-        state
-        for state in states
-        if state.parse_error is None
-        and state.summary is not None
-        and (selected is None or str(state.path) in selected)
-    ]
-
-    def analyse(state: _FileState) -> list[Violation]:
-        cached = (
-            cache.entry(str(state.path)) if cache is not None else None
-        )
-        if (
-            cached is not None
-            and cached.get("content_hash") != state.content_hash
-        ):
-            cached = None  # edited since the cache was written
-        found: list[Violation] = []
-        for bucket, codes, signature in (
-            ("local", local_codes, local_sig),
-            ("project", project_codes, project_sig),
-        ):
-            entry = (cached or {}).get(bucket)
-            fresh = (
-                entry is not None
-                and entry.get("signature") == signature
-                and (bucket == "local" or entry.get("digest") == digest)
-            )
-            if fresh:
-                bucket_findings = [
-                    Violation.from_payload(item)
-                    for item in entry["violations"]
-                ]
-            else:
-                bucket_findings = _run_codes(
-                    state.ensure_source(), project, codes
+    sources: list[SourceFile] = []
+    parse_errors: list[Violation] = []
+    for path in files:
+        try:
+            text = path.read_text(encoding="utf-8")
+            sources.append(SourceFile(str(path), text, module_name_of(path)))
+        except (SyntaxError, UnicodeDecodeError, OSError) as exc:
+            parse_errors.append(
+                Violation(
+                    code="RPLE00",
+                    message=f"could not parse: {exc}",
+                    path=str(path),
+                    line=int(getattr(exc, "lineno", None) or 1),
                 )
-            state.reused[bucket] = bucket_findings
-            found.extend(bucket_findings)
-        return found
-
-    violations: list[Violation] = []
-    if jobs is not None and jobs != 1 and len(targets) > 1:
-        with concurrent.futures.ThreadPoolExecutor(
-            max_workers=jobs or None, thread_name_prefix="reprolint"
-        ) as pool:
-            for found in pool.map(analyse, targets):
-                violations.extend(found)
-    else:
-        for state in targets:
-            violations.extend(analyse(state))
-    violations.sort(key=Violation.sort_key)
-
-    # phase C: write back everything we now know.
-    if cache is not None:
-        for state in states:
-            if not state.content_hash:
-                continue
-            entry: dict[str, Any] = {"content_hash": state.content_hash}
-            if state.parse_error is not None:
-                entry["parse_error"] = state.parse_error.to_payload()
-            elif state.summary is not None:
-                entry["summary"] = state.summary.to_payload()
-                for bucket, signature in (
-                    ("local", local_sig),
-                    ("project", project_sig),
-                ):
-                    if bucket in state.reused:
-                        bucket_entry: dict[str, Any] = {
-                            "signature": signature,
-                            "violations": [
-                                v.to_payload()
-                                for v in state.reused[bucket]
-                            ],
-                        }
-                        if bucket == "project":
-                            bucket_entry["digest"] = digest
-                        entry[bucket] = bucket_entry
-                    else:
-                        previous = cache.entry(str(state.path)) or {}
-                        if bucket in previous and previous.get(
-                            "content_hash"
-                        ) == state.content_hash:
-                            entry[bucket] = previous[bucket]
-            cache.store(str(state.path), entry)
-        cache.save()
-
-    parse_errors = [
-        state.parse_error
-        for state in states
-        if state.parse_error is not None
-        and (selected is None or str(state.path) in selected)
-    ]
-    return LintResult(
-        violations=violations,
-        files_checked=len(targets),
-        parse_errors=parse_errors,
-    )
+            )
+    result = lint_sources(sources, config)
+    result.parse_errors = parse_errors
+    return result

@@ -17,8 +17,7 @@ This subpackage supplies the machinery:
   charged");
 * :mod:`repro.lint.flow.callgraph` — the project-wide call graph,
   layered on the :class:`~repro.lint.engine.ProjectIndex` function
-  summaries so it survives the incremental cache (no re-parse needed
-  for unchanged files).
+  summaries.
 
 The package is analysed by reprolint itself (the self-check in
 ``tests/test_lint_flow.py``) — the engine is not exempt from its rules.

@@ -1,9 +1,7 @@
 """A project-wide call graph over per-function summaries.
 
 Each function/method gets a :class:`FunctionSummary` listing its call
-sites; summaries are plain data (JSON round-trippable) so the
-incremental cache can keep them for unchanged files and the graph can
-be rebuilt without re-parsing the whole tree. Nested defs and lambdas
+sites. Nested defs and lambdas
 are folded into their enclosing function — a call made by a closure
 the function creates is treated as a call the function makes, which is
 exactly the conservative view the phase-protocol rule needs (the
@@ -24,7 +22,7 @@ from __future__ import annotations
 import ast
 import dataclasses
 from collections import deque
-from typing import TYPE_CHECKING, Any, Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 if TYPE_CHECKING:  # engine does not import flow; no cycle at runtime
     from repro.lint.engine import ProjectIndex
@@ -45,25 +43,6 @@ class CallSite:
     col: int
     receiver: str = ""
 
-    def to_payload(self) -> dict[str, Any]:
-        return {
-            "callee": self.callee,
-            "kind": self.kind,
-            "line": self.line,
-            "col": self.col,
-            "receiver": self.receiver,
-        }
-
-    @classmethod
-    def from_payload(cls, payload: Mapping[str, Any]) -> "CallSite":
-        return cls(
-            callee=str(payload["callee"]),
-            kind=str(payload["kind"]),
-            line=int(payload["line"]),
-            col=int(payload["col"]),
-            receiver=str(payload.get("receiver", "")),
-        )
-
 
 @dataclasses.dataclass(frozen=True, slots=True)
 class FunctionSummary:
@@ -81,32 +60,6 @@ class FunctionSummary:
     @property
     def key(self) -> tuple[str, str]:
         return (self.module, self.qualname)
-
-    def to_payload(self) -> dict[str, Any]:
-        return {
-            "module": self.module,
-            "path": self.path,
-            "qualname": self.qualname,
-            "name": self.name,
-            "class_name": self.class_name,
-            "line": self.line,
-            "calls": [site.to_payload() for site in self.calls],
-        }
-
-    @classmethod
-    def from_payload(cls, payload: Mapping[str, Any]) -> "FunctionSummary":
-        raw_class = payload.get("class_name")
-        return cls(
-            module=str(payload["module"]),
-            path=str(payload["path"]),
-            qualname=str(payload["qualname"]),
-            name=str(payload["name"]),
-            class_name=None if raw_class is None else str(raw_class),
-            line=int(payload["line"]),
-            calls=tuple(
-                CallSite.from_payload(site) for site in payload["calls"]
-            ),
-        )
 
 
 def _dotted_receiver(node: ast.expr) -> str:

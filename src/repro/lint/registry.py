@@ -9,7 +9,7 @@ reporters and the docs all read the same table.
 from __future__ import annotations
 
 import dataclasses
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 if TYPE_CHECKING:  # circular at runtime: engine imports the registry.
     from repro.lint.engine import ProjectIndex, SourceFile
@@ -28,47 +28,18 @@ class Violation:
     def sort_key(self) -> tuple[str, int, int, str]:
         return (self.path, self.line, self.col, self.code)
 
-    def to_payload(self) -> dict[str, object]:
-        return {
-            "code": self.code,
-            "message": self.message,
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-        }
-
-    @classmethod
-    def from_payload(cls, payload: Mapping[str, object]) -> "Violation":
-        return cls(
-            code=str(payload["code"]),
-            message=str(payload["message"]),
-            path=str(payload["path"]),
-            line=int(payload["line"]),  # type: ignore[call-overload]
-            col=int(payload.get("col", 0)),  # type: ignore[call-overload]
-        )
-
 
 CheckFn = Callable[["SourceFile", "ProjectIndex"], Iterable[Violation]]
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
 class Rule:
-    """A registered rule: its code, one-line summary, and check.
-
-    ``version`` participates in the incremental-cache key: bump it when
-    a rule's behaviour changes so stale cached findings are discarded.
-    ``project_dependent`` marks rules whose findings for one file can
-    change when *other* files change (hierarchy, deprecated set, call
-    graph); their cached findings are additionally keyed on the
-    project digest.
-    """
+    """A registered rule: its code, one-line summary, and check."""
 
     code: str
     name: str
     summary: str
     check: CheckFn
-    version: int = 1
-    project_dependent: bool = False
 
     def run(self, source: "SourceFile", project: "ProjectIndex") -> Iterator[Violation]:
         yield from self.check(source, project)
@@ -79,27 +50,13 @@ class Rule:
 RULES: dict[str, Rule] = {}
 
 
-def rule(
-    code: str,
-    name: str,
-    summary: str,
-    *,
-    version: int = 1,
-    project_dependent: bool = False,
-) -> Callable[[CheckFn], CheckFn]:
+def rule(code: str, name: str, summary: str) -> Callable[[CheckFn], CheckFn]:
     """Register ``check`` under ``code`` (decorator)."""
 
     def decorate(check: CheckFn) -> CheckFn:
         if code in RULES:
             raise ValueError(f"duplicate rule code {code}")
-        RULES[code] = Rule(
-            code=code,
-            name=name,
-            summary=summary,
-            check=check,
-            version=version,
-            project_dependent=project_dependent,
-        )
+        RULES[code] = Rule(code=code, name=name, summary=summary, check=check)
         return check
 
     return decorate
@@ -109,11 +66,3 @@ def known_codes() -> frozenset[str]:
     """All registered codes (suppression comments are validated against
     this set)."""
     return frozenset(RULES)
-
-
-def rule_signature(codes: Iterable[str]) -> str:
-    """A stable ``code:version`` fingerprint of a rule subset — part of
-    the incremental-cache key."""
-    return ",".join(
-        f"{code}:{RULES[code].version}" for code in sorted(codes)
-    )

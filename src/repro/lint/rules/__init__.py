@@ -6,7 +6,6 @@ from repro.lint.rules import (  # noqa: F401  (imported for registration)
     catalog,
     contracts,
     counters,
-    deprecation,
     determinism,
     durability,
     flowcounters,
@@ -16,6 +15,5 @@ from repro.lint.rules import (  # noqa: F401  (imported for registration)
     obs,
     phases,
     state,
-    threads,
 )
 from repro.lint import typing_gate  # noqa: F401  (registers RPLT01)

@@ -57,7 +57,6 @@ _LATTICE = FlagLattice(default=_UNBOUND)
     "place-catalog mutations (add_place/remove_place/reweight) and "
     "epoch writes only happen via repro.storage / repro.control entry "
     "points; mutator aliases are tracked through the CFG",
-    project_dependent=False,
 )
 def check(source: SourceFile, project: ProjectIndex) -> Iterator[Violation]:
     if not source.in_packages("repro"):

@@ -19,7 +19,7 @@ from repro.lint.registry import Violation, rule
 
 #: lifecycle methods owned by ``CTUPMonitor`` (timing + counters).
 OWNED_METHODS = frozenset(
-    {"initialize", "apply_update", "refresh", "process", "run_stream"}
+    {"initialize", "apply_update", "refresh", "process"}
 )
 #: the phase-split monitor API every scheme must provide.
 PHASE_API = (
@@ -38,7 +38,6 @@ BASE_MODULE = "repro.core.monitor"
     "scheme-contract",
     "monitor subclasses define the phase API and never override the "
     "base class's timing/counter ownership",
-    project_dependent=True,
 )
 def check(source: SourceFile, project: ProjectIndex) -> Iterator[Violation]:
     if not source.in_packages("repro"):

@@ -10,8 +10,8 @@ exception hygiene: a monitor-state mutation inside a ``try`` whose
 handler swallows the exception leaves half-applied state visible to
 the next snapshot unless the handler rolls the attribute back.
 
-Scope: ``repro.state`` and ``repro.persist`` — the modules whose whole
-contract is durability.
+Scope: ``repro.state`` — the package whose whole contract is
+durability.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from repro.lint.flow.cfg import CFG, Block, function_cfgs, scan_roots
 from repro.lint.flow.dataflow import BOTTOM, FlagLattice, FlagState, solve_forward
 from repro.lint.registry import Violation, rule
 
-SCOPES = ("repro.state", "repro.persist")
+SCOPES = ("repro.state",)
 
 #: the per-function durability protocol states, in protocol order.
 _CLEAN = "clean"
@@ -47,7 +47,6 @@ _KEY = "written-data"
     "every checkpoint/journal write path reaches flush+fsync before "
     "rename/publish, and no state mutation survives a swallowed "
     "exception without rollback",
-    version=1,
 )
 def check(source: SourceFile, project: ProjectIndex) -> Iterator[Violation]:
     if not source.in_packages(*SCOPES):

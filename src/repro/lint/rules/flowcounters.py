@@ -60,7 +60,6 @@ _LATTICE = FlagLattice(default=_ZERO)
     "counter-conservation",
     "once-per-call MonitorCounters charges happen on every normal exit "
     "path and never twice (early returns, except edges, loop bodies)",
-    version=1,
 )
 def check(source: SourceFile, project: ProjectIndex) -> Iterator[Violation]:
     if not source.in_packages(*SCOPES):

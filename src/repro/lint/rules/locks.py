@@ -1,8 +1,7 @@
 """RPL012 — lock discipline where real threads exist.
 
-Two places in this repo run concurrently with the main loop: the shard
-drain pool (``repro.shard``) and the obs ``/metrics`` HTTP server
-thread (``repro.obs``). A class there that owns a lock is asserting
+One place in this repo runs concurrently with the main loop: the obs
+``/metrics`` HTTP server thread (``repro.obs``). A class there that owns a lock is asserting
 "my state is shared"; this rule makes that assertion checkable. The
 class declares which attributes the lock guards::
 
@@ -46,10 +45,9 @@ _KEY = "lock"
 @rule(
     "RPL012",
     "lock-discipline",
-    "attributes shared with the drain pool or the /metrics thread are "
+    "attributes shared with the /metrics thread are "
     "accessed under the owning lock (GUARDED_FIELDS) or are "
     "documented-immutable",
-    version=1,
 )
 def check(source: SourceFile, project: ProjectIndex) -> Iterator[Violation]:
     if not source.in_packages(*SCOPES):
@@ -137,8 +135,7 @@ def _check_class(
                 f"({', '.join(sorted(locks))}) but declares no "
                 "GUARDED_FIELDS — declare which attributes the lock "
                 "guards so shared-state accesses are checkable (the "
-                "drain pool and the /metrics thread run concurrently "
-                "with the main loop)"
+                "/metrics thread runs concurrently with the main loop)"
             ),
             path=source.path,
             line=node.lineno,
@@ -258,7 +255,7 @@ def _check_method(
                 message=(
                     f"access to guarded field 'self.{attr}' in "
                     f"'{cls.name}.{method.name}' without the owning lock "
-                    "definitely held — the drain pool / metrics thread "
+                    "definitely held — the /metrics thread "
                     "can observe a torn update; wrap the access in "
                     "'with self."
                     f"{sorted(locks)[0]}:' (GUARDED_FIELDS contract)"

@@ -56,8 +56,6 @@ WALK_SCOPES = (
     "phase-protocol",
     "no access-phase helper (reachable from _refresh/top_k/sk) may call "
     "a maintain-phase mutator (apply_update/_apply/...)",
-    version=1,
-    project_dependent=True,
 )
 def check(source: SourceFile, project: ProjectIndex) -> Iterator[Violation]:
     if not source.in_packages("repro"):

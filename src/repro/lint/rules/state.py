@@ -31,7 +31,6 @@ from repro.lint.registry import Violation, rule
     "every attribute a Snapshottable class mutates outside __init__ is "
     "declared in STATE_FIELDS or TRANSIENT_FIELDS, so snapshots capture "
     "it and resumed runs stay bit-identical",
-    project_dependent=True,
 )
 def check(source: SourceFile, project: ProjectIndex) -> Iterator[Violation]:
     if not source.in_packages("repro"):

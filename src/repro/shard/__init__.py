@@ -7,8 +7,7 @@ The horizontal-scaling layer over the monitor contract:
 * :class:`ShardRouter` — fans a location update out only to the shards
   whose cells the move's old/new protection disks can touch;
 * :class:`ShardedMonitor` — one full monitor (any scheme) per shard
-  behind the ordinary maintain/access phase API, with optional
-  thread-pool draining;
+  behind the ordinary maintain/access phase API;
 * :class:`GlobalTopK` — merges per-shard partial top-k lists into the
   exact global answer with a provable refill rule.
 

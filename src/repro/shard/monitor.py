@@ -19,11 +19,9 @@ every other shard receives a cheap **unit-position sync** so its
 server-side unit tracking stays consistent (`UnitIndex.apply` validates
 each update against the tracked old location, so every shard must see
 every update — the question is only how much work it does). Deliveries
-are queued per shard in arrival order and drained at the next access
-phase, optionally on a thread pool (``parallelism=N``): shards share no
-mutable state, per-shard work is identical either way, and the drain
-results are reduced in shard-id order — so results *and* merged work
-counters are deterministic and independent of thread scheduling.
+are queued per shard in arrival order and drained, in shard-id order,
+at the next access phase: shards share no mutable state, so results
+*and* merged work counters are deterministic.
 
 Shard-local SK never undershoots global SK (a shard's k-th smallest over
 a subset of the places is at least the global k-th smallest), which is
@@ -35,10 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
-
-if TYPE_CHECKING:
-    from concurrent.futures import ThreadPoolExecutor
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from repro.core.config import CTUPConfig
 from repro.core.metrics import InitReport, MonitorCounters
@@ -87,7 +82,6 @@ class ShardedMonitor(CTUPMonitor):
     )
     TRANSIENT_FIELDS = (
         "_merge_cache",
-        "_pool",
         "_init_reports",
         "_factory",
         "_strategy",
@@ -104,22 +98,18 @@ class ShardedMonitor(CTUPMonitor):
         *,
         shards: int | Sequence[int] | ShardPlan = 4,
         scheme: str | Callable = "opt",
-        parallelism: int = 0,
         strategy: str = "striped",
     ) -> None:
         """``shards`` is a shard count, an explicit :class:`ShardPlan`,
         or a per-linear-cell shard-id sequence; ``scheme`` names the
         per-shard monitor (any ``repro.api.SCHEMES`` key) or is a
-        factory ``(config, places, units) -> CTUPMonitor``;
-        ``parallelism`` > 1 drains shard queues on a thread pool (the
-        results are identical — shards share no state)."""
+        factory ``(config, places, units) -> CTUPMonitor``."""
         # the top-level grid/store/units are the *global* view: routing,
         # audits and oracles read it; per-shard state lives below.
         super().__init__(config, places, units)
         self.plan = plan_for(self.grid, shards, strategy)
         self.router = ShardRouter(self.plan, config.protection_range)
         self.merger = GlobalTopK(config.k)
-        self.parallelism = parallelism
         factory = scheme if callable(scheme) else self._resolve_scheme(scheme)
         self.scheme_name = getattr(
             factory, "name", getattr(factory, "__name__", "custom")
@@ -147,7 +137,6 @@ class ShardedMonitor(CTUPMonitor):
         self.sync_deliveries = 0
         self._init_reports: list[InitReport] = []
         self._merge_cache: list[SafetyRecord] | None = None
-        self._pool = None
 
     @staticmethod
     def _resolve_scheme(scheme: str) -> Callable:
@@ -218,21 +207,13 @@ class ShardedMonitor(CTUPMonitor):
         return skipped
 
     def _refresh(self) -> int:
-        busy = [sh for sh in self._shards if sh.queue]
-        if self.parallelism > 1 and len(busy) > 1:
-            # shards are fully independent; `map` preserves submission
-            # order so the reduction is deterministic regardless of
-            # thread scheduling.
-            accessed = sum(self._executor().map(self._drain, busy))
-        else:
-            accessed = sum(self._drain(sh) for sh in busy)
+        accessed = sum(self._drain(sh) for sh in self._shards if sh.queue)
         self._merge_cache = None
         return accessed
 
     def _drain(self, shard: _Shard) -> int:
         """Drain one shard, wrapped in an observability span when a
-        bundle is attached (drains may run on pool threads; span
-        emission is append-only and thread-safe)."""
+        bundle is attached."""
         obs = self.obs
         if obs is None:
             return self._drain_queue(shard)
@@ -494,7 +475,6 @@ class ShardedMonitor(CTUPMonitor):
         merger = GlobalTopK(self.config.k, self.merger.initial_request)
         merger.stats.restore(self.merger.stats)
         self.merger = merger
-        self.close()
         fleet = list(self.units)
         places = self.store.peek_all_places()
         self._shards = tuple(
@@ -623,7 +603,6 @@ class ShardedMonitor(CTUPMonitor):
                     "scheme_state": scheme_state,
                 }
             )
-        self.close()
         fleet = list(self.units)
         places = self.store.peek_all_places()
         children = [
@@ -639,27 +618,3 @@ class ShardedMonitor(CTUPMonitor):
         )
         self._merge_cache = None
         return True
-
-    # -- executor lifecycle ----------------------------------------------
-
-    def _executor(self) -> "ThreadPoolExecutor":
-        if self._pool is None:
-            from concurrent.futures import ThreadPoolExecutor
-
-            self._pool = ThreadPoolExecutor(
-                max_workers=min(self.parallelism, len(self._shards)),
-                thread_name_prefix="ctup-shard",
-            )
-        return self._pool
-
-    def close(self) -> None:
-        """Shut down the drain thread pool (idempotent)."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-    def __enter__(self) -> "ShardedMonitor":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()

@@ -22,7 +22,6 @@ from repro.state.snapshot import (
     Snapshottable,
     SnapshotError,
     fingerprint_places,
-    fingerprint_places_v1,
     restore_monitor,
     snapshot_monitor,
 )
@@ -39,7 +38,6 @@ __all__ = [
     "decode_config",
     "encode_config",
     "fingerprint_places",
-    "fingerprint_places_v1",
     "restore_monitor",
     "snapshot_monitor",
 ]

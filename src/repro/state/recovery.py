@@ -145,14 +145,12 @@ class RecoveryManager:
         places: Sequence[Place],
         units: Iterable[Unit],
         factory: Callable | None = None,
-        parallelism: int = 0,
     ) -> None:
         self.policy = policy
         self.store = CheckpointStore(policy.directory)
         self.places = places
         self.units = list(units)
         self.factory = factory
-        self.parallelism = parallelism
 
     def latest_document(self) -> dict[str, Any] | None:
         """The newest snapshot document in the directory, if any."""
@@ -240,7 +238,6 @@ class RecoveryManager:
             places=self._folded_places(int(document.get("journal_seq", 0))),
             units=self.units,
             factory=self.factory,
-            parallelism=self.parallelism,
         )
 
     def _folded_places(self, journal_seq: int) -> Sequence[Place]:

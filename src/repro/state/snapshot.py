@@ -7,7 +7,7 @@ A snapshot is a JSON-codable dict::
       "scheme": "opt",                  # which monitor wrote it
       "config": {...},                  # every CTUPConfig field
       "places_fingerprint": "...",      # content hash of the place set
-      "fingerprint_version": 2,         # 1 = repr-based (legacy), 2 = float.hex
+      "fingerprint_version": 2,         # float.hex-based place hash
       "journal_seq": 1234,              # the journal record this cut sits at
       "session": {"updates_processed": N},
       "state": {...},                   # the monitor's export_state() payload
@@ -15,10 +15,8 @@ A snapshot is a JSON-codable dict::
 
 The place set is static input and is identified by fingerprint, never
 embedded: restoring against a different place set must fail loudly
-rather than resume with silently wrong safeties. Version 2 fingerprints
-hash ``float.hex()`` coordinates (exact); version 1 (the legacy
-``repr``-based hash of the old OptCTUP-only checkpoints) is still
-verified when a document declares it.
+rather than resume with silently wrong safeties. Fingerprints hash
+``float.hex()`` coordinates (exact).
 
 Schemes without a paged store (``ExtentCTUP``) omit the fingerprint —
 they carry their place data in construction arguments, and a mismatch
@@ -92,18 +90,6 @@ def fingerprint_places(places: Iterable[Place]) -> str:
     return digest.hexdigest()
 
 
-def fingerprint_places_v1(places: Iterable[Place]) -> str:
-    """The legacy (format-1) ``repr``-based hash, kept so old
-    checkpoints still verify against the place set they were taken on."""
-    digest = hashlib.sha256()
-    for place in sorted(places, key=lambda p: p.place_id):
-        digest.update(
-            f"{place.place_id}:{place.location.x!r}:{place.location.y!r}"
-            f":{place.required_protection}\n".encode()
-        )
-    return digest.hexdigest()
-
-
 def snapshot_monitor(
     monitor: Snapshottable,
     *,
@@ -145,20 +131,13 @@ def _verify_fingerprint(
     expected = document.get("places_fingerprint")
     if expected is None:
         return
-    store = getattr(monitor, "store", None)
     version = document.get("fingerprint_version", FINGERPRINT_VERSION)
-    if version == FINGERPRINT_VERSION:
-        actual = (
-            store.fingerprint
-            if store is not None
-            else fingerprint_places(places)
-        )
-    elif version == 1:
-        actual = fingerprint_places_v1(places)
-    else:
+    if version != FINGERPRINT_VERSION:
         raise SnapshotError(
             f"unsupported place fingerprint version {version!r}"
         )
+    store = getattr(monitor, "store", None)
+    actual = store.fingerprint if store is not None else fingerprint_places(places)
     if actual != expected:
         raise SnapshotError(
             "snapshot was taken against a different place set"
@@ -171,7 +150,6 @@ def restore_monitor(
     places: Any,
     units: Iterable[Unit],
     factory: Callable | None = None,
-    parallelism: int = 0,
 ) -> Any:
     """Rebuild a monitor from a snapshot document and the static inputs.
 
@@ -181,9 +159,7 @@ def restore_monitor(
     are overwritten by the restore). Pass ``factory`` for schemes
     outside the registry (the extensions): it is called as
     ``factory(config, places, units)`` and must produce a monitor of the
-    snapshotted scheme. ``parallelism`` is forwarded to a restored
-    :class:`~repro.shard.monitor.ShardedMonitor` (thread count is
-    runtime policy, not state).
+    snapshotted scheme.
 
     The restored monitor is ready for ``process()`` immediately — no
     initialization pass runs.
@@ -208,7 +184,6 @@ def restore_monitor(
                 units,
                 shards=[int(s) for s in shard_fields["plan"]],
                 scheme=shard_fields["scheme_name"],
-                parallelism=parallelism,
             )
         else:
             from repro.api import SCHEMES

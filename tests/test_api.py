@@ -1,5 +1,7 @@
 """The ``repro.api`` facade: the one supported way in."""
 
+import importlib
+
 import pytest
 
 from repro.api import (
@@ -9,7 +11,7 @@ from repro.api import (
     open_session,
     scheme_factory,
 )
-from repro.core import BasicCTUP, NaiveCTUP, OptCTUP
+from repro.core import BasicCTUP, CTUPMonitor, NaiveCTUP, OptCTUP
 from repro.core.incremental import IncrementalNaiveCTUP
 from repro.engine.session import MonitorSession
 from repro.shard import ShardPlan, ShardedMonitor
@@ -179,38 +181,14 @@ class TestOpenSession:
         assert len(sharded.top_k()) == small_config.k
 
 
-class TestRunStreamDeprecation:
-    def test_warns_and_still_works(
-        self, small_config, small_places, small_units, small_stream
-    ):
-        monitor = OptCTUP(small_config, small_places, small_units)
-        monitor.initialize()
-        with pytest.warns(DeprecationWarning, match="run_stream"):
-            consumed = monitor.run_stream(small_stream)
-        assert consumed == len(small_stream)
-        assert monitor.counters.updates_processed == len(small_stream)
-
-    def test_matches_session_path(
-        self, small_config, small_places, small_units, small_stream
-    ):
-        legacy = OptCTUP(small_config, small_places, small_units)
-        legacy.initialize()
-        with pytest.warns(DeprecationWarning):
-            legacy.run_stream(small_stream)
-        modern = open_session(
-            "opt", places=small_places, units=small_units, config=small_config
-        )
-        modern.start()
-        modern.run(small_stream)
-        assert [
-            (r.place_id, r.safety) for r in legacy.top_k()
-        ] == [(r.place_id, r.safety) for r in modern.monitor.top_k()]
-
-    def test_collect_mode_returns_reports(
-        self, small_config, small_places, small_units, small_stream
-    ):
-        monitor = NaiveCTUP(small_config, small_places, small_units)
-        monitor.initialize()
-        with pytest.warns(DeprecationWarning):
-            reports = monitor.run_stream(small_stream.prefix(5), collect=True)
-        assert len(reports) == 5
+def test_surfaces_removed_in_2_0_are_gone(small_config, small_places, small_units):
+    world = dict(places=small_places, units=small_units, config=small_config)
+    with pytest.raises(TypeError):
+        open_session("opt", shards=4, **world)
+    with pytest.raises(TypeError):
+        make_monitor("opt", parallelism=2, **world)
+    with pytest.raises(TypeError):
+        ShardSpec(parallelism=2)
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.persist")
+    assert not hasattr(CTUPMonitor, "run_stream")

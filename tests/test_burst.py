@@ -32,6 +32,7 @@ from hypothesis import strategies as st
 from repro.api import SCHEMES
 from repro.core import CTUPConfig
 from repro.core.batch import BatchProcessor
+from repro.model import LocationUpdate, Point, Unit
 from repro.shard import ShardedMonitor
 from repro.workloads import (
     RandomWalkMobility,
@@ -194,3 +195,40 @@ def test_registry_covers_the_expected_schemes():
     """The property above iterates the live registry; pin the floor so a
     scheme silently dropping out of ``SCHEMES`` fails loudly here."""
     assert {"naive", "basic", "opt", "incremental"} <= set(SCHEMES)
+
+
+@pytest.mark.parametrize("scheme", ["basic", "opt"])
+def test_boundary_chain_matches_scalar(scheme):
+    """A chain along the space edge ``x = 1.0`` with ``R`` equal to the
+    cell width: the first step's candidate block stops at column 9
+    (``floor(0.9 / 0.1) == 9``) although the distance test would call
+    column 8 partial. The scalar path leaves column 8 out of that step;
+    the kernels must too (a workload-derived example: unit 20 of
+    ``build_workload(n_units=24, seed=5)``, burst 28)."""
+    config = CTUPConfig(k=4, protection_range=0.1, granularity=10)
+    start = Point(1.0, 0.7401547888905604)
+    chain = [
+        start,
+        Point(1.0, 0.7361547888905604),
+        Point(0.992083644302236, 0.7364443757023944),
+    ]
+    units = [Unit(0, start, config.protection_range)]
+    burst = [
+        LocationUpdate(0, old, new, timestamp=step)
+        for step, (old, new) in enumerate(zip(chain, chain[1:]))
+    ]
+    runs = []
+    for kernels in (False, True):
+        monitor = SCHEMES[scheme](
+            dataclasses.replace(config, burst_kernels=kernels), PLACES, units
+        )
+        monitor.initialize()
+        BatchProcessor(monitor).process_batch(burst)
+        runs.append(
+            (_logical(monitor.counters), _strip_times(monitor.export_state()))
+        )
+    (scalar_counters, scalar_state), (kernel_counters, kernel_state) = runs
+    assert kernel_counters == scalar_counters, _counter_diff(
+        scalar_counters, kernel_counters
+    )
+    assert kernel_state == scalar_state

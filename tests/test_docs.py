@@ -55,7 +55,6 @@ class TestReadme:
             "repro.storage",
             "repro.ext",
             "repro.index",
-            "repro.persist",
             "repro.roadnet",
             "repro.workloads",
             "repro.bench",

@@ -165,20 +165,6 @@ class TestSchemeAgnosticBatching:
         assert all(isinstance(r, UpdateReport) for r in reports)
         assert reports[-1].sk == monitor.sk()
 
-    def test_monitor_run_stream_collects_reports(
-        self, scenario_config, scenario_world
-    ):
-        monitor = NaiveCTUP(
-            scenario_config, scenario_world.places, scenario_world.units
-        )
-        monitor.initialize()
-        with pytest.warns(DeprecationWarning):  # legacy surface, kept exact
-            reports = monitor.run_stream(
-                scenario_world.stream.prefix(10), collect=True
-            )
-        assert len(reports) == 10
-        assert all(isinstance(r, UpdateReport) for r in reports)
-
 
 class TestSchemeAgnosticMultiQuery:
     """Satellite: MultiQueryCTUP over naive/basic agrees with opt."""

@@ -51,7 +51,6 @@ MONITOR_BASE = src(
         def apply_update(self, update): ...
         def refresh(self): ...
         def process(self, update): ...
-        def run_stream(self, updates): ...
         def _build_initial_state(self): ...
         def _apply(self, update): ...
         def _refresh(self): ...
@@ -260,80 +259,6 @@ class TestDeterminism:
     def test_rule_is_scoped_to_update_path_packages(self):
         fixture = src("import random\n", module="repro.workloads.fixture")
         assert codes_of(run_rules([fixture], "RPL003")) == []
-
-
-# -- RPL004: shard thread-safety ----------------------------------------
-
-
-class TestShardThreadSafety:
-    def test_pooled_mutation_of_self_fires(self):
-        fixture = src(
-            """
-            class Sharded:
-                def drain_all(self, pool, busy):
-                    return list(pool.map(self._drain, busy))
-
-                def _drain(self, shard):
-                    self.drained += 1
-                    self.log.append(shard)
-                    return shard
-            """,
-            module="repro.shard.fixture",
-        )
-        result = run_rules([fixture], "RPL004")
-        assert codes_of(result) == ["RPL004", "RPL004"]
-        assert "_drain" in result.violations[0].message
-
-    def test_pooled_function_reading_self_is_clean(self):
-        fixture = src(
-            """
-            class Sharded:
-                def drain_all(self, pool, busy):
-                    return list(pool.map(self._drain, busy))
-
-                def _drain(self, shard):
-                    work = shard.queue
-                    shard.counter += 1
-                    return len(work) + self.parallelism
-            """,
-            module="repro.shard.fixture",
-        )
-        assert codes_of(run_rules([fixture], "RPL004")) == []
-
-
-# -- RPL005: deprecation hygiene ----------------------------------------
-
-
-class TestDeprecationHygiene:
-    def test_in_package_call_to_deprecated_surface_fires(self):
-        fixture = src(
-            """
-            import warnings
-
-            def run_stream(self, updates):
-                warnings.warn("use process()", DeprecationWarning)
-
-            def helper(monitor):
-                return monitor.run_stream([])
-            """,
-            module="repro.core.fixture",
-        )
-        result = run_rules([fixture], "RPL005")
-        assert codes_of(result) == ["RPL005"]
-        assert "run_stream" in result.violations[0].message
-
-    def test_delegation_inside_the_deprecated_body_is_clean(self):
-        fixture = src(
-            """
-            import warnings
-
-            def run_stream(self, updates):
-                warnings.warn("use process()", DeprecationWarning)
-                return run_stream(updates)
-            """,
-            module="repro.core.fixture",
-        )
-        assert codes_of(run_rules([fixture], "RPL005")) == []
 
 
 # -- RPL006 / RPL007: hygiene -------------------------------------------
@@ -833,8 +758,6 @@ class TestDriver:
             "RPL001",
             "RPL002",
             "RPL003",
-            "RPL004",
-            "RPL005",
             "RPL006",
             "RPL007",
             "RPL011",
@@ -844,6 +767,8 @@ class TestDriver:
             "RPLT01",
         }
         assert expected <= set(RULES)
+        # retired with the shard drain pool and the deprecated surfaces.
+        assert not {"RPL004", "RPL005"} & set(RULES)
 
     def test_module_name_resolution(self):
         path = REPO_ROOT / "src" / "repro" / "core" / "monitor.py"
@@ -915,7 +840,7 @@ class TestShippedTree:
             data = tomllib.load(handle)
         table = data["tool"]["reprolint"]
         assert "repro.core" in table["strict-typed-modules"]
-        assert data["project"]["version"] == "1.6.0"
+        assert data["project"]["version"] == "2.0.0"
         assert "repro.obs" in table["strict-typed-modules"]
 
 

@@ -1,25 +1,17 @@
 """The flow-sensitive reprolint layer: CFG construction, the dataflow
 solver, the call graph, the path-aware rules RPL011-RPL015 (bad and
-good fixtures each), the SARIF reporter, the incremental cache
-(cold == warm), the --changed mode, suppression edge cases, and — the
-self-check — reprolint analysing its own flow package."""
+good fixtures each), the SARIF reporter, suppression edge cases, and —
+the self-check — reprolint analysing its own flow package."""
 
 import ast
 import json
 import pathlib
-import subprocess
 import sys
 import textwrap
 
 import pytest
 
-from repro.lint import (
-    LintCache,
-    LintConfig,
-    lint_paths,
-    lint_sources,
-    render_sarif,
-)
+from repro.lint import LintConfig, lint_paths, lint_sources, render_sarif
 from repro.lint.cli import main as lint_main
 from repro.lint.engine import ProjectIndex, SourceFile
 from repro.lint.flow.callgraph import CallGraph, function_summaries
@@ -39,7 +31,7 @@ from repro.lint.flow.dataflow import (
     reaching_definitions,
     solve_forward,
 )
-from repro.lint.registry import RULES, rule_signature
+from repro.lint.registry import RULES
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -416,18 +408,6 @@ class TestCallGraph:
         origin = graph.reachable_from([root])
         assert origin[("repro.core.fixture", "c")] == root.key
         assert ("repro.core.fixture", "island") not in origin
-
-    def test_summaries_round_trip_through_payloads(self):
-        (summary,) = self._summaries(
-            """
-            def f(self):
-                self.g()
-            """
-        )
-        from repro.lint.flow.callgraph import FunctionSummary
-
-        clone = FunctionSummary.from_payload(summary.to_payload())
-        assert clone == summary
 
 
 # -- RPL011: durability discipline ---------------------------------------
@@ -965,16 +945,6 @@ class TestFlowRuleRegistry:
         for code in ("RPL011", "RPL012", "RPL013", "RPL014", "RPL015"):
             assert code in RULES, code
 
-    def test_only_rpl014_is_project_dependent(self):
-        assert RULES["RPL014"].project_dependent
-        for code in ("RPL011", "RPL012", "RPL013", "RPL015"):
-            assert not RULES[code].project_dependent, code
-
-    def test_rule_signature_embeds_versions(self):
-        sig = rule_signature(["RPL011", "RPL013"])
-        assert f"RPL011:{RULES['RPL011'].version}" in sig
-        assert f"RPL013:{RULES['RPL013'].version}" in sig
-
 
 # -- SARIF reporter ------------------------------------------------------
 
@@ -1028,180 +998,6 @@ class TestSarif:
         payload = json.loads(capsys.readouterr().out)
         assert payload["version"] == "2.1.0"
         assert payload["runs"][0]["results"][0]["ruleId"] == "RPL006"
-
-
-# -- the incremental cache -----------------------------------------------
-
-
-def _make_tree(root):
-    pkg = root / "pkg"
-    pkg.mkdir()
-    (pkg / "dirty.py").write_text("def f(xs=[]):\n    return xs\n")
-    (pkg / "clean.py").write_text("X = 1\n")
-    return pkg
-
-
-def _findings(result):
-    return [
-        (v.code, v.path, v.line, v.col, v.message)
-        for v in result.all_findings()
-    ]
-
-
-class TestIncrementalCache:
-    def test_cold_and_warm_runs_agree(self, tmp_path):
-        pkg = _make_tree(tmp_path)
-        cache_path = tmp_path / "cache.json"
-        cold = lint_paths([pkg], cache=LintCache(cache_path))
-        warm_cache = LintCache(cache_path)
-        warm = lint_paths([pkg], cache=warm_cache)
-        assert _findings(cold) == _findings(warm)
-        assert warm.files_checked == cold.files_checked
-        assert warm_cache.hits > 0
-
-    def test_edit_invalidates_only_that_file(self, tmp_path):
-        pkg = _make_tree(tmp_path)
-        cache_path = tmp_path / "cache.json"
-        lint_paths([pkg], cache=LintCache(cache_path))
-        (pkg / "dirty.py").write_text("X = 2\n")  # fix the violation
-        warm = lint_paths([pkg], cache=LintCache(cache_path))
-        assert warm.ok, _findings(warm)
-
-    def test_new_violation_is_found_on_warm_run(self, tmp_path):
-        pkg = _make_tree(tmp_path)
-        cache_path = tmp_path / "cache.json"
-        lint_paths([pkg], cache=LintCache(cache_path))
-        (pkg / "clean.py").write_text("def g(ys={}):\n    return ys\n")
-        warm = lint_paths([pkg], cache=LintCache(cache_path))
-        codes = [v.code for v in warm.violations]
-        assert codes.count("RPL006") == 2
-
-    def test_corrupt_cache_is_discarded_silently(self, tmp_path):
-        pkg = _make_tree(tmp_path)
-        cache_path = tmp_path / "cache.json"
-        cache_path.write_text("{not json")
-        result = lint_paths([pkg], cache=LintCache(cache_path))
-        assert [v.code for v in result.violations] == ["RPL006"]
-        # and the run rewrote a valid cache.
-        assert json.loads(cache_path.read_text())["cache_version"] == 1
-
-    def test_parse_errors_are_cached_and_replayed(self, tmp_path):
-        pkg = _make_tree(tmp_path)
-        (pkg / "broken.py").write_text("def broken(:\n")
-        cache_path = tmp_path / "cache.json"
-        cold = lint_paths([pkg], cache=LintCache(cache_path))
-        warm = lint_paths([pkg], cache=LintCache(cache_path))
-        assert _findings(cold) == _findings(warm)
-        assert any(v.code == "RPLE00" for v in warm.parse_errors)
-
-    def test_warm_run_skips_reparsing_unchanged_files(self, tmp_path):
-        pkg = _make_tree(tmp_path)
-        cache_path = tmp_path / "cache.json"
-        lint_paths([pkg], cache=LintCache(cache_path))
-        import repro.lint.engine as engine_mod
-
-        calls = []
-        original = engine_mod.summarize_source
-
-        def counting(source):
-            calls.append(source.path)
-            return original(source)
-
-        engine_mod.summarize_source = counting
-        try:
-            lint_paths([pkg], cache=LintCache(cache_path))
-        finally:
-            engine_mod.summarize_source = original
-        assert calls == []
-
-    def test_parallel_jobs_match_serial(self, tmp_path):
-        pkg = _make_tree(tmp_path)
-        for index in range(6):
-            (pkg / f"mod{index}.py").write_text(
-                f"def f{index}(xs=[]):\n    return xs\n"
-            )
-        serial = lint_paths([pkg])
-        parallel = lint_paths([pkg], jobs=4)
-        assert _findings(serial) == _findings(parallel)
-
-    def test_only_restricts_reporting_not_analysis(self, tmp_path):
-        pkg = _make_tree(tmp_path)
-        result = lint_paths([pkg], only=[pkg / "clean.py"])
-        assert result.ok
-        assert result.files_checked == 1
-
-
-# -- ctup lint --changed -------------------------------------------------
-
-
-def _git(tmp_path, *argv):
-    return subprocess.run(
-        [
-            "git",
-            "-c",
-            "user.email=dev@example.com",
-            "-c",
-            "user.name=dev",
-            *argv,
-        ],
-        cwd=tmp_path,
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-
-
-class TestChangedMode:
-    @pytest.fixture()
-    def repo(self, tmp_path, monkeypatch):
-        pkg = _make_tree(tmp_path)
-        _git(tmp_path, "init", "-q")
-        _git(tmp_path, "add", ".")
-        _git(tmp_path, "commit", "-q", "-m", "seed")
-        monkeypatch.chdir(tmp_path)
-        return pkg
-
-    def test_no_changes_reports_nothing(self, repo, capsys):
-        # dirty.py violates, but it is part of the baseline — --changed
-        # narrows reporting to the diff, which is empty.
-        code = lint_main(["pkg", "--changed", "HEAD", "--format", "json"])
-        payload = json.loads(capsys.readouterr().out)
-        assert code == 0
-        assert payload["violations"] == []
-        assert payload["files_checked"] == 0
-
-    def test_modified_file_is_reported(self, repo, capsys):
-        (repo / "clean.py").write_text("def g(ys=[]):\n    return ys\n")
-        code = lint_main(["pkg", "--changed", "HEAD", "--format", "json"])
-        payload = json.loads(capsys.readouterr().out)
-        assert code == 1
-        paths = {v["path"] for v in payload["violations"]}
-        assert paths == {"pkg/clean.py"}
-
-    def test_untracked_file_is_reported(self, repo, capsys):
-        (repo / "fresh.py").write_text("def h(zs=[]):\n    return zs\n")
-        code = lint_main(["pkg", "--changed", "HEAD", "--format", "json"])
-        payload = json.loads(capsys.readouterr().out)
-        assert code == 1
-        paths = {v["path"] for v in payload["violations"]}
-        assert paths == {"pkg/fresh.py"}
-
-    def test_changed_composes_with_cache(self, repo, capsys):
-        (repo / "fresh.py").write_text("def h(zs=[]):\n    return zs\n")
-        argv = [
-            "pkg",
-            "--changed",
-            "HEAD",
-            "--cache",
-            str(repo.parent / "cache.json"),
-            "--format",
-            "json",
-        ]
-        assert lint_main(argv) == 1
-        first = json.loads(capsys.readouterr().out)
-        assert lint_main(argv) == 1
-        second = json.loads(capsys.readouterr().out)
-        assert first["violations"] == second["violations"]
 
 
 # -- suppression edge cases ----------------------------------------------
@@ -1411,6 +1207,13 @@ class TestCatalogDiscipline:
             """
         )
         assert codes_of(run_rules([fixture], "RPL015")) == []
+
+
+def _findings(result):
+    return [
+        (v.code, v.path, v.line, v.col, v.message)
+        for v in result.all_findings()
+    ]
 
 
 # -- the self-check ------------------------------------------------------

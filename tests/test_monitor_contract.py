@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api import open_session
 from repro.core import BasicCTUP, CTUPConfig, NaiveCTUP, OptCTUP
 from repro.core.incremental import IncrementalNaiveCTUP
 from repro.geometry import Point
@@ -57,9 +58,9 @@ class TestLifecycle:
         assert monitor.sk() == monitor.top_k()[-1].safety
 
     def test_run_stream_counts(self, monitor, small_stream):
-        monitor.initialize()
-        with pytest.warns(DeprecationWarning):  # legacy path, still exact
-            assert monitor.run_stream(small_stream) == len(small_stream)
+        session = open_session(monitor=monitor, track_changes=False)
+        session.start()
+        assert session.run(small_stream) == len(small_stream)
         assert monitor.counters.updates_processed == len(small_stream)
 
     def test_unknown_unit_update_raises(self, monitor):

@@ -301,109 +301,6 @@ class TestReconciliation:
             session.metrics_text()
 
 
-# -- flat-kwargs shim: warns, and produces identical sessions -----------
-
-
-def _fingerprint(session):
-    monitor = session.monitor
-    return {
-        "topk": [(r.place_id, r.safety) for r in monitor.top_k()],
-        "sk": monitor.sk(),
-        "counters": {
-            name: value
-            for name, value in monitor.counters.as_dict().items()
-            if not name.startswith("time_")
-        },
-        "updates": session.updates_processed,
-    }
-
-
-class TestFlatKwargShim:
-    def test_flat_and_spec_sessions_are_bit_identical(
-        self, small_config, small_places, small_units, small_stream
-    ):
-        spec_session = open_session(
-            "opt",
-            places=small_places,
-            units=small_units,
-            config=small_config,
-            shard=ShardSpec(shards=3, parallelism=2),
-            batch_size=8,
-        )
-        with pytest.warns(DeprecationWarning, match="flat keyword"):
-            flat_session = open_session(
-                "opt",
-                places=small_places,
-                units=small_units,
-                config=small_config,
-                shards=3,
-                parallelism=2,
-                batch_size=8,
-            )
-        for session in (spec_session, flat_session):
-            session.start()
-            session.run(small_stream)
-        assert _fingerprint(spec_session) == _fingerprint(flat_session)
-
-    def test_flat_durability_matches_spec(
-        self, tmp_path, small_config, small_places, small_units, small_stream
-    ):
-        def run(**kwargs):
-            session = open_session(
-                "opt",
-                places=small_places,
-                units=small_units,
-                config=small_config,
-                batch_size=8,
-                **kwargs,
-            )
-            with session:
-                session.start()
-                session.run(small_stream)
-                return _fingerprint(session)
-
-        spec = run(durability=DurabilitySpec(tmp_path / "a", every=2))
-        with pytest.warns(DeprecationWarning, match="flat keyword"):
-            flat = run(checkpoint_dir=tmp_path / "b", checkpoint_every=2)
-        assert spec == flat
-
-    def test_conflicting_groupings_rejected(
-        self, small_config, small_places, small_units
-    ):
-        with pytest.raises(TypeError, match="not both"):
-            open_session(
-                "opt",
-                places=small_places,
-                units=small_units,
-                config=small_config,
-                shard=ShardSpec(shards=2),
-                shards=2,
-            )
-
-    def test_package_internals_never_warn(self, recwarn):
-        # pyproject's filterwarnings turns any repro-attributed
-        # DeprecationWarning into an error; a spec-based call must not
-        # trip the shim at all.
-        import warnings
-
-        from repro.workloads import generate_places, generate_units
-
-        from repro.core import CTUPConfig
-
-        config = CTUPConfig(k=3)
-        places = generate_places(100, seed=5)
-        units = generate_units(8, config.protection_range, seed=6)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            open_session(
-                "basic",
-                places=places,
-                units=units,
-                config=config,
-                shard=ShardSpec(shards=2),
-            )
-
-
 # -- tracing through a real session -------------------------------------
 
 

@@ -16,7 +16,6 @@ PACKAGES = [
     "repro.bench",
     "repro.ext",
     "repro.index",
-    "repro.persist",
     "repro.experiments",
     "repro.validate",
     "repro.shard",

@@ -424,30 +424,6 @@ class TestShardEquivalence:
         )
         _assert_same_answer(sharded, plain)
 
-    def test_parallel_drain_matches_serial(
-        self, small_config, small_places, small_units, small_stream
-    ):
-        serial = _replay(
-            ShardedMonitor(
-                small_config, small_places, small_units, shards=4
-            ),
-            small_stream,
-        )
-        with ShardedMonitor(
-            small_config,
-            small_places,
-            small_units,
-            shards=4,
-            parallelism=4,
-        ) as parallel:
-            _replay(parallel, small_stream)
-            assert _result_pairs(parallel) == _result_pairs(serial)
-            assert _work_fields(parallel.merged_counters()) == _work_fields(
-                serial.merged_counters()
-            )
-            assert parallel.full_deliveries == serial.full_deliveries
-            assert parallel.sync_deliveries == serial.sync_deliveries
-
     def test_audit_passes_on_sharded_state(
         self, small_config, small_places, small_units, small_stream
     ):

@@ -9,8 +9,9 @@ safeties), same SK, same work counters, same I/O accounting.
 
 from __future__ import annotations
 
+import dataclasses
 import json
-import pathlib
+import math
 import tempfile
 
 import pytest
@@ -20,7 +21,9 @@ from hypothesis import strategies as st
 from repro.api import SCHEMES, DurabilitySpec, ShardSpec, open_session
 from repro.core import CTUPConfig
 from repro.ext import DecayCTUP, ExtentCTUP, ExtentPlace, ThresholdCTUP
-from repro.geometry import Rect
+from repro.engine import UpdateRejected
+from repro.geometry import Point, Rect
+from repro.model import LocationUpdate
 from repro.state import (
     CheckpointPolicy,
     CheckpointStore,
@@ -28,7 +31,6 @@ from repro.state import (
     Snapshottable,
     UpdateJournal,
     fingerprint_places,
-    fingerprint_places_v1,
     restore_monitor,
     snapshot_monitor,
 )
@@ -209,18 +211,58 @@ class TestCrashRecovery:
         assert document["session"]["updates_processed"] == 10
 
 
-class TestOpenSessionValidation:
-    def test_resume_requires_a_directory(self):
-        with pytest.warns(DeprecationWarning, match="flat keyword"):
-            with pytest.raises(ValueError, match="checkpoint_dir"):
-                open_session(
-                    "opt",
-                    places=PLACES,
-                    units=make_units(),
-                    config=CONFIG,
-                    resume=True,
-                )
+# -- validation before journaling ---------------------------------------
 
+#: malformed updates that, once journaled, used to fail every later
+#: resume of the directory (KeyError / "cannot convert float NaN").
+BAD_UPDATES = {
+    "unknown-unit": lambda u: LocationUpdate(
+        99999, u.old_location, u.new_location, u.timestamp
+    ),
+    "nan": lambda u: dataclasses.replace(
+        u, new_location=Point(math.nan, u.new_location.y)
+    ),
+}
+
+
+class TestUpdateRejected:
+    @pytest.mark.parametrize("batch_size", [0, BATCH], ids=["single", "batch"])
+    @pytest.mark.parametrize("kind", sorted(BAD_UPDATES))
+    def test_rejected_before_journaling_then_resume_is_exact(
+        self, tmp_path, kind, batch_size
+    ):
+        def session_for(durability):
+            return open_session(
+                "opt",
+                places=PLACES,
+                units=make_units(),
+                config=CONFIG,
+                batch_size=batch_size,
+                durability=durability,
+            )
+
+        session = session_for(DurabilitySpec(tmp_path, every=2))
+        session.start()
+        for update in STREAM.updates[:21]:
+            session.feed(update)
+        before = (session.journal.last_seq, session.pending_updates)
+        with pytest.raises(UpdateRejected) as rejected:
+            session.feed(BAD_UPDATES[kind](STREAM.updates[21]))
+        assert isinstance(rejected.value, ValueError)
+        assert (session.journal.last_seq, session.pending_updates) == before
+        for update in STREAM.updates[21:30]:
+            session.feed(update)
+        session.journal.close()  # the crash: no flush, no close-snapshot
+        resumed = session_for(DurabilitySpec(tmp_path, resume=True))
+        for update in STREAM.updates[30:]:
+            resumed.feed(update)
+        resumed.flush()
+        assert state_fingerprint(resumed.monitor, resumed) == run_straight(
+            "opt", 0, batch_size=batch_size
+        )
+
+
+class TestOpenSessionValidation:
     def test_resume_rejects_an_adopted_monitor(self, tmp_path):
         monitor = SCHEMES["opt"](CONFIG, PLACES, make_units())
         with pytest.raises(ValueError, match="own monitor"):
@@ -413,23 +455,21 @@ class TestCheckpointPolicy:
 
 class TestFingerprint:
     def test_v2_hashes_exact_float_bits(self):
-        assert fingerprint_places(PLACES) != fingerprint_places_v1(PLACES)
+        first = PLACES[0]
+        nudged = dataclasses.replace(
+            first,
+            location=Point(
+                math.nextafter(first.location.x, 2.0), first.location.y
+            ),
+        )
+        assert fingerprint_places(PLACES) != fingerprint_places(
+            [nudged, *PLACES[1:]]
+        )
         assert fingerprint_places(PLACES) == fingerprint_places(list(PLACES))
 
     def test_different_places_differ(self):
         other = generate_places(400, seed=999)
         assert fingerprint_places(PLACES) != fingerprint_places(other)
-
-    def test_version_1_fingerprints_still_verify(self):
-        monitor = SCHEMES["opt"](CONFIG, PLACES, make_units())
-        monitor.initialize()
-        document = dict(
-            snapshot_monitor(monitor),
-            fingerprint_version=1,
-            places_fingerprint=fingerprint_places_v1(PLACES),
-        )
-        restored = restore_monitor(document, places=PLACES, units=make_units())
-        assert restored.topk_ids() == monitor.topk_ids()
 
     def test_unknown_fingerprint_version_rejected(self):
         monitor = SCHEMES["opt"](CONFIG, PLACES, make_units())
@@ -437,31 +477,3 @@ class TestFingerprint:
         document = dict(snapshot_monitor(monitor), fingerprint_version=3)
         with pytest.raises(SnapshotError, match="fingerprint"):
             restore_monitor(document, places=PLACES, units=make_units())
-
-
-# -- the committed format-1 fixture -------------------------------------
-
-
-class TestV1Compat:
-    FIXTURE = pathlib.Path(__file__).parent / "data" / "checkpoint_v1.json"
-
-    def test_committed_v1_checkpoint_still_loads(self, small_places):
-        from repro.persist import restore_optctup
-
-        monitor = restore_optctup(self.FIXTURE.read_text(), small_places)
-        assert monitor.topk_ids() == [21, 327, 58, 277, 284]
-        assert monitor.sk() == -9.0
-
-    def test_restored_v1_monitor_keeps_monitoring(
-        self, small_places, small_stream, small_oracle
-    ):
-        from repro.persist import restore_optctup
-        from tests.conftest import assert_valid_topk
-
-        monitor = restore_optctup(self.FIXTURE.read_text(), small_places)
-        for update in small_stream.prefix(60):
-            small_oracle.apply(update)
-        for update in small_stream.updates[60:90]:
-            small_oracle.apply(update)
-            monitor.process(update)
-        assert_valid_topk(small_oracle, monitor, monitor.config.k)
