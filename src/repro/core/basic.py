@@ -94,48 +94,21 @@ class BasicCTUP(CTUPMonitor):
         self._adjust_dark_bounds(old, new, radius)
 
     def _apply_burst(self, moves: Sequence[CoalescedMove]) -> int:
-        """Chain-aware maintain phase: endpoints telescope, tables fold.
+        """Chain-aware maintain phase through the vectorised kernels.
 
         Position tracking and the maintained-table scan see only each
         chain's endpoints (intermediate applies cancel exactly); Table I
-        runs per chain step because its deltas are path-dependent
+        folds per chain step because its deltas are path-dependent
         (``P→P`` decreases, so a three-waypoint ``P`` chain decreases
-        twice). With ``config.burst_kernels`` the whole burst goes
-        through the vectorised kernels instead of this per-chain loop —
-        bit-identical results either way.
+        twice). See :func:`repro.core.kernels.apply_burst_basic`.
         """
-        if self.config.burst_kernels:
-            return kernels.apply_burst_basic(self, moves)
-        radius = self.config.protection_range
-        skipped = 0
-        for move in moves:
-            old = self.units.apply_chain(move.raws)
-            scanned = self.maintained.apply_unit_move(old, move.last_new, radius)
-            self.counters.maintained_scans += scanned
-            self.counters.distance_rows += 2 * scanned
-            # fold Table I over the waypoints, entering the chain at the
-            # *tracked* old position (what per-update _apply would see).
-            step_old = old
-            for raw in move.raws:
-                self._adjust_dark_bounds(step_old, raw.new_location, radius)
-                step_old = raw.new_location
-            skipped += move.raw_count - 1
-        return skipped
+        return kernels.apply_burst_basic(self, moves)
 
     def _refresh(self) -> int:
         # Step 3: illuminate dark cells whose bound fell below SK.
-        if self.config.burst_kernels:
-            accessed = kernels.refill_below_sk(
-                self.cell_states,
-                self.sk,
-                self._illuminate,
-                skip_illuminated=True,
-                obs=self.obs,
-            )
-        else:
-            accessed = access_below_sk(
-                self.cell_states, self.sk, self._illuminate, skip_illuminated=True
-            )
+        accessed = access_below_sk(
+            self.cell_states, self.sk, self._illuminate, skip_illuminated=True
+        )
         # Step 4: darken illuminated cells that hold no top-k place.
         self._darken_unneeded()
         return accessed

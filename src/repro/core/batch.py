@@ -71,20 +71,19 @@ def coalesce_burst(updates: Sequence[LocationUpdate]) -> list[CoalescedMove]:
 class BatchProcessor:
     """Exact burst processing on top of any CTUP monitor.
 
-    ``coalesce=False`` disables move coalescing and replays the burst
-    one ``apply_update`` at a time (the pre-coalescing behaviour) —
-    kept as an ablation/back-to-back test hook; results are identical
-    either way.
+    Every burst is move-coalesced and applied through
+    ``monitor.apply_burst``, then refreshed once. To replay a burst one
+    update at a time instead, call ``monitor.apply_update`` per update
+    and then ``monitor.refresh()``: the results are identical.
     """
 
-    def __init__(self, monitor: CTUPMonitor, *, coalesce: bool = True) -> None:
+    def __init__(self, monitor: CTUPMonitor) -> None:
         if not isinstance(monitor, CTUPMonitor):
             raise TypeError(
                 "batch processing requires a CTUPMonitor, got "
                 f"{type(monitor).__name__}"
             )
         self.monitor = monitor
-        self.coalesce = coalesce
         self.batches_processed = 0
         self.updates_processed = 0
         #: unit transitions actually applied after coalescing — the
@@ -112,14 +111,9 @@ class BatchProcessor:
         counters = monitor.counters
         maintain_before = counters.time_maintain_s
         access_before = counters.time_access_s
-        if self.coalesce:
-            moves = coalesce_burst(updates)
-            monitor.apply_burst(moves)
-            n_moves = len(moves)
-        else:
-            for update in updates:
-                monitor.apply_update(update)
-            n_moves = len(updates)
+        moves = coalesce_burst(updates)
+        monitor.apply_burst(moves)
+        n_moves = len(moves)
         accessed = monitor.refresh()
         self.batches_processed += 1
         self.updates_processed += len(updates)
@@ -142,8 +136,7 @@ class BatchProcessor:
         """Chop a stream into fixed-size batches and process them all.
 
         Returns the number of updates consumed, or the per-batch
-        :class:`UpdateReport` list when ``collect`` is set (matching
-        ``CTUPMonitor.run_stream`` ergonomics).
+        :class:`UpdateReport` list when ``collect`` is set.
         """
         if batch_size <= 0:
             raise ValueError("batch size must be positive")

@@ -34,7 +34,8 @@ class CTUPConfig:
     granularity:
         the grid is ``granularity × granularity`` over ``space``.
     space:
-        the monitored region (unit square by default).
+        the monitored region (unit square by default). A unit position
+        outside it is accepted and handled exactly, not clamped.
     use_doo:
         enable the Decrease Once Optimization in OptCTUP. Switching it
         off (Fig. 8's ablation) falls back to Table I bound maintenance
@@ -45,16 +46,12 @@ class CTUPConfig:
         of scanning all |U| units. Purely a performance toggle — results
         are bit-for-bit identical either way (the exact reachability
         filter always runs); off is the hot-path ablation.
-    burst_kernels:
-        run coalesced bursts through the vectorised multi-unit maintain
-        kernels of :mod:`repro.core.kernels` (BasicCTUP / OptCTUP).
-        Like ``use_unit_grid`` this is purely a performance toggle: the
-        kernels fold the same per-waypoint Table I/II transitions the
-        scalar path applies, so results, top-k, SK and the logical work
-        counters are bit-for-bit identical; off is the scalar ablation
-        measured by ``benchmarks/bench_burst.py``.
     page_capacity / buffer_pages:
         layout of the simulated lower storage level.
+
+    Burst execution has no knob: BasicCTUP and OptCTUP always run a
+    coalesced burst's maintain phase through the vectorised kernels of
+    :mod:`repro.core.kernels`.
     """
 
     k: int = 15
@@ -64,7 +61,6 @@ class CTUPConfig:
     space: Rect = field(default_factory=_unit_square)
     use_doo: bool = True
     use_unit_grid: bool = True
-    burst_kernels: bool = False
     page_capacity: int = 64
     buffer_pages: int = 0
 

@@ -3,28 +3,34 @@
 Per-update maintenance runs a dozen tiny numpy calls per move — stencil
 classification, maintained-table scan, bound adjustment — and at burst
 sizes in the tens the *call overhead* dominates the arithmetic. The
-kernels here batch one whole coalesced burst per pass:
+kernels here batch one whole coalesced burst per pass, and they are the
+only way BasicCTUP and OptCTUP run a burst:
+:func:`apply_burst_basic` / :func:`apply_burst_opt` are their maintain
+phase. Unit positions move through ``UnitIndex.apply_moves`` (one
+vectorised write + re-bucket), the maintained table absorbs all
+endpoint moves in one ``(rows, moves)`` broadcast, and cell bounds are
+updated from one N/P/F classification of *all* waypoint disks against
+their candidate blocks at once. The access phase that follows is the
+schemes' ordinary :func:`repro.grid.cellstate.access_below_sk`.
 
-* :func:`apply_burst_basic` / :func:`apply_burst_opt` — the maintain
-  phase of a burst. Unit positions move through
-  ``UnitIndex.apply_moves`` (one vectorised write + re-bucket), the
-  maintained table absorbs all endpoint moves in one ``(rows, moves)``
-  broadcast, and cell bounds are updated from one N/P/F classification
-  of *all* waypoint disks against their candidate blocks at once.
-* :func:`refill_below_sk` — the deferred access-phase refill: one
-  gather of every cell bound, one stable sort, then the cells below SK
-  are accessed in exactly the order the scalar argmin loop would pick.
-
-Everything is bit-identical to the scalar coalesced path (and therefore
-to per-update processing — see :mod:`repro.core.batch`): final bounds,
-maintained safeties, DecHash contents, top-k, SK and every logical
-counter. The only structural liberty taken is *folding* the per-step
-Table I/II transitions after classification: chain steps whose table
-entry is a complete no-op (``N→N``, ``N→P``, ``F→F``; for Table I also
-``P→F``) touch neither bounds, hash nor counters in the scalar path and
+Everything is bit-identical to replaying the burst one update at a
+time (``apply_update`` per raw update, then one ``refresh()``): final
+bounds, maintained safeties, DecHash contents, top-k, SK and every
+logical counter outside the skipped work that coalescing reports
+(``coalesced_updates``, the interior maintained scans). The only
+structural liberty taken is *folding* the per-step Table I/II
+transitions after classification: chain steps whose table entry is a
+complete no-op (``N→N``, ``N→P``, ``F→F``; for Table I also ``P→F``)
+touch neither bounds, hash nor counters in per-update processing and
 are dropped before the fold, and Table I's remaining ±1 deltas are
 summed per cell (integer-valued float adds are exact, and per-step
 counter bumps equal the per-cell positive/negative step counts).
+
+A burst of one narrow chain pays the numpy setup for little work (an
+old profile measured about 2x the per-update cost for a one-chain
+burst), but there is deliberately no width threshold that falls back to
+a scalar fold: no benchmark workload sits on that side of the choice,
+so a second path would not pay for itself.
 
 This module is covered by reprolint rule RPL009: ``for``/``while``
 statements iterating ``range``/``zip``/``enumerate``/``map`` — the
@@ -36,7 +42,7 @@ suppressions.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
@@ -49,14 +55,12 @@ from repro.core.tables import (
     table2_action,
 )
 from repro.geometry.relations import CellRelation
-from repro.grid.cellstate import CellState
-from repro.grid.partition import RELATION_OF_CODE, CellId, CircleStencil, GridPartition
+from repro.grid.partition import RELATION_OF_CODE, CircleStencil, GridPartition
 from repro.model import CoalescedMove, Point
 
 if TYPE_CHECKING:
     from repro.core.basic import BasicCTUP
     from repro.core.opt import OptCTUP
-    from repro.obs.spec import Observability
 
 _CODE_OF_REL = {rel: code for code, rel in RELATION_OF_CODE.items()}
 _N = _CODE_OF_REL[CellRelation.NO_INTERSECT]
@@ -262,14 +266,14 @@ def _table1_pass(
 ) -> None:
     """Fold Table I over every chain and apply per-cell aggregates.
 
-    Per chain step the scalar path applies a ±1 delta and bumps one
-    counter per non-zero delta; summing the deltas (``net``) and
+    Per chain step, per-update processing applies a ±1 delta and bumps
+    one counter per non-zero delta; summing the deltas (``net``) and
     counting the positive/negative steps (``incs``/``decs``) per cell
     gives bit-identical bounds (integer-valued float adds commute
     exactly, ``inf`` absorbs either way) and counter totals. Cell
     eligibility (unknown cell, illuminated cell) is constant during the
-    maintain phase, so filtering once per cell equals the scalar
-    per-step filter.
+    maintain phase, so filtering once per cell equals the per-update
+    filter.
     """
     grid = monitor.grid
     stencil = grid.stencil(monitor.config.protection_range)
@@ -337,9 +341,9 @@ def _table2_pass(
     once, folded as a plain bool through the integer-encoded Table II
     rows (:data:`_TABLE2_LUT`), and the dict is mutated only when the
     final membership differs from the initial one. Counters still count
-    every *scalar-path* insert/remove/suppression, and the per-entry
-    bound deltas sum exactly (integer-valued float adds, ``inf``
-    absorbs). Entry order across distinct ``(unit, cell)`` pairs is
+    every insert/remove/suppression per-update processing would make,
+    and the per-entry bound deltas sum exactly (integer-valued float
+    adds, ``inf`` absorbs). Entry order across distinct ``(unit, cell)`` pairs is
     irrelevant — bounds add exactly, the hash is keyed per pair — while
     within an entry chain order is preserved.
     """
@@ -422,7 +426,8 @@ def apply_burst_basic(
     """BasicCTUP's maintain phase for one coalesced burst, vectorised.
 
     Returns the raw updates skipped by coalescing (chain length minus
-    one per chain), mirroring the scalar coalesced path. Observability
+    one per chain), which ``apply_burst`` reports as
+    ``coalesced_updates``. Observability
     wraps the whole pass in one span (RPL010: instrumentation only at
     pass boundaries, never inside the kernels' loops).
     """
@@ -464,78 +469,3 @@ def _burst_opt(monitor: "OptCTUP", moves: Sequence[CoalescedMove]) -> int:
     else:
         _table1_pass(monitor, moves, olds, skip_illuminated=False)
     return sum(m.raw_count for m in moves) - len(moves)
-
-
-# -- the deferred access-phase refill ---------------------------------------
-
-
-def refill_below_sk(
-    cell_states: dict[CellId, CellState],
-    sk_of: Callable[[], float],
-    access: Callable[[CellId], None],
-    *,
-    skip_illuminated: bool,
-    obs: "Observability | None" = None,
-) -> int:
-    """Access every cell whose bound dipped below SK, in one sorted walk.
-
-    The scalar access loops re-scan the whole cell table per access to
-    find the minimum offending bound. During a refill no *other* cell's
-    bound moves (accessing a cell rewrites only its own state) and SK
-    never increases (an access takes SK over the table plus the cell's
-    fresh safeties, which include the exact rows it dropped), so the scalar
-    pick order is exactly ascending snapshot-bound order — with ties
-    resolved by table iteration order, because the scalar argmin takes
-    the first strict minimum. One gather + one stable argsort reproduces
-    that order; the walk re-reads the live SK per cell and stops at the
-    first cleared bound (everything later is ≥ it, against a
-    non-increasing SK). Accessed cells can't re-offend mid-refill: their
-    fresh bound is ≥ the SK that admitted them (illuminated cells are
-    excluded outright for BasicCTUP).
-
-    Returns the number of cells accessed. Observability wraps the
-    whole sweep in one span (RPL010: pass boundaries only).
-    """
-    if obs is not None:
-        with obs.tracer.span(
-            "kernel.refill", cat="kernel", cells=len(cell_states)
-        ):
-            return _refill_below_sk(
-                cell_states, sk_of, access, skip_illuminated=skip_illuminated
-            )
-    return _refill_below_sk(
-        cell_states, sk_of, access, skip_illuminated=skip_illuminated
-    )
-
-
-def _refill_below_sk(
-    cell_states: dict[CellId, CellState],
-    sk_of: Callable[[], float],
-    access: Callable[[CellId], None],
-    *,
-    skip_illuminated: bool,
-) -> int:
-    if not cell_states:
-        return 0
-    cells = list(cell_states)
-    n = len(cells)
-    bounds = np.fromiter(
-        (state.lower_bound for state in cell_states.values()),
-        dtype=np.float64,
-        count=n,
-    )
-    if skip_illuminated:
-        lit = np.fromiter(
-            (state.illuminated for state in cell_states.values()),
-            dtype=bool,
-            count=n,
-        )
-        bounds[lit] = np.inf
-    order = np.argsort(bounds, kind="stable").tolist()
-    accessed = 0
-    for idx in order:
-        if float(bounds[idx]) >= sk_of():
-            break
-        access(cells[idx])
-        accessed += 1
-    return accessed

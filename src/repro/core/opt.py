@@ -157,43 +157,18 @@ class OptCTUP(CTUPMonitor):
         self._adjust_bounds(update.unit_id, old, new, radius)
 
     def _apply_burst(self, moves: Sequence[CoalescedMove]) -> int:
-        """Chain-aware maintain phase: endpoints telescope, tables fold.
+        """Chain-aware maintain phase through the vectorised kernels.
 
         Like BasicCTUP, but the fold runs Table II: DecHash transitions
         are path-dependent (a mid-chain ``→F`` re-arms a decrease), so
-        every waypoint step is replayed while positions and the
-        maintained scan use the chain endpoints only. The vectorised
-        kernels take over under ``config.burst_kernels``; results are
-        bit-identical.
+        every waypoint step is folded while positions and the maintained
+        scan use the chain endpoints only. See
+        :func:`repro.core.kernels.apply_burst_opt`.
         """
-        if self.config.burst_kernels:
-            return kernels.apply_burst_opt(self, moves)
-        radius = self.config.protection_range
-        skipped = 0
-        for move in moves:
-            old = self.units.apply_chain(move.raws)
-            scanned = self.maintained.apply_unit_move(old, move.last_new, radius)
-            self.counters.maintained_scans += scanned
-            self.counters.distance_rows += 2 * scanned
-            step_old = old
-            for raw in move.raws:
-                self._adjust_bounds(
-                    move.unit_id, step_old, raw.new_location, radius
-                )
-                step_old = raw.new_location
-            skipped += move.raw_count - 1
-        return skipped
+        return kernels.apply_burst_opt(self, moves)
 
     def _refresh(self) -> int:
         # Step 3: access every cell whose bound fell below SK.
-        if self.config.burst_kernels:
-            return kernels.refill_below_sk(
-                self.cell_states,
-                self.sk,
-                self._access_cell,
-                skip_illuminated=False,
-                obs=self.obs,
-            )
         return access_below_sk(
             self.cell_states, self.sk, self._access_cell, skip_illuminated=False
         )

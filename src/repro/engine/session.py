@@ -57,14 +57,13 @@ class MonitorSession:
         hooks: MonitorHooks | Sequence[MonitorHooks] = (),
         track_changes: bool = True,
         checkpoint: CheckpointPolicy | None = None,
-        coalesce: bool = True,
         obs: "Observability | None" = None,
         control_mode: str = "incremental",
     ) -> None:
         """``batch_size`` > 0 buffers updates and flushes them through
-        the phase API as exact bursts; each burst is move-coalesced
-        (``coalesce=False`` replays bursts one ``apply_update`` at a
-        time — the pre-coalescing ablation; results are identical).
+        the phase API as exact bursts: each burst is move-coalesced and
+        applied by one ``apply_burst`` (BasicCTUP and OptCTUP run it
+        through the vectorised kernels), then refreshed once.
         ``audit_every`` > 0 runs the invariant auditor every that many
         updates (it costs a brute-force pass — useful in soak tests,
         off by default). ``track_changes=False`` skips the per-update
@@ -100,9 +99,7 @@ class MonitorSession:
         self.audit_problems: list[str] = []
         self.updates_processed = 0
         self.init_report: InitReport | None = None
-        self._batcher = (
-            BatchProcessor(monitor, coalesce=coalesce) if batch_size else None
-        )
+        self._batcher = BatchProcessor(monitor) if batch_size else None
         self._pending: list[LocationUpdate] = []
         self._started = False
         if control_mode not in ("incremental", "rebuild"):

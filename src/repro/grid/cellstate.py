@@ -57,7 +57,6 @@ def access_below_sk(
     The schemes' scalar access loop: each round re-reads SK and takes
     the first cell, in table order, with the smallest bound below it
     (illuminated cells are passed over when ``skip_illuminated``).
-    :func:`repro.core.kernels.refill_below_sk` is its vectorised twin.
     Returns the number of cells accessed.
     """
     accessed = 0

@@ -229,13 +229,14 @@ class ShardedMonitor(CTUPMonitor):
         """Deliver a shard's queued deliveries (in arrival order) and
         run its access phase if any delivery was full.
 
-        Consecutive *full* chain deliveries are re-batched into one
-        ``apply_burst`` call on the shard monitor, so the per-shard
-        vectorised kernels see the widest burst the queue allows. The
-        batch is flushed at every ordering boundary — a sync delivery,
-        a plain update, or a second chain for a unit already in the
-        batch (possible when several top-level bursts are queued before
-        one access phase) — which preserves arrival order exactly.
+        *Full* chain deliveries are re-batched into one ``apply_burst``
+        call on the shard monitor, so the per-shard vectorised kernels
+        see the widest burst the queue allows. Maintain work commutes
+        across different units, so the batch is flushed only before a
+        delivery (full or sync, chain or plain update) for a unit already
+        in it — possible when several top-level bursts are queued before
+        one access phase. Each unit therefore sees its own deliveries in
+        arrival order, which is all exactness needs.
         """
         dirty = False
         burst: list[CoalescedMove] = []
@@ -249,24 +250,22 @@ class ShardedMonitor(CTUPMonitor):
                 burst_units.clear()
 
         for delivery, full in shard.queue:
-            if isinstance(delivery, CoalescedMove):
-                if full:
-                    if delivery.unit_id in burst_units:
-                        flush()
-                    burst.append(delivery)
-                    burst_units.add(delivery.unit_id)
-                    dirty = True
-                else:
-                    flush()
-                    shard.monitor.units.apply_chain(delivery.raws)
-            elif full:
+            is_chain = isinstance(delivery, CoalescedMove)
+            if delivery.unit_id in burst_units:
                 flush()
+            if not full:
+                if is_chain:
+                    shard.monitor.units.apply_chain(delivery.raws)
+                else:
+                    shard.monitor.units.apply(delivery)
+                continue
+            dirty = True
+            if is_chain:
+                burst.append(delivery)
+                burst_units.add(delivery.unit_id)
+            else:
                 # reprolint: disable=RPL014 -- deliberate phase crossing: queued deliveries are maintain work the sharded scheme replays inside its access-phase drain (same contract as the burst flush above)
                 shard.monitor.apply_update(delivery)
-                dirty = True
-            else:
-                flush()
-                shard.monitor.units.apply(delivery)
         flush()
         shard.queue.clear()
         return shard.monitor.refresh() if dirty else 0

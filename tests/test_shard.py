@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from repro.core import BasicCTUP, CTUPConfig, NaiveCTUP, OptCTUP
 from repro.core.audit import audit_monitor
+from repro.core.batch import coalesce_burst
 from repro.core.incremental import IncrementalNaiveCTUP
 from repro.engine.session import MonitorSession
 from repro.geometry import Point, Rect
@@ -486,6 +487,135 @@ class TestShardEquivalence:
                 shards=2,
                 scheme="quantum",
             )
+
+
+# -- the drain batches every shard's chains into one kernel call -------------
+
+
+def _record_child_bursts(sharded) -> list[list[list[int]]]:
+    """Wrap each shard monitor's ``apply_burst``; per shard, the unit ids
+    of every call, in call order."""
+    calls: list[list[list[int]]] = []
+    for sh in sharded.shards:
+        log: list[list[int]] = []
+        calls.append(log)
+        inner = sh.monitor.apply_burst
+
+        def wrapped(moves, _inner=inner, _log=log):
+            _log.append([m.unit_id for m in moves])
+            return _inner(moves)
+
+        sh.monitor.apply_burst = wrapped
+    return calls
+
+
+def _first_moves(stream, nth: int) -> dict:
+    """Each unit's ``nth`` update (0-based), by unit id, in stream order."""
+    seen: dict[int, list] = {}
+    for update in stream:
+        seen.setdefault(update.unit_id, []).append(update)
+    return {uid: ups[nth] for uid, ups in seen.items() if len(ups) > nth}
+
+
+def _shard_states(sharded) -> list:
+    """Positions plus cell, maintained and DecHash state of every shard."""
+    docs = [sh.monitor.export_state() for sh in sharded.shards]
+    return [(doc["units"], doc["scheme_state"]) for doc in docs]
+
+
+class TestDrainBatching:
+    def _pair(self, config, places, units):
+        """Two initialized 4-shard monitors: the one under test and the
+        per-update reference."""
+        pair = [
+            ShardedMonitor(config, places, units, shards=4, scheme=OptCTUP)
+            for _ in range(2)
+        ]
+        for monitor in pair:
+            monitor.initialize()
+        return pair
+
+    def test_distinct_units_make_one_call_per_shard(
+        self, small_config, small_places, small_units, small_stream
+    ):
+        burst = list(_first_moves(small_stream, 0).values())
+        sharded, reference = self._pair(small_config, small_places, small_units)
+        calls = _record_child_bursts(sharded)
+        sharded.apply_burst(coalesce_burst(burst))
+        sharded.refresh()
+        # sync deliveries interleave the full ones in every shard queue,
+        # yet no unit repeats: one flush, at most one call per shard.
+        assert sharded.sync_deliveries > 0
+        assert all(len(log) <= 1 for log in calls), calls
+        assert sum(len(log) for log in calls) >= 1
+        for update in burst:
+            reference.apply_update(update)
+        reference.refresh()
+        assert _result_pairs(sharded) == _result_pairs(reference)
+        assert _shard_states(sharded) == _shard_states(reference)
+
+    def test_repeated_unit_across_queued_bursts_flushes_again(
+        self, small_config, small_places, small_units, small_stream
+    ):
+        first, second = _first_moves(small_stream, 0), _first_moves(
+            small_stream, 1
+        )
+        sharded, reference = self._pair(small_config, small_places, small_units)
+        router = ShardRouter(sharded.plan, small_config.protection_range)
+
+        def targets(update):
+            return set(router.route(update.old_location, update.new_location))
+
+        # a unit whose first and second moves are both full on one shard.
+        uid, shard_id = next(
+            (uid, sid)
+            for uid in second
+            for sid in sorted(targets(first[uid]) & targets(second[uid]))
+        )
+        burst1, burst2 = list(first.values()), [second[uid]]
+        calls = _record_child_bursts(sharded)
+        sharded.apply_burst(coalesce_burst(burst1))
+        sharded.apply_burst(coalesce_burst(burst2))
+        sharded.refresh()
+        # the second chain for the unit opens a second call on its shard.
+        assert calls[shard_id][-1] == [uid]
+        assert len(calls[shard_id]) == 2
+        for log in calls:
+            assert len(log) <= 2
+            assert all(len(set(ids)) == len(ids) for ids in log)
+        for update in burst1 + burst2:
+            reference.apply_update(update)
+        reference.refresh()
+        assert _result_pairs(sharded) == _result_pairs(reference)
+        assert _shard_states(sharded) == _shard_states(reference)
+
+    def test_plain_updates_between_queued_bursts_stay_exact(
+        self, small_config, small_places, small_units, small_stream
+    ):
+        first, second = _first_moves(small_stream, 0), _first_moves(
+            small_stream, 1
+        )
+        # plain updates for units outside the pending batch, then a
+        # burst that repeats the batch's units.
+        batched, plain = sorted(second)[1::2], sorted(second)[::2]
+        order = (
+            [("burst", [first[uid] for uid in batched])]
+            + [("update", first[uid]) for uid in plain]
+            + [("burst", [second[uid] for uid in batched])]
+        )
+        sharded, reference = self._pair(small_config, small_places, small_units)
+        for kind, item in order:
+            if kind == "burst":
+                sharded.apply_burst(coalesce_burst(item))
+                for update in item:
+                    reference.apply_update(update)
+            else:
+                sharded.apply_update(item)
+                reference.apply_update(item)
+        sharded.refresh()
+        reference.refresh()
+        assert _result_pairs(sharded) == _result_pairs(reference)
+        assert _shard_states(sharded) == _shard_states(reference)
 
 
 # -- property: any cell assignment yields the same answer -------------------

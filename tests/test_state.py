@@ -34,6 +34,8 @@ from repro.state import (
     restore_monitor,
     snapshot_monitor,
 )
+from repro.state.codec import decode_config, encode_config
+from repro.validate import Oracle
 from repro.workloads import (
     RandomWalkMobility,
     generate_places,
@@ -262,6 +264,84 @@ class TestUpdateRejected:
         )
 
 
+# -- positions outside the monitored space ------------------------------
+
+#: where the excursion starts in the stream: the pair it inserts lands
+#: inside one burst of ``BATCH`` (stream positions 16..23).
+EXCURSION_AT = 17
+
+
+def _excursion_stream() -> list[LocationUpdate]:
+    """``STREAM`` with one unit sent to (5, 5), far outside the unit
+    square, and straight back, inside one burst."""
+    updates = list(STREAM.updates)
+    mover = updates[EXCURSION_AT]
+    here = mover.old_location
+    away = Point(5.0, 5.0)
+    stamp = mover.timestamp
+    updates[EXCURSION_AT:EXCURSION_AT] = [
+        LocationUpdate(mover.unit_id, here, away, stamp),
+        LocationUpdate(mover.unit_id, away, here, stamp),
+    ]
+    return updates
+
+
+class TestOutOfSpacePositions:
+    """A position outside ``CTUPConfig.space`` is accepted and handled
+    exactly: no clamp, no rejection. A unit out there protects no place,
+    and the answer matches the oracle while it is away and after it
+    returns, across a crash and resume too."""
+
+    @pytest.mark.parametrize("shards", [0, 4], ids=["plain", "s4"])
+    @pytest.mark.parametrize("batch_size", [0, BATCH], ids=["single", "batch"])
+    def test_excursion_is_oracle_exact_and_resumes(
+        self, tmp_path, shards, batch_size
+    ):
+        updates = _excursion_stream()
+
+        def session_for(durability):
+            return open_session(
+                "opt",
+                places=PLACES,
+                units=make_units(),
+                config=CONFIG,
+                shard=ShardSpec(shards=shards),
+                batch_size=batch_size,
+                durability=durability,
+            )
+
+        oracle = Oracle(PLACES, make_units())
+        session = session_for(DurabilitySpec(tmp_path, every=2))
+        session.start()
+        kill = EXCURSION_AT + 1  # the unit is at (5, 5) when the run dies
+        for update in updates[:kill]:
+            session.feed(update)
+            oracle.apply(update)
+            if not session.pending_updates:
+                verdict = oracle.validate(session.monitor.top_k(), CONFIG.k)
+                assert verdict.ok, verdict.problems
+        session.journal.close()  # the crash: no flush, no close-snapshot
+        resumed = session_for(DurabilitySpec(tmp_path, resume=True))
+        for update in updates[kill:]:
+            resumed.feed(update)
+            oracle.apply(update)
+            if not resumed.pending_updates:
+                verdict = oracle.validate(resumed.monitor.top_k(), CONFIG.k)
+                assert verdict.ok, verdict.problems
+        resumed.flush()
+        verdict = oracle.validate(resumed.monitor.top_k(), CONFIG.k)
+        assert verdict.ok, verdict.problems
+
+        straight_run = session_for(None)
+        straight_run.start()
+        for update in updates:
+            straight_run.feed(update)
+        straight_run.flush()
+        assert state_fingerprint(resumed.monitor, resumed) == state_fingerprint(
+            straight_run.monitor, straight_run
+        )
+
+
 class TestOpenSessionValidation:
     def test_resume_rejects_an_adopted_monitor(self, tmp_path):
         monitor = SCHEMES["opt"](CONFIG, PLACES, make_units())
@@ -451,6 +531,36 @@ class TestCheckpointPolicy:
 
 
 # -- fingerprints -------------------------------------------------------
+
+
+class TestConfigCodec:
+    """``encode_config`` must carry every ``CTUPConfig`` field, so a knob
+    added later cannot silently fall back to its default on resume."""
+
+    FIELDS = {f.name for f in dataclasses.fields(CTUPConfig)}
+
+    def test_encodes_exactly_the_config_fields(self):
+        assert set(encode_config(CTUPConfig())) == self.FIELDS
+
+    def test_round_trips_a_non_default_config(self):
+        config = CTUPConfig(
+            k=7,
+            delta=2,
+            protection_range=0.15,
+            granularity=6,
+            space=Rect(-1.0, -2.0, 3.0, 4.0),
+            use_doo=False,
+            use_unit_grid=False,
+            page_capacity=16,
+            buffer_pages=4,
+        )
+        default = CTUPConfig()
+        assert all(
+            getattr(config, name) != getattr(default, name)
+            for name in self.FIELDS
+        )
+        document = json.loads(json.dumps(encode_config(config)))
+        assert decode_config(document) == config
 
 
 class TestFingerprint:
