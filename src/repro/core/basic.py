@@ -21,7 +21,7 @@ from typing import Any, Iterable, Mapping, Sequence
 from repro.core import kernels
 from repro.core.config import CTUPConfig
 from repro.core.monitor import CTUPMonitor
-from repro.core.tables import table1_delta
+from repro.core.tables import TABLE1_PACKED
 from repro.core.topk import MaintainedPlaces
 from repro.geometry import Point
 from repro.grid.cellstate import (
@@ -91,16 +91,17 @@ class BasicCTUP(CTUPMonitor):
         self.counters.distance_rows += 2 * scanned
 
         # Step 2: Table I on every affected dark cell.
-        self._adjust_dark_bounds(old, new, radius)
+        self._adjust_bounds(update.unit_id, old, new, radius)
 
     def _apply_burst(self, moves: Sequence[CoalescedMove]) -> int:
-        """Chain-aware maintain phase through the vectorised kernels.
+        """Chain-aware maintain phase through the burst kernels.
 
         Position tracking and the maintained-table scan see only each
         chain's endpoints (intermediate applies cancel exactly); Table I
-        folds per chain step because its deltas are path-dependent
-        (``P→P`` decreases, so a three-waypoint ``P`` chain decreases
-        twice). See :func:`repro.core.kernels.apply_burst_basic`.
+        runs per chain step, through :meth:`_adjust_bounds`, because its
+        deltas are path-dependent (``P→P`` decreases, so a
+        three-waypoint ``P`` chain decreases twice). See
+        :func:`repro.core.kernels.apply_burst_basic`.
         """
         return kernels.apply_burst_basic(self, moves)
 
@@ -113,22 +114,30 @@ class BasicCTUP(CTUPMonitor):
         self._darken_unneeded()
         return accessed
 
-    def _adjust_dark_bounds(self, old: Point, new: Point, radius: float) -> None:
-        # the stencil classifies the old and new disk against every
-        # candidate cell in one vectorised pass (cells touching neither
-        # disk are N -> N and never emitted).
-        stencil = self.grid.stencil(radius)
-        for cell, rel_old, rel_new in stencil.classify_move(old, new):
-            state = self.cell_states.get(cell)
+    def _adjust_bounds(
+        self, unit_id: int, old: Point, new: Point, radius: float
+    ) -> None:
+        """Table I on every dark cell the move reclassifies (Table I has
+        no per-unit state, so ``unit_id`` is unused; the signature is
+        OptCTUP's, for :func:`repro.core.batch.replay_chain_steps`)."""
+        # the stencil classifies both disks against the few candidate
+        # cells (cells touching neither disk are N -> N and never
+        # emitted); TABLE1_PACKED is indexed old * 3 + new.
+        states = self.cell_states
+        counters = self.counters
+        for cell, code_old, code_new in self.grid.stencil(radius).classify_move(
+            old, new
+        ):
+            state = states.get(cell)
             if state is None or state.illuminated:
                 continue
-            delta = table1_delta(rel_old, rel_new)
+            delta = TABLE1_PACKED[code_old * 3 + code_new]
             if delta > 0:
                 state.increase(delta)
-                self.counters.lb_increments += 1
+                counters.lb_increments += 1
             elif delta < 0:
                 state.decrease(-delta)
-                self.counters.lb_decrements += 1
+                counters.lb_decrements += 1
 
     def _darken_unneeded(self) -> None:
         """Step 4: discard illuminated cells without a top-k place."""

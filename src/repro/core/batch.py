@@ -31,11 +31,16 @@ a unit reporting m times costs one maintained-table scan instead of m.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.core.metrics import UpdateReport
 from repro.core.monitor import CTUPMonitor
-from repro.model import CoalescedMove, LocationUpdate
+from repro.core.units import LOCATION_TOLERANCE2
+from repro.model import CoalescedMove, LocationUpdate, Point
+
+if TYPE_CHECKING:
+    from repro.core.basic import BasicCTUP
+    from repro.core.opt import OptCTUP
 
 
 def coalesce_burst(updates: Sequence[LocationUpdate]) -> list[CoalescedMove]:
@@ -55,7 +60,7 @@ def coalesce_burst(updates: Sequence[LocationUpdate]) -> list[CoalescedMove]:
             chains[update.unit_id] = [update]
             continue
         previous = chain[-1].new_location
-        if previous.squared_distance_to(update.old_location) > 1e-18:
+        if previous.squared_distance_to(update.old_location) > LOCATION_TOLERANCE2:
             raise ValueError(
                 f"update for unit {update.unit_id} carries old location "
                 f"{update.old_location} but the burst already moved it "
@@ -66,6 +71,36 @@ def coalesce_burst(updates: Sequence[LocationUpdate]) -> list[CoalescedMove]:
         CoalescedMove(unit_id, tuple(chain))
         for unit_id, chain in chains.items()
     ]
+
+
+def replay_chain_steps(
+    monitor: "BasicCTUP | OptCTUP",
+    moves: Sequence[CoalescedMove],
+    olds: Sequence[Point],
+) -> None:
+    """Table I/II bound maintenance for every step of every chain.
+
+    ``olds`` holds each chain's tracked start position (what
+    ``UnitIndex.apply_moves`` returned). Step ``t`` runs from the
+    previous waypoint to ``raws[t].new_location``: exactly the (tracked
+    old, new) pair ``_apply`` hands ``_adjust_bounds`` when it replays
+    that raw update, through the same call. Running the chains one
+    after another instead of in arrival order changes nothing: a
+    step's bound deltas are integer-valued float adds, which commute
+    exactly, and DecHash is keyed per ``(unit, cell)``, so each key
+    only ever sees its own chain's steps, in order.
+
+    This is the per-step loop of the burst kernels
+    (:mod:`repro.core.kernels`); reprolint RPL010 keeps observability
+    out of it.
+    """
+    radius = monitor.config.protection_range
+    adjust = monitor._adjust_bounds
+    for move, previous in zip(moves, olds):
+        unit_id = move.unit_id
+        for raw in move.raws:
+            adjust(unit_id, previous, raw.new_location, radius)
+            previous = raw.new_location
 
 
 class BatchProcessor:

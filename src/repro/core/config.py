@@ -50,7 +50,7 @@ class CTUPConfig:
         layout of the simulated lower storage level.
 
     Burst execution has no knob: BasicCTUP and OptCTUP always run a
-    coalesced burst's maintain phase through the vectorised kernels of
+    coalesced burst's maintain phase through the burst kernels of
     :mod:`repro.core.kernels`.
     """
 

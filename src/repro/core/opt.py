@@ -29,10 +29,10 @@ from repro.core.config import CTUPConfig
 from repro.core.dechash import DecHash
 from repro.core.monitor import CTUPMonitor
 from repro.core.tables import (
-    HASH_INSERT,
-    HASH_REMOVE,
-    table1_delta,
-    table2_action,
+    ACT_INSERT,
+    ACT_REMOVE,
+    TABLE1_PACKED,
+    TABLE2_PACKED,
 )
 from repro.core.topk import MaintainedPlaces, kth_smallest
 from repro.geometry import Point
@@ -157,12 +157,13 @@ class OptCTUP(CTUPMonitor):
         self._adjust_bounds(update.unit_id, old, new, radius)
 
     def _apply_burst(self, moves: Sequence[CoalescedMove]) -> int:
-        """Chain-aware maintain phase through the vectorised kernels.
+        """Chain-aware maintain phase through the burst kernels.
 
-        Like BasicCTUP, but the fold runs Table II: DecHash transitions
-        are path-dependent (a mid-chain ``→F`` re-arms a decrease), so
-        every waypoint step is folded while positions and the maintained
-        scan use the chain endpoints only. See
+        Like BasicCTUP, but the per-step replay runs Table II: DecHash
+        transitions are path-dependent (a mid-chain ``→F`` re-arms a
+        decrease), so every waypoint step goes through
+        :meth:`_adjust_bounds` while positions and the maintained scan
+        use the chain endpoints only. See
         :func:`repro.core.kernels.apply_burst_opt`.
         """
         return kernels.apply_burst_opt(self, moves)
@@ -176,38 +177,43 @@ class OptCTUP(CTUPMonitor):
     def _adjust_bounds(
         self, unit_id: int, old: Point, new: Point, radius: float
     ) -> None:
-        # one vectorised stencil pass classifies both disks against all
-        # candidate cells (N -> N cells are never emitted — they carry
-        # no Table I/II action).
-        stencil = self.grid.stencil(radius)
-        for cell, rel_old, rel_new in stencil.classify_move(old, new):
-            state = self.cell_states.get(cell)
+        # the stencil classifies both disks against the few candidate
+        # cells (N -> N cells are never emitted: they carry no Table
+        # I/II action); the packed tables are indexed old * 3 + new.
+        states = self.cell_states
+        counters = self.counters
+        dechash = self.dechash
+        use_doo = self.config.use_doo
+        for cell, code_old, code_new in self.grid.stencil(radius).classify_move(
+            old, new
+        ):
+            state = states.get(cell)
             if state is None:
                 continue
-            if self.config.use_doo:
-                in_hash = self.dechash.contains(unit_id, cell)
-                delta, hash_action = table2_action(rel_old, rel_new, in_hash)
-                if hash_action == HASH_INSERT:
-                    inserted = self.dechash.insert(unit_id, cell)
-                    if inserted:
-                        self.counters.dechash_inserts += 1
+            packed = code_old * 3 + code_new
+            if use_doo:
+                in_hash = dechash.contains(unit_id, cell)
+                delta, action = TABLE2_PACKED[in_hash][packed]
+                if action == ACT_INSERT:
+                    if dechash.insert(unit_id, cell):
+                        counters.dechash_inserts += 1
                     elif delta < 0:
                         # the pair was unexpectedly present: decreasing
                         # again would double-count this unit, skip it.
                         delta = 0
-                elif hash_action == HASH_REMOVE:
-                    if self.dechash.remove(unit_id, cell):
-                        self.counters.dechash_removes += 1
-                if in_hash and delta == 0 and table1_delta(rel_old, rel_new) < 0:
-                    self.counters.doo_suppressed += 1
+                elif action == ACT_REMOVE:
+                    if dechash.remove(unit_id, cell):
+                        counters.dechash_removes += 1
+                if in_hash and delta == 0 and TABLE1_PACKED[packed] < 0:
+                    counters.doo_suppressed += 1
             else:
-                delta = table1_delta(rel_old, rel_new)
+                delta = TABLE1_PACKED[packed]
             if delta > 0:
                 state.increase(delta)
-                self.counters.lb_increments += 1
+                counters.lb_increments += 1
             elif delta < 0:
                 state.decrease(-delta)
-                self.counters.lb_decrements += 1
+                counters.lb_decrements += 1
 
     def _access_cell(self, cell: CellId) -> None:
         """Reload a cell: exact safeties, adjust SK, keep the Δ band.

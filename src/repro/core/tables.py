@@ -4,11 +4,18 @@ Keeping the lower-bound transition tables as explicit mappings (rather
 than burying the cases in monitor control flow) lets the unit tests
 check them entry by entry against the paper, and lets both monitors
 share one implementation.
+
+The hot path reads the same tables in a packed integer form derived
+below from the enum-keyed transcription: rows are indexed by
+``old * 3 + new`` over the stencil's relation codes
+(:data:`repro.grid.partition.N_CODE` and friends), so no enum is hashed
+per cell.
 """
 
 from __future__ import annotations
 
 from repro.geometry.relations import CellRelation
+from repro.grid.partition import F_CODE, N_CODE, P_CODE
 
 _N = CellRelation.NO_INTERSECT
 _P = CellRelation.PARTIAL
@@ -74,3 +81,34 @@ def table2_action(
     if unconditional is not None:
         return unconditional
     return TABLE2_CONDITIONAL[key][pair_in_hash]
+
+
+# -- packed integer form (the maintain hot path) -------------------------
+
+#: relation of each stencil code.
+_RELATION_OF_CODE = {N_CODE: _N, P_CODE: _P, F_CODE: _F}
+_PACKED_RELATIONS = [
+    (_RELATION_OF_CODE[code // 3], _RELATION_OF_CODE[code % 3])
+    for code in range(9)
+]
+
+#: hash actions as integers.
+ACT_NONE, ACT_INSERT, ACT_REMOVE = 0, 1, 2
+_ACTION_CODE = {HASH_NONE: ACT_NONE, HASH_INSERT: ACT_INSERT, HASH_REMOVE: ACT_REMOVE}
+
+#: Table I delta per packed code ``code_old * 3 + code_new``.
+TABLE1_PACKED: tuple[int, ...] = tuple(
+    table1_delta(old, new) for old, new in _PACKED_RELATIONS
+)
+
+#: Table II ``(delta, action)`` per ``[pair_in_hash][packed code]``,
+#: ``action`` being one of ``ACT_NONE``/``ACT_INSERT``/``ACT_REMOVE``.
+TABLE2_PACKED: tuple[tuple[tuple[int, int], ...], ...] = tuple(
+    tuple(
+        (delta, _ACTION_CODE[action])
+        for delta, action in (
+            table2_action(old, new, in_hash) for old, new in _PACKED_RELATIONS
+        )
+    )
+    for in_hash in (False, True)
+)

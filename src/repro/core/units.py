@@ -30,6 +30,10 @@ if TYPE_CHECKING:
     from repro.grid.partition import GridPartition
     from repro.index.unitgrid import UnitGridIndex
 
+#: squared distance within which an update's ``old_location`` matches
+#: the unit's known position; beyond it the update is stale.
+LOCATION_TOLERANCE2 = 1e-18
+
 
 @dataclass(slots=True)
 class UnitKernelStats:
@@ -179,7 +183,7 @@ class UnitIndex:
         if unit is None:
             raise KeyError(f"unknown unit {update.unit_id}")
         old = unit.location
-        if old.squared_distance_to(update.old_location) > 1e-18:
+        if old.squared_distance_to(update.old_location) > LOCATION_TOLERANCE2:
             raise ValueError(
                 f"update for unit {update.unit_id} carries old location "
                 f"{update.old_location} but the server tracks {old}"
@@ -211,7 +215,7 @@ class UnitIndex:
         if unit is None:
             raise KeyError(f"unknown unit {first.unit_id}")
         old = unit.location
-        if old.squared_distance_to(first.old_location) > 1e-18:
+        if old.squared_distance_to(first.old_location) > LOCATION_TOLERANCE2:
             raise ValueError(
                 f"update for unit {first.unit_id} carries old location "
                 f"{first.old_location} but the server tracks {old}"
@@ -244,7 +248,7 @@ class UnitIndex:
             if unit is None:
                 raise KeyError(f"unknown unit {first.unit_id}")
             old = unit.location
-            if old.squared_distance_to(first.old_location) > 1e-18:
+            if old.squared_distance_to(first.old_location) > LOCATION_TOLERANCE2:
                 raise ValueError(
                     f"update for unit {first.unit_id} carries old location "
                     f"{first.old_location} but the server tracks {old}"

@@ -27,8 +27,9 @@ from repro.core.batch import BatchProcessor
 from repro.core.events import ChangeTracker
 from repro.core.metrics import InitReport, UpdateReport
 from repro.core.monitor import CTUPMonitor
+from repro.core.units import LOCATION_TOLERANCE2
 from repro.engine.hooks import HookList, MonitorHooks
-from repro.model import LocationUpdate
+from repro.model import LocationUpdate, Point
 from repro.state.journal import JournalRecord, UpdateJournal
 from repro.state.recovery import CheckpointPolicy, CheckpointStore
 from repro.state.snapshot import snapshot_monitor
@@ -40,7 +41,8 @@ if TYPE_CHECKING:
 
 class UpdateRejected(ValueError):
     """An update :meth:`MonitorSession.feed` refuses: its unit id is
-    unknown or a coordinate is not finite. It is rejected before it is
+    unknown, a coordinate is not finite, or its ``old_location`` is not
+    where the session last put the unit. It is rejected before it is
     journaled or buffered, so the session and its checkpoint directory
     are left exactly as they were."""
 
@@ -63,7 +65,10 @@ class MonitorSession:
         """``batch_size`` > 0 buffers updates and flushes them through
         the phase API as exact bursts: each burst is move-coalesced and
         applied by one ``apply_burst`` (BasicCTUP and OptCTUP run it
-        through the vectorised kernels), then refreshed once.
+        through the burst kernels: batched endpoint passes plus a scalar
+        Table I/II replay of each chain step, scalar because numpy's
+        per-call cost dominates on the few cells a step touches), then
+        refreshed once.
         ``audit_every`` > 0 runs the invariant auditor every that many
         updates (it costs a brute-force pass — useful in soak tests,
         off by default). ``track_changes=False`` skips the per-update
@@ -101,6 +106,8 @@ class MonitorSession:
         self.init_report: InitReport | None = None
         self._batcher = BatchProcessor(monitor) if batch_size else None
         self._pending: list[LocationUpdate] = []
+        #: each buffered unit's position after its last buffered update.
+        self._pending_at: dict[int, Point] = {}
         self._started = False
         if control_mode not in ("incremental", "rebuild"):
             raise ValueError(
@@ -234,16 +241,27 @@ class MonitorSession:
         mode, buffers it and returns the burst report when the buffer
         reaches ``batch_size`` (``None`` otherwise). Raises
         :class:`UpdateRejected` — before anything is journaled — for an
-        unknown unit id or a non-finite coordinate, either of which
-        would otherwise fail every later resume of the directory.
+        unknown unit id, a non-finite coordinate, or an ``old_location``
+        away from the unit's position as of the pending buffer (its last
+        buffered ``new_location``, else its tracked position). Any of
+        these would otherwise fail every later resume of the directory.
         """
-        if update.unit_id not in self.monitor.units:
+        units = self.monitor.units
+        if update.unit_id not in units:
             raise UpdateRejected(f"unknown unit {update.unit_id}")
         for point in (update.old_location, update.new_location):
             if not (math.isfinite(point.x) and math.isfinite(point.y)):
                 raise UpdateRejected(
                     f"unit {update.unit_id}: non-finite coordinate {point}"
                 )
+        at = self._pending_at.get(update.unit_id)
+        if at is None:
+            at = units.location_of(update.unit_id)
+        if at.squared_distance_to(update.old_location) > LOCATION_TOLERANCE2:
+            raise UpdateRejected(
+                f"unit {update.unit_id}: stale old location "
+                f"{update.old_location}, the unit is at {at}"
+            )
         if not self._started:
             self.start()
         self.hooks.on_update_start(update)
@@ -251,6 +269,7 @@ class MonitorSession:
             if self._journal is not None and not self._replaying:
                 self._journal.append_update(update, batched=True)
             self._pending.append(update)
+            self._pending_at[update.unit_id] = update.new_location
             if len(self._pending) >= self.batch_size:
                 return self.flush()
             return None
@@ -270,6 +289,7 @@ class MonitorSession:
         if self._batcher is None or not self._pending:
             return None
         batch, self._pending = self._pending, []
+        self._pending_at.clear()
         obs = self.observability
         if obs is None:
             report = self._batcher.process_batch(batch)

@@ -6,10 +6,11 @@ the update hot path:
 * per-cell :class:`Rect` objects are memoized — the candidate loops of
   the monitors touch the same few hundred rects on every update, and
   rebuilding them dominated the maintain phase's allocation profile;
-* :class:`CircleStencil` precomputes, for one fixed protection radius,
-  the candidate-cell neighbourhood arithmetic and classifies a moving
-  disk against all candidate cells in one vectorised pass instead of two
-  scalar N/P/F derivations per cell per update.
+* one :class:`CircleStencil` per protection radius holds the
+  candidate-block arithmetic and classifies a move's old and new disk
+  against the block's few cells in plain floats (numpy's per-call cost
+  outweighs the work on blocks of at most 5×5 cells at the paper's
+  defaults).
 """
 
 from __future__ import annotations
@@ -17,25 +18,15 @@ from __future__ import annotations
 import math
 from typing import Iterator
 
-import numpy as np
-
 from repro.geometry import Circle, Point, Rect
-from repro.geometry.relations import CellRelation
 
 # A cell is addressed by its (column, row) pair.
 CellId = tuple[int, int]
 
-#: integer relation codes used by the vectorised classifier.
-_N_CODE, _P_CODE, _F_CODE = 0, 1, 2
-_RELATION_OF_CODE = {
-    _N_CODE: CellRelation.NO_INTERSECT,
-    _P_CODE: CellRelation.PARTIAL,
-    _F_CODE: CellRelation.FULL,
-}
-
-#: public view of the code -> relation mapping, for kernels that consume
-#: raw relation codes instead of CellRelation values (repro.core.kernels).
-RELATION_OF_CODE: dict[int, CellRelation] = _RELATION_OF_CODE
+#: integer relation codes of :meth:`CircleStencil.classify_move`:
+#: no intersection, partial overlap, cell fully inside the disk.
+#: ``repro.core.tables`` indexes its Table I/II rows by them.
+N_CODE, P_CODE, F_CODE = 0, 1, 2
 
 
 class GridPartition:
@@ -169,23 +160,27 @@ class GridPartition:
 
 
 class CircleStencil:
-    """Vectorised N/P/F classification for disks of one fixed radius.
+    """Scalar N/P/F classification for disks of one fixed radius.
 
     The monitors' bound maintenance asks, per location update, how the
-    old and the new protection disk relate to every candidate cell. The
-    stencil answers both questions in one numpy pass over the candidate
-    block: per candidate column/row it derives the minimum and maximum
-    squared distance from the disk centre to the cell rectangle and maps
-    them onto the three relations (F when the farthest corner is inside
-    the disk, N when the nearest point is outside, P otherwise — the
-    same closed-set rules as
-    :func:`repro.geometry.relations.classify_circle_rect`).
+    old and the new protection disk relate to every candidate cell. Per
+    candidate column and row the stencil derives the minimum and
+    maximum distance from the disk centre to the cell's extent, and
+    per cell it maps their squared sums onto the three relations: F
+    when the farthest corner is inside the disk, N when the nearest
+    point is outside, P otherwise. These are the same closed-set rules
+    as :func:`repro.geometry.relations.classify_circle_rect`.
 
     Cells outside a disk's candidate block are guaranteed N (the block
     covers every cell its bounding box touches), so a move only yields
-    the cells where at least one side is not N — exactly the candidate
-    set the scalar path derived with two ``cells_touching_circle``
-    sweeps and two classifications per cell.
+    the cells where at least one side is not N.
+
+    The arithmetic is plain Python floats on purpose. A merged block
+    holds at most 5×5 cells at the paper's defaults (R one cell width),
+    and at that size numpy's fixed per-call cost outweighs the work: a
+    numpy broadcast of the same operations makes about twenty calls per
+    move and measured about six times slower (MEASURED.md, "Scalar
+    stencil"). The results are identical, operation for operation.
     """
 
     def __init__(self, grid: GridPartition, radius: float) -> None:
@@ -214,138 +209,113 @@ class CircleStencil:
             min(j_hi, g.ny - 1),
         )
 
-    def _classify_block(
-        self, center: Point, block: tuple[int, int, int, int]
-    ) -> np.ndarray:
-        """Relation codes of the disk at ``center`` vs every block cell."""
+    def classify_move(self, old: Point, new: Point) -> list[tuple[CellId, int, int]]:
+        """All cells affected by a unit move, with both relation codes.
+
+        Returns ``(cell, code_old, code_new)`` for every cell touched by
+        at least one of the two disks, codes being :data:`N_CODE`,
+        :data:`P_CODE` or :data:`F_CODE`, cells in row-major order (i
+        outer, j inner). When the two candidate blocks touch (the common
+        case: location reports are frequent relative to unit speed) both
+        disks are classified over their merged block. Otherwise each disk
+        is classified over its own block only, the other side reading N.
+        The scope matters at block edges: the floor arithmetic of
+        :meth:`block_of` can leave out a cell whose edge the circle meets
+        to within one ulp (a unit at ``x = 1.0`` with ``R`` a multiple of
+        the cell width), which the distance test alone would call P.
+        """
+        ob = self.block_of(old)
+        nb = self.block_of(new)
+        old_live = ob[0] <= ob[1] and ob[2] <= ob[3]
+        new_live = nb[0] <= nb[1] and nb[2] <= nb[3]
+        if (
+            old_live
+            and new_live
+            and ob[0] <= nb[1]
+            and nb[0] <= ob[1]
+            and ob[2] <= nb[3]
+            and nb[2] <= ob[3]
+        ):
+            i_lo, i_hi = min(ob[0], nb[0]), max(ob[1], nb[1])
+            j_lo, j_hi = min(ob[2], nb[2]), max(ob[3], nb[3])
+            g = self.grid
+            x0, w, y0, h = g.space.xmin, g.cell_width, g.space.ymin, g.cell_height
+            rows_old = _squared_extents(j_lo, j_hi, y0, h, old.y)
+            rows_new = _squared_extents(j_lo, j_hi, y0, h, new.y)
+            r2 = self._r2
+            out: list[tuple[CellId, int, int]] = []
+            for i, (xo_near, xo_far), (xn_near, xn_far) in zip(
+                range(i_lo, i_hi + 1),
+                _squared_extents(i_lo, i_hi, x0, w, old.x),
+                _squared_extents(i_lo, i_hi, x0, w, new.x),
+            ):
+                if xo_near > r2 and xn_near > r2:
+                    continue  # the whole column is N on both sides
+                for j, (yo_near, yo_far), (yn_near, yn_far) in zip(
+                    range(j_lo, j_hi + 1), rows_old, rows_new
+                ):
+                    code_old = (
+                        N_CODE
+                        if xo_near + yo_near > r2
+                        else F_CODE
+                        if xo_far + yo_far <= r2
+                        else P_CODE
+                    )
+                    code_new = (
+                        N_CODE
+                        if xn_near + yn_near > r2
+                        else F_CODE
+                        if xn_far + yn_far <= r2
+                        else P_CODE
+                    )
+                    if code_old or code_new:
+                        out.append(((i, j), code_old, code_new))
+            return out
+        out = []
+        if old_live:
+            out += [
+                (cell, code, N_CODE) for cell, code in self._one_disk(ob, old)
+            ]
+        if new_live:
+            out += [
+                (cell, N_CODE, code) for cell, code in self._one_disk(nb, new)
+            ]
+        return out
+
+    def _one_disk(
+        self, block: tuple[int, int, int, int], center: Point
+    ) -> list[tuple[CellId, int]]:
+        """The non-N cells of ``block`` for the disk at ``center``."""
         i_lo, i_hi, j_lo, j_hi = block
         g = self.grid
-        x0 = g.space.xmin + np.arange(i_lo, i_hi + 1) * g.cell_width
-        x1 = x0 + g.cell_width
-        y0 = g.space.ymin + np.arange(j_lo, j_hi + 1) * g.cell_height
-        y1 = y0 + g.cell_height
-        dx_min = np.maximum(np.maximum(x0 - center.x, center.x - x1), 0.0)
-        dy_min = np.maximum(np.maximum(y0 - center.y, center.y - y1), 0.0)
-        dx_max = np.maximum(center.x - x0, x1 - center.x)
-        dy_max = np.maximum(center.y - y0, y1 - center.y)
-        min2 = dx_min[:, None] ** 2 + dy_min[None, :] ** 2
-        max2 = dx_max[:, None] ** 2 + dy_max[None, :] ** 2
-        codes = np.full(min2.shape, _P_CODE, dtype=np.int8)
-        codes[min2 > self._r2] = _N_CODE
-        codes[max2 <= self._r2] = _F_CODE
-        return codes
-
-    def classify_centers(
-        self,
-        cx: np.ndarray,
-        cy: np.ndarray,
-        i_lo: np.ndarray,
-        j_lo: np.ndarray,
-        bi: int,
-        bj: int,
-    ) -> np.ndarray:
-        """Relation codes of many disks against many anchored blocks.
-
-        ``cx``/``cy`` are ``(G, p)`` disk centres — ``p`` waypoints per
-        each of ``G`` moving units — and ``i_lo``/``j_lo`` give each
-        unit's candidate-block anchor. All blocks share the padded shape
-        ``(bi, bj)``; returns int8 codes of shape ``(G, p, bi, bj)``.
-
-        The per-cell arithmetic is element-for-element the same as
-        :meth:`_classify_block` (cell edges derived from the same
-        integer column/row indices, the same min/max squared-distance
-        rules), so for any in-block cell the code is bit-identical to a
-        scalar classification of the same disk. Padding cells beyond a
-        unit's true block may receive non-N codes when they fall outside
-        the grid — callers must mask them out (the burst kernels carry a
-        per-unit validity mask for exactly this).
-        """
-        g = self.grid
-        cols = i_lo[:, None] + np.arange(bi)[None, :]
-        rows = j_lo[:, None] + np.arange(bj)[None, :]
-        x0 = g.space.xmin + cols * g.cell_width
-        x1 = x0 + g.cell_width
-        y0 = g.space.ymin + rows * g.cell_height
-        y1 = y0 + g.cell_height
-        cxe = cx[:, :, None]
-        cye = cy[:, :, None]
-        dx_min = np.maximum(
-            np.maximum(x0[:, None, :] - cxe, cxe - x1[:, None, :]), 0.0
-        )
-        dy_min = np.maximum(
-            np.maximum(y0[:, None, :] - cye, cye - y1[:, None, :]), 0.0
-        )
-        dx_max = np.maximum(cxe - x0[:, None, :], x1[:, None, :] - cxe)
-        dy_max = np.maximum(cye - y0[:, None, :], y1[:, None, :] - cye)
-        min2 = dx_min[:, :, :, None] ** 2 + dy_min[:, :, None, :] ** 2
-        max2 = dx_max[:, :, :, None] ** 2 + dy_max[:, :, None, :] ** 2
-        codes = np.full(min2.shape, _P_CODE, dtype=np.int8)
-        codes[min2 > self._r2] = _N_CODE
-        codes[max2 <= self._r2] = _F_CODE
-        return codes
-
-    def classify_move(
-        self, old: Point, new: Point
-    ) -> list[tuple[CellId, CellRelation, CellRelation]]:
-        """All cells affected by a unit move, with both relations.
-
-        Returns ``(cell, relation_of_old_disk, relation_of_new_disk)``
-        for every cell touched by at least one of the two disks. When
-        the two candidate blocks overlap (the common case — location
-        reports are frequent relative to unit speed) one merged block is
-        classified for both disks at once; disjoint blocks are
-        classified separately, the far side being N by construction.
-        """
-        old_block = self.block_of(old)
-        new_block = self.block_of(new)
-        old_empty = old_block[0] > old_block[1] or old_block[2] > old_block[3]
-        new_empty = new_block[0] > new_block[1] or new_block[2] > new_block[3]
-        if old_empty and new_empty:
-            return []
-        if not old_empty and not new_empty and self._blocks_touch(old_block, new_block):
-            merged = (
-                min(old_block[0], new_block[0]),
-                max(old_block[1], new_block[1]),
-                min(old_block[2], new_block[2]),
-                max(old_block[3], new_block[3]),
-            )
-            return self._emit(merged, old, new)
-        out: list[tuple[CellId, CellRelation, CellRelation]] = []
-        if not old_empty:
-            out.extend(self._emit_one_sided(old_block, old, old_side=True))
-        if not new_empty:
-            out.extend(self._emit_one_sided(new_block, new, old_side=False))
-        return out
-
-    @staticmethod
-    def _blocks_touch(a: tuple[int, int, int, int], b: tuple[int, int, int, int]) -> bool:
-        return a[0] <= b[1] and b[0] <= a[1] and a[2] <= b[3] and b[2] <= a[3]
-
-    def _emit(
-        self, block: tuple[int, int, int, int], old: Point, new: Point
-    ) -> list[tuple[CellId, CellRelation, CellRelation]]:
-        codes_old = self._classify_block(old, block)
-        codes_new = self._classify_block(new, block)
-        touched = (codes_old != _N_CODE) | (codes_new != _N_CODE)
-        i_lo, _, j_lo, _ = block
-        return [
-            (
-                (i_lo + int(a), j_lo + int(b)),
-                _RELATION_OF_CODE[int(codes_old[a, b])],
-                _RELATION_OF_CODE[int(codes_new[a, b])],
-            )
-            for a, b in np.argwhere(touched)
-        ]
-
-    def _emit_one_sided(
-        self, block: tuple[int, int, int, int], center: Point, old_side: bool
-    ) -> list[tuple[CellId, CellRelation, CellRelation]]:
-        codes = self._classify_block(center, block)
-        i_lo, _, j_lo, _ = block
-        n = CellRelation.NO_INTERSECT
+        rows = _squared_extents(j_lo, j_hi, g.space.ymin, g.cell_height, center.y)
+        r2 = self._r2
         out = []
-        for a, b in np.argwhere(codes != _N_CODE):
-            rel = _RELATION_OF_CODE[int(codes[a, b])]
-            cell = (i_lo + int(a), j_lo + int(b))
-            out.append((cell, rel, n) if old_side else (cell, n, rel))
+        for i, (x_near, x_far) in zip(
+            range(i_lo, i_hi + 1),
+            _squared_extents(i_lo, i_hi, g.space.xmin, g.cell_width, center.x),
+        ):
+            for j, (y_near, y_far) in zip(range(j_lo, j_hi + 1), rows):
+                if x_near + y_near <= r2:
+                    out.append(((i, j), F_CODE if x_far + y_far <= r2 else P_CODE))
         return out
+
+
+def _squared_extents(
+    lo: int, hi: int, origin: float, width: float, c: float
+) -> list[tuple[float, float]]:
+    """Per cell ``lo..hi`` of one axis, the squared minimum and maximum
+    distance from coordinate ``c`` to the cell's closed extent
+    ``[origin + i * width, origin + i * width + width]``."""
+    out = []
+    for i in range(lo, hi + 1):
+        e0 = origin + i * width
+        e1 = e0 + width
+        # max(max(e0 - c, c - e1), 0.0) and max(c - e0, e1 - c), spelled
+        # as branches (builtin max() calls cost more than the work).
+        near = e0 - c if c < e0 else c - e1 if c > e1 else 0.0
+        lo_gap = c - e0
+        hi_gap = e1 - c
+        far = lo_gap if lo_gap > hi_gap else hi_gap
+        out.append((near * near, far * far))
+    return out

@@ -1,7 +1,8 @@
 """RPL009 — the burst kernels must stay vectorised.
 
-:mod:`repro.core.kernels` exists to replace per-move scalar maintenance
-with whole-burst numpy passes; a per-element python loop creeping back
+:mod:`repro.core.kernels` batches the telescoping part of a burst's
+maintain phase (unit positions, the maintained-table endpoint scan)
+into whole-burst numpy passes; a per-element python loop creeping back
 in silently undoes the optimisation while every test keeps passing
 (results are bit-identical either way — only the wall time regresses).
 This rule flags ``for``/``while`` statements inside the kernels module
@@ -17,9 +18,12 @@ Deliberately *not* flagged:
   dispatch and per-cell dict application have no vectorisable
   equivalent.
 
-Irreducibly scalar tails (the stateful DecHash fold, dict-backed
-cell-state application) carry ``# reprolint: disable=RPL009`` with a
-reason, which doubles as documentation of *why* that loop survives.
+The per-step Table I/II replay is scalar by design (numpy's per-call
+cost outweighs the work on the few cells one step touches) and lives
+outside the module, in :func:`repro.core.batch.replay_chain_steps`. A
+loop that must stay inside the module carries
+``# reprolint: disable=RPL009`` with a reason, which doubles as
+documentation of *why* that loop survives.
 """
 
 from __future__ import annotations

@@ -5,7 +5,9 @@ by checking ``monitor.obs`` **once** per pass and delegating to the
 uninstrumented private kernel. A ``repro.obs`` import at runtime, or a
 span/metric call inside a per-element loop, quietly converts the O(1)
 boundary cost into O(moves) — every test keeps passing while the hot
-path regresses. This rule polices :mod:`repro.core.kernels`:
+path regresses. This rule polices :mod:`repro.core.kernels` and
+:mod:`repro.core.batch`, which holds the kernels' per-step Table I/II
+loop (``replay_chain_steps``):
 
 * runtime ``import repro.obs`` / ``from repro.obs import ...`` is
   flagged (``if TYPE_CHECKING:`` blocks are exempt — annotations are
@@ -24,7 +26,7 @@ from typing import Iterator
 from repro.lint.engine import ProjectIndex, SourceFile
 from repro.lint.registry import Violation, rule
 
-SCOPES = ("repro.core.kernels",)
+SCOPES = ("repro.core.kernels", "repro.core.batch")
 
 _OBS_METHODS = frozenset(
     {
@@ -46,8 +48,8 @@ _OBS_ROOTS = frozenset({"obs", "tracer", "registry"})
     "RPL010",
     "obs-pass-boundary",
     "no runtime repro.obs imports and no span/metric calls inside loop "
-    "bodies in repro.core.kernels — observability wraps whole passes, "
-    "never per-element work",
+    "bodies in repro.core.kernels and repro.core.batch — observability "
+    "wraps whole passes, never per-element work",
 )
 def check(source: SourceFile, project: ProjectIndex) -> Iterator[Violation]:
     if not source.in_packages(*SCOPES):

@@ -1,11 +1,13 @@
 """Unit + property tests for the uniform grid partition."""
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.geometry import Circle, Point, Rect
 from repro.grid import GridPartition
+from repro.grid.partition import F_CODE, N_CODE, P_CODE
 
 unit = st.floats(0.0, 1.0, allow_nan=False)
 
@@ -144,3 +146,140 @@ class TestOverlapQueries:
         for cell in grid.all_cells():
             if circle.intersects_rect(grid.cell_rect(cell)):
                 assert cell in returned
+
+
+# -- the candidate-cell stencil -------------------------------------------
+
+
+def reference_classify_move(stencil, old, new):
+    """A numpy broadcast classification with the same scope rule as
+    ``CircleStencil.classify_move``: both disks over the merged block
+    when the two candidate blocks touch, otherwise each disk over its
+    own block with the other side N. Cells come in row-major order."""
+    grid = stencil.grid
+    r2 = stencil.radius * stencil.radius
+
+    def classify_block(center, block):
+        i_lo, i_hi, j_lo, j_hi = block
+        x0 = grid.space.xmin + np.arange(i_lo, i_hi + 1) * grid.cell_width
+        x1 = x0 + grid.cell_width
+        y0 = grid.space.ymin + np.arange(j_lo, j_hi + 1) * grid.cell_height
+        y1 = y0 + grid.cell_height
+        dx_min = np.maximum(np.maximum(x0 - center.x, center.x - x1), 0.0)
+        dy_min = np.maximum(np.maximum(y0 - center.y, center.y - y1), 0.0)
+        dx_max = np.maximum(center.x - x0, x1 - center.x)
+        dy_max = np.maximum(center.y - y0, y1 - center.y)
+        min2 = dx_min[:, None] ** 2 + dy_min[None, :] ** 2
+        max2 = dx_max[:, None] ** 2 + dy_max[None, :] ** 2
+        codes = np.full(min2.shape, P_CODE, dtype=np.int8)
+        codes[min2 > r2] = N_CODE
+        codes[max2 <= r2] = F_CODE
+        return codes
+
+    def cells(block, codes_old, codes_new):
+        touched = (codes_old != N_CODE) | (codes_new != N_CODE)
+        return [
+            (
+                (block[0] + int(a), block[2] + int(b)),
+                int(codes_old[a, b]),
+                int(codes_new[a, b]),
+            )
+            for a, b in np.argwhere(touched)
+        ]
+
+    ob, nb = stencil.block_of(old), stencil.block_of(new)
+    old_live = ob[0] <= ob[1] and ob[2] <= ob[3]
+    new_live = nb[0] <= nb[1] and nb[2] <= nb[3]
+    touch = (
+        ob[0] <= nb[1] and nb[0] <= ob[1] and ob[2] <= nb[3] and nb[2] <= ob[3]
+    )
+    if old_live and new_live and touch:
+        block = (
+            min(ob[0], nb[0]),
+            max(ob[1], nb[1]),
+            min(ob[2], nb[2]),
+            max(ob[3], nb[3]),
+        )
+        return cells(block, classify_block(old, block), classify_block(new, block))
+    out = []
+    if old_live:
+        codes = classify_block(old, ob)
+        out += cells(ob, codes, np.zeros_like(codes))
+    if new_live:
+        codes = classify_block(new, nb)
+        out += cells(nb, np.zeros_like(codes), codes)
+    return out
+
+
+wide = st.floats(-0.5, 1.5, allow_nan=False)
+
+
+class TestCircleStencil:
+    """``classify_move`` computes in plain floats; it must agree exactly
+    with the numpy broadcast of the same IEEE operations."""
+
+    @given(
+        wide,
+        wide,
+        wide,
+        wide,
+        st.sampled_from([(10, 0.1), (10, 0.05), (10, 0.17), (7, 0.1)]),
+    )
+    def test_matches_numpy_reference(self, ox, oy, nx, ny, setup):
+        granularity, radius = setup
+        stencil = GridPartition.unit_square(granularity).stencil(radius)
+        old, new = Point(ox, oy), Point(nx, ny)
+        assert stencil.classify_move(old, new) == reference_classify_move(
+            stencil, old, new
+        )
+
+    @given(wide, wide, st.floats(-0.03, 0.03), st.floats(-0.03, 0.03))
+    def test_short_moves_match_numpy_reference(self, ox, oy, dx, dy):
+        # the common case: a short hop, so the two blocks touch.
+        stencil = GridPartition.unit_square(10).stencil(0.1)
+        old, new = Point(ox, oy), Point(ox + dx, oy + dy)
+        assert stencil.classify_move(old, new) == reference_classify_move(
+            stencil, old, new
+        )
+
+    @pytest.mark.parametrize(
+        "old,new,expect_cells",
+        [
+            # x = 1.0 with R equal to the cell width: the block's floor
+            # arithmetic decides the scope at the space edge.
+            (Point(1.0, 0.55), Point(1.0, 0.58), True),
+            (Point(0.9, 0.5), Point(1.0, 0.5), True),
+            # disjoint blocks: each disk over its own block only.
+            (Point(0.15, 0.15), Point(0.85, 0.85), True),
+            # one block off the grid.
+            (Point(1.4, 0.5), Point(0.95, 0.5), True),
+            (Point(0.05, 0.05), Point(-0.4, 0.5), True),
+            # both blocks off the grid.
+            (Point(1.4, 1.4), Point(-0.4, -0.4), False),
+        ],
+    )
+    def test_pinned_moves(self, old, new, expect_cells):
+        stencil = GridPartition.unit_square(10).stencil(0.1)
+        got = stencil.classify_move(old, new)
+        assert got == reference_classify_move(stencil, old, new)
+        assert bool(got) == expect_cells
+        for _cell, code_old, code_new in got:
+            assert {code_old, code_new} <= {N_CODE, P_CODE, F_CODE}
+            assert (code_old, code_new) != (N_CODE, N_CODE)
+
+    def test_closed_disk_boundaries(self):
+        # 3-4-5 geometry, exact in binary: cell (0, 0) is [0, 3] x [0, 4],
+        # so from the origin its far corner lies exactly on a radius-5
+        # circle (F: the disk is closed), and cell (1, 1) touches the
+        # circle at its near corner (3, 4) only (P, not N).
+        grid = GridPartition(Rect(0.0, 0.0, 6.0, 8.0), 2, 2)
+        stencil = grid.stencil(5.0)
+        origin = Point(0.0, 0.0)
+        expected = [
+            ((0, 0), F_CODE, F_CODE),
+            ((0, 1), P_CODE, P_CODE),
+            ((1, 0), P_CODE, P_CODE),
+            ((1, 1), P_CODE, P_CODE),
+        ]
+        assert stencil.classify_move(origin, origin) == expected
+        assert reference_classify_move(stencil, origin, origin) == expected

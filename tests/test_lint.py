@@ -613,6 +613,20 @@ class TestObsPassBoundary:
         )
         assert codes_of(run_rules([fixture], "RPL010")) == []
 
+    def test_batch_step_loop_is_in_scope(self):
+        # repro.core.batch holds the kernels' per-step Table I/II loop:
+        # a span per chain step is flagged there as in the kernels.
+        fixture = src(
+            """
+            def replay_chain_steps(monitor, moves, olds):
+                for move, previous in zip(moves, olds):
+                    with monitor.obs.tracer.span("kernel.step"):
+                        handle(move, previous)
+            """,
+            module="repro.core.batch",
+        )
+        assert codes_of(run_rules([fixture], "RPL010")) == ["RPL010"]
+
     def test_other_modules_are_out_of_scope(self):
         fixture = src(
             """

@@ -216,7 +216,9 @@ class TestCrashRecovery:
 # -- validation before journaling ---------------------------------------
 
 #: malformed updates that, once journaled, used to fail every later
-#: resume of the directory (KeyError / "cannot convert float NaN").
+#: resume of the directory (KeyError / "cannot convert float NaN" /
+#: "carries old location ... but the server tracks ..."). Each maps the
+#: good update at stream position 21 to the bad one fed in its place.
 BAD_UPDATES = {
     "unknown-unit": lambda u: LocationUpdate(
         99999, u.old_location, u.new_location, u.timestamp
@@ -224,6 +226,15 @@ BAD_UPDATES = {
     "nan": lambda u: dataclasses.replace(
         u, new_location=Point(math.nan, u.new_location.y)
     ),
+    # an old_location the unit never had.
+    "stale-old": lambda u: dataclasses.replace(
+        u, old_location=Point(u.old_location.x + 0.01, u.old_location.y)
+    ),
+    # a duplicate delivery of position 20 (unit 6, which has no other
+    # update in 16..20). In batch mode position 20 is still buffered, so
+    # the old location matches the tracked position and only the pending
+    # buffer shows that the unit has already moved on.
+    "replayed": lambda u: STREAM.updates[20],
 }
 
 
@@ -252,7 +263,15 @@ class TestUpdateRejected:
             session.feed(BAD_UPDATES[kind](STREAM.updates[21]))
         assert isinstance(rejected.value, ValueError)
         assert (session.journal.last_seq, session.pending_updates) == before
-        for update in STREAM.updates[21:30]:
+        for update in STREAM.updates[21:24]:
+            session.feed(update)
+        # 24 is a batch boundary: the live session, buffered good
+        # updates included, matches a run that never saw the bad one.
+        assert session.pending_updates == 0
+        assert state_fingerprint(session.monitor, session) == run_straight(
+            "opt", 0, total=24, batch_size=batch_size
+        )
+        for update in STREAM.updates[24:30]:
             session.feed(update)
         session.journal.close()  # the crash: no flush, no close-snapshot
         resumed = session_for(DurabilitySpec(tmp_path, resume=True))
