@@ -151,8 +151,7 @@ class BasicCTUP(CTUPMonitor):
             linear = self.grid.linear(cell)
             if linear in top_cells:
                 continue
-            rows = self.maintained.rows_of_cell(linear)
-            min_removed = self.maintained.remove_rows(rows.tolist())
+            min_removed = self.maintained.remove_cell(linear)
             state.illuminated = False
             # the discard happens with exact knowledge: the tightest
             # sound bound is the cell's current minimum safety.
@@ -167,7 +166,12 @@ class BasicCTUP(CTUPMonitor):
             arrays.xs, arrays.ys, self.grid.cell_rect(cell)
         )
         safeties = ap - arrays.required
-        self.maintained.insert_batch(places, safeties, self.grid.linear(cell))
+        self.maintained.insert_batch(
+            places,
+            safeties,
+            self.grid.linear(cell),
+            (arrays.ids, arrays.xs, arrays.ys),
+        )
         state.illuminated = True
         state.access_count += 1
         self.counters.cells_accessed += 1
@@ -250,6 +254,9 @@ class BasicCTUP(CTUPMonitor):
 
     def sk(self) -> float:
         return self.maintained.sk(self.config.k)
+
+    def topk_ids(self) -> list[int]:
+        return self.maintained.topk_ids(self.config.k)
 
     # -- checkpointing ----------------------------------------------------
 

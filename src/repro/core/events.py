@@ -80,17 +80,19 @@ class ChangeTracker:
 
         For callers that drive the monitor themselves (the simulation
         shell, batch processors) and only want the change detection.
+        SK and the result ids are compared first; the records are only
+        built when one of them moved.
         """
-        current = {r.place_id: r for r in self.monitor.top_k()}
         sk = self.monitor.sk()
+        if sk == self._last_sk and self._last.keys() == set(self.monitor.topk_ids()):
+            return None
+        current = {r.place_id: r for r in self.monitor.top_k()}
         entered = tuple(
             current[pid] for pid in sorted(current.keys() - self._last.keys())
         )
         left = tuple(
             self._last[pid] for pid in sorted(self._last.keys() - current.keys())
         )
-        if not entered and not left and sk == self._last_sk:
-            return None
         change = TopKChange(
             timestamp=timestamp,
             entered=entered,

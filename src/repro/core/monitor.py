@@ -524,5 +524,9 @@ class CTUPMonitor(abc.ABC):
             raise RuntimeError(f"{self.name}: initialize() may run only once")
 
     def topk_ids(self) -> list[int]:
-        """Place ids of the current result (convenience for tests)."""
+        """Place ids of ``top_k()``, in order (what change tracking diffs).
+
+        Schemes that can answer without building the records override
+        this; the override must agree with ``top_k()``.
+        """
         return [record.place_id for record in self.top_k()]

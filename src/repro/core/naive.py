@@ -106,6 +106,10 @@ class NaiveCTUP(CTUPMonitor):
             for row in rows.tolist()
         ]
 
+    def topk_ids(self) -> list[int]:
+        # from the in-memory columns: no storage read for the records.
+        return self._ids[topk_rows(self._ids, self._safety, self.config.k)].tolist()
+
     def _place_at(self, row: int) -> Place:
         """Fetch the :class:`Place` record behind a result row.
 

@@ -44,6 +44,7 @@ from repro.grid.cellstate import (
 )
 from repro.grid.partition import CellId
 from repro.model import CoalescedMove, LocationUpdate, Place, SafetyRecord, Unit
+from repro.storage.placestore import CellArrays
 
 
 class OptCTUP(CTUPMonitor):
@@ -98,7 +99,7 @@ class OptCTUP(CTUPMonitor):
         # Step 2: access cells in increasing bound order, keeping their
         # places *temporarily* (scratch arrays, not the maintained
         # table), until SK covers the rest.
-        accessed: list[tuple[CellId, list[Place], np.ndarray]] = []
+        accessed: list[tuple[CellId, list[Place], CellArrays, np.ndarray]] = []
         scratch: list[np.ndarray] = []
         sk = self._running_sk(scratch)
         by_bound = sorted(
@@ -112,7 +113,7 @@ class OptCTUP(CTUPMonitor):
                 arrays.xs, arrays.ys, self.grid.cell_rect(cell)
             )
             safeties = (ap - arrays.required).astype(np.float64)
-            accessed.append((cell, places, safeties))
+            accessed.append((cell, places, arrays, safeties))
             scratch.append(safeties)
             sk = self._running_sk(scratch)
             self.counters.cells_accessed += 1
@@ -120,11 +121,11 @@ class OptCTUP(CTUPMonitor):
             self.counters.distance_rows += len(places) * compared
         # Step 3: keep only the Δ band (MaintainedPlaces.insert_band);
         # the dropped minima become the bounds.
-        for cell, places, safeties in accessed:
+        for cell, places, arrays, safeties in accessed:
             state = self.cell_states[cell]
             state.access_count += 1
             state.lower_bound = self.maintained.insert_band(
-                places, safeties, self.grid.linear(cell), sk, self.delta
+                places, arrays, safeties, self.grid.linear(cell), sk, self.delta
             )
         # Step 4 of the paper: DecHash starts empty.
         self.dechash.clear()
@@ -227,7 +228,7 @@ class OptCTUP(CTUPMonitor):
         """
         state = self.cell_states[cell]
         linear = self.grid.linear(cell)
-        self.maintained.remove_rows(self.maintained.rows_of_cell(linear).tolist())
+        self.maintained.remove_cell(linear)
         places, arrays = self.store.read_cell_with_arrays(cell)
         ap, compared = self.units.ap_counts_near(
             arrays.xs, arrays.ys, self.grid.cell_rect(cell)
@@ -235,7 +236,7 @@ class OptCTUP(CTUPMonitor):
         safeties = ap - arrays.required
         sk = self._running_sk([self.maintained.safeties(), safeties])
         state.lower_bound = self.maintained.insert_band(
-            places, safeties, linear, sk, self.delta
+            places, arrays, safeties, linear, sk, self.delta
         )
         self.dechash.clear_cell(cell)
         state.access_count += 1
@@ -320,6 +321,9 @@ class OptCTUP(CTUPMonitor):
 
     def sk(self) -> float:
         return self.maintained.sk(self.config.k)
+
+    def topk_ids(self) -> list[int]:
+        return self.maintained.topk_ids(self.config.k)
 
     # -- checkpointing ----------------------------------------------------
 

@@ -15,13 +15,13 @@ stay dense.
 from __future__ import annotations
 
 import math
-from itertools import compress
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence, cast
 
 import numpy as np
 
 from repro.geometry import Point
 from repro.model import Place, SafetyRecord
+from repro.storage.placestore import CellArrays
 
 if TYPE_CHECKING:
     from repro.grid.partition import GridPartition
@@ -86,7 +86,13 @@ def topk_rows(ids: np.ndarray, safety: np.ndarray, k: int) -> np.ndarray:
 
 
 class MaintainedPlaces:
-    """A dynamic table of (place, safety, owning cell) rows."""
+    """A dynamic table of (place, safety, owning cell) rows.
+
+    Every mutator bumps ``_version``; :meth:`sk` and the top-k rows are
+    memoised per ``(version, k)``, so the reads between two mutations
+    (a refresh's last round, ``process()``'s report, change tracking)
+    share one computation.
+    """
 
     def __init__(self) -> None:
         self._n = 0
@@ -98,6 +104,9 @@ class MaintainedPlaces:
         self._cell = np.empty(cap, dtype=np.int64)
         self._row_of: dict[int, int] = {}
         self._place_at: list[Place | None] = [None] * cap
+        self._version = 0
+        self._sk_memo: tuple[int, int, float] = (-1, 0, math.inf)
+        self._rows_memo: tuple[int, int, np.ndarray] = (-1, 0, self._ids[:0])
 
     def __len__(self) -> int:
         return self._n
@@ -136,41 +145,51 @@ class MaintainedPlaces:
         self._place_at[row] = place
         self._row_of[place.place_id] = row
         self._n += 1
+        self._version += 1
 
     def insert_batch(
         self,
         places: Sequence[Place],
         safeties: np.ndarray | Sequence[float],
         cell: int | np.ndarray | Sequence[int],
+        columns: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
     ) -> None:
         """Append ``places`` with their safeties in one vectorised pass.
 
-        ``cell`` is one owning cell for every row, or one per row. Equals
-        :meth:`insert` row by row, except that a bad batch (a length
-        mismatch, or an id repeated or already maintained) raises
-        ``ValueError`` before anything is written.
+        ``cell`` is one owning cell for every row, or one per row.
+        ``columns`` are the places' ``(ids, xs, ys)`` arrays when the
+        caller holds them (a cell's ``CellArrays``); otherwise they are
+        read off the places. Equals :meth:`insert` row by row, except
+        that a bad batch (a length mismatch, or an id repeated or
+        already maintained) raises ``ValueError`` before anything is
+        written.
         """
         start, m = self._n, len(places)
         if len(safeties) != m or (np.ndim(cell) and np.size(cell) != m):
             raise ValueError("places, safeties and cells length mismatch")
-        ids = [place.place_id for place in places]
+        if columns is None:
+            arrays = CellArrays(places)
+            columns = (arrays.ids, arrays.xs, arrays.ys)
+        ids, xs, ys = columns
         end = start + m
-        index = dict(zip(ids, range(start, end)))
+        index = dict(zip(ids.tolist(), range(start, end)))
         if len(index) != m or not self._row_of.keys().isdisjoint(index):
             raise ValueError("batch repeats a place id or one already maintained")
         self._ensure_capacity(end)
         self._ids[start:end] = ids
-        self._xs[start:end] = [place.location.x for place in places]
-        self._ys[start:end] = [place.location.y for place in places]
+        self._xs[start:end] = xs
+        self._ys[start:end] = ys
         self._safety[start:end] = safeties
         self._cell[start:end] = cell
         self._place_at[start:end] = places
         self._row_of.update(index)
         self._n = end
+        self._version += 1
 
     def insert_band(
         self,
         places: Sequence[Place],
+        arrays: CellArrays,
         safeties: np.ndarray,
         cell: int,
         sk: float,
@@ -178,18 +197,30 @@ class MaintainedPlaces:
     ) -> float:
         """Append the accessed cell's places below ``SK + Δ``; bound the rest.
 
-        The Δ-band rule of a cell access (§IV-E step 3); returns the
-        minimum safety of the places not kept (``+inf`` if none), the
-        cell's new bound. Places with ``safety <= SK`` are always kept
-        even when Δ is 0: dropping a place tied at SK would evict part
-        of the top-k result and make the access loop oscillate. For any
-        Δ >= 1 (safeties are integers in the core model) this coincides
-        with the paper's rule.
+        The Δ-band rule of a cell access (§IV-E step 3); ``arrays`` is
+        the cell's columnar view, row-aligned with ``places`` and
+        ``safeties``. Returns the minimum safety of the places not kept
+        (``+inf`` if none), the cell's new bound. Places with
+        ``safety <= SK`` are always kept even when Δ is 0: dropping a
+        place tied at SK would evict part of the top-k result and make
+        the access loop oscillate. For any Δ >= 1 (safeties are integers
+        in the core model) this coincides with the paper's rule.
         """
-        keep = (safeties < sk + delta) | (safeties <= sk)
-        self.insert_batch(list(compress(places, keep.tolist())), safeties[keep], cell)
-        dropped = safeties[~keep]
-        return float(dropped.min()) if len(dropped) else math.inf
+        # ``safeties < SK + Δ or safeties <= SK`` in one compare: when
+        # SK + Δ > SK the second test implies the first, otherwise the
+        # first implies the second.
+        cut = sk + delta
+        keep = safeties < cut if cut > sk else safeties <= sk
+        take = np.flatnonzero(keep)
+        self.insert_batch(
+            [places[i] for i in take.tolist()],
+            safeties.take(take),
+            cell,
+            (arrays.ids.take(take), arrays.xs.take(take), arrays.ys.take(take)),
+        )
+        if len(take) == len(safeties):
+            return math.inf
+        return float(safeties[~keep].min())
 
     # -- removal --------------------------------------------------------
 
@@ -199,22 +230,9 @@ class MaintainedPlaces:
             raise IndexError(f"row {row} out of range")
         place = self._place_at[row]
         assert place is not None
-        safety = float(self._safety[row])
-        last = self._n - 1
-        if row != last:
-            self._ids[row] = self._ids[last]
-            self._xs[row] = self._xs[last]
-            self._ys[row] = self._ys[last]
-            self._safety[row] = self._safety[last]
-            self._cell[row] = self._cell[last]
-            moved = self._place_at[last]
-            self._place_at[row] = moved
-            assert moved is not None
-            self._row_of[moved.place_id] = row
-        self._place_at[last] = None
-        del self._row_of[place.place_id]
-        self._n = last
-        return place, safety
+        hit = np.zeros(self._n, dtype=bool)
+        hit[row] = True
+        return place, self._drop(hit)
 
     def remove_id(self, place_id: int) -> tuple[Place, float]:
         """Remove a place by id."""
@@ -224,53 +242,49 @@ class MaintainedPlaces:
         """Remove several rows; returns the minimum removed safety.
 
         Returns ``+inf`` when nothing is removed — exactly the value the
-        monitors assign as a cell bound when no place was dropped. Small
-        batches use swap-removal; large batches compact the whole table
-        in one vectorised pass.
+        monitors assign as a cell bound when no place was dropped.
+        Repeated rows are removed once.
         """
-        ordered = sorted({int(r) for r in rows})
-        if not ordered:
+        index = np.fromiter(rows, dtype=np.int64)
+        if len(index) == 0:
             return math.inf
-        index = np.array(ordered, dtype=np.int64)
-        if index[0] < 0 or index[-1] >= self._n:
+        if index.min() < 0 or index.max() >= self._n:
             raise IndexError("row out of range")
-        min_removed = float(self._safety[index].min())
-        # swap-removal costs O(removed); compaction costs O(table)
-        # (it rebuilds the id->row dict). Compact only when a large
-        # share of the table goes away.
-        if len(ordered) * 8 < self._n:
-            for row in reversed(ordered):
-                self.remove_row(row)
-        else:
-            keep = np.ones(self._n, dtype=bool)
-            keep[index] = False
-            self._compact(keep)
-        return min_removed
-
-    def _compact(self, keep: np.ndarray) -> None:
-        """Keep only the rows where ``keep`` is True (bulk removal)."""
-        n = self._n
-        kept = np.nonzero(keep)[0]
-        m = len(kept)
-        self._ids[:m] = self._ids[kept]
-        self._xs[:m] = self._xs[kept]
-        self._ys[:m] = self._ys[kept]
-        self._safety[:m] = self._safety[kept]
-        self._cell[:m] = self._cell[kept]
-        kept_places = [self._place_at[int(i)] for i in kept]
-        self._place_at[:m] = kept_places
-        for row in range(m, n):
-            self._place_at[row] = None
-        self._row_of = {
-            place.place_id: row
-            for row, place in enumerate(kept_places)
-            if place is not None
-        }
-        self._n = m
+        hit = np.zeros(self._n, dtype=bool)
+        hit[index] = True
+        return self._drop(hit)
 
     def remove_cell(self, cell: int) -> float:
         """Drop every place owned by ``cell``; min removed safety."""
-        return self.remove_rows(self.rows_of_cell(cell).tolist())
+        return self._drop(self._cell[: self._n] == cell)
+
+    def _drop(self, hit: np.ndarray) -> float:
+        """Swap-remove the rows where ``hit`` is set; min removed safety.
+
+        The kept rows past the new end move into the removed rows below
+        it, so the arrays stay dense and the Python work is O(removed).
+        """
+        rows = np.flatnonzero(hit)
+        if len(rows) == 0:
+            return math.inf
+        n = self._n
+        end = n - len(rows)
+        holes = rows[rows < end]
+        movers = end + np.flatnonzero(~hit[end:])
+        min_removed = float(self._safety[rows].min())
+        row_of = self._row_of
+        for place_id in self._ids[rows].tolist():
+            del row_of[place_id]
+        for column in (self._ids, self._xs, self._ys, self._safety, self._cell):
+            column[holes] = column[movers]
+        place_at = self._place_at
+        for hole, mover in zip(holes.tolist(), movers.tolist()):
+            place_at[hole] = place_at[mover]
+        row_of.update(zip(self._ids[holes].tolist(), holes.tolist()))
+        place_at[end:n] = [None] * len(rows)
+        self._n = end
+        self._version += 1
+        return min_removed
 
     # -- queries --------------------------------------------------------
 
@@ -292,6 +306,7 @@ class MaintainedPlaces:
 
     def set_safety(self, place_id: int, safety: float) -> None:
         self._safety[self._row_of[place_id]] = safety
+        self._version += 1
 
     def export_rows(self) -> list[list[float]]:
         """JSON-codable ``[place_id, safety, cell]`` rows in table order.
@@ -325,25 +340,33 @@ class MaintainedPlaces:
         as top-k, so the threshold is unbounded. ``k <= 0`` yields
         ``-inf`` (see :func:`kth_smallest`).
         """
-        if k <= 0:
-            return -math.inf
-        if self._n < k:
-            return math.inf
-        return float(np.partition(self._safety[: self._n], k - 1)[k - 1])
+        version, memo_k, value = self._sk_memo
+        if version != self._version or memo_k != k:
+            value = kth_smallest(self._safety[: self._n], k)
+            self._sk_memo = (self._version, k, value)
+        return value
+
+    def _top_rows(self, k: int) -> np.ndarray:
+        """:func:`topk_rows` of the live table, memoised per version."""
+        version, memo_k, rows = self._rows_memo
+        if version != self._version or memo_k != k:
+            n = self._n
+            rows = topk_rows(self._ids[:n], self._safety[:n], k)
+            self._rows_memo = (self._version, k, rows)
+        return rows
 
     def top_k(self, k: int) -> list[SafetyRecord]:
         """The k least safe maintained places, ties broken by place id."""
-        n = self._n
-        if n == 0:
-            return []
-        safety = self._safety[:n]
-        cut = topk_rows(self._ids[:n], safety, k)
-        out = []
-        for row in cut.tolist():
-            place = self._place_at[row]
-            assert place is not None
-            out.append(SafetyRecord(place, float(safety[row])))
-        return out
+        place_at = self._place_at
+        safety = self._safety
+        return [
+            SafetyRecord(cast(Place, place_at[row]), float(safety[row]))
+            for row in self._top_rows(k).tolist()
+        ]
+
+    def topk_ids(self, k: int) -> list[int]:
+        """Place ids of :meth:`top_k`, in the same order."""
+        return self._ids[self._top_rows(k)].tolist()
 
     def min_safety(self) -> float:
         if self._n == 0:
@@ -372,6 +395,7 @@ class MaintainedPlaces:
         dyn = ys - new.y
         now = dxn * dxn + dyn * dyn <= r2
         self._safety[:n] += now.astype(np.float64) - was.astype(np.float64)
+        self._version += 1
         return n
 
     def apply_unit_moves(
@@ -407,6 +431,7 @@ class MaintainedPlaces:
         self._safety[:n] += (
             now.sum(axis=1, dtype=np.int64) - was.sum(axis=1, dtype=np.int64)
         ).astype(np.float64)
+        self._version += 1
         return n
 
     def restore_rows(
@@ -455,4 +480,5 @@ class MaintainedPlaces:
         d_old = np.hypot(xs - old.x, ys - old.y)
         d_new = np.hypot(xs - new.x, ys - new.y)
         self._safety[:n] += weight_of_distance(d_new) - weight_of_distance(d_old)
+        self._version += 1
         return n

@@ -172,31 +172,37 @@ class UnitIndex:
             and len(self._xs) >= self.grid_min_fleet
         )
 
-    def apply(self, update: LocationUpdate) -> Point:
-        """Record a location update; returns the *tracked* old location.
+    def _tracked(self, update: LocationUpdate) -> Unit:
+        """The unit ``update`` moves, once its ``old_location`` is checked.
 
-        The tracked location is authoritative: if the stream's
-        ``old_location`` disagrees with it the server state would be
-        inconsistent, so a mismatch raises.
+        The tracked location is authoritative: an unknown unit raises
+        ``KeyError`` and a stale ``old_location`` raises ``ValueError``,
+        since applying either would make the server state inconsistent.
         """
         unit = self._units.get(update.unit_id)
         if unit is None:
             raise KeyError(f"unknown unit {update.unit_id}")
-        old = unit.location
-        if old.squared_distance_to(update.old_location) > LOCATION_TOLERANCE2:
+        if unit.location.squared_distance_to(update.old_location) > LOCATION_TOLERANCE2:
             raise ValueError(
                 f"update for unit {update.unit_id} carries old location "
-                f"{update.old_location} but the server tracks {old}"
+                f"{update.old_location} but the server tracks {unit.location}"
             )
-        unit.location = update.new_location
-        row = self._row_of[update.unit_id]
-        self._xs[row] = update.new_location.x
-        self._ys[row] = update.new_location.y
+        return unit
+
+    def _move_to(self, unit: Unit, new: Point) -> Point:
+        """Write ``unit``'s new position everywhere; returns the old one."""
+        old = unit.location
+        unit.location = new
+        row = self._row_of[unit.unit_id]
+        self._xs[row] = new.x
+        self._ys[row] = new.y
         if self._grid_index is not None:
-            self._grid_index.move(
-                row, old.x, old.y, update.new_location.x, update.new_location.y
-            )
+            self._grid_index.move(row, old.x, old.y, new.x, new.y)
         return old
+
+    def apply(self, update: LocationUpdate) -> Point:
+        """Record a location update; returns the *tracked* old location."""
+        return self._move_to(self._tracked(update), update.new_location)
 
     def apply_chain(self, raws: Sequence[LocationUpdate]) -> Point:
         """Record one unit's coalesced move chain; returns the tracked old.
@@ -210,23 +216,7 @@ class UnitIndex:
         applying each update in turn — position tracking only ever reads
         the latest report.
         """
-        first = raws[0]
-        unit = self._units.get(first.unit_id)
-        if unit is None:
-            raise KeyError(f"unknown unit {first.unit_id}")
-        old = unit.location
-        if old.squared_distance_to(first.old_location) > LOCATION_TOLERANCE2:
-            raise ValueError(
-                f"update for unit {first.unit_id} carries old location "
-                f"{first.old_location} but the server tracks {old}"
-            )
-        last = raws[-1].new_location
-        unit.location = last
-        row = self._row_of[first.unit_id]
-        self._xs[row] = last.x
-        self._ys[row] = last.y
-        if self._grid_index is not None:
-            self._grid_index.move(row, old.x, old.y, last.x, last.y)
+        old = self._move_to(self._tracked(raws[0]), raws[-1].new_location)
         self.stats.coalesced_updates += len(raws) - 1
         return old
 
@@ -244,16 +234,7 @@ class UnitIndex:
         rows = np.empty(len(moves), dtype=np.int64)
         for pos, move in enumerate(moves):
             first = move.raws[0]
-            unit = self._units.get(first.unit_id)
-            if unit is None:
-                raise KeyError(f"unknown unit {first.unit_id}")
-            old = unit.location
-            if old.squared_distance_to(first.old_location) > LOCATION_TOLERANCE2:
-                raise ValueError(
-                    f"update for unit {first.unit_id} carries old location "
-                    f"{first.old_location} but the server tracks {old}"
-                )
-            olds.append(old)
+            olds.append(self._tracked(first).location)
             rows[pos] = self._row_of[first.unit_id]
             self.stats.coalesced_updates += move.raw_count - 1
         old_x = self._xs[rows].copy()
@@ -328,24 +309,26 @@ class UnitIndex:
         """Positions of the units whose disk reaches into ``rect``.
 
         The single reachability filter behind every ``*_near`` kernel:
-        bucketed gather + exact filter when the grid index is active, a
-        full-fleet exact filter otherwise. Both produce the same rows in
-        the same (ascending-row) order.
+        the candidates are the bucket gather when the grid index is
+        active and the whole fleet otherwise; both pass the same exact
+        filter and come out in the same (ascending-row) order.
         """
         if self._use_buckets():
-            rows, examined = self._grid_index.units_reaching(rect)
+            rows = self._grid_index.candidate_rows(rect)
             ux = self._xs[rows]
             uy = self._ys[rows]
         else:
-            examined = len(self._xs)
-            dx = np.maximum(rect.xmin - self._xs, 0.0)
-            dx = np.maximum(dx, self._xs - rect.xmax)
-            dy = np.maximum(rect.ymin - self._ys, 0.0)
-            dy = np.maximum(dy, self._ys - rect.ymax)
-            r = self.protection_range
-            reachable = dx * dx + dy * dy <= r * r
-            ux = self._xs[reachable]
-            uy = self._ys[reachable]
+            ux = self._xs
+            uy = self._ys
+        examined = len(ux)
+        dx = np.maximum(rect.xmin - ux, 0.0)
+        dx = np.maximum(dx, ux - rect.xmax)
+        dy = np.maximum(rect.ymin - uy, 0.0)
+        dy = np.maximum(dy, uy - rect.ymax)
+        r = self.protection_range
+        reachable = dx * dx + dy * dy <= r * r
+        ux = ux[reachable]
+        uy = uy[reachable]
         self.stats.queries += 1
         self.stats.candidate_units += examined
         self.stats.reachable_units += len(ux)
@@ -364,17 +347,20 @@ class UnitIndex:
         (for the work counters). Callers must only pass points inside
         ``rect``.
         """
-        r = self.protection_range
         ux, uy = self._reachable_near(rect)
         n_units = len(ux)
-        xs = np.asarray(xs, dtype=np.float64)
-        ys = np.asarray(ys, dtype=np.float64)
         if n_units == 0:
             return np.zeros(len(xs), dtype=np.int64), 0
-        ddx = xs[:, None] - ux[None, :]
-        ddy = ys[:, None] - uy[None, :]
-        counts = np.count_nonzero(ddx * ddx + ddy * ddy <= r * r, axis=1)
-        return counts.astype(np.int64), n_units
+        r = self.protection_range
+        # units x places, squared in place. ``u - x`` is exactly
+        # ``-(x - u)`` (rounding is sign-symmetric), so every pair's
+        # squared distance is the per-point kernel's, bit for bit.
+        dx = np.subtract.outer(ux, xs)
+        dy = np.subtract.outer(uy, ys)
+        dx *= dx
+        dy *= dy
+        dx += dy
+        return np.add.reduce(dx <= r * r, axis=0, dtype=np.int64), n_units
 
     def weighted_protection_near(
         self,

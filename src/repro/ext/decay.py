@@ -42,6 +42,7 @@ from repro.grid.cellstate import (
 )
 from repro.grid.partition import CellId
 from repro.model import LocationUpdate, Place, SafetyRecord, Unit
+from repro.storage.placestore import CellArrays
 
 
 @dataclass(frozen=True)
@@ -126,7 +127,7 @@ class DecayCTUP(CTUPMonitor):
                 lower_bound=float(safeties.min()),
                 place_count=len(arrays),
             )
-        accessed: list[tuple[CellId, list[Place], np.ndarray]] = []
+        accessed: list[tuple[CellId, list[Place], CellArrays, np.ndarray]] = []
         scratch: list[np.ndarray] = []
         sk = math.inf
         by_bound = sorted(
@@ -135,18 +136,20 @@ class DecayCTUP(CTUPMonitor):
         for cell in by_bound:
             if sk <= self.cell_states[cell].lower_bound:
                 break
-            places, safeties = self._evaluate_cell(cell)
-            accessed.append((cell, places, safeties))
+            places, arrays, safeties = self._evaluate_cell(cell)
+            accessed.append((cell, places, arrays, safeties))
             scratch.append(safeties)
             sk = kth_smallest(np.concatenate(scratch), self.config.k)
-        for cell, places, safeties in accessed:
+        for cell, places, arrays, safeties in accessed:
             state = self.cell_states[cell]
             state.access_count += 1
             state.lower_bound = self.maintained.insert_band(
-                places, safeties, self.grid.linear(cell), sk, self.config.delta
+                places, arrays, safeties, self.grid.linear(cell), sk, self.config.delta
             )
 
-    def _evaluate_cell(self, cell: CellId) -> tuple[list[Place], np.ndarray]:
+    def _evaluate_cell(
+        self, cell: CellId
+    ) -> tuple[list[Place], CellArrays, np.ndarray]:
         places, arrays = self.store.read_cell_with_arrays(cell)
         protection, compared = self.units.weighted_protection_near(
             arrays.xs, arrays.ys, self.grid.cell_rect(cell), self.decay.weight
@@ -155,7 +158,7 @@ class DecayCTUP(CTUPMonitor):
         self.counters.cells_accessed += 1
         self.counters.places_loaded += len(places)
         self.counters.distance_rows += len(places) * compared
-        return places, safeties
+        return places, arrays, safeties
 
     # -- update -------------------------------------------------------------
 
@@ -201,11 +204,11 @@ class DecayCTUP(CTUPMonitor):
         state = self.cell_states[cell]
         linear = self.grid.linear(cell)
         self.maintained.remove_cell(linear)
-        places, safeties = self._evaluate_cell(cell)
+        places, arrays, safeties = self._evaluate_cell(cell)
         merged = np.concatenate([safeties, self.maintained.safeties()])
         sk = min(self.sk(), kth_smallest(merged, self.config.k))
         state.lower_bound = self.maintained.insert_band(
-            places, safeties, linear, sk, self.config.delta
+            places, arrays, safeties, linear, sk, self.config.delta
         )
         state.access_count += 1
 

@@ -16,6 +16,7 @@ from typing import Any, Iterable, Mapping, Sequence
 import numpy as np
 
 from repro.core.config import CTUPConfig
+from repro.core.monitor import CTUPMonitor
 from repro.core.opt import OptCTUP
 from repro.core.topk import tie_key
 from repro.model import Place, SafetyRecord, Unit
@@ -67,6 +68,10 @@ class ThresholdCTUP(OptCTUP):
         are currently below the threshold.
         """
         return self.unsafe_places()
+
+    # OptCTUP reads its ids off the maintained top-k, which is not this
+    # scheme's result: derive them from top_k() like every other scheme.
+    topk_ids = CTUPMonitor.topk_ids
 
     # -- checkpointing ----------------------------------------------------
 

@@ -26,9 +26,6 @@ import numpy as np
 from repro.geometry import Rect
 from repro.grid.partition import GridPartition
 
-_EMPTY_ROWS = np.empty(0, dtype=np.int64)
-
-
 class UnitGridIndex:
     """Buckets unit rows by grid cell for fast reachability queries.
 
@@ -61,22 +58,8 @@ class UnitGridIndex:
         self._y0 = grid.space.ymin
         self._inv_w = 1.0 / grid.cell_width
         self._inv_h = 1.0 / grid.cell_height
-        #: rows per linear bucket id, plus a per-bucket ndarray cache so
-        #: repeated gathers over a static neighbourhood avoid list->array
-        #: conversion; the cache entry is dropped whenever a move touches
-        #: the bucket.
+        #: rows per linear bucket id.
         self._rows: dict[int, list[int]] = {}
-        self._cache: dict[int, np.ndarray] = {}
-        #: gathered (concatenated + sorted) candidate rows per query
-        #: block. Monitors re-query the same static cell rectangles every
-        #: refresh while a single update re-buckets at most one unit, so
-        #: almost all gathers are exact repeats; each cached block is
-        #: registered with the buckets it covers and dropped when any of
-        #: them changes membership. Within-bucket moves keep the cache:
-        #: the candidate *set* only depends on bucket membership, and the
-        #: exact filter reads live positions.
-        self._block_cache: dict[tuple[int, int, int, int], np.ndarray] = {}
-        self._blocks_of_bucket: dict[int, set[tuple[int, int, int, int]]] = {}
         for row in range(len(xs)):
             self._rows.setdefault(
                 self._bucket(float(xs[row]), float(ys[row])), []
@@ -93,9 +76,7 @@ class UnitGridIndex:
         self._rows[old_bucket].remove(row)
         if not self._rows[old_bucket]:
             del self._rows[old_bucket]
-        self._invalidate_bucket(old_bucket)
         self._rows.setdefault(new_bucket, []).append(row)
-        self._invalidate_bucket(new_bucket)
 
     def move_many(
         self,
@@ -123,14 +104,7 @@ class UnitGridIndex:
             self._rows[source].remove(row)
             if not self._rows[source]:
                 del self._rows[source]
-            self._invalidate_bucket(source)
             self._rows.setdefault(target, []).append(row)
-            self._invalidate_bucket(target)
-
-    def _invalidate_bucket(self, bucket: int) -> None:
-        self._cache.pop(bucket, None)
-        for key in sorted(self._blocks_of_bucket.pop(bucket, ())):
-            self._block_cache.pop(key, None)
 
     # -- queries ----------------------------------------------------------
 
@@ -140,65 +114,27 @@ class UnitGridIndex:
         A superset of the reachable rows: every unit whose disk can
         intersect ``rect`` lies in a bucket whose column/row range the
         inflated rectangle overlaps (clamping at the space border keeps
-        clamped border units inside the searched range).
-
-        The returned array may be a shared cache entry — treat it as
-        read-only.
+        clamped border units inside the searched range). The bucket
+        lists are appended to one Python list, sorted and converted
+        once: at a few dozen rows that beats caching per-bucket arrays
+        and concatenating them.
         """
-        i_lo = self._col(rect.xmin - self.radius)
-        i_hi = self._col(rect.xmax + self.radius)
         j_lo = self._row(rect.ymin - self.radius)
-        j_hi = self._row(rect.ymax + self.radius)
-        key = (i_lo, i_hi, j_lo, j_hi)
-        cached_block = self._block_cache.get(key)
-        if cached_block is not None:
-            return cached_block
-        chunks: list[np.ndarray] = []
-        for i in range(i_lo, i_hi + 1):
+        j_hi = self._row(rect.ymax + self.radius) + 1
+        gathered: list[int] = []
+        rows_of = self._rows
+        for i in range(
+            self._col(rect.xmin - self.radius), self._col(rect.xmax + self.radius) + 1
+        ):
             base = i * self.ny
-            for j in range(j_lo, j_hi + 1):
-                bucket = base + j
-                rows = self._rows.get(bucket)
-                if not rows:
-                    continue
-                cached = self._cache.get(bucket)
-                if cached is None:
-                    cached = np.array(rows, dtype=np.int64)
-                    self._cache[bucket] = cached
-                chunks.append(cached)
-        if not chunks:
-            gathered = _EMPTY_ROWS
-        else:
-            gathered = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
-            # sorted row order makes downstream kernels (notably weighted
-            # sums) bit-identical to the linear scan over all rows.
-            gathered = np.sort(gathered)
-        self._block_cache[key] = gathered
-        for i in range(i_lo, i_hi + 1):
-            base = i * self.ny
-            for j in range(j_lo, j_hi + 1):
-                self._blocks_of_bucket.setdefault(base + j, set()).add(key)
-        return gathered
-
-    def units_reaching(self, rect: Rect) -> tuple[np.ndarray, int]:
-        """Rows whose protection disk reaches into ``rect``, exactly.
-
-        Returns the sorted reachable rows and the number of candidate
-        rows the prefilter examined (the work the bucketing saved is
-        ``len(index) - candidates``).
-        """
-        rows = self.candidate_rows(rect)
-        if len(rows) == 0:
-            return rows, 0
-        ux = self._xs[rows]
-        uy = self._ys[rows]
-        # identical arithmetic to the linear reachability scan.
-        dx = np.maximum(rect.xmin - ux, 0.0)
-        dx = np.maximum(dx, ux - rect.xmax)
-        dy = np.maximum(rect.ymin - uy, 0.0)
-        dy = np.maximum(dy, uy - rect.ymax)
-        r = self.radius
-        return rows[dx * dx + dy * dy <= r * r], len(rows)
+            for bucket in range(base + j_lo, base + j_hi):
+                rows = rows_of.get(bucket)
+                if rows:
+                    gathered += rows
+        # sorted row order makes downstream kernels (notably weighted
+        # sums) bit-identical to the linear scan over all rows.
+        gathered.sort()
+        return np.array(gathered, dtype=np.int64)
 
     def bucket_columns(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """Vectorised linear bucket id per point (clamped into the grid)."""

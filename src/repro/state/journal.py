@@ -37,7 +37,7 @@ import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Any, Iterator
 
 from repro.geometry import Point
 from repro.model import LocationUpdate
@@ -125,17 +125,23 @@ class UpdateJournal:
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._last_seq = 0
         self.obs: "Observability | None" = None
+        #: the records counter's child per op, bound once on attach.
+        self._records_of_op: dict[str, Any] = {}
         self._recover_tail()
         self._file = self.path.open("a", encoding="utf-8")
 
     def attach_observability(self, obs: "Observability") -> None:
         """Span + count every append (fsync latency is the point)."""
         self.obs = obs
-        obs.registry.counter(
+        records = obs.registry.counter(
             "ctup_journal_records_total",
             "Journal records appended (and fsynced), by op.",
             labelnames=("op",),
         )
+        self._records_of_op = {
+            op: records.labels(op=op)
+            for op in (OP_UPDATE, OP_BATCHED, OP_FLUSH, OP_CONTROL)
+        }
 
     def _recover_tail(self) -> None:
         """Scan the existing file: adopt the last sequence number and
@@ -201,11 +207,7 @@ class UpdateJournal:
             return self._append_synced(record)
         with obs.tracer.span("journal.append", cat="state", op=record.op):
             seq = self._append_synced(record)
-        obs.registry.counter(
-            "ctup_journal_records_total",
-            "Journal records appended (and fsynced), by op.",
-            labelnames=("op",),
-        ).labels(op=record.op).inc()
+        self._records_of_op[record.op].inc()
         return seq
 
     def _append_synced(self, record: JournalRecord) -> int:

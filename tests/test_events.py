@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import ChangeTracker, OptCTUP
+from repro.ext import ThresholdCTUP
 from repro.validate import Oracle
 
 
@@ -58,3 +59,26 @@ class TestChangeTracker:
             if change is not None and len(change.entered) > 1:
                 ids = [r.place_id for r in change.entered]
                 assert ids == sorted(ids)
+
+
+class TestThresholdTracking:
+    def test_changes_follow_the_unsafe_set(
+        self, small_config, small_places, small_units, small_stream
+    ):
+        # the threshold result is every place below tau, not OptCTUP's
+        # maintained top-k: the tracker must diff the set top_k() returns.
+        tracker = ChangeTracker(
+            ThresholdCTUP(small_config, small_places, small_units, tau=-1.0)
+        )
+        tracker.initialize()
+        last = {r.place_id for r in tracker.monitor.top_k()}
+        assert len(last) != small_config.k
+        for update in small_stream:
+            change = tracker.process(update)
+            ids = {r.place_id for r in tracker.monitor.top_k()}
+            if ids == last:
+                assert change is None
+            else:
+                assert {r.place_id for r in change.entered} == ids - last
+                assert {r.place_id for r in change.left} == last - ids
+            last = ids

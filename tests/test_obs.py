@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 import urllib.request
+from collections import Counter
 from dataclasses import fields
 
 import pytest
@@ -389,3 +390,40 @@ class TestCliObsFlags:
         assert samples[("ctup_session_updates_total", ())] == 60.0
         events = json.loads(trace_path.read_text())
         assert events and all(event["ph"] == "X" for event in events)
+
+
+class TestJournalMetrics:
+    @pytest.mark.parametrize("batch_size", [0, 8])
+    def test_records_counted_per_op(
+        self,
+        tmp_path,
+        batch_size,
+        small_config,
+        small_places,
+        small_units,
+        small_stream,
+    ):
+        session = open_session(
+            "opt",
+            places=small_places,
+            units=small_units,
+            config=small_config,
+            batch_size=batch_size,
+            durability=DurabilitySpec(tmp_path, every=4),
+            obs=ObsSpec(metrics=True),
+        )
+        with session:
+            session.start()
+            session.run(small_stream.prefix(50))
+            ops = Counter(record.op for record in session.journal.records())
+            registry = session.observability.registry
+            counted = {
+                op: registry.value("ctup_journal_records_total", op=op)
+                for op in "ubfc"
+            }
+        assert sum(ops.values()) == session.journal.last_seq
+        assert counted == {op: float(ops[op]) for op in "ubfc"}
+        if batch_size == 0:
+            assert ops["u"] == 50
+        else:
+            assert ops["b"] == 50 and ops["f"] > 0

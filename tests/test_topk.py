@@ -7,9 +7,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.api import SCHEMES, ShardSpec, make_monitor
 from repro.core.topk import MaintainedPlaces, kth_smallest, topk_rows
+from repro.ext import DecayCTUP, ThresholdCTUP
 from repro.geometry import Point
+from repro.grid import GridPartition
 from repro.model import Place
+from repro.storage.placestore import CellArrays, PlaceStore
 
 
 def place(pid: int, x: float = 0.5, y: float = 0.5, rp: int = 1) -> Place:
@@ -121,7 +125,7 @@ class TestInsertRemove:
             table.remove_rows([5])
 
     def test_bulk_removal_path(self):
-        # enough rows that the compaction path triggers.
+        # a large batch: most of the table leaves in one call.
         table = table_with([(i, float(i)) for i in range(100)])
         min_removed = table.remove_rows(range(10, 100))
         assert min_removed == 10.0
@@ -366,3 +370,150 @@ class TestApplyUnitMove:
             Point(0.55, 0.5), Point(0.525, 0.5), weight
         )
         assert table.safety_of(1) == pytest.approx(0.25)
+
+
+# -- the per-version result cache ------------------------------------------
+
+_GRID = GridPartition.unit_square(4)
+_UNIVERSE = [
+    Place(pid, Point((pid * 0.37) % 1.0, (pid * 0.61) % 1.0), 1) for pid in range(48)
+]
+_MUTATORS = (
+    "insert",
+    "insert_batch",
+    "insert_band",
+    "remove_row",
+    "remove_id",
+    "remove_rows_few",
+    "remove_rows_many",
+    "remove_cell",
+    "set_safety",
+    "apply_unit_move",
+    "apply_unit_moves",
+    "apply_unit_move_weighted",
+    "restore_rows",
+)
+
+
+def _cell_of(p: Place) -> int:
+    return _GRID.linear(_GRID.cell_of(p.location))
+
+
+def _assert_reads_fresh(table: MaintainedPlaces, k: int) -> None:
+    """Cached reads equal a recomputation on the live columns."""
+    n = len(table)
+    ids, safety = table._ids[:n], table._safety[:n]
+    rows = topk_rows(ids, safety, k).tolist()
+    assert table.sk(k) == kth_smallest(safety, k)
+    assert table.topk_ids(k) == [int(ids[r]) for r in rows]
+    assert [(r.place_id, r.safety) for r in table.top_k(k)] == [
+        (int(ids[r]), float(safety[r])) for r in rows
+    ]
+
+
+def _points(data, count: int) -> list[Point]:
+    coord = st.floats(-0.1, 1.1, allow_nan=False)
+    return [Point(data.draw(coord), data.draw(coord)) for _ in range(count)]
+
+
+def _mutate(table: MaintainedPlaces, op: str, data) -> None:
+    absent = [p for p in _UNIVERSE if p.place_id not in table]
+    present = [p for p in _UNIVERSE if p.place_id in table]
+    safeties = st.integers(-4, 4).map(float)
+    n = len(table)
+    if op == "insert" and absent:
+        p = data.draw(st.sampled_from(absent))
+        table.insert(p, data.draw(safeties), _cell_of(p))
+    elif op in ("insert_batch", "insert_band") and absent:
+        batch = data.draw(st.lists(st.sampled_from(absent), min_size=1, unique=True))
+        values = np.array(
+            data.draw(st.lists(safeties, min_size=len(batch), max_size=len(batch)))
+        )
+        if op == "insert_batch":
+            table.insert_batch(batch, values, [_cell_of(p) for p in batch])
+        else:
+            sk = data.draw(st.sampled_from([-1.0, 0.0, math.inf]))
+            delta = data.draw(st.sampled_from([0, 1, 3]))
+            table.insert_band(batch, CellArrays(batch), values, 0, sk, delta)
+    elif op == "remove_row" and n:
+        table.remove_row(data.draw(st.integers(0, n - 1)))
+    elif op == "remove_id" and n:
+        table.remove_id(data.draw(st.sampled_from(present)).place_id)
+    elif op == "remove_rows_few" and n:
+        table.remove_rows(data.draw(st.lists(st.integers(0, n - 1), max_size=3)))
+    elif op == "remove_rows_many" and n:
+        table.remove_rows(range(data.draw(st.integers(0, n - 1)), n))
+    elif op == "remove_cell" and n:
+        table.remove_cell(data.draw(st.sampled_from(table._cell[:n].tolist())))
+    elif op == "set_safety" and n:
+        pid = data.draw(st.sampled_from(present)).place_id
+        table.set_safety(pid, data.draw(safeties))
+    elif op == "apply_unit_move":
+        table.apply_unit_move(*_points(data, 2), 0.3)
+    elif op == "apply_unit_moves":
+        olds, news = _points(data, 3), _points(data, 3)
+        table.apply_unit_moves(
+            np.array([p.x for p in olds]),
+            np.array([p.y for p in olds]),
+            np.array([p.x for p in news]),
+            np.array([p.y for p in news]),
+            0.3,
+        )
+    elif op == "apply_unit_move_weighted":
+        weight = lambda d: np.where(d <= 0.3, 1.0, 0.0)  # noqa: E731
+        table.apply_unit_move_weighted(*_points(data, 2), weight)
+    elif op == "restore_rows":
+        exported = table.export_rows()
+        # restore_rows needs an empty table: empty this one, refill it.
+        table.remove_rows(range(n))
+        rows = [[pid, safety, _cell_of(_UNIVERSE[pid])] for pid, safety, _ in exported]
+        store = PlaceStore(_GRID, _UNIVERSE, page_capacity=8, buffer_pages=0)
+        table.restore_rows(rows, store, _GRID)
+
+
+class TestResultCache:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        data=st.data(),
+        ops=st.lists(st.sampled_from(_MUTATORS), min_size=1, max_size=25),
+        k=st.integers(0, 6),
+    )
+    def test_reads_stay_coherent_under_every_mutator(self, data, ops, k):
+        table = MaintainedPlaces()
+        for p in _UNIVERSE[:10]:
+            table.insert(p, float(p.place_id % 5 - 2), _cell_of(p))
+        for op in ops:
+            # read first, so a stale memo at this k would be served next.
+            _assert_reads_fresh(table, k)
+            _mutate(table, op, data)
+            _assert_reads_fresh(table, k)
+            _assert_reads_fresh(table, data.draw(st.integers(0, 6)))
+
+
+@pytest.fixture(
+    params=["naive", "basic", "opt", "incremental", "threshold", "decay", "sharded"]
+)
+def any_monitor(request, small_config, small_places, small_units):
+    name = request.param
+    if name == "threshold":
+        monitor = ThresholdCTUP(small_config, small_places, small_units, tau=-2.0)
+    elif name == "decay":
+        monitor = DecayCTUP(small_config, small_places, small_units)
+    elif name == "sharded":
+        monitor = make_monitor(
+            "opt",
+            places=small_places,
+            units=small_units,
+            config=small_config,
+            shard=ShardSpec(shards=3),
+        )
+    else:
+        monitor = SCHEMES[name](small_config, small_places, small_units)
+    monitor.initialize()
+    return monitor
+
+
+def test_monitor_topk_ids_match_top_k(any_monitor, small_stream):
+    for update in small_stream.prefix(60):
+        any_monitor.process(update)
+        assert any_monitor.topk_ids() == [r.place_id for r in any_monitor.top_k()]

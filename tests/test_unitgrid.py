@@ -13,12 +13,20 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core import CTUPConfig, OptCTUP
 from repro.core.safety import brute_force_safeties
 from repro.core.units import UnitIndex
 from repro.geometry import Point, Rect
+from repro.geometry.distance import point_rect_distance
 from repro.grid import GridPartition
 from repro.index import UnitGridIndex
 from repro.model import LocationUpdate, Place, Unit
+from repro.workloads import (
+    RandomWalkMobility,
+    generate_places,
+    generate_units,
+    record_stream,
+)
 
 RADIUS = 0.15
 
@@ -161,7 +169,7 @@ class TestUnitGridIndex:
         grid = index.grid_index.grid
         far = grid.cell_rect((4, 4))
         near = grid.cell_rect((0, 0))
-        # prime the block caches for both neighbourhoods.
+        # query both neighbourhoods before the move re-buckets the unit.
         assert index.ap_counts_near(np.array([0.9]), np.array([0.9]), far)[0][0] == 0
         assert index.ap_counts_near(np.array([0.1]), np.array([0.1]), near)[0][0] == 1
         index.apply(LocationUpdate(0, Point(0.1, 0.1), Point(0.9, 0.9)))
@@ -176,9 +184,17 @@ class TestUnitGridIndex:
         rect = index.grid_index.grid.cell_rect((1, 2))
         candidates = index.grid_index.candidate_rows(rect)
         assert list(candidates) == sorted(candidates)
-        reachable, examined = index.grid_index.units_reaching(rect)
-        assert examined == len(candidates)
-        assert set(reachable).issubset(set(candidates))
+        # unit ids are 0..39, so unit id == row.
+        reachable = {
+            row
+            for row, (x, y) in enumerate(xy)
+            if point_rect_distance(Point(x, y), rect) <= RADIUS
+        }
+        assert reachable.issubset(set(candidates.tolist()))
+        index.stats.reset()
+        index.ap_counts_near(np.array([0.3]), np.array([0.6]), rect)
+        assert index.stats.candidate_units == len(candidates)
+        assert index.stats.reachable_units == len(reachable)
 
     def test_kernel_stats_record_pruning(self):
         rng = np.random.default_rng(11)
@@ -191,3 +207,112 @@ class TestUnitGridIndex:
         # the bucket gather examined strictly fewer rows than the fleet.
         assert 0 < index.stats.candidate_units < len(xy)
         assert index.stats.reachable_units <= index.stats.candidate_units
+
+
+# -- the list gather and the transposed kernel against brute force ----------
+
+
+def border_coords(granularity):
+    """Bucket borders, the space border, just outside it, and anywhere."""
+    return st.one_of(
+        st.integers(0, granularity).map(lambda i: i / granularity),
+        st.sampled_from([0.0, 1.0, -0.05, 1.05, -1e-12, 1.0 + 1e-12]),
+        st.floats(-0.1, 1.1, allow_nan=False),
+    )
+
+
+def neighbourhood_count(index, rect):
+    """Units bucketed in the ``R``-inflated bucket range of ``rect``."""
+    gi = index.grid_index
+    lo, hi = gi.bucket_columns(
+        np.array([rect.xmin - RADIUS, rect.xmax + RADIUS]),
+        np.array([rect.ymin - RADIUS, rect.ymax + RADIUS]),
+    )
+    pos = np.array([[u.location.x, u.location.y] for u in index])
+    buckets = gi.bucket_columns(pos[:, 0], pos[:, 1])
+    bi, bj = buckets // gi.ny, buckets % gi.ny
+    inside = (lo // gi.ny <= bi) & (bi <= hi // gi.ny)
+    inside &= (lo % gi.ny <= bj) & (bj <= hi % gi.ny)
+    return int(inside.sum())
+
+
+def reaches(ux, uy, rect):
+    """The exact reachability test, in the kernels' arithmetic."""
+    dx = max(rect.xmin - ux, 0.0, ux - rect.xmax)
+    dy = max(rect.ymin - uy, 0.0, uy - rect.ymax)
+    return dx * dx + dy * dy <= RADIUS * RADIUS
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data(), granularity=st.integers(2, 9))
+def test_gather_and_kernel_match_brute_force(data, granularity):
+    coord = border_coords(granularity)
+    unit_xy = data.draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=30))
+    bucketed = make_index(unit_xy, granularity)
+    linear = make_index(unit_xy, granularity, attach=False)
+    grid = bucketed.grid_index.grid
+    for _ in range(data.draw(st.integers(0, 6))):
+        uid = data.draw(st.integers(0, len(unit_xy) - 1))
+        update = LocationUpdate(
+            uid, bucketed.location_of(uid), Point(data.draw(coord), data.draw(coord))
+        )
+        bucketed.apply(update)
+        linear.apply(update)
+    cell = (
+        data.draw(st.integers(0, granularity - 1)),
+        data.draw(st.integers(0, granularity - 1)),
+    )
+    rect = grid.cell_rect(cell)
+    # points in the cell, corners and edges included.
+    edge = st.sampled_from([0.0, 1.0])
+    frac = st.one_of(edge, st.floats(0.0, 1.0, allow_nan=False))
+    fracs = data.draw(st.lists(st.tuples(frac, frac), min_size=1, max_size=20))
+    xs = np.array([rect.xmin + fx * (rect.xmax - rect.xmin) for fx, _ in fracs])
+    ys = np.array([rect.ymin + fy * (rect.ymax - rect.ymin) for _, fy in fracs])
+    xs, ys = np.clip(xs, rect.xmin, rect.xmax), np.clip(ys, rect.ymin, rect.ymax)
+    units = [(u.location.x, u.location.y) for u in bucketed]
+
+    bucketed.stats.reset()
+    ap, compared = bucketed.ap_counts_near(xs, ys, rect)
+    expected = [
+        sum((x - ux) ** 2 + (y - uy) ** 2 <= RADIUS * RADIUS for ux, uy in units)
+        for x, y in zip(xs.tolist(), ys.tolist())
+    ]
+    assert ap.tolist() == expected
+    assert ap.dtype == np.int64
+    assert compared == linear.ap_counts_near(xs, ys, rect)[1]
+    reachable = sum(reaches(ux, uy, rect) for ux, uy in units)
+    assert compared == reachable
+    assert bucketed.stats.queries == 1
+    assert bucketed.stats.candidate_units == neighbourhood_count(bucketed, rect)
+    assert bucketed.stats.reachable_units == reachable
+
+    weight = lambda d: np.where(d <= RADIUS, 1.0 - d / RADIUS, 0.0)  # noqa: E731
+    got, got_compared = bucketed.weighted_protection_near(xs, ys, rect, weight)
+    want, want_compared = linear.weighted_protection_near(xs, ys, rect, weight)
+    assert got.tobytes() == want.tobytes()
+    assert got_compared == want_compared
+
+
+def test_indexed_path_examines_at_least_half_fewer_units():
+    """Hardware-independent: the bucket gather prunes the candidates."""
+    config = CTUPConfig(k=5)
+    places = generate_places(2_000, seed=7)
+    units = generate_units(200, config.protection_range, seed=7)
+    stream = record_stream(RandomWalkMobility(units, step=0.03, seed=7), 60)
+    runs = {}
+    for grid_on in (True, False):
+        monitor = OptCTUP(config.replace(use_unit_grid=grid_on), places, units)
+        monitor.initialize()
+        for update in stream:
+            monitor.process(update)
+        runs[grid_on] = (monitor.units.stats, monitor.counters, monitor.topk_ids())
+    (indexed, idx_counters, idx_ids), (linear, lin_counters, lin_ids) = (
+        runs[True],
+        runs[False],
+    )
+    assert linear.candidate_units >= 2 * indexed.candidate_units
+    assert indexed.reachable_units == linear.reachable_units
+    assert idx_counters.distance_rows == lin_counters.distance_rows
+    assert idx_counters.cells_accessed == lin_counters.cells_accessed
+    assert idx_ids == lin_ids
