@@ -9,13 +9,6 @@ share with the ``benchmarks/`` pytest suite and the CLI.
 
 from repro.bench.workload import Workload, build_workload
 from repro.bench.harness import RunResult, run_monitor, MONITOR_FACTORIES
-from repro.bench.guard import (
-    GuardFinding,
-    GuardReport,
-    compare,
-    load_baseline,
-    write_baseline,
-)
 from repro.bench.reporting import format_table
 from repro.bench.sweep import SweepPoint, sweep
 from repro.bench.timeline import Timeline, TimelineSummary
@@ -26,11 +19,6 @@ __all__ = [
     "RunResult",
     "run_monitor",
     "MONITOR_FACTORIES",
-    "GuardFinding",
-    "GuardReport",
-    "compare",
-    "load_baseline",
-    "write_baseline",
     "format_table",
     "SweepPoint",
     "sweep",

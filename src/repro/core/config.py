@@ -40,18 +40,15 @@ class CTUPConfig:
         enable the Decrease Once Optimization in OptCTUP. Switching it
         off (Fig. 8's ablation) falls back to Table I bound maintenance
         while keeping the rest of OptCTUP intact.
-    use_unit_grid:
-        bucket the unit positions by grid cell so the AP kernels only
-        examine the bucket neighbourhood of a queried rectangle instead
-        of scanning all |U| units. Purely a performance toggle — results
-        are bit-for-bit identical either way (the exact reachability
-        filter always runs); off is the hot-path ablation.
     page_capacity / buffer_pages:
         layout of the simulated lower storage level.
 
     Burst execution has no knob: BasicCTUP and OptCTUP always run a
     coalesced burst's maintain phase through the burst kernels of
-    :mod:`repro.core.kernels`.
+    :mod:`repro.core.kernels`. Neither has the unit index: every monitor
+    buckets its fleet by grid cell, and
+    :attr:`~repro.core.units.UnitIndex.grid_min_fleet` picks the linear
+    reachability scan for fleets too small to gain from the buckets.
     """
 
     k: int = 15
@@ -60,7 +57,6 @@ class CTUPConfig:
     granularity: int = 10
     space: Rect = field(default_factory=_unit_square)
     use_doo: bool = True
-    use_unit_grid: bool = True
     page_capacity: int = 64
     buffer_pages: int = 0
 

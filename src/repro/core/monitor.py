@@ -109,10 +109,9 @@ class CTUPMonitor(abc.ABC):
             buffer_pages=config.buffer_pages,
         )
         self.units = UnitIndex(units)
-        if config.use_unit_grid:
-            # bucket the fleet by grid cell: the AP kernels then gather
-            # candidates per cell neighbourhood instead of scanning |U|.
-            self.units.attach_grid(self.grid)
+        # bucket the fleet by grid cell: the AP kernels then gather
+        # candidates per cell neighbourhood instead of scanning |U|.
+        self.units.attach_grid(self.grid)
         if abs(self.units.protection_range - config.protection_range) > 1e-12:
             raise ValueError(
                 "config protection range "
@@ -478,8 +477,7 @@ class CTUPMonitor(abc.ABC):
             page_capacity=self.config.page_capacity,
             buffer_pages=self.config.buffer_pages,
         )
-        if self.config.use_unit_grid:
-            self.units.attach_grid(self.grid)
+        self.units.attach_grid(self.grid)
 
     # incremental patch hooks: return True when the scheme absorbed the
     # (already world-patched) event incrementally, False to request the

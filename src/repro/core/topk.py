@@ -238,24 +238,12 @@ class MaintainedPlaces:
         """Remove a place by id."""
         return self.remove_row(self._row_of[place_id])
 
-    def remove_rows(self, rows: Iterable[int]) -> float:
-        """Remove several rows; returns the minimum removed safety.
-
-        Returns ``+inf`` when nothing is removed — exactly the value the
-        monitors assign as a cell bound when no place was dropped.
-        Repeated rows are removed once.
-        """
-        index = np.fromiter(rows, dtype=np.int64)
-        if len(index) == 0:
-            return math.inf
-        if index.min() < 0 or index.max() >= self._n:
-            raise IndexError("row out of range")
-        hit = np.zeros(self._n, dtype=bool)
-        hit[index] = True
-        return self._drop(hit)
-
     def remove_cell(self, cell: int) -> float:
-        """Drop every place owned by ``cell``; min removed safety."""
+        """Drop every place owned by ``cell``; min removed safety.
+
+        Returns ``+inf`` when the cell owns no row — exactly the value
+        the monitors assign as a cell bound when no place was dropped.
+        """
         return self._drop(self._cell[: self._n] == cell)
 
     def _drop(self, hit: np.ndarray) -> float:
@@ -287,10 +275,6 @@ class MaintainedPlaces:
         return min_removed
 
     # -- queries --------------------------------------------------------
-
-    def rows_of_cell(self, cell: int) -> np.ndarray:
-        """Row indices of the places owned by ``cell``."""
-        return np.nonzero(self._cell[: self._n] == cell)[0]
 
     def cells_present(self) -> set[int]:
         """The owning cells of all maintained places."""

@@ -52,8 +52,8 @@ class UnitKernelStats:
     #: raw location updates whose per-move position apply was collapsed
     #: into a chain endpoint by burst coalescing — the unit-index work
     #: (position writes, bucket moves) skipped on purpose, counted so
-    #: merged shard stats and the bench guard see an explained drop
-    #: rather than missing work.
+    #: merged shard stats and perfbench see an explained drop rather
+    #: than missing work.
     coalesced_updates: int = 0
 
     def reset(self) -> None:

@@ -21,8 +21,6 @@ RPL002    counter discipline — ``IoStats`` / ``MonitorCounters`` timing
 RPL003    determinism — no ``random``/wall-clock/unordered-set
           iteration in the ``core``/``shard``/``index``/``grid`` update
           paths; ties go through the documented ``(safety, id)`` key.
-RPL006    no mutable default arguments.
-RPL007    no shadowing of load-bearing builtins.
 RPL011    durability discipline — every checkpoint/journal write path
           reaches flush+fsync before its rename/publish, and no state
           mutation survives a swallowed exception without rollback

@@ -1,73 +1,16 @@
-"""RPL000 / RPL006 / RPL007 — source hygiene rules.
+"""RPL000 — suppression hygiene.
 
 RPL000 keeps the suppression mechanism honest: every ``# reprolint:
 disable`` must name registered rules and carry a ``-- reason`` so the
-next reader knows *why* the invariant is waived. RPL006 (mutable
-default arguments) and RPL007 (shadowed builtins) are the classic
-Python traps the typing sweep keeps surfacing; they apply to the whole
-linted tree, tests included.
+next reader knows *why* the invariant is waived.
 """
 
 from __future__ import annotations
 
-import ast
 from typing import Iterator
 
 from repro.lint.engine import ProjectIndex, SourceFile
 from repro.lint.registry import Violation, known_codes, rule
-
-_MUTABLE_FACTORIES = frozenset(
-    {"list", "dict", "set", "bytearray", "defaultdict", "Counter", "deque"}
-)
-
-#: builtins whose shadowing has bitten (or would silently break) this
-#: codebase; deliberately curated — not every builtin name is worth a
-#: violation.
-SHADOWED_BUILTINS = frozenset(
-    {
-        "all",
-        "any",
-        "bool",
-        "bytes",
-        "callable",
-        "dict",
-        "dir",
-        "enumerate",
-        "eval",
-        "filter",
-        "float",
-        "format",
-        "frozenset",
-        "hash",
-        "id",
-        "input",
-        "int",
-        "iter",
-        "len",
-        "list",
-        "map",
-        "max",
-        "min",
-        "next",
-        "object",
-        "open",
-        "print",
-        "property",
-        "range",
-        "repr",
-        "reversed",
-        "round",
-        "set",
-        "slice",
-        "sorted",
-        "str",
-        "sum",
-        "tuple",
-        "type",
-        "vars",
-        "zip",
-    }
-)
 
 
 @rule(
@@ -103,133 +46,3 @@ def check_suppressions(
                 path=source.path,
                 line=suppression.line,
             )
-
-
-@rule(
-    "RPL006",
-    "mutable-default-argument",
-    "no list/dict/set (or factory-call) default argument values",
-)
-def check_mutable_defaults(
-    source: SourceFile, project: ProjectIndex
-) -> Iterator[Violation]:
-    for node in ast.walk(source.tree):
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        defaults = list(node.args.defaults) + [
-            d for d in node.args.kw_defaults if d is not None
-        ]
-        for default in defaults:
-            if _is_mutable_default(default):
-                yield Violation(
-                    code="RPL006",
-                    message=(
-                        f"mutable default argument in {node.name}() — the "
-                        "default is created once and shared across calls; "
-                        "use None (or an immutable sentinel) and build "
-                        "inside the body"
-                    ),
-                    path=source.path,
-                    line=default.lineno,
-                    col=default.col_offset,
-                )
-
-
-def _is_mutable_default(node: ast.expr) -> bool:
-    if isinstance(node, (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp)):
-        return True
-    if isinstance(node, ast.Call):
-        func = node.func
-        name = func.id if isinstance(func, ast.Name) else (
-            func.attr if isinstance(func, ast.Attribute) else None
-        )
-        return name in _MUTABLE_FACTORIES
-    return False
-
-
-@rule(
-    "RPL007",
-    "shadowed-builtin",
-    "no rebinding of load-bearing builtin names (params, assignments, "
-    "defs, import aliases)",
-)
-def check_shadowed_builtins(
-    source: SourceFile, project: ProjectIndex
-) -> Iterator[Violation]:
-    for node in ast.walk(source.tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            if node.name in SHADOWED_BUILTINS:
-                yield _shadow(source, node, f"function name '{node.name}'")
-            for arg in _all_args(node.args):
-                if arg.arg in SHADOWED_BUILTINS:
-                    yield _shadow(source, arg, f"parameter '{arg.arg}'")
-        elif isinstance(node, ast.ClassDef):
-            if node.name in SHADOWED_BUILTINS:
-                yield _shadow(source, node, f"class name '{node.name}'")
-        elif isinstance(node, ast.Lambda):
-            for arg in _all_args(node.args):
-                if arg.arg in SHADOWED_BUILTINS:
-                    yield _shadow(source, arg, f"lambda parameter '{arg.arg}'")
-        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
-            targets = (
-                node.targets if isinstance(node, ast.Assign) else [node.target]
-            )
-            for name in _bound_names(targets):
-                if name.id in SHADOWED_BUILTINS:
-                    yield _shadow(source, name, f"assignment to '{name.id}'")
-        elif isinstance(node, ast.For):
-            for name in _bound_names([node.target]):
-                if name.id in SHADOWED_BUILTINS:
-                    yield _shadow(source, name, f"loop variable '{name.id}'")
-        elif isinstance(node, (ast.Import, ast.ImportFrom)):
-            for alias in node.names:
-                bound = alias.asname or alias.name.split(".", 1)[0]
-                if bound in SHADOWED_BUILTINS:
-                    yield _shadow(source, node, f"import binding '{bound}'")
-        elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)):
-            for gen in node.generators:
-                for name in _bound_names([gen.target]):
-                    if name.id in SHADOWED_BUILTINS:
-                        yield _shadow(
-                            source, name, f"comprehension variable '{name.id}'"
-                        )
-        elif isinstance(node, ast.ExceptHandler):
-            if node.name in SHADOWED_BUILTINS:
-                yield _shadow(source, node, f"exception name '{node.name}'")
-        elif isinstance(node, ast.withitem):
-            if node.optional_vars is not None:
-                for name in _bound_names([node.optional_vars]):
-                    if name.id in SHADOWED_BUILTINS:
-                        yield _shadow(source, name, f"with-target '{name.id}'")
-
-
-def _all_args(args: ast.arguments) -> list[ast.arg]:
-    out = list(args.posonlyargs) + list(args.args) + list(args.kwonlyargs)
-    if args.vararg is not None:
-        out.append(args.vararg)
-    if args.kwarg is not None:
-        out.append(args.kwarg)
-    return out
-
-
-def _bound_names(targets: list[ast.expr]) -> Iterator[ast.Name]:
-    for target in targets:
-        if isinstance(target, ast.Name):
-            yield target
-        elif isinstance(target, (ast.Tuple, ast.List)):
-            yield from _bound_names(list(target.elts))
-        elif isinstance(target, ast.Starred):
-            yield from _bound_names([target.value])
-
-
-def _shadow(source: SourceFile, node: ast.AST, what: str) -> Violation:
-    return Violation(
-        code="RPL007",
-        message=(
-            f"{what} shadows a builtin — rename it; shadowed builtins "
-            "break unrelated code in the same scope silently"
-        ),
-        path=source.path,
-        line=getattr(node, "lineno", 1),
-        col=getattr(node, "col_offset", 0),
-    )

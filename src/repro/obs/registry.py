@@ -85,7 +85,7 @@ class Gauge:
     def __init__(self) -> None:
         self.value: float = 0.0
 
-    def set(self, value: float) -> None:  # reprolint: disable=RPL007 -- Prometheus gauge API name; a method slot shadows nothing in module scope
+    def set(self, value: float) -> None:
         self.value = float(value)
 
     def inc(self, amount: float = 1.0) -> None:
@@ -194,7 +194,7 @@ class MetricFamily:
         assert isinstance(child, (Counter, Gauge))
         child.inc(amount)
 
-    def set(self, value: float) -> None:  # reprolint: disable=RPL007 -- Prometheus gauge API name; a method slot shadows nothing in module scope
+    def set(self, value: float) -> None:
         child = self.labels()
         assert isinstance(child, Gauge)
         child.set(value)
@@ -299,7 +299,7 @@ class _NullChild:
     def dec(self, amount: float = 1.0) -> None:
         pass
 
-    def set(self, value: float) -> None:  # reprolint: disable=RPL007 -- Prometheus gauge API name; a method slot shadows nothing in module scope
+    def set(self, value: float) -> None:
         pass
 
     def set_to(self, value: float) -> None:

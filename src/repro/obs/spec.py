@@ -97,7 +97,7 @@ class Observability:
         """Record one already-timed monitor phase (maintain/access/...)."""
         # a fully-null bundle (both sinks disabled) must cost one method
         # call, not the label lookup + record plumbing — that is the
-        # budget --obs-overhead guards.
+        # budget benchmarks/obs_overhead.py guards.
         if not self.registry.enabled and isinstance(self.tracer, NullTracer):
             return
         self._phase_hist.labels(scheme=scheme, phase=phase).observe(duration_s)

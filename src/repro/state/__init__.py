@@ -11,7 +11,7 @@ state: same top-k, same ``SK``, same counters as the uninterrupted run.
 """
 
 from repro.state.codec import decode_config, encode_config
-from repro.state.journal import JournalRecord, UpdateJournal
+from repro.state.journal import JournalCorrupted, JournalRecord, UpdateJournal
 from repro.state.recovery import (
     CheckpointPolicy,
     CheckpointStore,
@@ -30,6 +30,7 @@ __all__ = [
     "FORMAT_VERSION",
     "CheckpointPolicy",
     "CheckpointStore",
+    "JournalCorrupted",
     "JournalRecord",
     "RecoveryManager",
     "SnapshotError",

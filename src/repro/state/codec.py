@@ -28,14 +28,17 @@ def encode_config(config: CTUPConfig) -> dict[str, Any]:
         "granularity": config.granularity,
         "space": [space.xmin, space.ymin, space.xmax, space.ymax],
         "use_doo": config.use_doo,
-        "use_unit_grid": config.use_unit_grid,
         "page_capacity": config.page_capacity,
         "buffer_pages": config.buffer_pages,
     }
 
 
 def decode_config(data: Mapping[str, Any]) -> CTUPConfig:
-    """Inverse of :func:`encode_config`."""
+    """Inverse of :func:`encode_config`.
+
+    Keys of retired fields are ignored, so a document written before a
+    field was deleted still decodes.
+    """
     xmin, ymin, xmax, ymax = data["space"]
     return CTUPConfig(
         k=data["k"],
@@ -44,7 +47,6 @@ def decode_config(data: Mapping[str, Any]) -> CTUPConfig:
         granularity=data["granularity"],
         space=Rect(xmin, ymin, xmax, ymax),
         use_doo=data["use_doo"],
-        use_unit_grid=data["use_unit_grid"],
         page_capacity=data["page_capacity"],
         buffer_pages=data["buffer_pages"],
     )

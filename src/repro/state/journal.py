@@ -1,6 +1,7 @@
 """The append-only update journal (write-ahead log).
 
-One JSON line per record, four record kinds:
+One line per record: the CRC32 of the record's JSON as eight lowercase
+hex digits, a space, then the JSON itself. Four record kinds:
 
 ``"u"``
     a single-mode update, journaled *before* it is processed
@@ -20,9 +21,11 @@ One JSON line per record, four record kinds:
     it.
 
 Records carry monotonically increasing sequence numbers. Reopening an
-existing journal continues the sequence; a torn tail (a partial or
-unparsable last line, the signature of a crash mid-append) is truncated
-away on open.
+existing journal continues the sequence; a torn tail (a partial, an
+unparsable or a checksum-failing *last* line, the signature of a crash
+mid-append) is truncated away on open. A bad line with records after it
+is damage, not a crash: reading raises :class:`JournalCorrupted` and
+leaves the file as it is.
 
 Replay contract: feed ``"u"`` and ``"b"`` records back through a session
 configured with the *same* batch size — the buffer refills and
@@ -35,6 +38,7 @@ from __future__ import annotations
 
 import json
 import os
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterator
@@ -50,6 +54,18 @@ OP_UPDATE = "u"
 OP_BATCHED = "b"
 OP_FLUSH = "f"
 OP_CONTROL = "c"
+
+
+class JournalCorrupted(ValueError):
+    """A damaged journal record with intact records after it."""
+
+    def __init__(self, path: Path, seq: int, offset: int) -> None:
+        super().__init__(
+            f"{path}: record seq {seq} at byte offset {offset} is damaged "
+            "and records follow it; the journal was left untouched"
+        )
+        self.seq = seq
+        self.offset = offset
 
 
 @dataclass(frozen=True, slots=True)
@@ -73,27 +89,40 @@ class JournalRecord:
 
 
 def _encode(record: JournalRecord) -> str:
+    """One journal line, newline included."""
     if record.op == OP_CONTROL:
-        return json.dumps(
+        body = json.dumps(
             {"q": record.seq, "op": record.op, "c": record.control}
         )
-    if record.update is None:
-        return json.dumps({"q": record.seq, "op": record.op})
-    update = record.update
-    return json.dumps(
-        {
-            "q": record.seq,
-            "op": record.op,
-            "u": update.unit_id,
-            "old": [update.old_location.x, update.old_location.y],
-            "new": [update.new_location.x, update.new_location.y],
-            "t": update.timestamp,
-        }
-    )
+    elif record.update is None:
+        body = json.dumps({"q": record.seq, "op": record.op})
+    else:
+        update = record.update
+        body = json.dumps(
+            {
+                "q": record.seq,
+                "op": record.op,
+                "u": update.unit_id,
+                "old": [update.old_location.x, update.old_location.y],
+                "new": [update.new_location.x, update.new_location.y],
+                "t": update.timestamp,
+            }
+        )
+    # json.dumps escapes non-ASCII, so the text is its own byte string.
+    return f"{zlib.crc32(body.encode('ascii')):08x} {body}\n"
 
 
-def _decode(line: str) -> JournalRecord:
-    data = json.loads(line)
+def _decode(raw: bytes) -> JournalRecord:
+    """Parse one journal line; ``ValueError`` if it is partial or fails
+    its checksum."""
+    body = raw[9:-1]
+    if (
+        raw[-1:] != b"\n"
+        or raw[8:9] != b" "
+        or raw[:8] != b"%08x" % zlib.crc32(body)
+    ):
+        raise ValueError("damaged journal line")
+    data = json.loads(body)
     seq = int(data["q"])
     op = data["op"]
     if op == OP_FLUSH:
@@ -143,23 +172,36 @@ class UpdateJournal:
             for op in (OP_UPDATE, OP_BATCHED, OP_FLUSH, OP_CONTROL)
         }
 
+    def _scan(self) -> Iterator[tuple[JournalRecord, int]]:
+        """Every intact record, with the byte offset just past it.
+
+        A bad last line is a torn tail and is skipped; a bad line with
+        another line after it raises :class:`JournalCorrupted`.
+        """
+        if not self.path.exists():
+            return
+        last_seq = end = 0
+        torn = False
+        with self.path.open("rb") as handle:
+            for raw in handle:
+                if torn:
+                    raise JournalCorrupted(self.path, last_seq + 1, end)
+                try:
+                    record = _decode(raw)
+                except (ValueError, KeyError, TypeError):
+                    torn = True
+                    continue
+                last_seq = record.seq
+                end += len(raw)
+                yield record, end
+
     def _recover_tail(self) -> None:
         """Scan the existing file: adopt the last sequence number and
         truncate any torn tail left behind by a crash mid-append."""
-        if not self.path.exists():
-            return
         good_end = 0
-        with self.path.open("rb") as handle:
-            for raw in handle:
-                if not raw.endswith(b"\n"):
-                    break  # partial last line: torn
-                try:
-                    record = _decode(raw.decode("utf-8"))
-                except (ValueError, KeyError, UnicodeDecodeError):
-                    break  # unparsable line: torn from here on
-                self._last_seq = record.seq
-                good_end += len(raw)
-        if good_end != self.path.stat().st_size:
+        for record, good_end in self._scan():
+            self._last_seq = record.seq
+        if self.path.exists() and good_end != self.path.stat().st_size:
             with self.path.open("rb+") as handle:
                 handle.truncate(good_end)
 
@@ -211,7 +253,7 @@ class UpdateJournal:
         return seq
 
     def _append_synced(self, record: JournalRecord) -> int:
-        self._file.write(_encode(record) + "\n")
+        self._file.write(_encode(record))
         self._file.flush()
         os.fsync(self._file.fileno())
         self._last_seq = record.seq
@@ -239,12 +281,8 @@ class UpdateJournal:
     def records(self) -> Iterator[JournalRecord]:
         """All committed records, in sequence order."""
         self._file.flush()
-        if not self.path.exists():
-            return
-        with self.path.open("r", encoding="utf-8") as handle:
-            for line in handle:
-                if line.endswith("\n"):
-                    yield _decode(line)
+        for record, _ in self._scan():
+            yield record
 
     def tail(self, after_seq: int) -> list[JournalRecord]:
         """Every record with a sequence number greater than ``after_seq``

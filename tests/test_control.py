@@ -12,6 +12,7 @@ across epoch boundaries, and ``close()`` leaves a recoverable tail.
 """
 
 import math
+import random
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -39,6 +40,7 @@ from repro.control import (
     event_kind,
     fold_places,
 )
+from repro.bench import build_workload
 from repro.core import CTUPConfig
 from repro.engine.session import MonitorSession
 from repro.geometry import Point, Rect
@@ -371,6 +373,43 @@ class TestEquivalence:
         monitor = build("basic", config, places, units)
         with pytest.raises(ValueError):
             monitor.apply_control(KChanged(3), mode="yolo")
+
+    def test_incremental_place_adds_do_a_fifth_of_the_rebuild_work(self):
+        """24 ``PlaceAdded`` on a warmed OptCTUP: same answer, and the
+        incremental path's work counters stay under a fifth of what
+        per-event rebuilds spend."""
+        workload = build_workload(
+            n_units=200, n_places=2_000, stream_length=30, seed=7
+        )
+        config = CTUPConfig(k=5)
+        rng = random.Random(7 * 31 + 9)
+        base = max(p.place_id for p in workload.places) + 1
+        adds = [
+            Place(
+                base + i,
+                Point(rng.random() * 0.999, rng.random() * 0.999),
+                rng.randint(1, 5),
+            )
+            for i in range(24)
+        ]
+        answers, work, rebuilds = {}, {}, {}
+        for mode in ("incremental", "rebuild"):
+            monitor = build("opt", config, workload.places, workload.units)
+            for update in workload.stream:
+                monitor.process(update)
+            reports = [
+                monitor.apply_control(PlaceAdded(p), mode=mode) for p in adds
+            ]
+            assert monitor.epoch == len(adds)
+            answers[mode] = answer(monitor)
+            work[mode] = sum(
+                r.cells_accessed + r.places_loaded + r.page_reads
+                for r in reports
+            )
+            rebuilds[mode] = sum(r.rebuilt for r in reports)
+        assert answers["incremental"] == answers["rebuild"]
+        assert rebuilds == {"incremental": 0, "rebuild": len(adds)}
+        assert 5 * work["incremental"] <= work["rebuild"]
 
 
 # -- online resharding --------------------------------------------------

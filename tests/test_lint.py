@@ -261,37 +261,6 @@ class TestDeterminism:
         assert codes_of(run_rules([fixture], "RPL003")) == []
 
 
-# -- RPL006 / RPL007: hygiene -------------------------------------------
-
-
-class TestHygiene:
-    def test_mutable_default_fires(self):
-        fixture = src("def f(xs=[]):\n    return xs\n")
-        assert codes_of(run_rules([fixture], "RPL006")) == ["RPL006"]
-
-    def test_factory_call_default_fires(self):
-        fixture = src("def f(table=dict()):\n    return table\n")
-        assert codes_of(run_rules([fixture], "RPL006")) == ["RPL006"]
-
-    def test_none_default_is_clean(self):
-        fixture = src("def f(xs=None):\n    return xs or []\n")
-        assert codes_of(run_rules([fixture], "RPL006")) == []
-
-    def test_shadowed_builtin_fires(self):
-        fixture = src("def helper(list):\n    return list\n")
-        assert codes_of(run_rules([fixture], "RPL007")) == ["RPL007"]
-
-    def test_method_named_format_fires(self):
-        fixture = src(
-            """
-            class Report:
-                def format(self):
-                    return ""
-            """
-        )
-        assert codes_of(run_rules([fixture], "RPL007")) == ["RPL007"]
-
-
 # -- RPL008: snapshot completeness --------------------------------------
 
 
@@ -686,43 +655,39 @@ class TestTypingGate:
 
 class TestSuppressions:
     def test_trailing_suppression_silences_its_line(self):
-        fixture = src(
-            "def f(xs=[]):  # reprolint: disable=RPL006 -- fixture\n"
-            "    return xs\n"
-        )
-        assert codes_of(run_rules([fixture], "RPL000", "RPL006")) == []
+        fixture = src("import random  # reprolint: disable=RPL003 -- fixture\n")
+        assert codes_of(run_rules([fixture], "RPL000", "RPL003")) == []
 
     def test_standalone_suppression_covers_the_next_line(self):
         fixture = src(
-            "# reprolint: disable=RPL006 -- fixture\n"
-            "def f(xs=[]):\n"
-            "    return xs\n"
+            "# reprolint: disable=RPL003 -- fixture\n"
+            "import random\n"
         )
-        assert codes_of(run_rules([fixture], "RPL000", "RPL006")) == []
+        assert codes_of(run_rules([fixture], "RPL000", "RPL003")) == []
 
     def test_file_level_suppression_covers_everything(self):
         fixture = src(
-            "# reprolint: disable-file=RPL006 -- fixture file\n"
-            "def f(xs=[]):\n"
-            "    return xs\n"
-            "def g(ys={}):\n"
-            "    return ys\n"
+            "# reprolint: disable-file=RPL003 -- fixture file\n"
+            "import random\n"
+            "import time\n"
+            "def stamp():\n"
+            "    return time.time()\n"
         )
-        assert codes_of(run_rules([fixture], "RPL000", "RPL006")) == []
+        assert codes_of(run_rules([fixture], "RPL000", "RPL003")) == []
 
     def test_suppression_does_not_leak_to_other_rules(self):
         fixture = src(
-            "def f(list=[]):  # reprolint: disable=RPL006 -- fixture\n"
-            "    return list\n"
+            "import time\n"
+            "def f(stats):\n"
+            "    stats.page_reads += time.time()"
+            "  # reprolint: disable=RPL003 -- fixture\n"
         )
-        result = run_rules([fixture], "RPL000", "RPL006", "RPL007")
-        assert codes_of(result) == ["RPL007"]
+        result = run_rules([fixture], "RPL000", "RPL002", "RPL003")
+        assert codes_of(result) == ["RPL002"]
 
     def test_missing_reason_fires_rpl000(self):
-        fixture = src(
-            "def f(xs=[]):  # reprolint: disable=RPL006\n    return xs\n"
-        )
-        result = run_rules([fixture], "RPL000", "RPL006")
+        fixture = src("import random  # reprolint: disable=RPL003\n")
+        result = run_rules([fixture], "RPL000", "RPL003")
         assert "RPL000" in codes_of(result)
 
     def test_unknown_code_fires_rpl000(self):
@@ -736,8 +701,8 @@ class TestSuppressions:
 
 class TestReporters:
     def _result(self):
-        fixture = src("def f(xs=[]):\n    return xs\n", path="pkg/f.py")
-        return run_rules([fixture], "RPL006")
+        fixture = src("import random\n", path="pkg/f.py")
+        return run_rules([fixture], "RPL003")
 
     def test_json_schema(self):
         payload = json.loads(render_json(self._result()))
@@ -746,19 +711,19 @@ class TestReporters:
         assert payload["files_checked"] == 1
         (violation,) = payload["violations"]
         assert set(violation) == {"code", "message", "path", "line", "col"}
-        assert violation["code"] == "RPL006"
+        assert violation["code"] == "RPL003"
         assert violation["path"] == "pkg/f.py"
         assert violation["line"] == 1
 
     def test_json_clean_tree(self):
-        payload = json.loads(render_json(run_rules([], "RPL006")))
+        payload = json.loads(render_json(run_rules([], "RPL003")))
         assert payload["ok"] is True
         assert payload["violations"] == []
 
     def test_text_report(self):
         text = render_text(self._result())
         assert "pkg/f.py:1:" in text
-        assert "RPL006" in text
+        assert "RPL003" in text
         assert "1 violation(s) in 1 file(s)" in text
 
 
@@ -772,8 +737,6 @@ class TestDriver:
             "RPL001",
             "RPL002",
             "RPL003",
-            "RPL006",
-            "RPL007",
             "RPL011",
             "RPL012",
             "RPL013",
@@ -781,8 +744,9 @@ class TestDriver:
             "RPLT01",
         }
         assert expected <= set(RULES)
-        # retired with the shard drain pool and the deprecated surfaces.
-        assert not {"RPL004", "RPL005"} & set(RULES)
+        # retired with the shard drain pool and the deprecated surfaces
+        # (RPL004/RPL005), and as generic hygiene (RPL006/RPL007).
+        assert not {"RPL004", "RPL005", "RPL006", "RPL007"} & set(RULES)
 
     def test_module_name_resolution(self):
         path = REPO_ROOT / "src" / "repro" / "core" / "monitor.py"
@@ -809,11 +773,11 @@ class TestDriver:
         assert lint_main([str(clean)]) == 0
         capsys.readouterr()
         dirty = tmp_path / "dirty.py"
-        dirty.write_text("def f(xs=[]):\n    return xs\n")
+        dirty.write_text("x = 1  # reprolint: disable=RPL999 -- because\n")
         assert lint_main([str(dirty), "--format", "json"]) == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["ok"] is False
-        assert payload["violations"][0]["code"] == "RPL006"
+        assert payload["violations"][0]["code"] == "RPL000"
 
     def test_cli_list_rules(self, capsys):
         assert lint_main(["--list-rules"]) == 0

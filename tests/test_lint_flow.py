@@ -951,8 +951,8 @@ class TestFlowRuleRegistry:
 
 class TestSarif:
     def _dirty(self):
-        fixture = src("def f(xs=[]):\n    return xs\n", path="pkg/f.py")
-        return run_rules([fixture], "RPL006")
+        fixture = src("import random\n", path="pkg/f.py")
+        return run_rules([fixture], "RPL003")
 
     def test_sarif_2_1_0_shape(self):
         payload = json.loads(render_sarif(self._dirty()))
@@ -971,8 +971,8 @@ class TestSarif:
         (run,) = payload["runs"]
         ids = [entry["id"] for entry in run["tool"]["driver"]["rules"]]
         (entry,) = run["results"]
-        assert entry["ruleId"] == "RPL006"
-        assert ids[entry["ruleIndex"]] == "RPL006"
+        assert entry["ruleId"] == "RPL003"
+        assert ids[entry["ruleIndex"]] == "RPL003"
         assert entry["level"] == "error"
         assert entry["message"]["text"]
 
@@ -988,16 +988,16 @@ class TestSarif:
         assert region["startColumn"] == result.violations[0].col + 1 >= 1
 
     def test_clean_tree_has_empty_results(self):
-        payload = json.loads(render_sarif(run_rules([], "RPL006")))
+        payload = json.loads(render_sarif(run_rules([], "RPL003")))
         assert payload["runs"][0]["results"] == []
 
     def test_cli_emits_parseable_sarif(self, tmp_path, capsys):
         dirty = tmp_path / "dirty.py"
-        dirty.write_text("def f(xs=[]):\n    return xs\n")
+        dirty.write_text("x = 1  # reprolint: disable=RPL999 -- because\n")
         assert lint_main([str(dirty), "--format", "sarif"]) == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["version"] == "2.1.0"
-        assert payload["runs"][0]["results"][0]["ruleId"] == "RPL006"
+        assert payload["runs"][0]["results"][0]["ruleId"] == "RPL000"
 
 
 # -- suppression edge cases ----------------------------------------------
@@ -1006,44 +1006,42 @@ class TestSarif:
 class TestSuppressionEdgeCases:
     def test_disable_file_is_scoped_to_its_own_file(self):
         waived = src(
-            "# reprolint: disable-file=RPL006 -- fixture-wide waiver\n"
-            "def f(xs=[]):\n    return xs\n",
+            "# reprolint: disable-file=RPL003 -- fixture-wide waiver\n"
+            "import random\n",
             path="waived.py",
         )
-        other = src(
-            "def g(ys=[]):\n    return ys\n",
-            path="other.py",
-        )
-        result = run_rules([waived, other], "RPL006")
+        other = src("import random\n", path="other.py")
+        result = run_rules([waived, other], "RPL003")
         assert [(v.code, v.path) for v in result.violations] == [
-            ("RPL006", "other.py")
+            ("RPL003", "other.py")
         ]
 
     def test_multiple_codes_on_one_line(self):
         fixture = src(
-            "def f(xs=[], dict=None):"
-            "  # reprolint: disable=RPL006,RPL007 -- fixture exercises both\n"
-            "    return xs\n"
+            "import time\n"
+            "def f(stats):\n"
+            "    stats.page_reads += time.time()"
+            "  # reprolint: disable=RPL002,RPL003 -- fixture exercises both\n"
         )
-        result = run_rules([fixture], "RPL000", "RPL006", "RPL007")
+        result = run_rules([fixture], "RPL000", "RPL002", "RPL003")
         assert codes_of(result) == []
 
     def test_one_code_suppressed_the_other_still_fires(self):
         fixture = src(
-            "def f(xs=[], dict=None):"
-            "  # reprolint: disable=RPL006 -- only the default is waived\n"
-            "    return xs\n"
+            "import time\n"
+            "def f(stats):\n"
+            "    stats.page_reads += time.time()"
+            "  # reprolint: disable=RPL003 -- only the clock read is waived\n"
         )
-        result = run_rules([fixture], "RPL006", "RPL007")
-        assert codes_of(result) == ["RPL007"]
+        result = run_rules([fixture], "RPL002", "RPL003")
+        assert codes_of(result) == ["RPL002"]
 
     def test_unknown_code_fires_rpl000_and_does_not_suppress(self):
         fixture = src(
-            "def f(xs=[]):  # reprolint: disable=RPL999 -- no such rule\n"
-            "    return xs\n"
+            "import random  # reprolint: disable=RPL999 -- no such rule\n"
         )
-        result = run_rules([fixture], "RPL000", "RPL006")
-        assert sorted(codes_of(result)) == ["RPL000", "RPL006"]
+        result = run_rules([fixture], "RPL000", "RPL003")
+        assert sorted(codes_of(result)) == ["RPL000", "RPL003"]
 
     def test_standalone_comment_suppresses_flow_rule_on_next_line(self):
         fixture = src(

@@ -44,11 +44,13 @@ def test_maintained_table_matches_dict_model(seed, ops):
             table.remove_id(victim)
             del model[victim]
         elif action < 0.9 and len(model) > 3:
-            # bulk removal through rows_of_cell / remove_rows.
+            # bulk removal of one cell's rows.
             cell = rng.randrange(4)
-            rows = table.rows_of_cell(cell)
-            ids = [int(table._ids[r]) for r in rows]
-            table.remove_rows(rows.tolist())
+            ids = [
+                pid for pid in model if table._cell[table._row_of[pid]] == cell
+            ]
+            removed = table.remove_cell(cell)
+            assert removed == min((model[pid] for pid in ids), default=math.inf)
             for pid in ids:
                 del model[pid]
         else:

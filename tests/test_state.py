@@ -27,6 +27,7 @@ from repro.model import LocationUpdate
 from repro.state import (
     CheckpointPolicy,
     CheckpointStore,
+    JournalCorrupted,
     SnapshotError,
     Snapshottable,
     UpdateJournal,
@@ -499,6 +500,14 @@ def _extent_places():
 # -- the journal --------------------------------------------------------
 
 
+def _flip_digit(data: bytes, start: int) -> bytes:
+    """``data`` with one digit of the first update record at or after
+    ``start`` changed, so that its JSON still parses."""
+    at = data.index(b'"new": [0.', start) + len(b'"new": [0.')
+    digit = b"8" if data[at : at + 1] == b"9" else b"9"
+    return data[:at] + digit + data[at + 1 :]
+
+
 class TestJournal:
     def test_seq_continues_across_reopen(self, tmp_path):
         path = tmp_path / "journal.jsonl"
@@ -528,6 +537,77 @@ class TestJournal:
                 journal.append_update(update, batched=False)
             tail = list(journal.tail(3))
             assert [r.seq for r in tail] == [4, 5]
+
+    def _journal_of(self, path, n):
+        with UpdateJournal(path) as journal:
+            for update in STREAM.prefix(n):
+                journal.append_update(update, batched=False)
+        return path.read_bytes()
+
+    def test_byte_flipped_mid_journal_raises_and_leaves_the_file(self, tmp_path):
+        path = tmp_path / "journal.jsonl"
+        intact = self._journal_of(path, 5)
+        second = intact.index(b"\n") + 1
+        at = intact.index(b'"op"', second) + 1
+        damaged = intact[:at] + b"x" + intact[at + 1 :]  # "op" -> "xp"
+        path.write_bytes(damaged)
+        with pytest.raises(JournalCorrupted) as raised:
+            UpdateJournal(path)
+        assert isinstance(raised.value, ValueError)
+        assert (raised.value.seq, raised.value.offset) == (2, second)
+        assert path.read_bytes() == damaged
+
+    def test_flipped_digit_that_still_parses_is_caught(self, tmp_path):
+        path = tmp_path / "journal.jsonl"
+        intact = self._journal_of(path, 5)
+        third = intact.index(b"\n", intact.index(b"\n") + 1) + 1
+        damaged = _flip_digit(intact, third)
+        line = damaged.splitlines()[2]
+        json.loads(line[line.index(b"{") :])  # the damaged record still parses
+        path.write_bytes(damaged)
+        with pytest.raises(JournalCorrupted) as raised:
+            UpdateJournal(path)
+        assert (raised.value.seq, raised.value.offset) == (3, third)
+        assert path.read_bytes() == damaged
+
+    @pytest.mark.parametrize("damage", ["partial", "flipped-digit"])
+    def test_damaged_last_line_is_a_torn_tail(self, tmp_path, damage):
+        # the crash leaves 21 updates journaled; the last record (stream
+        # position 20, a buffered update) is torn, so the resume feeds
+        # that update again.
+        session = open_session(
+            "opt",
+            places=PLACES,
+            units=make_units(),
+            config=CONFIG,
+            batch_size=BATCH,
+            durability=DurabilitySpec(tmp_path, every=2),
+        )
+        session.start()
+        for update in STREAM.updates[:21]:
+            session.feed(update)
+        session.journal.close()
+        path = session.journal.path
+        intact = path.read_bytes()
+        last = intact.rindex(b"\n", 0, len(intact) - 1) + 1
+        if damage == "partial":
+            path.write_bytes(intact[: len(intact) - 7])
+        else:
+            path.write_bytes(_flip_digit(intact, last))
+        resumed = open_session(
+            "opt",
+            places=PLACES,
+            units=make_units(),
+            config=CONFIG,
+            batch_size=BATCH,
+            durability=DurabilitySpec(tmp_path, resume=True),
+        )
+        assert path.read_bytes() == intact[:last]
+        assert resumed.journal.last_seq == intact.count(b"\n") - 1
+        for update in STREAM.updates[20:]:
+            resumed.feed(update)
+        resumed.flush()
+        assert state_fingerprint(resumed.monitor, resumed) == straight("opt", 0)
 
     def test_update_payload_roundtrips_exactly(self, tmp_path):
         original = STREAM.updates[0]
@@ -569,7 +649,6 @@ class TestConfigCodec:
             granularity=6,
             space=Rect(-1.0, -2.0, 3.0, 4.0),
             use_doo=False,
-            use_unit_grid=False,
             page_capacity=16,
             buffer_pages=4,
         )
@@ -580,6 +659,11 @@ class TestConfigCodec:
         )
         document = json.loads(json.dumps(encode_config(config)))
         assert decode_config(document) == config
+
+    def test_ignores_the_key_of_a_retired_field(self):
+        # a snapshot written before a field was deleted still resumes.
+        document = {**encode_config(CTUPConfig(k=7)), "retired_knob": True}
+        assert decode_config(document) == CTUPConfig(k=7)
 
 
 class TestFingerprint:

@@ -111,23 +111,22 @@ class TestInsertRemove:
         assert table.safety_of(3) == -3.0
         assert table.safety_of(2) == -2.0
 
-    def test_remove_rows_returns_min_safety(self):
-        table = table_with([(1, -1.0), (2, -5.0), (3, 3.0)])
-        assert table.remove_rows([0, 1]) == -5.0
-
-    def test_remove_rows_empty(self):
+    def test_remove_cell_of_an_absent_cell(self):
         table = table_with([(1, -1.0)])
-        assert table.remove_rows([]) == math.inf
+        assert table.remove_cell(5) == math.inf
+        assert len(table) == 1
 
-    def test_remove_rows_out_of_range(self):
+    def test_remove_row_out_of_range(self):
         table = table_with([(1, -1.0)])
         with pytest.raises(IndexError):
-            table.remove_rows([5])
+            table.remove_row(5)
 
     def test_bulk_removal_path(self):
         # a large batch: most of the table leaves in one call.
-        table = table_with([(i, float(i)) for i in range(100)])
-        min_removed = table.remove_rows(range(10, 100))
+        table = MaintainedPlaces()
+        for i in range(100):
+            table.insert(place(i), float(i), cell=0 if i < 10 else 1)
+        min_removed = table.remove_cell(1)
         assert min_removed == 10.0
         assert len(table) == 10
         for pid in range(10):
@@ -146,6 +145,15 @@ class TestInsertRemove:
         assert table.remove_cell(7) == -4.0
         assert len(table) == 1
         assert 3 in table
+
+    def test_remove_cell_returns_min_safety(self):
+        table = MaintainedPlaces()
+        table.insert(place(1), -1.0, cell=0)
+        table.insert(place(2), -5.0, cell=0)
+        table.insert(place(3), 3.0, cell=1)
+        table.insert(place(4), 2.0, cell=0)
+        assert table.remove_cell(0) == -5.0
+        assert table.safety_of(3) == 3.0
 
 
 def _rows_strategy(pids: range):
@@ -237,13 +245,14 @@ class TestInsertBatch:
 
 
 class TestCellQueries:
-    def test_rows_of_cell(self):
+    def test_remove_cell_takes_only_that_cells_rows(self):
         table = MaintainedPlaces()
         table.insert(place(1), 0.0, cell=3)
         table.insert(place(2), 0.0, cell=4)
         table.insert(place(3), 0.0, cell=3)
-        rows = table.rows_of_cell(3)
-        assert {int(table._ids[r]) for r in rows} == {1, 3}
+        table.remove_cell(3)
+        assert {pid for pid, _, _ in table.export_rows()} == {2}
+        assert table.cells_present() == {4}
 
     def test_cells_present(self):
         table = MaintainedPlaces()
@@ -384,8 +393,6 @@ _MUTATORS = (
     "insert_band",
     "remove_row",
     "remove_id",
-    "remove_rows_few",
-    "remove_rows_many",
     "remove_cell",
     "set_safety",
     "apply_unit_move",
@@ -439,10 +446,6 @@ def _mutate(table: MaintainedPlaces, op: str, data) -> None:
         table.remove_row(data.draw(st.integers(0, n - 1)))
     elif op == "remove_id" and n:
         table.remove_id(data.draw(st.sampled_from(present)).place_id)
-    elif op == "remove_rows_few" and n:
-        table.remove_rows(data.draw(st.lists(st.integers(0, n - 1), max_size=3)))
-    elif op == "remove_rows_many" and n:
-        table.remove_rows(range(data.draw(st.integers(0, n - 1)), n))
     elif op == "remove_cell" and n:
         table.remove_cell(data.draw(st.sampled_from(table._cell[:n].tolist())))
     elif op == "set_safety" and n:
@@ -465,7 +468,8 @@ def _mutate(table: MaintainedPlaces, op: str, data) -> None:
     elif op == "restore_rows":
         exported = table.export_rows()
         # restore_rows needs an empty table: empty this one, refill it.
-        table.remove_rows(range(n))
+        for cell in table.cells_present():
+            table.remove_cell(cell)
         rows = [[pid, safety, _cell_of(_UNIVERSE[pid])] for pid, safety, _ in exported]
         store = PlaceStore(_GRID, _UNIVERSE, page_capacity=8, buffer_pages=0)
         table.restore_rows(rows, store, _GRID)

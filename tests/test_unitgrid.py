@@ -13,7 +13,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core import CTUPConfig, OptCTUP
+from repro.api import SCHEMES
+from repro.core import CTUPConfig
 from repro.core.safety import brute_force_safeties
 from repro.core.units import UnitIndex
 from repro.geometry import Point, Rect
@@ -294,7 +295,8 @@ def test_gather_and_kernel_match_brute_force(data, granularity):
     assert got_compared == want_compared
 
 
-def test_indexed_path_examines_at_least_half_fewer_units():
+@pytest.mark.parametrize("scheme", ["naive", "basic", "opt"])
+def test_indexed_path_examines_at_least_half_fewer_units(scheme):
     """Hardware-independent: the bucket gather prunes the candidates."""
     config = CTUPConfig(k=5)
     places = generate_places(2_000, seed=7)
@@ -302,7 +304,10 @@ def test_indexed_path_examines_at_least_half_fewer_units():
     stream = record_stream(RandomWalkMobility(units, step=0.03, seed=7), 60)
     runs = {}
     for grid_on in (True, False):
-        monitor = OptCTUP(config.replace(use_unit_grid=grid_on), places, units)
+        monitor = SCHEMES[scheme](config, places, units)
+        if not grid_on:
+            # a fleet below the threshold takes the linear scan.
+            monitor.units.grid_min_fleet = len(units) + 1
         monitor.initialize()
         for update in stream:
             monitor.process(update)
