@@ -287,7 +287,7 @@ def open_session(
     :class:`~repro.obs.ObsSpec` (or an already-built
     :class:`~repro.obs.Observability` to share a registry across
     sessions): registry metrics bridge the monitor's ledgers, spans
-    trace phases / kernels / shard drains / journal I/O, and a serve
+    trace phases / flushes / shard drains / journal I/O, and a serve
     port runs a ``/metrics`` endpoint for the session's lifetime.
     """
     shard_spec = _coerce_shard(shard)

@@ -126,7 +126,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--trace-out",
         default=None,
         metavar="PATH",
-        help="trace phases/kernels/shard drains and write a Chrome "
+        help="trace phases/flushes/shard drains and write a Chrome "
         "trace (chrome://tracing JSON) to PATH",
     )
 

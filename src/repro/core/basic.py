@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Any, Iterable, Mapping, Sequence
 
-from repro.core import kernels
+from repro.core.batch import apply_chains
 from repro.core.config import CTUPConfig
 from repro.core.monitor import CTUPMonitor
 from repro.core.tables import TABLE1_PACKED
@@ -94,16 +94,15 @@ class BasicCTUP(CTUPMonitor):
         self._adjust_bounds(update.unit_id, old, new, radius)
 
     def _apply_burst(self, moves: Sequence[CoalescedMove]) -> int:
-        """Chain-aware maintain phase through the burst kernels.
+        """Chain-aware maintain phase: :func:`repro.core.batch.apply_chains`.
 
         Position tracking and the maintained-table scan see only each
         chain's endpoints (intermediate applies cancel exactly); Table I
         runs per chain step, through :meth:`_adjust_bounds`, because its
         deltas are path-dependent (``P→P`` decreases, so a
-        three-waypoint ``P`` chain decreases twice). See
-        :func:`repro.core.kernels.apply_burst_basic`.
+        three-waypoint ``P`` chain decreases twice).
         """
-        return kernels.apply_burst_basic(self, moves)
+        return apply_chains(self, moves)
 
     def _refresh(self) -> int:
         # Step 3: illuminate dark cells whose bound fell below SK.

@@ -20,18 +20,21 @@ Why this is exact:
   decreases, so a chain ``P→P→P`` must decrease twice) and is therefore
   folded step by step over the waypoints.
 
-Schemes opt into the chain-aware path by overriding
-``CTUPMonitor._apply_burst``; everything else replays the raw updates
-and stays exactly per-update. Either way the burst is exact, not
-approximate: the final ``refresh()`` restores the result invariant
-before any answer is read. What changes is the cost — a cell whose
-bound dips below SK and recovers within one burst is never touched, and
-a unit reporting m times costs one maintained-table scan instead of m.
+BasicCTUP and OptCTUP opt into the chain-aware path
+(:func:`apply_chains`) by overriding ``CTUPMonitor._apply_burst``;
+everything else replays the raw updates and stays exactly per-update.
+Either way the burst is exact, not approximate: the final ``refresh()``
+restores the result invariant before any answer is read. What changes
+is the cost — a cell whose bound dips below SK and recovers within one
+burst is never touched, and a unit reporting m times costs one
+maintained-table scan instead of m.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
+
+import numpy as np
 
 from repro.core.metrics import UpdateReport
 from repro.core.monitor import CTUPMonitor
@@ -90,9 +93,8 @@ def replay_chain_steps(
     exactly, and DecHash is keyed per ``(unit, cell)``, so each key
     only ever sees its own chain's steps, in order.
 
-    This is the per-step loop of the burst kernels
-    (:mod:`repro.core.kernels`); reprolint RPL010 keeps observability
-    out of it.
+    This is the per-step loop of :func:`apply_chains`; reprolint
+    RPL010 keeps observability out of it.
     """
     radius = monitor.config.protection_range
     adjust = monitor._adjust_bounds
@@ -101,6 +103,41 @@ def replay_chain_steps(
         for raw in move.raws:
             adjust(unit_id, previous, raw.new_location, radius)
             previous = raw.new_location
+
+
+def apply_chains(
+    monitor: "BasicCTUP | OptCTUP", moves: Sequence[CoalescedMove]
+) -> int:
+    """BasicCTUP's and OptCTUP's maintain phase for one coalesced burst.
+
+    Positions and maintained safeties telescope over a chain, so they
+    see the chain endpoints only: ``UnitIndex.apply_moves`` writes every
+    endpoint in one pass, and the maintained table absorbs all endpoint
+    moves in one ``(rows, moves)`` broadcast instead of one
+    ``apply_unit_move`` scan per move. Table I/II does not telescope
+    (``P→P`` decreases, and DecHash toggles on every crossing), so
+    :func:`replay_chain_steps` runs it for every chain step.
+
+    The result is bit-identical to replaying the burst one update at a
+    time and refreshing once, apart from the skipped work that
+    coalescing reports. Returns that skipped work: the raw updates
+    minus the chains, which ``apply_burst`` charges as
+    ``coalesced_updates``.
+    """
+    olds = monitor.units.apply_moves(moves)
+    old_x = np.array([p.x for p in olds], dtype=np.float64)
+    old_y = np.array([p.y for p in olds], dtype=np.float64)
+    new_x = np.array([m.last_new.x for m in moves], dtype=np.float64)
+    new_y = np.array([m.last_new.y for m in moves], dtype=np.float64)
+    rows = monitor.maintained.apply_unit_moves(
+        old_x, old_y, new_x, new_y, monitor.config.protection_range
+    )
+    scanned = rows * len(moves)
+    monitor.counters.maintained_scans += scanned
+    # two point-in-disk tests (old and new endpoint) per scanned row.
+    monitor.counters.distance_rows += 2 * scanned
+    replay_chain_steps(monitor, moves, olds)
+    return sum(m.raw_count for m in moves) - len(moves)
 
 
 class BatchProcessor:
@@ -161,30 +198,3 @@ class BatchProcessor:
             batch_size=len(updates),
             coalesced_size=n_moves,
         )
-
-    def run_stream(
-        self,
-        updates: Iterable[LocationUpdate],
-        batch_size: int,
-        collect: bool = False,
-    ) -> int | list[UpdateReport]:
-        """Chop a stream into fixed-size batches and process them all.
-
-        Returns the number of updates consumed, or the per-batch
-        :class:`UpdateReport` list when ``collect`` is set.
-        """
-        if batch_size <= 0:
-            raise ValueError("batch size must be positive")
-        reports: list[UpdateReport] = []
-        pending: list[LocationUpdate] = []
-        count = 0
-        for update in updates:
-            pending.append(update)
-            if len(pending) == batch_size:
-                reports.append(self.process_batch(pending))
-                count += len(pending)
-                pending = []
-        if pending:
-            reports.append(self.process_batch(pending))
-            count += len(pending)
-        return reports if collect else count

@@ -44,9 +44,9 @@ class CTUPConfig:
         layout of the simulated lower storage level.
 
     Burst execution has no knob: BasicCTUP and OptCTUP always run a
-    coalesced burst's maintain phase through the burst kernels of
-    :mod:`repro.core.kernels`. Neither has the unit index: every monitor
-    buckets its fleet by grid cell, and
+    coalesced burst's maintain phase through
+    :func:`repro.core.batch.apply_chains`. Neither has the unit index:
+    every monitor buckets its fleet by grid cell, and
     :attr:`~repro.core.units.UnitIndex.grid_min_fleet` picks the linear
     reachability scan for fleets too small to gain from the buckets.
     """

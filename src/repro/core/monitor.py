@@ -256,14 +256,14 @@ class CTUPMonitor(abc.ABC):
         The default replays every raw update through ``_apply`` — exact
         for any scheme, with zero work skipped. Schemes whose maintain
         phase can exploit chain structure (BasicCTUP, OptCTUP) override
-        this: maintained-safety adjustments and position tracking
-        telescope over a chain, so only the endpoints are scanned in
-        batched numpy passes, while bound/DecHash maintenance replays
-        every chain step through the scheme's per-update Table I/II
-        call, which keeps it bit-identical by construction. That call is
-        scalar because numpy's per-call cost dominates on the few cells
-        one step classifies (see ``docs/architecture.md``, "Burst
-        execution").
+        this with :func:`repro.core.batch.apply_chains`: maintained-safety
+        adjustments and position tracking telescope over a chain, so only
+        the endpoints are scanned in batched numpy passes, while
+        bound/DecHash maintenance replays every chain step through the
+        scheme's per-update Table I/II call, which keeps it bit-identical
+        by construction. That call is scalar because numpy's per-call
+        cost dominates on the few cells one step classifies (see
+        ``docs/architecture.md``, "Burst execution").
         """
         for move in moves:
             for raw in move.raws:

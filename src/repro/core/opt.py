@@ -24,7 +24,7 @@ from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from repro.core import kernels
+from repro.core.batch import apply_chains
 from repro.core.config import CTUPConfig
 from repro.core.dechash import DecHash
 from repro.core.monitor import CTUPMonitor
@@ -158,16 +158,15 @@ class OptCTUP(CTUPMonitor):
         self._adjust_bounds(update.unit_id, old, new, radius)
 
     def _apply_burst(self, moves: Sequence[CoalescedMove]) -> int:
-        """Chain-aware maintain phase through the burst kernels.
+        """Chain-aware maintain phase: :func:`repro.core.batch.apply_chains`.
 
         Like BasicCTUP, but the per-step replay runs Table II: DecHash
         transitions are path-dependent (a mid-chain ``→F`` re-arms a
         decrease), so every waypoint step goes through
         :meth:`_adjust_bounds` while positions and the maintained scan
-        use the chain endpoints only. See
-        :func:`repro.core.kernels.apply_burst_opt`.
+        use the chain endpoints only.
         """
-        return kernels.apply_burst_opt(self, moves)
+        return apply_chains(self, moves)
 
     def _refresh(self) -> int:
         # Step 3: access every cell whose bound fell below SK.

@@ -65,7 +65,7 @@ class MonitorSession:
         """``batch_size`` > 0 buffers updates and flushes them through
         the phase API as exact bursts: each burst is move-coalesced and
         applied by one ``apply_burst`` (BasicCTUP and OptCTUP run it
-        through the burst kernels: batched endpoint passes plus a scalar
+        through ``apply_chains``: batched endpoint passes plus a scalar
         Table I/II replay of each chain step, scalar because numpy's
         per-call cost dominates on the few cells a step touches), then
         refreshed once.

@@ -1,20 +1,19 @@
 """Flow-sensitive analysis: CFGs, dataflow solving, the call graph.
 
 The syntactic rules (RPL001–RPL010) match AST shapes; the path-aware
-rules (RPL011–RPL014) need to reason about *orderings* — "is the fsync
-reached on every path before the rename", "is the lock definitely held
-at this read", "can this return be reached with the counter uncharged".
+rules (RPL011, RPL012, RPL014, RPL015) need to reason about *orderings*
+— "is the fsync reached on every path before the rename", "is the lock
+definitely held at this read", "can an access-phase helper reach a
+maintain mutator".
 This subpackage supplies the machinery:
 
 * :mod:`repro.lint.flow.cfg` — intraprocedural control-flow graphs
   built from ``ast`` function bodies: basic blocks, branch/loop edges,
   exception edges out of ``try`` bodies into their handlers, and
   ``finally`` continuations;
-* :mod:`repro.lint.flow.dataflow` — a generic forward/backward worklist
-  solver over those CFGs, with ready-made reaching-definitions and
-  liveness analyses plus the small abstract-state lattice the safety
-  rules use ("resource written/flushed/synced", "lock held", "counter
-  charged");
+* :mod:`repro.lint.flow.dataflow` — a forward worklist solver over
+  those CFGs plus the small abstract-state lattice the safety rules use
+  ("resource written/flushed/synced", "lock held", "mutator bound");
 * :mod:`repro.lint.flow.callgraph` — the project-wide call graph,
   layered on the :class:`~repro.lint.engine.ProjectIndex` function
   summaries.
@@ -31,8 +30,6 @@ from repro.lint.flow.dataflow import (
     BOTTOM,
     FlagLattice,
     FlagState,
-    liveness,
-    reaching_definitions,
     solve_forward,
 )
 
@@ -48,7 +45,5 @@ __all__ = [
     "FunctionSummary",
     "build_cfg",
     "function_cfgs",
-    "liveness",
-    "reaching_definitions",
     "solve_forward",
 ]

@@ -47,10 +47,6 @@ EDGE_RETURN = "return"
 EDGE_RAISE = "raise"
 EDGE_FALLTHROUGH = "fallthrough"
 
-#: edge kinds that terminate into the exit block without an exception
-#: propagating — "the function completed normally along this path".
-NORMAL_EXIT_KINDS = frozenset({EDGE_RETURN, EDGE_FALLTHROUGH})
-
 
 @dataclasses.dataclass(frozen=True, slots=True)
 class Edge:
@@ -243,8 +239,8 @@ class _Builder:
         ctx: _Context,
     ) -> int | None:
         # For loops the header carries the whole statement so the loop
-        # target's binding is visible to dataflow (dataflow._assigned_names
-        # / _read_names special-case it to iter/target only).
+        # target's binding is visible to rules (scan_roots restricts a
+        # scan to the iterable the header evaluates).
         header_node: ast.AST = stmt.test if isinstance(stmt, ast.While) else stmt
         header = self._block("test", header_node, ctx)
         self.cfg._add_edge(cursor, header, EDGE_NORMAL)

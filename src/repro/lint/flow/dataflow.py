@@ -1,29 +1,24 @@
 """Worklist dataflow solving over :mod:`repro.lint.flow.cfg` graphs.
 
-Two generic solvers (forward and backward) plus the three analyses the
-path-aware rules build on:
-
-* reaching definitions — which assignment of a name can reach a block;
-* liveness — which names are read downstream of a block;
-* :class:`FlagLattice` — the small "possible abstract values" lattice
-  the safety rules use for *resource written / flushed / synced*,
-  *lock held*, and *counter charged* facts. A state maps a key to the
-  frozenset of values it may hold along some path into the block, so
-  "definitely X" is ``state[key] == {"X"}`` and "may be Y" is
-  ``"Y" in state[key]`` — must- and may-questions over one lattice.
+A forward worklist solver plus :class:`FlagLattice`, the small
+"possible abstract values" lattice the path-aware rules use for
+*resource written / flushed / synced*, *lock held* and *mutator bound*
+facts. A state maps a key to the frozenset of values it may hold along
+some path into the block, so "definitely X" is ``state[key] == {"X"}``
+and "may be Y" is ``"Y" in state[key]`` — must- and may-questions over
+one lattice.
 
 Exception edges carry the *pre*-state of the raising statement (the
-statement may not have completed), which is what makes "the charge is
-skipped only on the except edge" detectable at all.
+statement may not have completed), which is what makes "the handler
+sees the state from before the mutation" detectable at all.
 """
 
 from __future__ import annotations
 
-import ast
 from collections import deque
 from typing import Callable, Iterable, Mapping, Sequence
 
-from repro.lint.flow.cfg import EDGE_EXCEPTION, CFG, Block, scan_roots
+from repro.lint.flow.cfg import EDGE_EXCEPTION, CFG, Block
 
 
 class _Bottom:
@@ -127,123 +122,3 @@ def solve_forward(
                     worklist.append(edge.dst)
                     queued.add(edge.dst)
     return in_states
-
-
-def solve_backward(
-    cfg: CFG,
-    init: frozenset[str],
-    transfer: Callable[[Block, frozenset[str]], frozenset[str]],
-) -> dict[int, frozenset[str]]:
-    """In-facts of every block under a backward union analysis
-    (the liveness shape: out = union of successor ins)."""
-    in_facts: dict[int, frozenset[str]] = {
-        block_id: frozenset() for block_id in cfg.blocks
-    }
-    in_facts[cfg.exit] = init
-    worklist: deque[int] = deque(sorted(cfg.blocks, reverse=True))
-    queued: set[int] = set(worklist)
-    while worklist:
-        block_id = worklist.popleft()
-        queued.discard(block_id)
-        out_fact: frozenset[str] = frozenset()
-        for edge in cfg.successors(block_id):
-            out_fact |= in_facts[edge.dst]
-        if block_id == cfg.exit:
-            out_fact |= init
-        merged = transfer(cfg.blocks[block_id], out_fact)
-        if merged != in_facts[block_id]:
-            in_facts[block_id] = merged
-            for edge in cfg.predecessors(block_id):
-                if edge.src not in queued:
-                    worklist.append(edge.src)
-                    queued.add(edge.src)
-    return in_facts
-
-
-# -- name helpers ---------------------------------------------------------
-
-
-def _assigned_names(node: ast.AST | None) -> frozenset[str]:
-    """Plain names a statement (re)binds."""
-    if node is None:
-        return frozenset()
-    bound: set[str] = set()
-    targets: list[ast.expr] = []
-    if isinstance(node, ast.Assign):
-        targets = [*node.targets]
-    elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
-        targets = [node.target]
-    elif isinstance(node, (ast.For, ast.AsyncFor)):
-        targets = [node.target]
-    elif isinstance(node, (ast.With, ast.AsyncWith)):
-        targets = [
-            item.optional_vars
-            for item in node.items
-            if item.optional_vars is not None
-        ]
-    elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-        bound.add(node.name)
-    elif isinstance(node, (ast.Import, ast.ImportFrom)):
-        for alias in node.names:
-            bound.add((alias.asname or alias.name).split(".")[0])
-    for target in targets:
-        for sub in ast.walk(target):
-            if isinstance(sub, ast.Name):
-                bound.add(sub.id)
-    return frozenset(bound)
-
-
-def _read_names(node: ast.AST | None) -> frozenset[str]:
-    """Plain names a statement reads (Name nodes in Load context)."""
-    if node is None:
-        return frozenset()
-    reads: set[str] = set()
-    for root in scan_roots(node):
-        for sub in ast.walk(root):
-            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
-                reads.add(sub.id)
-    return frozenset(reads)
-
-
-# -- canned analyses ------------------------------------------------------
-
-
-def reaching_definitions(
-    cfg: CFG,
-) -> dict[int, frozenset[tuple[str, int]]]:
-    """In-state per block: the ``(name, defining block id)`` pairs that
-    may reach it. Function parameters appear as definitions at entry."""
-    lattice = FlagLattice(default="?")
-
-    def transfer(block: Block, state: FlagState) -> FlagState:
-        names = _assigned_names(block.node)
-        if not names:
-            return state
-        updated = dict(state)
-        for name in names:
-            updated[name] = frozenset({str(block.block_id)})
-        return updated
-
-    in_states = solve_forward(cfg, {}, transfer, lattice.join)
-    result: dict[int, frozenset[tuple[str, int]]] = {}
-    for block_id, state in in_states.items():
-        if isinstance(state, _Bottom):
-            result[block_id] = frozenset()
-            continue
-        pairs: set[tuple[str, int]] = set()
-        for name, sites in state.items():
-            for site in sites:
-                if site != "?":
-                    pairs.add((name, int(site)))
-        result[block_id] = frozenset(pairs)
-    return result
-
-
-def liveness(cfg: CFG) -> dict[int, frozenset[str]]:
-    """Live-in names per block (read on some downstream path before
-    being rebound)."""
-
-    def transfer(block: Block, out_fact: frozenset[str]) -> frozenset[str]:
-        return _read_names(block.node) | (out_fact - _assigned_names(block.node))
-
-    return solve_backward(cfg, frozenset(), transfer)

@@ -8,9 +8,7 @@ from repro.lint.rules import (  # noqa: F401  (imported for registration)
     counters,
     determinism,
     durability,
-    flowcounters,
     hygiene,
-    kernels,
     locks,
     obs,
     phases,

@@ -1,13 +1,13 @@
-"""RPL010 — observability stays at kernel pass boundaries.
+"""RPL010 — observability stays at burst pass boundaries.
 
-The burst kernels prove their "near-zero overhead when disabled" budget
-by checking ``monitor.obs`` **once** per pass and delegating to the
-uninstrumented private kernel. A ``repro.obs`` import at runtime, or a
-span/metric call inside a per-element loop, quietly converts the O(1)
+A burst's maintain phase is timed and traced once, by
+``CTUPMonitor.apply_burst`` around the whole pass (the
+``maintain_burst`` span). A ``repro.obs`` import at runtime, or a
+span/metric call inside a per-element loop, quietly converts that O(1)
 boundary cost into O(moves) — every test keeps passing while the hot
-path regresses. This rule polices :mod:`repro.core.kernels` and
-:mod:`repro.core.batch`, which holds the kernels' per-step Table I/II
-loop (``replay_chain_steps``):
+path regresses. This rule polices :mod:`repro.core.batch`, which holds
+the burst path (``apply_chains``) and its per-step Table I/II loop
+(``replay_chain_steps``):
 
 * runtime ``import repro.obs`` / ``from repro.obs import ...`` is
   flagged (``if TYPE_CHECKING:`` blocks are exempt — annotations are
@@ -26,7 +26,7 @@ from typing import Iterator
 from repro.lint.engine import ProjectIndex, SourceFile
 from repro.lint.registry import Violation, rule
 
-SCOPES = ("repro.core.kernels", "repro.core.batch")
+SCOPES = ("repro.core.batch",)
 
 _OBS_METHODS = frozenset(
     {
@@ -48,7 +48,7 @@ _OBS_ROOTS = frozenset({"obs", "tracer", "registry"})
     "RPL010",
     "obs-pass-boundary",
     "no runtime repro.obs imports and no span/metric calls inside loop "
-    "bodies in repro.core.kernels and repro.core.batch — observability "
+    "bodies in repro.core.batch — observability "
     "wraps whole passes, never per-element work",
 )
 def check(source: SourceFile, project: ProjectIndex) -> Iterator[Violation]:
@@ -72,7 +72,7 @@ def check(source: SourceFile, project: ProjectIndex) -> Iterator[Violation]:
                         message=(
                             "observability call "
                             f"({_call_name(inner)}) inside a loop body in "
-                            "the kernels module — emit the span/metric "
+                            "the burst path — emit the span/metric "
                             "once around the whole pass, not per element"
                         ),
                         path=source.path,
@@ -111,8 +111,8 @@ def _import_violation(
     return Violation(
         code="RPL010",
         message=(
-            f"runtime import of {module} in the kernels module — "
-            "kernels receive an already-built Observability handle; "
+            f"runtime import of {module} in the burst path — "
+            "the monitor carries an already-built Observability handle; "
             "keep repro.obs imports under `if TYPE_CHECKING:`"
         ),
         path=source.path,

@@ -8,7 +8,7 @@ observability costs one ``is None`` check on the hot path:
   histograms with labels, behind :class:`MetricsRegistry` (live) and
   :class:`NullRegistry` (no-op).
 * :mod:`repro.obs.trace` — :class:`Span`/:class:`Tracer` ring buffer
-  over monitor phases, kernel passes, shard drains, merges and journal
+  over monitor phases, session flushes, shard drains, merges and journal
   I/O, exportable as a Chrome ``chrome://tracing`` JSON trace.
 * :mod:`repro.obs.expo` — Prometheus text rendering, ``json_dump``
   snapshots, a validating parser, and a stdlib ``/metrics`` server.

@@ -1,4 +1,4 @@
-"""Structured tracing: spans over monitor phases, kernels and I/O.
+"""Structured tracing: spans over monitor phases, shard drains and I/O.
 
 Spans are timed with the monotonic ``time.perf_counter`` clock family
 (the same clock the monitor's own ledgers use), stored in a bounded

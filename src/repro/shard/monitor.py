@@ -230,7 +230,7 @@ class ShardedMonitor(CTUPMonitor):
         run its access phase if any delivery was full.
 
         *Full* chain deliveries are re-batched into one ``apply_burst``
-        call on the shard monitor, so the per-shard burst kernels see
+        call on the shard monitor, so each shard's ``apply_chains`` sees
         the widest burst the queue allows. Maintain work commutes
         across different units, so the batch is flushed only before a
         delivery (full or sync, chain or plain update) for a unit already

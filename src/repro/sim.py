@@ -91,11 +91,6 @@ class Simulation:
         self.session.add_hook(_ChangeLog(self.changes))
 
     @property
-    def tracker(self):
-        """The session's change tracker (kept for compatibility)."""
-        return self.session.tracker
-
-    @property
     def audit_every(self) -> int:
         return self.session.audit_every
 

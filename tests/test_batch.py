@@ -46,10 +46,6 @@ class TestProcessing:
         assert processor.batches_processed == 0
         assert processor.monitor.counters == counters_before
 
-    def test_bad_batch_size(self, processor, small_stream):
-        with pytest.raises(ValueError):
-            processor.run_stream(small_stream, 0)
-
     def test_single_batch_valid(self, processor, small_oracle, small_stream):
         batch = list(small_stream.prefix(20))
         report = processor.process_batch(batch)
@@ -77,10 +73,11 @@ class TestProcessing:
         sequential.initialize()
         batched = OptCTUP(small_config, small_places, small_units)
         batched.initialize()
-        processor = BatchProcessor(batched)
 
         MonitorSession(sequential).run(small_stream)
-        consumed = processor.run_stream(small_stream, batch_size)
+        consumed = MonitorSession(batched, batch_size=batch_size).run(
+            small_stream
+        )
         assert consumed == len(small_stream)
         for update in small_stream:
             small_oracle.apply(update)
@@ -94,13 +91,13 @@ class TestProcessing:
             monitor = OptCTUP(small_config, small_places, small_units)
             monitor.initialize()
             base = monitor.counters.cells_accessed
-            BatchProcessor(monitor).run_stream(small_stream, batch_size)
+            MonitorSession(monitor, batch_size=batch_size).run(small_stream)
             return monitor.counters.cells_accessed - base
 
         assert accesses(25) <= accesses(1)
 
     def test_counters_cover_all_updates(self, processor, small_stream):
-        processor.run_stream(small_stream, 8)
+        MonitorSession(processor.monitor, batch_size=8).run(small_stream)
         assert (
             processor.monitor.counters.updates_processed == len(small_stream)
         )

@@ -2,7 +2,7 @@
 
 A burst runs through ``BatchProcessor``: its updates are coalesced into
 one waypoint chain per unit and applied by one ``apply_burst``
-(BasicCTUP and OptCTUP through the ``repro.core.kernels`` passes), then
+(BasicCTUP and OptCTUP through ``repro.core.batch.apply_chains``), then
 refreshed once. The reference is per-update replay written out here:
 ``apply_update`` for every raw update of the burst, then one
 ``refresh()``.
@@ -211,7 +211,7 @@ def test_boundary_chain_matches_replay(scheme):
     cell width: the first step's candidate block stops at column 9
     (``floor(0.9 / 0.1) == 9``) although the distance test would call
     column 8 partial. Per-update processing leaves column 8 out of that
-    step; the kernels must too (a workload-derived example: unit 20 of
+    step; the burst path must too (a workload-derived example: unit 20 of
     ``build_workload(n_units=24, seed=5)``, burst 28)."""
     config = CTUPConfig(k=4, protection_range=0.1, granularity=10)
     start = Point(1.0, 0.7401547888905604)

@@ -119,3 +119,14 @@ class TestMeasured:
         measured = (ROOT / "MEASURED.md").read_text()
         for experiment in all_experiments():
             assert experiment.title in measured, experiment.experiment_id
+
+
+class TestArchitecture:
+    def test_rule_tables_list_exactly_the_registered_rules(self):
+        from repro.lint import RULES
+
+        architecture = (ROOT / "docs" / "architecture.md").read_text()
+        documented = set(
+            re.findall(r"^\| (RPL\w+) ", architecture, flags=re.MULTILINE)
+        )
+        assert documented == set(RULES), documented ^ set(RULES)

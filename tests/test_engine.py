@@ -9,7 +9,6 @@ from repro.core import (
     NaiveCTUP,
     OptCTUP,
 )
-from repro.core.batch import BatchProcessor
 from repro.core.metrics import InitReport, UpdateReport
 from repro.core.multik import MultiQueryCTUP
 from repro.engine import MonitorHooks, MonitorSession
@@ -118,8 +117,8 @@ class TestSchemeAgnosticBatching:
         sequential.initialize()
         batched.initialize()
         MonitorSession(sequential).run(scenario_world.stream)
-        consumed = BatchProcessor(batched).run_stream(
-            scenario_world.stream, batch_size
+        consumed = MonitorSession(batched, batch_size=batch_size).run(
+            scenario_world.stream
         )
         assert consumed == len(scenario_world.stream)
         assert batched.sk() == sequential.sk()
@@ -144,8 +143,8 @@ class TestSchemeAgnosticBatching:
             )
             monitor.initialize()
             base = monitor.counters.cells_accessed
-            BatchProcessor(monitor).run_stream(
-                scenario_world.stream, batch_size
+            MonitorSession(monitor, batch_size=batch_size).run(
+                scenario_world.stream
             )
             return monitor.counters.cells_accessed - base
 
@@ -158,9 +157,9 @@ class TestSchemeAgnosticBatching:
             scenario_config, scenario_world.places, scenario_world.units
         )
         monitor.initialize()
-        reports = BatchProcessor(monitor).run_stream(
-            scenario_world.stream, 50, collect=True
-        )
+        session = MonitorSession(monitor, batch_size=50)
+        reports = [session.feed(u) for u in scenario_world.stream]
+        reports = [r for r in reports + [session.flush()] if r is not None]
         assert len(reports) == -(-len(scenario_world.stream) // 50)
         assert all(isinstance(r, UpdateReport) for r in reports)
         assert reports[-1].sk == monitor.sk()

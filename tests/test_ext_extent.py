@@ -100,6 +100,14 @@ class TestExtentMonitor:
                     small_config.protection_range,
                     small_config.k,
                 )
+        # ExtentCTUP runs its own update loop, so it charges its own
+        # counters: once per update, every phase timed.
+        counters = monitor.counters
+        assert counters.updates_processed == len(stream)
+        assert counters.time_init_s > 0
+        assert counters.time_maintain_s > 0
+        assert counters.time_access_s > 0
+        assert counters.maintained_peak >= len(monitor._maintained)
 
     def test_point_extents_match_core(self, small_config, small_places, small_units, small_stream, small_oracle):
         """Zero-extent rectangles reproduce the point-place semantics."""

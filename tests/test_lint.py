@@ -381,107 +381,6 @@ class TestSnapshotCompleteness:
         assert codes_of(run_rules([fixture], "RPL008")) == []
 
 
-# -- RPL009: the burst kernels stay vectorised ---------------------------
-
-
-class TestKernelsVectorised:
-    def test_scalar_iterator_loop_fires(self):
-        fixture = src(
-            """
-            def apply(moves):
-                for pos in range(len(moves)):
-                    handle(moves[pos])
-            """,
-            module="repro.core.kernels",
-        )
-        result = run_rules([fixture], "RPL009")
-        assert codes_of(result) == ["RPL009"]
-        assert "range" in result.violations[0].message
-
-    def test_zip_enumerate_map_loops_fire(self):
-        fixture = src(
-            """
-            def apply(xs, ys):
-                for x, y in zip(xs, ys):
-                    handle(x, y)
-                for pos, x in enumerate(xs):
-                    handle(pos, x)
-                for x in map(float, xs):
-                    handle(x)
-            """,
-            module="repro.core.kernels",
-        )
-        assert codes_of(run_rules([fixture], "RPL009")) == [
-            "RPL009",
-            "RPL009",
-            "RPL009",
-        ]
-
-    def test_while_loop_fires(self):
-        fixture = src(
-            """
-            def drain(queue):
-                while queue:
-                    queue.pop()
-            """,
-            module="repro.core.kernels",
-        )
-        assert codes_of(run_rules([fixture], "RPL009")) == ["RPL009"]
-
-    def test_group_and_name_loops_are_clean(self):
-        fixture = src(
-            """
-            def apply(groups, cells):
-                for count, members in groups.items():
-                    handle(count, members)
-                for cell in cells:
-                    handle(cell)
-                matrix = [[w.x for w in chain] for chain in cells]
-                total = sum(m.raw_count for m in cells)
-                return matrix, total
-            """,
-            module="repro.core.kernels",
-        )
-        assert codes_of(run_rules([fixture], "RPL009")) == []
-
-    def test_comprehensions_over_scalar_iterators_are_clean(self):
-        # bounded setup idiom (LUT derivation, waypoint matrices) — only
-        # for/while *statements* are the shape the rule polices.
-        fixture = src(
-            """
-            PAIRS = [(code // 3, code % 3) for code in range(9)]
-            def widths(xs, ys):
-                return [x - y for x, y in zip(xs, ys)]
-            """,
-            module="repro.core.kernels",
-        )
-        assert codes_of(run_rules([fixture], "RPL009")) == []
-
-    def test_other_core_modules_are_out_of_scope(self):
-        fixture = src(
-            """
-            def apply(moves):
-                for pos in range(len(moves)):
-                    handle(moves[pos])
-            """,
-            module="repro.core.batch",
-        )
-        assert codes_of(run_rules([fixture], "RPL009")) == []
-
-    def test_suppression_with_reason_silences(self):
-        fixture = src(
-            """
-            def apply(xs, ys):
-                for x, y in zip(  # reprolint: disable=RPL009 -- per-cell dict application is irreducible
-                    xs, ys
-                ):
-                    handle(x, y)
-            """,
-            module="repro.core.kernels",
-        )
-        assert codes_of(run_rules([fixture], "RPL009")) == []
-
-
 # -- RPL010: observability at pass boundaries ---------------------------
 
 
@@ -494,7 +393,7 @@ class TestObsPassBoundary:
             def apply(monitor, moves):
                 return monitor
             """,
-            module="repro.core.kernels",
+            module="repro.core.batch",
         )
         result = run_rules([fixture], "RPL010")
         assert codes_of(result) == ["RPL010"]
@@ -511,7 +410,7 @@ class TestObsPassBoundary:
             def apply(monitor, moves):
                 return monitor
             """,
-            module="repro.core.kernels",
+            module="repro.core.batch",
         )
         assert codes_of(run_rules([fixture], "RPL010")) == []
 
@@ -520,10 +419,10 @@ class TestObsPassBoundary:
             """
             def apply(monitor, moves):
                 for move in moves:
-                    with monitor.obs.tracer.span("kernel.move"):
+                    with monitor.obs.tracer.span("burst.move"):
                         handle(move)
             """,
-            module="repro.core.kernels",
+            module="repro.core.batch",
         )
         result = run_rules([fixture], "RPL010")
         assert codes_of(result) == ["RPL010"]
@@ -538,7 +437,7 @@ class TestObsPassBoundary:
                     cells.pop()
                     counter.inc()
             """,
-            module="repro.core.kernels",
+            module="repro.core.batch",
         )
         # only `counter.inc()` survives the chain check — the receiver
         # is not obs-rooted, so nothing fires; the registry-rooted form
@@ -551,7 +450,7 @@ class TestObsPassBoundary:
                     cells.pop()
                     registry.counter("ctup_cells_total").inc()
             """,
-            module="repro.core.kernels",
+            module="repro.core.batch",
         )
         assert codes_of(run_rules([rooted], "RPL010")) == ["RPL010"]
 
@@ -560,11 +459,11 @@ class TestObsPassBoundary:
             """
             def apply(monitor, moves):
                 obs = monitor.obs
-                with obs.tracer.span("kernel.burst", moves=len(moves)):
+                with obs.tracer.span("burst", moves=len(moves)):
                     for move in moves:
                         handle(move)
             """,
-            module="repro.core.kernels",
+            module="repro.core.batch",
         )
         # the span call sits outside the for statement, so the loop-body
         # walk never reaches it.
@@ -578,18 +477,18 @@ class TestObsPassBoundary:
                     cell.bounds.set(0.0)
                     cell.flags.labels(kind="dark")
             """,
-            module="repro.core.kernels",
+            module="repro.core.batch",
         )
         assert codes_of(run_rules([fixture], "RPL010")) == []
 
     def test_batch_step_loop_is_in_scope(self):
-        # repro.core.batch holds the kernels' per-step Table I/II loop:
-        # a span per chain step is flagged there as in the kernels.
+        # a span per chain step in the per-step Table I/II loop is the
+        # per-element cost the rule exists to stop.
         fixture = src(
             """
             def replay_chain_steps(monitor, moves, olds):
                 for move, previous in zip(moves, olds):
-                    with monitor.obs.tracer.span("kernel.step"):
+                    with monitor.obs.tracer.span("burst.step"):
                         handle(move, previous)
             """,
             module="repro.core.batch",
@@ -739,14 +638,17 @@ class TestDriver:
             "RPL003",
             "RPL011",
             "RPL012",
-            "RPL013",
             "RPL014",
             "RPLT01",
         }
         assert expected <= set(RULES)
         # retired with the shard drain pool and the deprecated surfaces
-        # (RPL004/RPL005), and as generic hygiene (RPL006/RPL007).
-        assert not {"RPL004", "RPL005", "RPL006", "RPL007"} & set(RULES)
+        # (RPL004/RPL005), as generic hygiene (RPL006/RPL007), and with
+        # nothing left to guard: the kernels module (RPL009) and the
+        # path-wise counter charges (RPL013, now a runtime check in
+        # tests/test_monitor_contract.py).
+        retired = {"RPL004", "RPL005", "RPL006", "RPL007", "RPL009", "RPL013"}
+        assert not retired & set(RULES)
 
     def test_module_name_resolution(self):
         path = REPO_ROOT / "src" / "repro" / "core" / "monitor.py"

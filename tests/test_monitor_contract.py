@@ -57,11 +57,25 @@ class TestLifecycle:
         monitor.initialize()
         assert monitor.sk() == monitor.top_k()[-1].safety
 
-    def test_run_stream_counts(self, monitor, small_stream):
-        session = open_session(monitor=monitor, track_changes=False)
-        session.start()
-        assert session.run(small_stream) == len(small_stream)
-        assert monitor.counters.updates_processed == len(small_stream)
+    def test_run_stream_counts(
+        self, monitor, small_config, small_places, small_units, small_stream
+    ):
+        # the runtime side of the counter contract: every raw update is
+        # charged once and every lifecycle phase is timed, per update
+        # (batch_size=0) and per coalesced burst (batch_size=8).
+        fresh = type(monitor)(small_config, small_places, small_units)
+        for batch_size, mon in ((0, monitor), (8, fresh)):
+            session = open_session(
+                monitor=mon, batch_size=batch_size, track_changes=False
+            )
+            session.start()
+            assert session.run(small_stream) == len(small_stream)
+            counters = mon.counters
+            assert counters.updates_processed == len(small_stream)
+            assert counters.time_init_s > 0
+            assert counters.time_maintain_s > 0
+            assert counters.time_access_s > 0
+            assert counters.maintained_peak >= mon.maintained_count()
 
     def test_unknown_unit_update_raises(self, monitor):
         monitor.initialize()

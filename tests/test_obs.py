@@ -1,12 +1,10 @@
 """The observability layer: registry, tracing, exposition, wiring.
 
-The two contracts that matter most:
-
-* **reconciliation** — after a run, the bridged registry gauges equal
-  the monitor's own ledgers field for field, for every scheme, sharded
-  or not;
-* **equivalence** — a session opened with grouped specs is bit-identical
-  to one opened with the deprecated flat kwargs (which must warn).
+The contract that matters most is **reconciliation**: after a run, the
+bridged registry gauges equal the monitor's own ledgers field for
+field, for every scheme, sharded or not. The span taxonomy is the
+other: one span per phase, so a burst's maintain phase is traced once,
+as ``maintain_burst``.
 """
 
 from __future__ import annotations
@@ -124,7 +122,7 @@ class TestTracer:
     def test_chrome_trace_schema(self, tmp_path):
         tracer = Tracer()
         tracer.record("maintain", "monitor", 1.0, 0.002, scheme="opt")
-        with tracer.span("kernel.burst", cat="kernel", moves=7):
+        with tracer.span("session.flush", cat="session", updates=7):
             pass
         path = tmp_path / "trace.json"
         written = write_chrome_trace(tracer.spans(), path)
@@ -326,6 +324,8 @@ class TestSessionTracing:
         names = {span.name for span in tracer.spans()}
         cats = {span.cat for span in tracer.spans()}
         assert "session.flush" in names
+        assert "maintain_burst" in names
+        assert not [name for name in names if name.startswith("kernel.")]
         assert "shard.drain" in names
         assert "topk.merge" in names
         assert "journal.append" in names
