@@ -93,10 +93,13 @@ class DecHash:
 
         The pair set is semantically unordered (membership tests only),
         so the export canonicalizes: cells ascending, unit ids ascending.
+        Cell tuples sort in :meth:`GridPartition.linear` order.
         """
+        ny = grid.ny
+        by_cell = self._by_cell
         return [
-            [grid.linear(cell), sorted(self._by_cell[cell])]
-            for cell in sorted(self._by_cell, key=grid.linear)
+            [cell[0] * ny + cell[1], sorted(by_cell[cell])]
+            for cell in sorted(by_cell)
         ]
 
     @classmethod

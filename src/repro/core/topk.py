@@ -299,10 +299,13 @@ class MaintainedPlaces:
         the table with identical row placement, so a resumed monitor's
         swap-removals evolve exactly like the snapshotted one's.
         """
-        return [
-            [int(self._ids[row]), float(self._safety[row]), int(self._cell[row])]
-            for row in range(self._n)
-        ]
+        n = self._n
+        rows = zip(
+            self._ids[:n].tolist(),
+            self._safety[:n].tolist(),
+            self._cell[:n].tolist(),
+        )
+        return [list(row) for row in rows]
 
     def safeties(self) -> np.ndarray:
         """Read-only view of the live safety column, in row order."""

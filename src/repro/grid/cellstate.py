@@ -103,9 +103,10 @@ def export_cell_states(
 ) -> list[list[float | str | bool | int]]:
     """JSON-codable rows ``[linear cell, bound, illuminated, places,
     accesses]`` in table-iteration order."""
+    ny = grid.ny
     return [
         [
-            grid.linear(cell),
+            cell[0] * ny + cell[1],
             encode_bound(state.lower_bound),
             state.illuminated,
             state.place_count,

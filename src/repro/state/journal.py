@@ -37,6 +37,7 @@ which makes replay idempotent at batch boundaries).
 from __future__ import annotations
 
 import json
+import math
 import os
 import zlib
 from dataclasses import dataclass
@@ -88,6 +89,16 @@ class JournalRecord:
         return self.op == OP_CONTROL
 
 
+#: an update record as ``json.dumps`` writes it when the unit id is an
+#: int, the coordinates are finite floats and the timestamp is an int or
+#: a finite float (``repr`` is ``json.dumps``'s spelling of those); any
+#: other record is written by ``json.dumps`` itself, NaN and infinite
+#: timestamps included.
+_UPDATE_BODY = (
+    '{"q": %d, "op": "%s", "u": %d, "old": [%r, %r], "new": [%r, %r], "t": %r}'
+)
+
+
 def _encode(record: JournalRecord) -> str:
     """One journal line, newline included."""
     if record.op == OP_CONTROL:
@@ -98,16 +109,32 @@ def _encode(record: JournalRecord) -> str:
         body = json.dumps({"q": record.seq, "op": record.op})
     else:
         update = record.update
-        body = json.dumps(
-            {
-                "q": record.seq,
-                "op": record.op,
-                "u": update.unit_id,
-                "old": [update.old_location.x, update.old_location.y],
-                "new": [update.new_location.x, update.new_location.y],
-                "t": update.timestamp,
-            }
-        )
+        old = update.old_location
+        new = update.new_location
+        t = update.timestamp
+        # a finite sum means four finite coordinates (a sum that
+        # overflows merely takes the json.dumps branch)
+        if (
+            type(update.unit_id) is int
+            and type(old.x) is type(old.y) is type(new.x) is type(new.y) is float
+            and math.isfinite(old.x + old.y + new.x + new.y)
+            and (type(t) is int or type(t) is float and math.isfinite(t))
+        ):
+            body = _UPDATE_BODY % (
+                record.seq, record.op, update.unit_id,
+                old.x, old.y, new.x, new.y, t,
+            )
+        else:
+            body = json.dumps(
+                {
+                    "q": record.seq,
+                    "op": record.op,
+                    "u": update.unit_id,
+                    "old": [old.x, old.y],
+                    "new": [new.x, new.y],
+                    "t": t,
+                }
+            )
     # json.dumps escapes non-ASCII, so the text is its own byte string.
     return f"{zlib.crc32(body.encode('ascii')):08x} {body}\n"
 

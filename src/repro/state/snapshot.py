@@ -7,7 +7,7 @@ A snapshot is a JSON-codable dict::
       "scheme": "opt",                  # which monitor wrote it
       "config": {...},                  # every CTUPConfig field
       "places_fingerprint": "...",      # content hash of the place set
-      "fingerprint_version": 2,         # float.hex-based place hash
+      "fingerprint_version": 3,         # column-bytes place hash
       "journal_seq": 1234,              # the journal record this cut sits at
       "session": {"updates_processed": N},
       "state": {...},                   # the monitor's export_state() payload
@@ -15,8 +15,10 @@ A snapshot is a JSON-codable dict::
 
 The place set is static input and is identified by fingerprint, never
 embedded: restoring against a different place set must fail loudly
-rather than resume with silently wrong safeties. Fingerprints hash
-``float.hex()`` coordinates (exact).
+rather than resume with silently wrong safeties. The fingerprint is
+:func:`repro.storage.fingerprint_places` (exact: it hashes the
+coordinates' bytes), and a document written with another fingerprint
+version does not restore.
 
 Schemes without a paged store (``ExtentCTUP``) omit the fingerprint —
 they carry their place data in construction arguments, and a mismatch
@@ -25,7 +27,6 @@ surfaces as a restore error instead.
 
 from __future__ import annotations
 
-import hashlib
 from typing import (
     Any,
     Callable,
@@ -38,11 +39,11 @@ from typing import (
 from repro.model import Place, Unit
 from repro.shard.monitor import ShardedMonitor
 from repro.state.codec import decode_config, encode_config
+from repro.storage import FINGERPRINT_VERSION, fingerprint_places
 
 #: version of the snapshot *document* (the envelope); the per-monitor
 #: ``state`` payload is versioned separately by ``STATE_VERSION``.
 FORMAT_VERSION = 2
-FINGERPRINT_VERSION = 2
 
 
 class SnapshotError(RuntimeError):
@@ -77,17 +78,6 @@ class Snapshottable(Protocol):
     def restore_counter_state(self, state: Mapping[str, Any]) -> None:
         """Re-pin caches and counters (also used post-resume-priming)."""
         ...
-
-
-def fingerprint_places(places: Iterable[Place]) -> str:
-    """Version-2 content hash of a place set (exact ``float.hex`` coords)."""
-    digest = hashlib.sha256()
-    for place in sorted(places, key=lambda p: p.place_id):
-        digest.update(
-            f"{place.place_id}:{place.location.x.hex()}:"
-            f"{place.location.y.hex()}:{place.required_protection}\n".encode()
-        )
-    return digest.hexdigest()
 
 
 def snapshot_monitor(

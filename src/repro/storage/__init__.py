@@ -12,6 +12,18 @@ cache for the buffer-pool ablation.
 from repro.storage.iostats import IoStats
 from repro.storage.pagestore import Page, PageStore
 from repro.storage.buffer import BufferPool
-from repro.storage.placestore import PlaceStore
+from repro.storage.placestore import (
+    FINGERPRINT_VERSION,
+    PlaceStore,
+    fingerprint_places,
+)
 
-__all__ = ["IoStats", "Page", "PageStore", "BufferPool", "PlaceStore"]
+__all__ = [
+    "FINGERPRINT_VERSION",
+    "IoStats",
+    "Page",
+    "PageStore",
+    "BufferPool",
+    "PlaceStore",
+    "fingerprint_places",
+]

@@ -12,7 +12,7 @@ per-cell SoA snapshot cache).
 from __future__ import annotations
 
 import hashlib
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping, NoReturn, Sequence
 
 import numpy as np
 
@@ -21,6 +21,33 @@ from repro.model import Place
 from repro.storage.buffer import BufferPool
 from repro.storage.iostats import IoStats
 from repro.storage.pagestore import PageStore
+
+
+#: version of :func:`fingerprint_places`; snapshots record it.
+FINGERPRINT_VERSION = 3
+
+
+def fingerprint_places(places: Iterable[Place]) -> str:
+    """Exact content hash of a place set, independent of its order.
+
+    SHA-256 over the id-sorted columns of ids, x, y and required
+    protection, in that order, as little-endian int64 and float64 bytes:
+    every bit of every coordinate counts, ``-0.0`` included.
+    """
+    rows = places if isinstance(places, list) else list(places)
+    n = len(rows)
+    ids = np.fromiter((place.place_id for place in rows), "<i8", n)
+    order = np.argsort(ids, kind="stable")
+    digest = hashlib.sha256(ids[order])
+    del ids
+    # one column at a time: the generators are drained only here
+    for dtype, values in (
+        ("<f8", (place.location.x for place in rows)),
+        ("<f8", (place.location.y for place in rows)),
+        ("<i8", (place.required_protection for place in rows)),
+    ):
+        digest.update(np.fromiter(values, dtype, n)[order])
+    return digest.hexdigest()
 
 
 class CellArrays:
@@ -75,17 +102,70 @@ class PlaceStore:
         self._bulk_load(places)
 
     def _bulk_load(self, places: Iterable[Place]) -> None:
-        by_cell: dict[CellId, list[Place]] = {}
-        for place in places:
-            if place.place_id in self._place_cells:
+        """Lay the places out cell by cell, as ``grid.cell_of`` assigns them.
+
+        The cells are computed on the coordinate columns with
+        ``cell_of``'s own arithmetic (truncate, then clamp the upper
+        edge). Cells get their pages in order of first appearance and
+        keep the input order inside, so page ids and every tie-break that
+        follows the directory order are those of a per-place loop.
+        """
+        rows = places if isinstance(places, list) else list(places)
+        n = len(rows)
+        ids = [place.place_id for place in rows]
+        xs = np.fromiter((place.location.x for place in rows), np.float64, n)
+        ys = np.fromiter((place.location.y for place in rows), np.float64, n)
+        grid = self.grid
+        space = grid.space
+        inside = (
+            (xs >= space.xmin) & (xs <= space.xmax)
+            & (ys >= space.ymin) & (ys <= space.ymax)
+        )
+        if not inside.all():
+            self._reject(rows, inside)
+        i = ((xs - space.xmin) / grid.cell_width).astype(np.int64)
+        j = ((ys - space.ymin) / grid.cell_height).astype(np.int64)
+        # each temporary goes once used: kept to the end, they would make
+        # the load a session's heap peak (|P| = 15,000: 1.8 MB against
+        # the 1.5 MB a whole paper-single pass peaks at otherwise).
+        del xs, ys
+        linear = np.minimum(i, grid.nx - 1) * grid.ny + np.minimum(j, grid.ny - 1)
+        del i, j
+        occupied, first_row, group_of_row, counts = np.unique(
+            linear, return_index=True, return_inverse=True, return_counts=True
+        )
+        # one shared tuple per cell, indexed by group (ascending linear)
+        cells = np.empty(len(occupied), dtype=object)
+        for group, index in enumerate(occupied.tolist()):
+            cells[group] = (index // grid.ny, index % grid.ny)
+        self._place_cells = dict(zip(ids, cells[group_of_row].tolist()))
+        if len(self._place_cells) < n:
+            self._reject(rows, inside)
+        del ids, group_of_row
+        # a stable sort groups the places by cell in input order
+        records = np.empty(n, dtype=object)
+        records[:] = rows
+        by_cell = records[np.argsort(linear, kind="stable")].tolist()
+        del records, linear
+        bounds = [0, *np.cumsum(counts).tolist()]
+        for group in np.argsort(first_row).tolist():
+            cell = cells[group]
+            start, end = bounds[group], bounds[group + 1]
+            self._cell_pages[cell] = self._pages.allocate_all(by_cell[start:end])
+            self._cell_place_counts[cell] = end - start
+        self._place_count = n
+
+    def _reject(self, places: Sequence[Place], inside: np.ndarray) -> NoReturn:
+        """Raise the error a per-place load meets first: a repeated id,
+        or ``cell_of``'s error for a place outside the space."""
+        seen: set[int] = set()
+        for place, ok in zip(places, inside.tolist()):
+            if place.place_id in seen:
                 raise ValueError(f"duplicate place id {place.place_id}")
-            cell = self.grid.cell_of(place.location)
-            self._place_cells[place.place_id] = cell
-            by_cell.setdefault(cell, []).append(place)
-            self._place_count += 1
-        for cell, cell_places in by_cell.items():
-            self._cell_pages[cell] = self._pages.allocate_all(cell_places)
-            self._cell_place_counts[cell] = len(cell_places)
+            if not ok:
+                self.grid.cell_of(place.location)
+            seen.add(place.place_id)
+        raise AssertionError("no rejected place found")  # pragma: no cover
 
     @property
     def io_stats(self) -> IoStats:
@@ -300,28 +380,15 @@ class PlaceStore:
 
     @property
     def fingerprint(self) -> str:
-        """A stable digest of the stored place set (checkpoint identity).
+        """:func:`fingerprint_places` of the stored place set (checkpoint
+        identity).
 
-        Floats are hashed via ``float.hex()`` so the digest is invariant
-        across Python versions that format ``repr`` differently. The
-        scan is unaccounted (``peek``): fingerprinting a live monitor at
-        checkpoint time must not perturb its I/O counters. The digest is
-        cached until a catalog mutation invalidates it.
+        The scan is unaccounted (``peek``): fingerprinting a live monitor
+        at checkpoint time must not perturb its I/O counters. The digest
+        is cached until a catalog mutation invalidates it.
         """
         if self._fingerprint is None:
-            digest = hashlib.sha256()
-            lines: list[str] = []
-            for pages in self._cell_pages.values():
-                for page_id in pages:
-                    for place in self._pages.peek(page_id).records:
-                        lines.append(
-                            f"{place.place_id}:{place.location.x.hex()}:"
-                            f"{place.location.y.hex()}:{place.required_protection}\n"
-                        )
-            lines.sort()
-            for line in lines:
-                digest.update(line.encode("ascii"))
-            self._fingerprint = digest.hexdigest()
+            self._fingerprint = fingerprint_places(self.peek_all_places())
         return self._fingerprint
 
     def export_cache_state(self) -> dict[str, Any]:

@@ -13,6 +13,7 @@ import dataclasses
 import json
 import math
 import tempfile
+import zlib
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -23,11 +24,13 @@ from repro.core import CTUPConfig
 from repro.ext import DecayCTUP, ExtentCTUP, ExtentPlace, ThresholdCTUP
 from repro.engine import UpdateRejected
 from repro.geometry import Point, Rect
+from repro.grid import GridPartition
 from repro.model import LocationUpdate
 from repro.state import (
     CheckpointPolicy,
     CheckpointStore,
     JournalCorrupted,
+    JournalRecord,
     SnapshotError,
     Snapshottable,
     UpdateJournal,
@@ -35,7 +38,9 @@ from repro.state import (
     restore_monitor,
     snapshot_monitor,
 )
+from repro.state import journal as journal_module
 from repro.state.codec import decode_config, encode_config
+from repro.storage import PlaceStore
 from repro.validate import Oracle
 from repro.workloads import (
     RandomWalkMobility,
@@ -609,6 +614,46 @@ class TestJournal:
         resumed.flush()
         assert state_fingerprint(resumed.monitor, resumed) == straight("opt", 0)
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seq=st.integers(1, 2**40),
+        batched=st.booleans(),
+        unit_id=st.integers(0, 2**31),
+        # finite floats mostly; NaN, infinities and ints take the
+        # encoder's json.dumps branch and must match it as well.
+        coords=st.lists(
+            st.floats(allow_nan=False, allow_infinity=False)
+            | st.sampled_from([0.0, -0.0])
+            | st.floats()
+            | st.integers(-5, 5),
+            min_size=4,
+            max_size=4,
+        ),
+        timestamp=st.integers(-(2**62), 2**62)
+        | st.floats()
+        | st.sampled_from([-0.0, math.nan, math.inf, -math.inf]),
+    )
+    def test_update_lines_match_json_dumps(
+        self, seq, batched, unit_id, coords, timestamp
+    ):
+        # the lines the encoder wrote when it built a dict per record
+        update = LocationUpdate(
+            unit_id, Point(*coords[:2]), Point(*coords[2:]), timestamp
+        )
+        op = "b" if batched else "u"
+        body = json.dumps(
+            {
+                "q": seq,
+                "op": op,
+                "u": unit_id,
+                "old": coords[:2],
+                "new": coords[2:],
+                "t": timestamp,
+            }
+        )
+        expected = f"{zlib.crc32(body.encode('ascii')):08x} {body}\n"
+        assert journal_module._encode(JournalRecord(seq, op, update)) == expected
+
     def test_update_payload_roundtrips_exactly(self, tmp_path):
         original = STREAM.updates[0]
         with UpdateJournal(tmp_path / "journal.jsonl") as journal:
@@ -667,7 +712,7 @@ class TestConfigCodec:
 
 
 class TestFingerprint:
-    def test_v2_hashes_exact_float_bits(self):
+    def test_hashes_exact_float_bits(self):
         first = PLACES[0]
         nudged = dataclasses.replace(
             first,
@@ -679,6 +724,19 @@ class TestFingerprint:
             [nudged, *PLACES[1:]]
         )
         assert fingerprint_places(PLACES) == fingerprint_places(list(PLACES))
+        zero = dataclasses.replace(first, location=Point(0.0, 0.5))
+        negative_zero = dataclasses.replace(first, location=Point(-0.0, 0.5))
+        assert fingerprint_places([zero]) != fingerprint_places([negative_zero])
+
+    def test_store_and_function_agree(self):
+        # ids run past 10, where sorting formatted lines and sorting ids
+        # order the places differently.
+        store = PlaceStore(
+            GridPartition(CONFIG.space, CONFIG.granularity, CONFIG.granularity),
+            PLACES,
+        )
+        assert store.fingerprint == fingerprint_places(PLACES)
+        assert store.fingerprint == fingerprint_places(reversed(PLACES))
 
     def test_different_places_differ(self):
         other = generate_places(400, seed=999)
@@ -687,6 +745,7 @@ class TestFingerprint:
     def test_unknown_fingerprint_version_rejected(self):
         monitor = SCHEMES["opt"](CONFIG, PLACES, make_units())
         monitor.initialize()
-        document = dict(snapshot_monitor(monitor), fingerprint_version=3)
+        # version 2 hashed float.hex lines; its snapshots do not restore.
+        document = dict(snapshot_monitor(monitor), fingerprint_version=2)
         with pytest.raises(SnapshotError, match="fingerprint"):
             restore_monitor(document, places=PLACES, units=make_units())

@@ -1,5 +1,7 @@
 """Unit tests for the simulated two-level storage."""
 
+import math
+
 import pytest
 
 from repro.geometry import Point, Rect
@@ -221,3 +223,114 @@ class TestPlaceStore:
         grid = GridPartition(Rect(0.0, 0.0, 1.0, 1.0), 4, 4)
         store = PlaceStore(grid, [Place(0, Point(1.0, 1.0), 0)])
         assert store.cell_place_count((3, 3)) == 1
+
+
+def edge_places(grid: GridPartition) -> list[Place]:
+    """Places on cell edges, on the space's border and in between, in
+    an order where cells first appear out of linear order."""
+    space = grid.space
+    xs = [space.xmin + i * grid.cell_width for i in range(grid.nx)]
+    ys = [space.ymin + j * grid.cell_height for j in range(grid.ny)]
+    coords = [space.xmax, space.xmin, 0.5, 1.0 / 3.0, 0.7, *xs]
+    coords += [math.nextafter(x, math.inf) for x in xs[1:]]
+    coords += [math.nextafter(x, -math.inf) for x in xs[1:]]
+    coords += [space.ymax, *ys]
+    places = []
+    for n, (x, y) in enumerate(
+        (x, y) for x in coords for y in reversed(coords)
+    ):
+        x = min(max(x, space.xmin), space.xmax)
+        y = min(max(y, space.ymin), space.ymax)
+        places.append(Place(1000 - 7 * n, Point(x, y), n % 3))
+    return places
+
+
+class TestBulkLoadLayout:
+    """The bulk load computes cells on columns; the layout must be the
+    one a per-place ``grid.cell_of`` loop builds."""
+
+    @staticmethod
+    def reference(grid, places, page_capacity):
+        by_cell: dict = {}
+        place_cells = {}
+        for place in places:
+            cell = grid.cell_of(place.location)
+            place_cells[place.place_id] = cell
+            by_cell.setdefault(cell, []).append(place)
+        pages = {
+            cell: [
+                tuple(rows[start : start + page_capacity])
+                for start in range(0, len(rows), page_capacity)
+            ]
+            for cell, rows in by_cell.items()
+        }
+        counts = {cell: len(rows) for cell, rows in by_cell.items()}
+        return pages, counts, place_cells
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            GridPartition.unit_square(10),
+            GridPartition.unit_square(3),
+            GridPartition(Rect(-1.0, 0.25, 2.0, 1.0), 7, 5),
+        ],
+    )
+    @pytest.mark.parametrize("as_iterator", [False, True])
+    def test_layout_matches_a_cell_of_loop(self, grid, as_iterator):
+        places = edge_places(grid)
+        store = PlaceStore(
+            grid, iter(places) if as_iterator else places, page_capacity=4
+        )
+        pages, counts, place_cells = self.reference(grid, places, 4)
+        assert list(store._cell_pages) == list(pages)
+        assert store.occupied_cells() == list(pages)
+        page_ids = [pid for ids in store._cell_pages.values() for pid in ids]
+        assert page_ids == list(range(store.page_count))
+        assert {
+            cell: [store._pages.peek(pid).records for pid in ids]
+            for cell, ids in store._cell_pages.items()
+        } == pages
+        assert store._cell_place_counts == counts
+        assert list(store._cell_place_counts) == list(counts)
+        assert store._place_cells == place_cells
+        assert store.place_count == len(places)
+        # every place of a cell points at one shared cell tuple
+        shared = {id(cell) for cell in store._place_cells.values()}
+        assert len(shared) == len(pages)
+
+    def test_empty_place_set(self):
+        store = PlaceStore(GridPartition.unit_square(4), iter(()))
+        assert store.place_count == 0
+        assert store.occupied_cells() == []
+        assert store.page_count == 0
+
+    @pytest.mark.parametrize(
+        "bad",
+        [Point(1.5, 0.5), Point(0.5, -1e-12), Point(math.nan, 0.5)],
+    )
+    def test_place_outside_the_space_raises_cell_ofs_error(self, bad):
+        grid = GridPartition.unit_square(4)
+        places = make_places(20, grid)
+        places.insert(7, Place(99, bad, 0))
+        with pytest.raises(ValueError) as expected:
+            grid.cell_of(bad)
+        with pytest.raises(ValueError) as raised:
+            PlaceStore(grid, places)
+        assert str(raised.value) == str(expected.value)
+
+    def test_duplicate_id_error_names_the_id(self):
+        grid = GridPartition.unit_square(4)
+        places = make_places(20, grid)
+        places.append(Place(13, Point(0.9, 0.9), 2))
+        with pytest.raises(ValueError, match="duplicate place id 13"):
+            PlaceStore(grid, places)
+
+    def test_the_first_bad_place_decides_the_error(self):
+        grid = GridPartition.unit_square(4)
+        places = make_places(20, grid)
+        outside = Place(50, Point(2.0, 0.5), 0)
+        duplicate = Place(3, Point(0.5, 0.5), 0)
+        with pytest.raises(ValueError, match="duplicate place id 3"):
+            PlaceStore(grid, [*places, duplicate, outside])
+        with pytest.raises(ValueError, match="outside the monitored space"):
+            PlaceStore(grid, [*places, outside, duplicate])
