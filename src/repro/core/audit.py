@@ -15,9 +15,12 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from repro.core.basic import BasicCTUP
 from repro.core.monitor import CTUPMonitor
 from repro.core.opt import OptCTUP
+from repro.storage.placestore import CellArrays
 from repro.validate import Oracle
 
 
@@ -111,4 +114,34 @@ def _audit_opt(monitor: OptCTUP, oracle: Oracle) -> list[str]:
                 f"opt: place {pid} (safety {value} < SK {sk}) is not "
                 f"maintained"
             )
+    problems.extend(_audit_ap_caches(monitor))
+    return problems
+
+
+def _audit_ap_caches(monitor: OptCTUP) -> list[str]:
+    """Every cached AP column plus its recorded units' change must equal
+    a recount (the unit stats the recounts touch are put back)."""
+    problems = []
+    units = monitor.units
+    stats = units.stats.snapshot()
+    try:
+        for cell, state in monitor.cell_states.items():
+            cache = state.ap
+            if cache is None:
+                continue
+            arrays = CellArrays(monitor.store.peek_cell(cell))
+            rect = monitor.grid.cell_rect(cell)
+            fresh, _ = units.ap_counts_near(arrays.xs, arrays.ys, rect)
+            current = cache.column.astype(np.int64)
+            if cache.moved:
+                current += cache.change(units, arrays, rect)[0]
+            wrong = int(np.count_nonzero(current != fresh))
+            if wrong:
+                problems.append(
+                    f"opt: cell {cell} cached AP plus its recorded moves "
+                    f"differs from a recount at {wrong} of "
+                    f"{len(arrays)} places"
+                )
+    finally:
+        units.stats.restore(stats)
     return problems

@@ -47,8 +47,9 @@ from repro.storage.iostats import IoStats
 from repro.storage.placestore import PlaceStore
 
 #: version of the per-monitor ``export_state()`` payload (bumped when a
-#: scheme's encoded state shape changes incompatibly).
-STATE_VERSION = 1
+#: scheme's encoded state shape changes incompatibly). Version 2 adds
+#: OptCTUP's ``ap_cache``.
+STATE_VERSION = 2
 
 
 def collect_declared_fields(cls: type, attribute: str) -> tuple[str, ...]:
@@ -269,6 +270,16 @@ class CTUPMonitor(abc.ABC):
             for raw in move.raws:
                 self._apply(raw)
         return 0
+
+    def sync_positions(self, raws: Sequence[LocationUpdate]) -> None:
+        """Move one unit along ``raws`` without a maintain phase.
+
+        ``raws`` is one unit's contiguous chain of updates whose
+        candidate blocks hold none of this monitor's cells: a sharded
+        monitor's unit-position sync. Only the tracked position changes;
+        schemes that remember unit positions per cell override this.
+        """
+        self.units.apply_chain(raws)
 
     def refresh(self) -> int:
         """Run the access phase (public phase API); returns cells accessed."""

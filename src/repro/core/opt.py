@@ -13,6 +13,11 @@ OptCTUP fixes the three drawbacks of BasicCTUP:
   least ``SK + Δ``, so it takes Δ further decreases before the cell can
   demand attention again.
 
+A cell access recounts AP for the cell's places. Most units that reach
+the cell have not moved since its last access, so each cell keeps its
+AP column (:class:`CachedAP`) together with the units that moved near
+it since, and an access counts only those units again.
+
 Setting ``config.use_doo = False`` keeps everything except DOO (bounds
 then follow Table I), which is exactly the ablation of Fig. 8.
 """
@@ -35,7 +40,8 @@ from repro.core.tables import (
     TABLE2_PACKED,
 )
 from repro.core.topk import MaintainedPlaces, kth_smallest
-from repro.geometry import Point
+from repro.core.units import UnitIndex
+from repro.geometry import Point, Rect
 from repro.grid.cellstate import (
     CellState,
     access_below_sk,
@@ -47,12 +53,78 @@ from repro.model import CoalescedMove, LocationUpdate, Place, SafetyRecord, Unit
 from repro.storage.placestore import CellArrays
 
 
+#: the fewest units a recount must compare for its column to be kept.
+#: Below it a recount costs little more than numpy's fixed per-call
+#: overhead, which a change pays as well, and the room (half the count)
+#: is too small to outlive the moves between two accesses of the cell:
+#: on the paper's 150-unit fleet (about 16 units per cell) caches
+#: ended before their next access seven times out of eight and made
+#: accesses slower (MEASURED.md, "Lazy per-cell AP").
+MIN_CACHED_REACH = 32
+
+
+class CachedAP:
+    """A cell's AP column as of its last computation, and the units
+    that moved near the cell since.
+
+    ``moved`` maps each such unit id to the unit's position when the
+    column was computed. Maintain records a unit at the first of its
+    moves whose Table I/II pass touches the cell, with that move's
+    ``old`` position: a move that does not touch the cell keeps the
+    unit's disk out of the cell's reach on both sides, so the first
+    recorded ``old`` contributes exactly what the position as of the
+    computation did. An access then adds, per recorded unit, its
+    contribution now minus its contribution then
+    (:meth:`~repro.core.units.UnitIndex.ap_change_near`), which equals
+    a recount bit for bit.
+
+    The change compares each recorded unit up to twice, a recount every
+    unit reaching the cell. So the cache ends (the cell's
+    ``CellState.ap`` goes back to ``None`` and the next access
+    recounts) once recording one more unit would make
+    ``2 * len(moved)`` reach the number of units the last recount
+    compared; ``room`` is how many units may be recorded.
+    """
+
+    __slots__ = ("column", "room", "filtered", "moved")
+
+    def __init__(self, column: np.ndarray, reach: int) -> None:
+        """The cache of ``column``, which a recount over ``reach`` units
+        just gave."""
+        #: int32 AP of the cell's places, row-aligned with its CellArrays.
+        self.column = column.astype(np.int32)
+        self.room = (reach - 1) // 2
+        #: whether the change must run the reach filter, because some
+        #: place lies outside the cell's rectangle (by rounding at its
+        #: edge); found out at the first change (most caches of a small
+        #: fleet end before one).
+        self.filtered: bool | None = None
+        self.moved: dict[int, Point] = {}
+
+    def change(
+        self, units: UnitIndex, arrays: CellArrays, rect: Rect
+    ) -> tuple[np.ndarray, int]:
+        """The recorded units' change to the column, and the rows compared
+        (:meth:`~repro.core.units.UnitIndex.ap_change_near`)."""
+        if self.filtered is None:
+            self.filtered = len(arrays) > 0 and not (
+                arrays.xs.min() >= rect.xmin
+                and arrays.xs.max() <= rect.xmax
+                and arrays.ys.min() >= rect.ymin
+                and arrays.ys.max() <= rect.ymax
+            )
+        return units.ap_change_near(
+            arrays.xs, arrays.ys, rect, self.moved, filtered=self.filtered
+        )
+
+
 class OptCTUP(CTUPMonitor):
     """The optimized scheme of Section IV."""
 
     name = "opt"
 
     STATE_FIELDS = ("cell_states", "maintained", "dechash", "_delta")
+    TRANSIENT_FIELDS = ("_caching",)
 
     def __init__(
         self,
@@ -68,6 +140,10 @@ class OptCTUP(CTUPMonitor):
         #: runtime (see :mod:`repro.core.adaptive`) — any non-negative
         #: value is sound, Δ only shapes the maintain/access trade-off.
         self._delta = float(config.delta)
+        #: whether a cell may hold a cached AP column: set when one is
+        #: kept, cleared with the cell states. Until then the moves need
+        #: no record beyond the stencil's blocks (_record_beyond_blocks).
+        self._caching = False
 
     @property
     def delta(self) -> float:
@@ -83,19 +159,15 @@ class OptCTUP(CTUPMonitor):
     # -- initialization (§IV-D) -------------------------------------------
 
     def _build_initial_state(self) -> None:
-        # Step 1: exact per-cell minima become the initial bounds.
+        # Step 1: exact per-cell minima become the initial bounds (and
+        # the computed AP columns the cells' first caches).
         for cell in self.store.occupied_cells():
             arrays = self.store.cell_arrays(cell)
-            ap, compared = self.units.ap_counts_near(
-                arrays.xs, arrays.ys, self.grid.cell_rect(cell)
-            )
-            safeties = ap - arrays.required
-            self.counters.distance_rows += len(arrays) * compared
+            state = CellState(place_count=len(arrays))
+            safeties = self._cell_ap(cell, state, arrays) - arrays.required
+            state.lower_bound = float(safeties.min())
             self.counters.places_loaded += len(arrays)
-            self.cell_states[cell] = CellState(
-                lower_bound=float(safeties.min()),
-                place_count=len(arrays),
-            )
+            self.cell_states[cell] = state
         # Step 2: access cells in increasing bound order, keeping their
         # places *temporarily* (scratch arrays, not the maintained
         # table), until SK covers the rest.
@@ -109,16 +181,13 @@ class OptCTUP(CTUPMonitor):
             if sk <= self.cell_states[cell].lower_bound:
                 break
             places, arrays = self.store.read_cell_with_arrays(cell)
-            ap, compared = self.units.ap_counts_near(
-                arrays.xs, arrays.ys, self.grid.cell_rect(cell)
-            )
+            ap = self._cell_ap(cell, self.cell_states[cell], arrays)
             safeties = (ap - arrays.required).astype(np.float64)
             accessed.append((cell, places, arrays, safeties))
             scratch.append(safeties)
             sk = self._running_sk(scratch)
             self.counters.cells_accessed += 1
             self.counters.places_loaded += len(places)
-            self.counters.distance_rows += len(places) * compared
         # Step 3: keep only the Δ band (MaintainedPlaces.insert_band);
         # the dropped minima become the bounds.
         for cell, places, arrays, safeties in accessed:
@@ -180,16 +249,23 @@ class OptCTUP(CTUPMonitor):
         # the stencil classifies both disks against the few candidate
         # cells (N -> N cells are never emitted: they carry no Table
         # I/II action); the packed tables are indexed old * 3 + new.
+        # Every emitted cell with a cached AP column records the unit
+        # (CachedAP), or drops the cache once it is full.
         states = self.cell_states
         counters = self.counters
         dechash = self.dechash
         use_doo = self.config.use_doo
-        for cell, code_old, code_new in self.grid.stencil(radius).classify_move(
-            old, new
-        ):
+        stencil = self.grid.stencil(radius)
+        for cell, code_old, code_new in stencil.classify_move(old, new):
             state = states.get(cell)
             if state is None:
                 continue
+            cache = state.ap
+            if cache is not None and unit_id not in cache.moved:
+                if len(cache.moved) < cache.room:
+                    cache.moved[unit_id] = old
+                else:
+                    state.ap = None
             packed = code_old * 3 + code_new
             if use_doo:
                 in_hash = dechash.contains(unit_id, cell)
@@ -214,6 +290,80 @@ class OptCTUP(CTUPMonitor):
             elif delta < 0:
                 state.decrease(-delta)
                 counters.lb_decrements += 1
+        if self._caching:
+            self._record_beyond_blocks(unit_id, old, (old, new))
+
+    def _record_beyond_blocks(
+        self, unit_id: int, old: Point, centers: tuple[Point, Point]
+    ) -> None:
+        """Record a move in the cells its disks reach beyond the stencil's
+        blocks (``CircleStencil.reached_beyond_block``).
+
+        The stencil's floor arithmetic can leave out a cell that a disk
+        reaches by rounding. The Table I/II pass keeps the stencil's
+        scope, but a cached column must see every unit it counts.
+        """
+        stencil = self.grid.stencil(self.config.protection_range)
+        states = self.cell_states
+        for center in centers:
+            for cell in stencil.reached_beyond_block(center):
+                state = states.get(cell)
+                if state is not None:
+                    self._record_move(state, unit_id, old)
+
+    def sync_positions(self, raws: Sequence[LocationUpdate]) -> None:
+        """A sharded sync: the chain's candidate blocks miss every cell
+        here, but its ends may still reach a cell beyond a block by
+        rounding. Only the ends matter: a cached column sees the unit
+        where the chain starts and where it ends.
+        """
+        old = self.units.apply_chain(raws)
+        if self._caching:
+            self._record_beyond_blocks(
+                raws[0].unit_id, old, (old, raws[-1].new_location)
+            )
+
+    @staticmethod
+    def _record_move(state: CellState, unit_id: int, old: Point) -> None:
+        """Record a move near a cell with a cached AP column: keep the
+        unit's first recorded ``old`` (CachedAP), or end a full cache.
+        ``_adjust_bounds`` inlines this for the cells the stencil emits."""
+        cache = state.ap
+        if cache is not None and unit_id not in cache.moved:
+            if len(cache.moved) < cache.room:
+                cache.moved[unit_id] = old
+            else:
+                state.ap = None
+
+    def _cell_ap(
+        self, cell: CellId, state: CellState, arrays: CellArrays
+    ) -> np.ndarray:
+        """The cell's AP column, current as of now.
+
+        With a cached column, only the recorded units are counted again
+        (:meth:`~repro.core.units.UnitIndex.ap_change_near`); without
+        one, every unit reaching the cell is, and the result becomes
+        the cache if that recount compared at least
+        :data:`MIN_CACHED_REACH` units. ``distance_rows`` is charged
+        for the rows compared. The returned array may be the cache's
+        own: read it, do not write it.
+        """
+        rect = self.grid.cell_rect(cell)
+        cache = state.ap
+        if cache is None:
+            ap, rows = self.units.ap_counts_near(arrays.xs, arrays.ys, rect)
+            if rows >= MIN_CACHED_REACH:
+                state.ap = CachedAP(ap, rows)
+                self._caching = True
+        else:
+            ap = cache.column
+            rows = 0
+            if cache.moved:
+                change, rows = cache.change(self.units, arrays, rect)
+                ap += change
+                cache.moved = {}
+        self.counters.distance_rows += len(arrays) * rows
+        return ap
 
     def _access_cell(self, cell: CellId) -> None:
         """Reload a cell: exact safeties, adjust SK, keep the Δ band.
@@ -229,10 +379,7 @@ class OptCTUP(CTUPMonitor):
         linear = self.grid.linear(cell)
         self.maintained.remove_cell(linear)
         places, arrays = self.store.read_cell_with_arrays(cell)
-        ap, compared = self.units.ap_counts_near(
-            arrays.xs, arrays.ys, self.grid.cell_rect(cell)
-        )
-        safeties = ap - arrays.required
+        safeties = self._cell_ap(cell, state, arrays) - arrays.required
         sk = self._running_sk([self.maintained.safeties(), safeties])
         state.lower_bound = self.maintained.insert_band(
             places, arrays, safeties, linear, sk, self.delta
@@ -241,7 +388,6 @@ class OptCTUP(CTUPMonitor):
         state.access_count += 1
         self.counters.cells_accessed += 1
         self.counters.places_loaded += len(places)
-        self.counters.distance_rows += len(places) * compared
 
     # -- reconfiguration (repro.control) ------------------------------------
 
@@ -249,6 +395,7 @@ class OptCTUP(CTUPMonitor):
         self.cell_states = {}
         self.maintained = MaintainedPlaces()
         self.dechash = DecHash()
+        self._caching = False
         # _delta is a tuning knob, not derived state: it survives rebuilds.
 
     def _control_place_added(self, place: Place, cell: CellId) -> bool:
@@ -268,6 +415,7 @@ class OptCTUP(CTUPMonitor):
             # access promotes it into the maintained band if warranted.
             state.lower_bound = min(state.lower_bound, safety)
             state.place_count += 1
+            state.ap = None
         self._refresh()
         return True
 
@@ -278,6 +426,7 @@ class OptCTUP(CTUPMonitor):
         # otherwise the place sat under the cell bound; removing it can
         # only raise the true minimum, so the bound stays sound.
         state.place_count -= 1
+        state.ap = None
         if state.place_count == 0:
             # an empty cell must look exactly like one that never had
             # places; drop its DecHash pairs with it.
@@ -291,6 +440,7 @@ class OptCTUP(CTUPMonitor):
     ) -> bool:
         shift = new.required_protection - old.required_protection
         state = self.cell_states[cell]
+        state.ap = None
         if new.place_id in self.maintained:
             self.maintained.remove_id(new.place_id)
             self.maintained.insert(
@@ -327,11 +477,24 @@ class OptCTUP(CTUPMonitor):
     # -- checkpointing ----------------------------------------------------
 
     def _export_scheme_state(self) -> dict[str, Any]:
+        ny = self.grid.ny
         return {
             "cell_states": export_cell_states(self.cell_states, self.grid),
             "maintained": self.maintained.export_rows(),
             "dechash": self.dechash.export_pairs(self.grid),
             "delta": self._delta,
+            # the caches as [linear cell, room, [[unit, x, y], ...]]:
+            # the recorded positions, not the column, which restore
+            # rebuilds (a recount minus the recorded units' change).
+            "ap_cache": [
+                [
+                    cell[0] * ny + cell[1],
+                    state.ap.room,
+                    [[uid, p.x, p.y] for uid, p in state.ap.moved.items()],
+                ]
+                for cell, state in self.cell_states.items()
+                if state.ap is not None
+            ],
         }
 
     def _restore_scheme_state(self, fields: Mapping[str, Any]) -> None:
@@ -347,3 +510,19 @@ class OptCTUP(CTUPMonitor):
         if delta < 0:
             raise ValueError("delta cannot be negative")
         self._delta = delta
+        for linear, room, moved_rows in fields["ap_cache"]:
+            cell = self.grid.from_linear(int(linear))
+            # unaccounted reads: restore_counter_state re-pins the
+            # counters and unit stats the recounts below perturb.
+            arrays = CellArrays(self.store.peek_cell(cell))
+            rect = self.grid.cell_rect(cell)
+            cache = CachedAP(*self.units.ap_counts_near(arrays.xs, arrays.ys, rect))
+            cache.room = int(room)
+            if moved_rows:
+                cache.moved = {
+                    int(uid): Point(float(x), float(y))
+                    for uid, x, y in moved_rows
+                }
+                cache.column -= cache.change(self.units, arrays, rect)[0]
+            self.cell_states[cell].ap = cache
+            self._caching = True

@@ -19,7 +19,7 @@ saved.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -305,11 +305,24 @@ class UnitIndex:
             out[group] = np.count_nonzero(dx * dx + dy * dy <= r2, axis=1)
         return out
 
+    def _reaching(self, ux: np.ndarray, uy: np.ndarray, rect: Rect) -> np.ndarray:
+        """Which of the positions ``(ux, uy)`` have a disk reaching ``rect``.
+
+        The exact filter behind every ``*_near`` kernel: the same
+        squared-gap arithmetic as ``CircleStencil``'s N test, so a cell
+        the stencil calls N for a disk is never reached by it.
+        """
+        dx = np.maximum(rect.xmin - ux, 0.0)
+        dx = np.maximum(dx, ux - rect.xmax)
+        dy = np.maximum(rect.ymin - uy, 0.0)
+        dy = np.maximum(dy, uy - rect.ymax)
+        r = self.protection_range
+        return dx * dx + dy * dy <= r * r
+
     def _reachable_near(self, rect: Rect) -> tuple[np.ndarray, np.ndarray]:
         """Positions of the units whose disk reaches into ``rect``.
 
-        The single reachability filter behind every ``*_near`` kernel:
-        the candidates are the bucket gather when the grid index is
+        The candidates are the bucket gather when the grid index is
         active and the whole fleet otherwise; both pass the same exact
         filter and come out in the same (ascending-row) order.
         """
@@ -321,18 +334,30 @@ class UnitIndex:
             ux = self._xs
             uy = self._ys
         examined = len(ux)
-        dx = np.maximum(rect.xmin - ux, 0.0)
-        dx = np.maximum(dx, ux - rect.xmax)
-        dy = np.maximum(rect.ymin - uy, 0.0)
-        dy = np.maximum(dy, uy - rect.ymax)
-        r = self.protection_range
-        reachable = dx * dx + dy * dy <= r * r
+        reachable = self._reaching(ux, uy, rect)
         ux = ux[reachable]
         uy = uy[reachable]
         self.stats.queries += 1
         self.stats.candidate_units += examined
         self.stats.reachable_units += len(ux)
         return ux, uy
+
+    def _within(
+        self, ux: np.ndarray, uy: np.ndarray, xs: np.ndarray, ys: np.ndarray
+    ) -> np.ndarray:
+        """The ``units x points`` matrix of "point inside the unit's disk".
+
+        ``u - x`` is exactly ``-(x - u)`` (rounding is sign-symmetric),
+        so every pair's squared distance is the per-point kernel's, bit
+        for bit.
+        """
+        r = self.protection_range
+        dx = np.subtract.outer(ux, xs)
+        dy = np.subtract.outer(uy, ys)
+        dx *= dx
+        dy *= dy
+        dx += dy
+        return dx <= r * r
 
     def ap_counts_near(
         self, xs: np.ndarray, ys: np.ndarray, rect: Rect
@@ -351,16 +376,56 @@ class UnitIndex:
         n_units = len(ux)
         if n_units == 0:
             return np.zeros(len(xs), dtype=np.int64), 0
-        r = self.protection_range
-        # units x places, squared in place. ``u - x`` is exactly
-        # ``-(x - u)`` (rounding is sign-symmetric), so every pair's
-        # squared distance is the per-point kernel's, bit for bit.
-        dx = np.subtract.outer(ux, xs)
-        dy = np.subtract.outer(uy, ys)
-        dx *= dx
-        dy *= dy
-        dx += dy
-        return np.add.reduce(dx <= r * r, axis=0, dtype=np.int64), n_units
+        return (
+            np.add.reduce(self._within(ux, uy, xs, ys), axis=0, dtype=np.int64),
+            n_units,
+        )
+
+    def ap_change_near(
+        self,
+        xs: np.ndarray,
+        ys: np.ndarray,
+        rect: Rect,
+        moved: Mapping[int, Point],
+        *,
+        filtered: bool,
+    ) -> tuple[np.ndarray, int]:
+        """How :meth:`ap_counts_near` changed since the units in ``moved``
+        stood at the positions it maps them to.
+
+        Per point, the moved units that cover it now minus those that
+        covered it at their recorded position, through the per-pair
+        expression of :meth:`ap_counts_near`: a column computed then,
+        plus this change, equals a recount now exactly, as long as no
+        unit outside ``moved`` changed its contribution. ``filtered``
+        runs the reach filter of :meth:`ap_counts_near` on both
+        positions first. Without it the result is the same whenever
+        every point lies inside ``rect``: the filter's squared gaps are
+        lower bounds of the pair's squared differences, rounded the same
+        way, so a disk that covers such a point also passes the filter.
+        Returns the change and the rows compared (moved units times the
+        sides kept, at most ``2 * len(moved)``).
+        """
+        n = len(moved)
+        rows = np.fromiter(map(self._row_of.__getitem__, moved), np.intp, n)
+        ux = np.concatenate((self._xs[rows], [p.x for p in moved.values()]))
+        uy = np.concatenate((self._ys[rows], [p.y for p in moved.values()]))
+        now = n
+        if filtered:
+            reaching = self._reaching(ux, uy, rect)
+            now = int(np.count_nonzero(reaching[:n]))
+            ux = ux[reaching]
+            uy = uy[reaching]
+        compared = len(ux)
+        self.stats.queries += 1
+        self.stats.candidate_units += 2 * n
+        self.stats.reachable_units += compared
+        if compared == 0:
+            return np.zeros(len(xs), dtype=np.int64), 0
+        within = self._within(ux, uy, xs, ys)
+        change = np.add.reduce(within[:now], axis=0, dtype=np.int64)
+        change -= np.add.reduce(within[now:], axis=0, dtype=np.int64)
+        return change, compared
 
     def weighted_protection_near(
         self,

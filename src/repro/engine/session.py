@@ -59,6 +59,7 @@ class MonitorSession:
         hooks: MonitorHooks | Sequence[MonitorHooks] = (),
         track_changes: bool = True,
         checkpoint: CheckpointPolicy | None = None,
+        journal: UpdateJournal | None = None,
         obs: "Observability | None" = None,
         control_mode: str = "incremental",
     ) -> None:
@@ -82,7 +83,9 @@ class MonitorSession:
         session *appends* to whatever journal the directory holds —
         wiping stale state from an earlier, unrelated run is the
         caller's job (``repro.api.open_session`` does it on any
-        non-resuming start).
+        non-resuming start). ``journal`` hands over that directory's
+        journal already open (recovery opens it before the monitor
+        exists); without it the session opens the journal itself.
 
         ``hooks`` is a sequence of :class:`MonitorHooks` or one bare
         hook. ``obs`` attaches a live :class:`~repro.obs.Observability`
@@ -121,10 +124,12 @@ class MonitorSession:
         self._checkpoint_store = (
             CheckpointStore(checkpoint.directory) if checkpoint else None
         )
+        if journal is not None and checkpoint is None:
+            raise ValueError("a journal needs its checkpoint policy")
         self._journal = (
-            UpdateJournal(self._checkpoint_store.journal_path)
-            if self._checkpoint_store
-            else None
+            journal
+            if journal is not None or self._checkpoint_store is None
+            else UpdateJournal(self._checkpoint_store.journal_path)
         )
         #: journal seq of the last *applied* record — what a snapshot
         #: taken now refers to, and where replay resumes after it.

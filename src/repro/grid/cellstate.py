@@ -35,6 +35,9 @@ class CellState:
     #: how many times this cell was illuminated / accessed — the cost
     #: counter behind Fig. 9's "cell access" series.
     access_count: int = field(default=0, repr=False)
+    #: OptCTUP's cached AP column of the cell (``repro.core.opt.CachedAP``),
+    #: ``None`` when there is none; the other schemes never set it.
+    ap: Any = field(default=None, repr=False, compare=False)
 
     def decrease(self, amount: float = 1.0) -> None:
         """Lower the bound by ``amount`` (a unit may have stopped protecting)."""

@@ -254,10 +254,9 @@ class ShardedMonitor(CTUPMonitor):
             if delivery.unit_id in burst_units:
                 flush()
             if not full:
-                if is_chain:
-                    shard.monitor.units.apply_chain(delivery.raws)
-                else:
-                    shard.monitor.units.apply(delivery)
+                shard.monitor.sync_positions(
+                    delivery.raws if is_chain else (delivery,)
+                )
                 continue
             dirty = True
             if is_chain:
@@ -539,7 +538,9 @@ class ShardedMonitor(CTUPMonitor):
         then restores fresh shard monitors from the synthesized
         documents. DecHash pairs are *not* migrated: an empty DecHash
         only re-arms one decrease per (unit, cell), which keeps bounds
-        sound and matches what a from-scratch rebuild produces. Other
+        sound and matches what a from-scratch rebuild produces. Nor are
+        OptCTUP's cached AP columns: each cell recounts at its next
+        access. Other
         schemes (and ``mode="rebuild"``) fall back to fresh shard
         monitors initialized over the new plan.
         """
@@ -574,6 +575,7 @@ class ShardedMonitor(CTUPMonitor):
             if self.scheme_name == "opt":
                 scheme_state["dechash"] = []
                 scheme_state["delta"] = old_docs[0]["scheme_state"]["delta"]
+                scheme_state["ap_cache"] = []
             docs.append(
                 {
                     "state_version": STATE_VERSION,

@@ -23,7 +23,10 @@ hex digits, a space, then the JSON itself. Four record kinds:
 Records carry monotonically increasing sequence numbers. Reopening an
 existing journal continues the sequence; a torn tail (a partial, an
 unparsable or a checksum-failing *last* line, the signature of a crash
-mid-append) is truncated away on open. A bad line with records after it
+mid-append) is truncated away on open. That opening scan is the one
+full decode a resume pays: it keeps each record's byte offset and the
+control records, so :meth:`UpdateJournal.tail` seeks straight to the
+first record after a snapshot's cut. A bad line with records after it
 is damage, not a crash: reading raises :class:`JournalCorrupted` and
 leaves the file as it is.
 
@@ -40,6 +43,8 @@ import json
 import math
 import os
 import zlib
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterator
@@ -183,6 +188,13 @@ class UpdateJournal:
         self.obs: "Observability | None" = None
         #: the records counter's child per op, bound once on attach.
         self._records_of_op: dict[str, Any] = {}
+        #: seq and start offset of every record the opening scan read,
+        #: where that scan ended, and the control records among them
+        #: plus those appended since.
+        self._seqs = array("q")
+        self._starts = array("q")
+        self._scanned_end = 0
+        self._controls: list[JournalRecord] = []
         self._recover_tail()
         self._file = self.path.open("a", encoding="utf-8")
 
@@ -199,17 +211,20 @@ class UpdateJournal:
             for op in (OP_UPDATE, OP_BATCHED, OP_FLUSH, OP_CONTROL)
         }
 
-    def _scan(self) -> Iterator[tuple[JournalRecord, int]]:
-        """Every intact record, with the byte offset just past it.
+    def _scan(self, start: int = 0) -> Iterator[tuple[JournalRecord, int]]:
+        """Every intact record from byte ``start`` on, with the byte
+        offset just past it.
 
         A bad last line is a torn tail and is skipped; a bad line with
         another line after it raises :class:`JournalCorrupted`.
         """
         if not self.path.exists():
             return
-        last_seq = end = 0
+        last_seq = 0
+        end = start
         torn = False
         with self.path.open("rb") as handle:
+            handle.seek(start)
             for raw in handle:
                 if torn:
                     raise JournalCorrupted(self.path, last_seq + 1, end)
@@ -223,11 +238,18 @@ class UpdateJournal:
                 yield record, end
 
     def _recover_tail(self) -> None:
-        """Scan the existing file: adopt the last sequence number and
-        truncate any torn tail left behind by a crash mid-append."""
+        """Scan the existing file: adopt the last sequence number, index
+        the records and truncate any torn tail left behind by a crash
+        mid-append."""
         good_end = 0
-        for record, good_end in self._scan():
+        for record, end in self._scan():
+            self._seqs.append(record.seq)
+            self._starts.append(good_end)
+            if record.is_control:
+                self._controls.append(record)
             self._last_seq = record.seq
+            good_end = end
+        self._scanned_end = good_end
         if self.path.exists() and good_end != self.path.stat().st_size:
             with self.path.open("rb+") as handle:
                 handle.truncate(good_end)
@@ -254,9 +276,10 @@ class UpdateJournal:
         ``payload`` is the :func:`repro.control.events.encode_event`
         dict; this layer treats it as opaque.
         """
-        return self._append(
-            JournalRecord(self._last_seq + 1, OP_CONTROL, control=payload)
-        )
+        record = JournalRecord(self._last_seq + 1, OP_CONTROL, control=payload)
+        seq = self._append(record)
+        self._controls.append(record)
+        return seq
 
     def sync(self) -> None:
         """Force the journal tail to disk (idempotent, safe when closed).
@@ -291,6 +314,10 @@ class UpdateJournal:
         self._file.truncate(0)
         self._file.seek(0)
         self._last_seq = 0
+        self._seqs = array("q")
+        self._starts = array("q")
+        self._scanned_end = 0
+        self._controls = []
 
     def close(self) -> None:
         """Close the append handle (idempotent)."""
@@ -313,5 +340,18 @@ class UpdateJournal:
 
     def tail(self, after_seq: int) -> list[JournalRecord]:
         """Every record with a sequence number greater than ``after_seq``
-        — the replay input for a snapshot taken at ``after_seq``."""
-        return [r for r in self.records() if r.seq > after_seq]
+        — the replay input for a snapshot taken at ``after_seq``.
+
+        Decodes only from the first such record on: the opening scan
+        indexed where each record starts."""
+        self._file.flush()
+        index = bisect_right(self._seqs, after_seq)
+        start = (
+            self._starts[index] if index < len(self._starts) else self._scanned_end
+        )
+        return [r for r, _ in self._scan(start) if r.seq > after_seq]
+
+    def control_records(self) -> list[JournalRecord]:
+        """Every control record, in sequence order, without reading the
+        file again."""
+        return list(self._controls)

@@ -23,6 +23,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
 from repro.model import Place, Unit
+from repro.state.journal import UpdateJournal
 from repro.state.snapshot import SnapshotError, restore_monitor
 
 if TYPE_CHECKING:
@@ -187,26 +188,35 @@ class RecoveryManager:
         from repro.engine.session import MonitorSession
 
         document = self.store.latest()
-        if document is None:
-            monitor = fresh_monitor()
-        elif obs is None:
-            monitor = self._restore(document)
-        else:
-            with obs.tracer.span(
-                "recovery.restore",
-                cat="state",
-                seq=int(document.get("journal_seq", 0)),
-            ):
-                monitor = self._restore(document)
-        session = MonitorSession(
-            monitor,
-            batch_size=batch_size,
-            audit_every=audit_every,
-            hooks=hooks,
-            track_changes=track_changes,
-            checkpoint=self.policy,
-            obs=obs,
-        )
+        # the session's journal, opened first: its one scan of the file
+        # serves the control events folded into the place set, and the
+        # tail replayed below.
+        journal = UpdateJournal(self.store.journal_path)
+        try:
+            if document is None:
+                monitor = fresh_monitor()
+            elif obs is None:
+                monitor = self._restore(document, journal)
+            else:
+                with obs.tracer.span(
+                    "recovery.restore",
+                    cat="state",
+                    seq=int(document.get("journal_seq", 0)),
+                ):
+                    monitor = self._restore(document, journal)
+            session = MonitorSession(
+                monitor,
+                batch_size=batch_size,
+                audit_every=audit_every,
+                hooks=hooks,
+                track_changes=track_changes,
+                checkpoint=self.policy,
+                journal=journal,
+                obs=obs,
+            )
+        except BaseException:
+            journal.close()
+            raise
         session.start()
         if document is not None:
             # erase the tracker-priming perturbation (step 3).
@@ -216,8 +226,6 @@ class RecoveryManager:
                 updates_processed=int(meta.get("updates_processed", 0)),
                 applied_seq=int(document.get("journal_seq", 0)),
             )
-        journal = session.journal
-        assert journal is not None  # the policy always opens one
         tail = journal.tail(session.applied_seq)
         if obs is None:
             session.replay(tail)
@@ -232,15 +240,21 @@ class RecoveryManager:
             ).inc()
         return session
 
-    def _restore(self, document: dict[str, Any]) -> Any:
+    def _restore(
+        self, document: dict[str, Any], journal: UpdateJournal | None = None
+    ) -> Any:
         return restore_monitor(
             document,
-            places=self._folded_places(int(document.get("journal_seq", 0))),
+            places=self._folded_places(
+                int(document.get("journal_seq", 0)), journal
+            ),
             units=self.units,
             factory=self.factory,
         )
 
-    def _folded_places(self, journal_seq: int) -> Sequence[Place]:
+    def _folded_places(
+        self, journal_seq: int, journal: UpdateJournal | None
+    ) -> Sequence[Place]:
         """The place set in force at ``journal_seq``.
 
         The snapshot's config already carries post-control ``k`` /
@@ -249,26 +263,25 @@ class RecoveryManager:
         typically the workload's original one. Any catalog mutations the
         journal records before the snapshot cut must be folded in first,
         or the rebuilt store (and its fingerprint) describes the wrong
-        world.
+        world. ``journal`` is the directory's open journal; without one
+        (``recover_monitor``) the journal is opened just for this.
         """
         if journal_seq <= 0 or not self.store.journal_path.exists():
             return self.places
         # local imports: repro.control sits above repro.state.
         from repro.control.events import decode_event
         from repro.control.replay import fold_places
-        from repro.state.journal import UpdateJournal
 
-        journal = UpdateJournal(self.store.journal_path)
-        try:
-            events = [
-                decode_event(
-                    {k: v for k, v in record.control.items() if k != "mode"}
-                )
-                for record in journal.records()
-                if record.is_control and record.seq <= journal_seq
-            ]
-        finally:
-            journal.close()
+        if journal is None:
+            with UpdateJournal(self.store.journal_path) as own:
+                controls = own.control_records()
+        else:
+            controls = journal.control_records()
+        events = [
+            decode_event({k: v for k, v in record.control.items() if k != "mode"})
+            for record in controls
+            if record.seq <= journal_seq
+        ]
         if not events:
             return self.places
         return fold_places(self.places, events)

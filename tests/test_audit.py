@@ -7,6 +7,7 @@ import pytest
 from repro.core import BasicCTUP, NaiveCTUP, OptCTUP
 from repro.core.audit import audit_monitor
 from repro.engine import MonitorSession
+from repro.workloads import generate_units
 
 
 @pytest.fixture(params=[BasicCTUP, OptCTUP, NaiveCTUP], ids=lambda c: c.name)
@@ -64,6 +65,19 @@ class TestDetection:
         monitor.maintained.remove_id(worst.place_id)
         problems = audit_monitor(monitor)
         assert problems
+
+    def test_detects_a_drifted_ap_cache(self, small_config, small_places):
+        # a fleet dense enough for cells to keep their AP columns.
+        units = generate_units(400, small_config.protection_range, seed=12)
+        monitor = OptCTUP(small_config, small_places, units)
+        monitor.initialize()
+        cell, state = next(
+            (c, s) for c, s in monitor.cell_states.items() if s.ap is not None
+        )
+        state.ap.column[0] += 1
+        problems = audit_monitor(monitor)
+        assert len(problems) == 1
+        assert f"cell {cell} cached AP" in problems[0]
 
     def test_detects_corrupted_basic_bound(
         self, small_config, small_places, small_units

@@ -20,6 +20,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.api import SCHEMES, DurabilitySpec, ShardSpec, open_session
+from repro.control.events import PlaceReweighted
 from repro.core import CTUPConfig
 from repro.ext import DecayCTUP, ExtentCTUP, ExtentPlace, ThresholdCTUP
 from repro.engine import UpdateRejected
@@ -381,6 +382,158 @@ class TestOpenSessionValidation:
             open_session(
                 "opt", durability=DurabilitySpec(tmp_path, resume=True)
             )
+
+
+# -- OptCTUP's AP caches across a crash ---------------------------------
+
+#: a fleet large enough for cached AP columns to outlive several moves
+#: near their cell (about 40 units reach each cell).
+CACHE_UNITS = 400
+CACHE_STREAM = record_stream(
+    RandomWalkMobility(
+        generate_units(CACHE_UNITS, CONFIG.protection_range, seed=31),
+        step=0.03,
+        seed=32,
+    ),
+    96,
+)
+CACHE_SCHEMES = {
+    "opt": "opt",
+    "threshold": lambda c, p, u: ThresholdCTUP(c, p, u, tau=4.0),
+}
+
+
+def cache_session(scheme, batch_size, durability=None):
+    session = open_session(
+        CACHE_SCHEMES[scheme],
+        places=PLACES,
+        units=generate_units(CACHE_UNITS, CONFIG.protection_range, seed=31),
+        config=CONFIG,
+        batch_size=batch_size,
+        durability=durability,
+    )
+    if not session.started:  # a resumed session comes back started
+        session.start()
+    return session
+
+
+def full_state(session):
+    """``state_fingerprint`` plus the unit-index stats."""
+    data = state_fingerprint(session.monitor, session)
+    stats = session.monitor.units.stats
+    data["unit_stats"] = (
+        stats.queries,
+        stats.candidate_units,
+        stats.reachable_units,
+        stats.coalesced_updates,
+    )
+    return data
+
+
+def cache_straight(scheme, batch_size):
+    session = cache_session(scheme, batch_size)
+    for update in CACHE_STREAM.updates:
+        session.feed(update)
+    session.flush()
+    return full_state(session)
+
+
+@pytest.mark.parametrize("scheme", sorted(CACHE_SCHEMES))
+@pytest.mark.parametrize("batch_size", [0, BATCH], ids=["single", "batch"])
+class TestResumeWithPendingCaches:
+    def test_crash_with_recorded_moves_resumes_bit_identical(
+        self, tmp_path, scheme, batch_size
+    ):
+        live = cache_session(
+            scheme, batch_size, DurabilitySpec(tmp_path, every=3)
+        )
+        for update in CACHE_STREAM.updates[:61]:
+            live.feed(update)
+        document = CheckpointStore(tmp_path).latest()
+        caches = document["state"]["scheme_state"]["ap_cache"]
+        # the snapshot caught cached columns with recorded moves pending.
+        assert any(moved for _cell, _room, moved in caches)
+        live.journal.close()  # the crash: no flush, no close-snapshot
+        resumed = cache_session(
+            scheme, batch_size, DurabilitySpec(tmp_path, resume=True)
+        )
+        for update in CACHE_STREAM.updates[61:]:
+            resumed.feed(update)
+        resumed.flush()
+        assert full_state(resumed) == cache_straight(scheme, batch_size)
+
+    def test_snapshots_do_not_perturb_the_live_run(
+        self, tmp_path, scheme, batch_size
+    ):
+        live = cache_session(
+            scheme, batch_size, DurabilitySpec(tmp_path, every=1)
+        )
+        for update in CACHE_STREAM.updates:
+            live.feed(update)
+        live.flush()
+        assert full_state(live) == cache_straight(scheme, batch_size)
+
+
+def test_resume_decodes_each_journal_record_once(tmp_path, monkeypatch):
+    """The journal is read once on resume: every record once by the
+    opening scan (control events for the place set included), and the
+    tail after the snapshot once more for replay."""
+    session = open_session(
+        "opt",
+        places=PLACES,
+        units=make_units(),
+        config=CONFIG,
+        batch_size=BATCH,
+        durability=DurabilitySpec(tmp_path, every=2),
+    )
+    session.start()
+    for update in STREAM.updates[:24]:
+        session.feed(update)
+    session.apply_control(PlaceReweighted(PLACES[3].place_id, 5))
+    for update in STREAM.updates[24:61]:
+        session.feed(update)
+    records = session.journal.last_seq
+    session.journal.close()
+    cut = CheckpointStore(tmp_path).latest()["journal_seq"]
+    assert 0 < cut < records
+    decodes = []
+    decode = journal_module._decode
+
+    def counting(raw):
+        decodes.append(raw)
+        return decode(raw)
+
+    monkeypatch.setattr(journal_module, "_decode", counting)
+    resumed = open_session(
+        "opt",
+        places=PLACES,
+        units=make_units(),
+        config=CONFIG,
+        batch_size=BATCH,
+        durability=DurabilitySpec(tmp_path, resume=True),
+    )
+    assert len(decodes) <= records + (records - cut)
+    monkeypatch.undo()
+    for update in STREAM.updates[61:]:
+        resumed.feed(update)
+    resumed.flush()
+    twin = open_session(
+        "opt",
+        places=PLACES,
+        units=make_units(),
+        config=CONFIG,
+        batch_size=BATCH,
+    )
+    twin.start()
+    for update in STREAM.updates[:24]:
+        twin.feed(update)
+    twin.apply_control(PlaceReweighted(PLACES[3].place_id, 5))
+    for update in STREAM.updates[24:]:
+        twin.feed(update)
+    twin.flush()
+    assert state_fingerprint(resumed.monitor, resumed) == state_fingerprint(
+        twin.monitor, twin
+    )
 
 
 # -- the snapshot protocol ----------------------------------------------
