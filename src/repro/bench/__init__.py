@@ -10,7 +10,6 @@ share with the ``benchmarks/`` pytest suite and the CLI.
 from repro.bench.workload import Workload, build_workload
 from repro.bench.harness import RunResult, run_monitor, MONITOR_FACTORIES
 from repro.bench.reporting import format_table
-from repro.bench.sweep import SweepPoint, sweep
 from repro.bench.timeline import Timeline, TimelineSummary
 
 __all__ = [
@@ -20,8 +19,6 @@ __all__ = [
     "run_monitor",
     "MONITOR_FACTORIES",
     "format_table",
-    "SweepPoint",
-    "sweep",
     "Timeline",
     "TimelineSummary",
 ]

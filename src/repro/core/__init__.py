@@ -17,11 +17,8 @@ from repro.core.naive import NaiveCTUP
 from repro.core.basic import BasicCTUP
 from repro.core.opt import OptCTUP
 from repro.core.incremental import IncrementalNaiveCTUP
-from repro.core.multik import MultiQueryCTUP
 from repro.core.batch import BatchProcessor
 from repro.core.audit import audit_monitor
-from repro.core.adaptive import AdaptiveDeltaController
-from repro.core.history import TopKHistory
 from repro.core.tuning import choose_delta, suggest_granularity
 from repro.core.topk import MaintainedPlaces
 from repro.core.units import UnitIndex
@@ -33,11 +30,8 @@ __all__ = [
     "BasicCTUP",
     "OptCTUP",
     "IncrementalNaiveCTUP",
-    "MultiQueryCTUP",
     "BatchProcessor",
     "audit_monitor",
-    "AdaptiveDeltaController",
-    "TopKHistory",
     "choose_delta",
     "suggest_granularity",
     "DecHash",

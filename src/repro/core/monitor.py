@@ -48,17 +48,16 @@ from repro.storage.placestore import PlaceStore
 
 #: version of the per-monitor ``export_state()`` payload (bumped when a
 #: scheme's encoded state shape changes incompatibly). Version 2 adds
-#: OptCTUP's ``ap_cache``.
-STATE_VERSION = 2
+#: OptCTUP's ``ap_cache``; version 3 drops its ``delta`` (Δ is
+#: ``config.delta``).
+STATE_VERSION = 3
 
 
 def collect_declared_fields(cls: type, attribute: str) -> tuple[str, ...]:
     """Union of a class-body tuple declaration over the whole MRO.
 
     Walks ``cls.__mro__`` base-first so a scheme's declaration extends —
-    never replaces — its ancestors'. Shared by :class:`CTUPMonitor` and
-    the standalone schemes (``repro.ext.extent``) that implement the
-    ``Snapshottable`` protocol structurally.
+    never replaces — its ancestors'.
     """
     out: list[str] = []
     for klass in reversed(cls.__mro__):
@@ -271,16 +270,6 @@ class CTUPMonitor(abc.ABC):
                 self._apply(raw)
         return 0
 
-    def sync_positions(self, raws: Sequence[LocationUpdate]) -> None:
-        """Move one unit along ``raws`` without a maintain phase.
-
-        ``raws`` is one unit's contiguous chain of updates whose
-        candidate blocks hold none of this monitor's cells: a sharded
-        monitor's unit-position sync. Only the tracked position changes;
-        schemes that remember unit positions per cell override this.
-        """
-        self.units.apply_chain(raws)
-
     def refresh(self) -> int:
         """Run the access phase (public phase API); returns cells accessed."""
         self._require_initialized()
@@ -310,7 +299,7 @@ class CTUPMonitor(abc.ABC):
             access_seconds=self.counters.time_access_s - access_before,
         )
 
-    # -- checkpointable state (the Snapshottable protocol) ---------------
+    # -- checkpointable state (repro.state) -----------------------------
 
     def state_fields(self) -> tuple[str, ...]:
         """All checkpointed fields declared along the scheme's MRO."""

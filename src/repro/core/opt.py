@@ -123,8 +123,7 @@ class OptCTUP(CTUPMonitor):
 
     name = "opt"
 
-    STATE_FIELDS = ("cell_states", "maintained", "dechash", "_delta")
-    TRANSIENT_FIELDS = ("_caching",)
+    STATE_FIELDS = ("cell_states", "maintained", "dechash")
 
     def __init__(
         self,
@@ -136,25 +135,6 @@ class OptCTUP(CTUPMonitor):
         self.cell_states: dict[CellId, CellState] = {}
         self.maintained = MaintainedPlaces()
         self.dechash = DecHash()
-        #: the live Δ. Starts at the configured value; may be retuned at
-        #: runtime (see :mod:`repro.core.adaptive`) — any non-negative
-        #: value is sound, Δ only shapes the maintain/access trade-off.
-        self._delta = float(config.delta)
-        #: whether a cell may hold a cached AP column: set when one is
-        #: kept, cleared with the cell states. Until then the moves need
-        #: no record beyond the stencil's blocks (_record_beyond_blocks).
-        self._caching = False
-
-    @property
-    def delta(self) -> float:
-        """The live Δ slack used by cell-access trimming."""
-        return self._delta
-
-    @delta.setter
-    def delta(self, value: float) -> None:
-        if value < 0:
-            raise ValueError("delta cannot be negative")
-        self._delta = float(value)
 
     # -- initialization (§IV-D) -------------------------------------------
 
@@ -194,7 +174,12 @@ class OptCTUP(CTUPMonitor):
             state = self.cell_states[cell]
             state.access_count += 1
             state.lower_bound = self.maintained.insert_band(
-                places, arrays, safeties, self.grid.linear(cell), sk, self.delta
+                places,
+                arrays,
+                safeties,
+                self.grid.linear(cell),
+                sk,
+                self.config.delta,
             )
         # Step 4 of the paper: DecHash starts empty.
         self.dechash.clear()
@@ -290,50 +275,6 @@ class OptCTUP(CTUPMonitor):
             elif delta < 0:
                 state.decrease(-delta)
                 counters.lb_decrements += 1
-        if self._caching:
-            self._record_beyond_blocks(unit_id, old, (old, new))
-
-    def _record_beyond_blocks(
-        self, unit_id: int, old: Point, centers: tuple[Point, Point]
-    ) -> None:
-        """Record a move in the cells its disks reach beyond the stencil's
-        blocks (``CircleStencil.reached_beyond_block``).
-
-        The stencil's floor arithmetic can leave out a cell that a disk
-        reaches by rounding. The Table I/II pass keeps the stencil's
-        scope, but a cached column must see every unit it counts.
-        """
-        stencil = self.grid.stencil(self.config.protection_range)
-        states = self.cell_states
-        for center in centers:
-            for cell in stencil.reached_beyond_block(center):
-                state = states.get(cell)
-                if state is not None:
-                    self._record_move(state, unit_id, old)
-
-    def sync_positions(self, raws: Sequence[LocationUpdate]) -> None:
-        """A sharded sync: the chain's candidate blocks miss every cell
-        here, but its ends may still reach a cell beyond a block by
-        rounding. Only the ends matter: a cached column sees the unit
-        where the chain starts and where it ends.
-        """
-        old = self.units.apply_chain(raws)
-        if self._caching:
-            self._record_beyond_blocks(
-                raws[0].unit_id, old, (old, raws[-1].new_location)
-            )
-
-    @staticmethod
-    def _record_move(state: CellState, unit_id: int, old: Point) -> None:
-        """Record a move near a cell with a cached AP column: keep the
-        unit's first recorded ``old`` (CachedAP), or end a full cache.
-        ``_adjust_bounds`` inlines this for the cells the stencil emits."""
-        cache = state.ap
-        if cache is not None and unit_id not in cache.moved:
-            if len(cache.moved) < cache.room:
-                cache.moved[unit_id] = old
-            else:
-                state.ap = None
 
     def _cell_ap(
         self, cell: CellId, state: CellState, arrays: CellArrays
@@ -354,7 +295,6 @@ class OptCTUP(CTUPMonitor):
             ap, rows = self.units.ap_counts_near(arrays.xs, arrays.ys, rect)
             if rows >= MIN_CACHED_REACH:
                 state.ap = CachedAP(ap, rows)
-                self._caching = True
         else:
             ap = cache.column
             rows = 0
@@ -382,7 +322,7 @@ class OptCTUP(CTUPMonitor):
         safeties = self._cell_ap(cell, state, arrays) - arrays.required
         sk = self._running_sk([self.maintained.safeties(), safeties])
         state.lower_bound = self.maintained.insert_band(
-            places, arrays, safeties, linear, sk, self.delta
+            places, arrays, safeties, linear, sk, self.config.delta
         )
         self.dechash.clear_cell(cell)
         state.access_count += 1
@@ -395,8 +335,6 @@ class OptCTUP(CTUPMonitor):
         self.cell_states = {}
         self.maintained = MaintainedPlaces()
         self.dechash = DecHash()
-        self._caching = False
-        # _delta is a tuning knob, not derived state: it survives rebuilds.
 
     def _control_place_added(self, place: Place, cell: CellId) -> bool:
         safety = (
@@ -482,7 +420,6 @@ class OptCTUP(CTUPMonitor):
             "cell_states": export_cell_states(self.cell_states, self.grid),
             "maintained": self.maintained.export_rows(),
             "dechash": self.dechash.export_pairs(self.grid),
-            "delta": self._delta,
             # the caches as [linear cell, room, [[unit, x, y], ...]]:
             # the recorded positions, not the column, which restore
             # rebuilds (a recount minus the recorded units' change).
@@ -506,10 +443,6 @@ class OptCTUP(CTUPMonitor):
             fields["maintained"], self.store, self.grid
         )
         self.dechash = DecHash.from_pairs(fields["dechash"], self.grid)
-        delta = float(fields["delta"])
-        if delta < 0:
-            raise ValueError("delta cannot be negative")
-        self._delta = delta
         for linear, room, moved_rows in fields["ap_cache"]:
             cell = self.grid.from_linear(int(linear))
             # unaccounted reads: restore_counter_state re-pins the
@@ -525,4 +458,3 @@ class OptCTUP(CTUPMonitor):
                 }
                 cache.column -= cache.change(self.units, arrays, rect)[0]
             self.cell_states[cell].ap = cache
-            self._caching = True

@@ -1,26 +1,17 @@
-"""Extensions: the paper's future-work directions (§VII), implemented.
+"""Extensions: two of the paper's future-work directions (§VII).
 
-1. :mod:`repro.ext.extent` — places with (rectangular) extent;
-2. :mod:`repro.ext.decay` — protection as a decaying function of distance;
-3. :mod:`repro.ext.threshold` — monitor *all* places below a safety
-   threshold instead of the top-k;
-4. :mod:`repro.ext.predictive` — predict the unsafe places of the near
-   future from unit velocities.
+1. :mod:`repro.ext.decay` — protection as a decaying function of distance;
+2. :mod:`repro.ext.threshold` — monitor *all* places below a safety
+   threshold instead of the top-k.
 """
 
 from repro.ext.threshold import ThresholdCTUP
-from repro.ext.predictive import PredictiveMonitor, PredictedRecord
 from repro.ext.decay import DecayCTUP, DecayModel, linear_decay, step_decay
-from repro.ext.extent import ExtentCTUP, ExtentPlace
 
 __all__ = [
     "ThresholdCTUP",
-    "PredictiveMonitor",
-    "PredictedRecord",
     "DecayCTUP",
     "DecayModel",
     "linear_decay",
     "step_decay",
-    "ExtentCTUP",
-    "ExtentPlace",
 ]

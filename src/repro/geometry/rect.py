@@ -1,9 +1,8 @@
 """Axis-aligned rectangles.
 
-Grid cells, place extents (in the extension of §VII) and the space
-bounds are all axis-aligned rectangles. The rectangle is closed: points
-on its boundary are considered contained, matching the closed protection
-disk of Definition 1.
+Grid cells and the space bounds are axis-aligned rectangles. The
+rectangle is closed: points on its boundary are considered contained,
+matching the closed protection disk of Definition 1.
 """
 
 from __future__ import annotations
@@ -77,22 +76,6 @@ class Rect:
             and other.xmin <= self.xmax
             and self.ymin <= other.ymax
             and other.ymin <= self.ymax
-        )
-
-    def inflated(self, margin: float) -> "Rect":
-        """The rectangle grown by ``margin`` on every side.
-
-        Used by the extent extension: classifying a unit's disk against a
-        cell inflated by the maximum place extent gives a conservative
-        N/P/F answer for every extended place anchored in the cell.
-        """
-        if margin < 0 and (2 * -margin > self.width or 2 * -margin > self.height):
-            raise ValueError("negative margin would invert the rectangle")
-        return Rect(
-            self.xmin - margin,
-            self.ymin - margin,
-            self.xmax + margin,
-            self.ymax + margin,
         )
 
     def clamp_point(self, p: Point) -> Point:

@@ -214,85 +214,24 @@ class CircleStencil:
     def block_of(self, center: Point) -> tuple[int, int, int, int]:
         """Clamped ``(i_lo, i_hi, j_lo, j_hi)`` of the disk's candidate block.
 
-        Same floor arithmetic as ``cells_overlapping_rect`` applied to
-        the disk's bounding box; ``i_lo > i_hi`` means the block misses
-        the space entirely.
-        """
-        g = self.grid
-        i_lo = int(math.floor((center.x - self.radius - g.space.xmin) / g.cell_width))
-        i_hi = int(math.floor((center.x + self.radius - g.space.xmin) / g.cell_width))
-        j_lo = int(math.floor((center.y - self.radius - g.space.ymin) / g.cell_height))
-        j_hi = int(math.floor((center.y + self.radius - g.space.ymin) / g.cell_height))
-        return (
-            max(i_lo, 0),
-            min(i_hi, g.nx - 1),
-            max(j_lo, 0),
-            min(j_hi, g.ny - 1),
-        )
-
-    def reached_beyond_block(self, center: Point) -> list[CellId]:
-        """Cells outside :meth:`block_of` that the disk still reaches.
-
-        When an edge of the disk's bounding box lies on a grid line, to
-        within rounding, the floor arithmetic of :meth:`block_of` can
-        leave out the cell beyond that line although the disk reaches
+        The floor arithmetic of ``cells_overlapping_rect`` applied to the
+        disk's bounding box, each floor argument widened by the edge
+        tolerance: when a box edge lies on a grid line to within
+        rounding, the disk may still reach a point of the cell beyond
         it (a unit at ``x = 1.0`` with ``R`` a multiple of the cell
-        width, or just outside the space), and a point on the shared
-        edge may then lie inside the disk. This returns those cells:
-        the ones beyond each such block edge that pass the same N test
-        as :meth:`classify_move` (and ``UnitIndex``'s reach filter).
-        For a centre away from grid lines it returns ``[]`` after the
-        four floor arguments.
+        width, or just outside the space), so that cell is a candidate
+        too. ``i_lo > i_hi`` means the block misses the space entirely.
         """
         r = self.radius
         tol = self._edge_tol
         x0, w, y0, h = self._origin_and_size
-        x, y = center.x, center.y
-        tx0 = (x - r - x0) / w
-        tx1 = (x + r - x0) / w
-        ty0 = (y - r - y0) / h
-        ty1 = (y + r - y0) / h
-        # a floor argument at or just above an integer k leaves out the
-        # cell before line k; one just below k the cell after it (at k
-        # itself the floor keeps that cell).
-        low_x = tx0 % 1.0 <= tol
-        high_x = 0.0 < -tx1 % 1.0 <= tol
-        low_y = ty0 % 1.0 <= tol
-        high_y = 0.0 < -ty1 % 1.0 <= tol
-        if not (low_x or high_x or low_y or high_y):
-            return []
         g = self.grid
-        strips = []
-        if low_x:
-            strips.append((True, math.floor(tx0) - 1))
-        if high_x:
-            strips.append((True, math.floor(tx1) + 1))
-        if low_y:
-            strips.append((False, math.floor(ty0) - 1))
-        if high_y:
-            strips.append((False, math.floor(ty1) + 1))
-        out: list[CellId] = []
-        for along_x, k in strips:
-            if along_x:
-                if not 0 <= k < g.nx:
-                    continue
-                (near_k, _), = _squared_extents(k, k, x0, w, center.x)
-                lo = max(math.floor(ty0) - 1, 0)
-                hi = min(math.floor(ty1) + 1, g.ny - 1)
-                others = _squared_extents(lo, hi, y0, h, center.y)
-            else:
-                if not 0 <= k < g.ny:
-                    continue
-                (near_k, _), = _squared_extents(k, k, y0, h, center.y)
-                lo = max(math.floor(tx0) - 1, 0)
-                hi = min(math.floor(tx1) + 1, g.nx - 1)
-                others = _squared_extents(lo, hi, x0, w, center.x)
-            for m, (near_m, _) in zip(range(lo, hi + 1), others):
-                if near_k + near_m <= self._r2:
-                    cell = (k, m) if along_x else (m, k)
-                    if cell not in out:
-                        out.append(cell)
-        return out
+        return (
+            max(math.floor((center.x - r - x0) / w - tol), 0),
+            min(math.floor((center.x + r - x0) / w + tol), g.nx - 1),
+            max(math.floor((center.y - r - y0) / h - tol), 0),
+            min(math.floor((center.y + r - y0) / h + tol), g.ny - 1),
+        )
 
     def classify_move(self, old: Point, new: Point) -> list[tuple[CellId, int, int]]:
         """All cells affected by a unit move, with both relation codes.
@@ -304,11 +243,6 @@ class CircleStencil:
         case: location reports are frequent relative to unit speed) both
         disks are classified over their merged block. Otherwise each disk
         is classified over its own block only, the other side reading N.
-        The scope matters at block edges: the floor arithmetic of
-        :meth:`block_of` can leave out a cell whose edge the circle meets
-        to within one ulp (a unit at ``x = 1.0`` with ``R`` a multiple of
-        the cell width), which the distance test alone would call P;
-        :meth:`reached_beyond_block` lists such cells.
         """
         ob = self.block_of(old)
         nb = self.block_of(new)

@@ -244,7 +244,7 @@ class ProjectIndex:
 
     def snapshot_field_union(self, class_name: str) -> frozenset[str]:
         """``STATE_FIELDS`` ∪ ``TRANSIENT_FIELDS`` over the known MRO —
-        the attributes a Snapshottable class is allowed to mutate after
+        the attributes a checkpointed class is allowed to mutate after
         construction (mirrors ``collect_declared_fields``)."""
         fields: set[str] = set()
         for info in (self.classes.get(class_name), *self.ancestors(class_name)):

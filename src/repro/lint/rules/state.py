@@ -28,7 +28,7 @@ from repro.lint.registry import Violation, rule
 @rule(
     "RPL008",
     "snapshot-completeness",
-    "every attribute a Snapshottable class mutates outside __init__ is "
+    "every attribute a checkpointed class mutates outside __init__ is "
     "declared in STATE_FIELDS or TRANSIENT_FIELDS, so snapshots capture "
     "it and resumed runs stay bit-identical",
 )

@@ -254,7 +254,7 @@ class ShardedMonitor(CTUPMonitor):
             if delivery.unit_id in burst_units:
                 flush()
             if not full:
-                shard.monitor.sync_positions(
+                shard.monitor.units.apply_chain(
                     delivery.raws if is_chain else (delivery,)
                 )
                 continue
@@ -574,7 +574,6 @@ class ShardedMonitor(CTUPMonitor):
             }
             if self.scheme_name == "opt":
                 scheme_state["dechash"] = []
-                scheme_state["delta"] = old_docs[0]["scheme_state"]["delta"]
                 scheme_state["ap_cache"] = []
             docs.append(
                 {

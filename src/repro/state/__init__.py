@@ -1,11 +1,12 @@
 """The universal monitor state layer.
 
 Every scheme's mutable state — unit positions, per-scheme structures,
-storage-cache contents and all work counters — sits behind one
-scheme-agnostic protocol (:class:`Snapshottable`), one versioned
-snapshot document (:func:`snapshot_monitor` / :func:`restore_monitor`),
-one append-only update journal (:class:`UpdateJournal`) and one recovery
-driver (:class:`RecoveryManager`). Restoring the latest snapshot and
+storage-cache contents and all work counters — sits behind one monitor
+contract (:class:`~repro.core.monitor.CTUPMonitor`'s ``export_state`` /
+``restore_state``), one versioned snapshot document
+(:func:`snapshot_monitor` / :func:`restore_monitor`), one append-only
+update journal (:class:`UpdateJournal`) and one recovery driver
+(:class:`RecoveryManager`). Restoring the latest snapshot and
 replaying the journal tail resumes a monitoring run to a bit-identical
 state: same top-k, same ``SK``, same counters as the uninterrupted run.
 """
@@ -19,12 +20,11 @@ from repro.state.recovery import (
 )
 from repro.state.snapshot import (
     FORMAT_VERSION,
-    Snapshottable,
     SnapshotError,
-    fingerprint_places,
     restore_monitor,
     snapshot_monitor,
 )
+from repro.storage import fingerprint_places
 
 __all__ = [
     "FORMAT_VERSION",
@@ -34,7 +34,6 @@ __all__ = [
     "JournalRecord",
     "RecoveryManager",
     "SnapshotError",
-    "Snapshottable",
     "UpdateJournal",
     "decode_config",
     "encode_config",

@@ -18,28 +18,19 @@ embedded: restoring against a different place set must fail loudly
 rather than resume with silently wrong safeties. The fingerprint is
 :func:`repro.storage.fingerprint_places` (exact: it hashes the
 coordinates' bytes), and a document written with another fingerprint
-version does not restore.
-
-Schemes without a paged store (``ExtentCTUP``) omit the fingerprint —
-they carry their place data in construction arguments, and a mismatch
-surfaces as a restore error instead.
+version does not restore. Every document carries both fields: one
+without them does not restore either.
 """
 
 from __future__ import annotations
 
-from typing import (
-    Any,
-    Callable,
-    Iterable,
-    Mapping,
-    Protocol,
-    runtime_checkable,
-)
+from typing import Any, Callable, Iterable, Mapping
 
-from repro.model import Place, Unit
+from repro.core.monitor import CTUPMonitor
+from repro.model import Unit
 from repro.shard.monitor import ShardedMonitor
 from repro.state.codec import decode_config, encode_config
-from repro.storage import FINGERPRINT_VERSION, fingerprint_places
+from repro.storage import FINGERPRINT_VERSION
 
 #: version of the snapshot *document* (the envelope); the per-monitor
 #: ``state`` payload is versioned separately by ``STATE_VERSION``.
@@ -50,38 +41,8 @@ class SnapshotError(RuntimeError):
     """The snapshot cannot be produced or applied to the supplied inputs."""
 
 
-@runtime_checkable
-class Snapshottable(Protocol):
-    """The structural contract every checkpointable monitor satisfies.
-
-    ``CTUPMonitor`` (and with it every registered scheme plus the
-    sharded wrapper) implements it by inheritance; standalone schemes
-    like ``ExtentCTUP`` implement it structurally.
-    """
-
-    def state_fields(self) -> tuple[str, ...]:
-        """Declared names of all checkpointed attributes."""
-        ...
-
-    def transient_fields(self) -> tuple[str, ...]:
-        """Declared names of attributes rebuilt (not stored) on restore."""
-        ...
-
-    def export_state(self) -> dict[str, Any]:
-        """The full mutable state as a JSON-codable document."""
-        ...
-
-    def restore_state(self, state: Mapping[str, Any]) -> None:
-        """Adopt a state document on a freshly constructed monitor."""
-        ...
-
-    def restore_counter_state(self, state: Mapping[str, Any]) -> None:
-        """Re-pin caches and counters (also used post-resume-priming)."""
-        ...
-
-
 def snapshot_monitor(
-    monitor: Snapshottable,
+    monitor: CTUPMonitor,
     *,
     journal_seq: int = 0,
     session: Mapping[str, Any] | None = None,
@@ -96,39 +57,33 @@ def snapshot_monitor(
         state = monitor.export_state()
     except ValueError as error:
         raise SnapshotError(str(error)) from error
-    document: dict[str, Any] = {
+    return {
         "format": FORMAT_VERSION,
         "scheme": state["scheme"],
-        "config": encode_config(monitor.config),  # type: ignore[attr-defined]
+        "config": encode_config(monitor.config),
+        "places_fingerprint": monitor.store.fingerprint,
+        "fingerprint_version": FINGERPRINT_VERSION,
         "journal_seq": journal_seq,
         # which reconfiguration epoch this cut belongs to (see
         # repro.control); informational at the envelope level — the
         # authoritative copy restores from the state payload.
-        "epoch": getattr(monitor, "epoch", 0),
+        "epoch": monitor.epoch,
         "session": dict(session or {}),
         "state": state,
     }
-    store = getattr(monitor, "store", None)
-    if store is not None:
-        document["places_fingerprint"] = store.fingerprint
-        document["fingerprint_version"] = FINGERPRINT_VERSION
-    return document
 
 
 def _verify_fingerprint(
-    document: Mapping[str, Any], monitor: Any, places: Iterable[Place]
+    document: Mapping[str, Any], monitor: CTUPMonitor
 ) -> None:
-    expected = document.get("places_fingerprint")
-    if expected is None:
-        return
-    version = document.get("fingerprint_version", FINGERPRINT_VERSION)
+    if not {"places_fingerprint", "fingerprint_version"} <= document.keys():
+        raise SnapshotError("snapshot carries no place fingerprint")
+    version = document["fingerprint_version"]
     if version != FINGERPRINT_VERSION:
         raise SnapshotError(
             f"unsupported place fingerprint version {version!r}"
         )
-    store = getattr(monitor, "store", None)
-    actual = store.fingerprint if store is not None else fingerprint_places(places)
-    if actual != expected:
+    if monitor.store.fingerprint != document["places_fingerprint"]:
         raise SnapshotError(
             "snapshot was taken against a different place set"
         )
@@ -186,7 +141,7 @@ def restore_monitor(
                     "unregistered schemes"
                 ) from None
             monitor = cls(config, places, units)
-        _verify_fingerprint(document, monitor, places)
+        _verify_fingerprint(document, monitor)
         monitor.restore_state(state)
     except SnapshotError:
         raise

@@ -111,50 +111,6 @@ def clustered_points(
     return points
 
 
-def generate_extent_places(
-    n: int,
-    seed: int = 0,
-    space: Rect = Rect(0.0, 0.0, 1.0, 1.0),
-    max_half_extent: float = 0.01,
-    protection_model: RequiredProtectionModel | None = None,
-):
-    """Places with rectangular extent (for the §VII extent extension).
-
-    Each place is a rectangle around a uniform anchor with half-extents
-    drawn up to ``max_half_extent``, clamped into the space. Returns
-    :class:`repro.ext.extent.ExtentPlace` records.
-    """
-    from repro.ext.extent import ExtentPlace
-
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if max_half_extent < 0:
-        raise ValueError("max_half_extent cannot be negative")
-    rng = random.Random(seed)
-    model = protection_model or RequiredProtectionModel()
-    places = []
-    for i in range(n):
-        cx = rng.uniform(space.xmin, space.xmax)
-        cy = rng.uniform(space.ymin, space.ymax)
-        half_w = rng.uniform(0.0, max_half_extent)
-        half_h = rng.uniform(0.0, max_half_extent)
-        rp, label = model.sample(rng)
-        places.append(
-            ExtentPlace(
-                place_id=i,
-                extent=Rect(
-                    max(space.xmin, cx - half_w),
-                    max(space.ymin, cy - half_h),
-                    min(space.xmax, cx + half_w),
-                    min(space.ymax, cy + half_h),
-                ),
-                required_protection=rp,
-                kind=label,
-            )
-        )
-    return places
-
-
 def generate_places(
     n: int,
     seed: int = 0,

@@ -65,7 +65,7 @@ def _record_access_sk(leaf: OptCTUP, log: dict) -> None:
 
 def _check_bands(leaf: OptCTUP, before: dict, sks: dict, truth: dict) -> int:
     """Assert the band invariant on each cell accessed since ``before``."""
-    delta = leaf.delta
+    delta = leaf.config.delta
     maintained = leaf.maintained
     checked = 0
     for cell, state in leaf.cell_states.items():

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.api import SCHEMES
 from repro.control.events import (
     GridRetuned,
     KChanged,
@@ -28,6 +29,7 @@ from repro.core.audit import audit_monitor
 from repro.core.batch import coalesce_burst
 from repro.ext import ThresholdCTUP
 from repro.geometry import Point, Rect
+from repro.grid import GridPartition
 from repro.model import LocationUpdate, Place, Unit
 from repro.shard.monitor import ShardedMonitor
 from repro.storage.placestore import CellArrays
@@ -160,12 +162,14 @@ class TestCachedColumnEqualsRecount:
 
 
 class TestStencilBlockEdge:
-    """``CircleStencil.block_of`` can leave out a cell a disk reaches by
-    rounding; the cache must still see units there."""
+    """A disk whose bounding box sits on a grid line by rounding still
+    reaches the cell beyond it: ``CircleStencil.block_of`` widens its
+    floors by the edge tolerance, so Table I/II, the maintained scan,
+    the shard router and the cache all see that cell."""
 
     # a unit outside the space whose disk touches the space's right edge
-    # at x = 10.0: block_of's floor arithmetic gives an empty block, yet
-    # the kernel counts the places on that edge (found by search).
+    # at x = 10.0, where the kernel counts the places on that edge; the
+    # unwidened floors gave an empty block (found by search).
     WIDE = CTUPConfig(
         k=3,
         delta=1,
@@ -175,18 +179,21 @@ class TestStencilBlockEdge:
     )
     TOUCH = Point(11.666666666666666, 4.498139126441945)
     FAR = Point(30.0, 4.498139126441945)
+    PATH = (TOUCH, FAR, TOUCH, Point(5.0, 5.0), FAR)
 
-    def wide_world(self):
-        places = [
+    def wide_places(self):
+        return [
             Place(i, Point(10.0, 4.498139126441945 + 0.3 * (i - 3)), 2)
             for i in range(7)
         ] + [
             Place(100 + i, Point(0.5 + 1.3 * i, 0.7 + 1.1 * i), 1)
             for i in range(8)
         ]
+
+    def spread_units(self):
         # enough units spread over the space for every cell to keep its
         # column (see MIN_CACHED_REACH).
-        units = [Unit(0, self.FAR, self.WIDE.protection_range)] + [
+        return [
             Unit(
                 1 + i,
                 Point(0.25 + 0.5 * (i % 20), 0.4 + 1.0 * (i // 20)),
@@ -194,27 +201,51 @@ class TestStencilBlockEdge:
             )
             for i in range(200)
         ]
-        return places, units
 
-    def test_the_search_case_is_a_real_miss(self):
-        stencil = OptCTUP(self.WIDE, *self.wide_world()).grid.stencil(
+    def build(self, scheme, shards, units):
+        places = self.wide_places()
+        if shards:
+            monitor = ShardedMonitor(
+                self.WIDE, places, units, shards=shards, scheme=scheme
+            )
+        else:
+            monitor = SCHEMES[scheme](self.WIDE, places, units)
+        monitor.initialize()
+        return monitor
+
+    def walk(self, monitor, start):
+        here = start
+        for target in self.PATH:
+            if target == here:
+                continue
+            monitor.process(LocationUpdate(0, here, target, 0))
+            here = target
+            assert audit_monitor(monitor) == []
+
+    def test_classify_move_emits_the_edge_cell(self):
+        stencil = GridPartition(self.WIDE.space, 3, 3).stencil(
             self.WIDE.protection_range
         )
-        i_lo, i_hi, _, _ = stencil.block_of(self.TOUCH)
-        assert i_lo > i_hi  # empty block: classify_move sees nothing
-        assert stencil.classify_move(self.FAR, self.TOUCH) == []
         dx = self.TOUCH.x - 10.0
         assert dx * dx <= self.WIDE.protection_range**2  # the kernel counts it
-        assert (2, 1) in stencil.reached_beyond_block(self.TOUCH)
+        i_lo, i_hi, _, _ = stencil.block_of(self.TOUCH)
+        assert i_lo == i_hi == 2
+        assert (2, 1) in [
+            cell for cell, _, _ in stencil.classify_move(self.FAR, self.TOUCH)
+        ]
 
     @pytest.mark.parametrize("shards", [0, 2])
-    def test_unit_touching_the_edge_from_outside(self, shards):
-        places, units = self.wide_world()
-        if shards:
-            monitor = ShardedMonitor(self.WIDE, places, units, shards=shards)
-            monitor.initialize()
-        else:
-            monitor = fresh_opt(places=places, units=units, config=self.WIDE)
+    @pytest.mark.parametrize("scheme", ["basic", "opt"])
+    @pytest.mark.parametrize("start", ["FAR", "TOUCH"])
+    def test_unit_touching_the_edge_from_outside(self, start, scheme, shards):
+        start = getattr(self, start)
+        units = [Unit(0, start, self.WIDE.protection_range)]
+        self.walk(self.build(scheme, shards, units), start)
+
+    @pytest.mark.parametrize("shards", [0, 2])
+    def test_the_cache_sees_a_unit_touching_the_edge(self, shards):
+        units = [Unit(0, self.FAR, self.WIDE.protection_range)]
+        monitor = self.build("opt", shards, units + self.spread_units())
         # the cell holding the places on the edge keeps its column.
         edge_cell = (2, 1)
         owners = [sh.monitor for sh in monitor.shards] if shards else [monitor]
@@ -223,17 +254,7 @@ class TestStencilBlockEdge:
             and m.cell_states[edge_cell].ap is not None
             for m in owners
         )
-        here = self.FAR
-        for target in (self.TOUCH, self.FAR, self.TOUCH, Point(5.0, 5.0), self.FAR):
-            monitor.process(LocationUpdate(0, here, target, 0))
-            here = target
-            problems = audit_monitor(monitor)
-            if shards:
-                # the router's block scope also skips the shard's
-                # maintained scan for this move (a separate, known
-                # fault); only the caches are pinned here.
-                problems = [p for p in problems if "cached AP" in p]
-            assert problems == []
+        self.walk(monitor, self.FAR)
 
     def test_unit_at_x_one_with_r_a_multiple_of_the_width(self):
         monitor = fresh_opt()

@@ -192,3 +192,30 @@ def test_surfaces_removed_in_2_0_are_gone(small_config, small_places, small_unit
     with pytest.raises(ModuleNotFoundError):
         importlib.import_module("repro.persist")
     assert not hasattr(CTUPMonitor, "run_stream")
+
+
+def test_surfaces_removed_in_3_0_are_gone(
+    small_config, small_places, small_units
+):
+    import repro.core
+    import repro.ext
+    import repro.state
+
+    for module in (
+        "repro.ext.extent",
+        "repro.ext.predictive",
+        "repro.core.multik",
+        "repro.core.history",
+        "repro.core.adaptive",
+        "repro.bench.sweep",
+    ):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(module)
+    # Δ is config.delta: the runtime property is gone (a monitor keeps
+    # an instance dict, so only the read can fail).
+    monitor = OptCTUP(small_config, small_places, small_units)
+    with pytest.raises(AttributeError):
+        monitor.delta
+    assert len(repro.core.__all__) == 18
+    assert len(repro.ext.__all__) == 5
+    assert not hasattr(repro.state, "Snapshottable")

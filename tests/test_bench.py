@@ -4,11 +4,9 @@ import pytest
 
 from repro.bench import (
     MONITOR_FACTORIES,
-    SweepPoint,
     build_workload,
     format_table,
     run_monitor,
-    sweep,
 )
 from repro.core import CTUPConfig
 
@@ -122,21 +120,3 @@ class TestReporting:
     def test_row_width_mismatch(self):
         with pytest.raises(ValueError):
             format_table(["a"], [[1, 2]])
-
-
-class TestSweep:
-    def test_sweep_calls_every_point(self, tiny_workload, tiny_config):
-        seen = []
-
-        def point(x):
-            seen.append(x)
-            return {
-                "opt": run_monitor(
-                    "opt", tiny_config.replace(k=x), tiny_workload, updates=5
-                )
-            }
-
-        points = sweep([2, 4], point)
-        assert seen == [2, 4]
-        assert all(isinstance(p, SweepPoint) for p in points)
-        assert points[0].avg_update_ms("opt") >= 0

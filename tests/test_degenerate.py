@@ -263,23 +263,6 @@ class TestStraddleTieBreak:
             key=lambda t: tie_key(t[1], t[0]),
         )
 
-    def test_extent_orders_by_tie_key(self):
-        from repro.ext import ExtentCTUP, ExtentPlace
-
-        config = CTUPConfig(k=3, delta=1, protection_range=0.1, granularity=8)
-        rect = Rect(0.5, 0.5, 0.54, 0.54)
-        places = [ExtentPlace(100 + i, rect, 5) for i in range(6)]
-        places += [
-            ExtentPlace(i, Rect(0.1, 0.8, 0.12, 0.82), 1) for i in range(2)
-        ]
-        units = [Unit(0, Point(0.2, 0.2), 0.1), Unit(1, Point(0.7, 0.7), 0.1)]
-        monitor = ExtentCTUP(config, places, units)
-        monitor.initialize()
-        result = [(r.place_id, r.safety) for r in monitor.top_k()]
-        assert result == sorted(result, key=lambda t: tie_key(t[1], t[0]))
-        tied = [pid for pid, _ in result if pid >= 100]
-        assert tied == sorted(tied)
-
 
 class TestStreamFiles:
     def test_save_and_load_roundtrip(self, tmp_path, fleet):

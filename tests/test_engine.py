@@ -10,7 +10,6 @@ from repro.core import (
     OptCTUP,
 )
 from repro.core.metrics import InitReport, UpdateReport
-from repro.core.multik import MultiQueryCTUP
 from repro.engine import MonitorHooks, MonitorSession
 from repro.validate import Oracle
 from repro.workloads import build_scenario
@@ -163,65 +162,6 @@ class TestSchemeAgnosticBatching:
         assert len(reports) == -(-len(scenario_world.stream) // 50)
         assert all(isinstance(r, UpdateReport) for r in reports)
         assert reports[-1].sk == monitor.sk()
-
-
-class TestSchemeAgnosticMultiQuery:
-    """Satellite: MultiQueryCTUP over naive/basic agrees with opt."""
-
-    @pytest.mark.parametrize(
-        "scheme", [NaiveCTUP, BasicCTUP], ids=lambda c: c.name
-    )
-    def test_agrees_with_opt_backed(
-        self, scheme, scenario_config, scenario_world
-    ):
-        def build(factory):
-            multi = MultiQueryCTUP(
-                scenario_config,
-                scenario_world.places,
-                scenario_world.units,
-                monitor_factory=factory,
-            )
-            multi.register("dispatch", 2)
-            multi.register("dashboard", 7)
-            multi.initialize()
-            return multi
-
-        reference = build(OptCTUP)
-        alternative = build(scheme)
-        assert alternative.shared_k == 7
-        for update in scenario_world.stream.prefix(60):
-            reference.process(update)
-            alternative.process(update)
-            for query in ("dispatch", "dashboard"):
-                sk = reference.sk(query)
-                ours = alternative.top_k(query)
-                theirs = reference.top_k(query)
-                assert alternative.sk(query) == sk
-                # schemes agree on the safety profile and on every place
-                # strictly below SK; which place fills a slot *tied at
-                # SK* is the contract's documented ambiguity.
-                assert [r.safety for r in ours] == [r.safety for r in theirs]
-                assert {r.place_id for r in ours if r.safety < sk} == {
-                    r.place_id for r in theirs if r.safety < sk
-                }
-
-    def test_oracle_validates_non_opt_backend(
-        self, scenario_config, scenario_world
-    ):
-        multi = MultiQueryCTUP(
-            scenario_config,
-            scenario_world.places,
-            scenario_world.units,
-            monitor_factory=BasicCTUP,
-        )
-        multi.register("q", 4)
-        multi.initialize()
-        oracle = Oracle(scenario_world.places, scenario_world.units)
-        for update in scenario_world.stream.prefix(40):
-            oracle.apply(update)
-            multi.process(update)
-        verdict = oracle.validate(multi.top_k("q"), 4)
-        assert verdict.ok, verdict.problems
 
 
 class RecordingHooks(MonitorHooks):

@@ -30,5 +30,4 @@ def test_examples_present():
         "city_patrol",
         "bank_distraction",
         "threshold_alerts",
-        "predictive_patrol",
     } <= names

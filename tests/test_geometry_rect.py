@@ -92,20 +92,6 @@ class TestIntersection:
 
 
 class TestOperations:
-    def test_inflated_grows_every_side(self):
-        r = Rect(0.3, 0.3, 0.7, 0.7).inflated(0.1)
-        assert (r.xmin, r.ymin, r.xmax, r.ymax) == pytest.approx(
-            (0.2, 0.2, 0.8, 0.8)
-        )
-
-    def test_inflated_negative_shrinks(self):
-        r = Rect(0.0, 0.0, 1.0, 1.0).inflated(-0.25)
-        assert (r.xmin, r.xmax) == (0.25, 0.75)
-
-    def test_inflated_inverting_raises(self):
-        with pytest.raises(ValueError):
-            Rect(0.0, 0.0, 0.2, 0.2).inflated(-0.2)
-
     def test_clamp_inside_point_unchanged(self):
         r = Rect(0.0, 0.0, 1.0, 1.0)
         assert r.clamp_point(Point(0.4, 0.6)) == Point(0.4, 0.6)

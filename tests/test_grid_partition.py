@@ -151,11 +151,31 @@ class TestOverlapQueries:
 # -- the candidate-cell stencil -------------------------------------------
 
 
+def reference_block(stencil, center):
+    """The candidate block as numpy computes it: the disk's bounding box
+    in cell units, each floor argument moved outward by the stencil's
+    edge tolerance, clamped to the grid."""
+    grid = stencil.grid
+    origin = np.array([grid.space.xmin, grid.space.ymin])
+    size = np.array([grid.cell_width, grid.cell_height])
+    c = np.array([center.x, center.y])
+    tol = stencil._edge_tol
+    lo = np.floor((c - stencil.radius - origin) / size - tol).astype(int)
+    hi = np.floor((c + stencil.radius - origin) / size + tol).astype(int)
+    return (
+        max(int(lo[0]), 0),
+        min(int(hi[0]), grid.nx - 1),
+        max(int(lo[1]), 0),
+        min(int(hi[1]), grid.ny - 1),
+    )
+
+
 def reference_classify_move(stencil, old, new):
     """A numpy broadcast classification with the same scope rule as
     ``CircleStencil.classify_move``: both disks over the merged block
-    when the two candidate blocks touch, otherwise each disk over its
-    own block with the other side N. Cells come in row-major order."""
+    when the two widened candidate blocks touch, otherwise each disk
+    over its own block with the other side N. Cells come in row-major
+    order."""
     grid = stencil.grid
     r2 = stencil.radius * stencil.radius
 
@@ -187,7 +207,7 @@ def reference_classify_move(stencil, old, new):
             for a, b in np.argwhere(touched)
         ]
 
-    ob, nb = stencil.block_of(old), stencil.block_of(new)
+    ob, nb = reference_block(stencil, old), reference_block(stencil, new)
     old_live = ob[0] <= ob[1] and ob[2] <= ob[3]
     new_live = nb[0] <= nb[1] and nb[2] <= nb[3]
     touch = (

@@ -718,10 +718,13 @@ class TestShippedTree:
 
         with (REPO_ROOT / "pyproject.toml").open("rb") as handle:
             data = tomllib.load(handle)
-        table = data["tool"]["reprolint"]
-        assert "repro.core" in table["strict-typed-modules"]
-        assert data["project"]["version"] == "2.0.0"
-        assert "repro.obs" in table["strict-typed-modules"]
+        strict = data["tool"]["reprolint"]["strict-typed-modules"]
+        assert {"repro.core", "repro.obs", "repro.state", "repro.ext"} <= set(
+            strict
+        )
+        (override,) = data["tool"]["mypy"]["overrides"]
+        assert [m.removesuffix(".*") for m in override["module"]] == strict
+        assert data["project"]["version"] == "3.0.0"
 
 
 if __name__ == "__main__":

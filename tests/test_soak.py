@@ -5,10 +5,8 @@ One road-network workload drives, simultaneously:
 * all three core monitors (cross-validated against each other and the
   oracle at checkpoints),
 * a batched OptCTUP,
-* an adaptive-Δ OptCTUP,
-* a multi-query server,
 * a threshold monitor,
-* a change tracker with history,
+* a change tracker,
 
 with the invariant auditor run at intervals on the grid schemes. If any
 interaction between the features breaks an invariant or a result, this
@@ -19,15 +17,12 @@ import pytest
 
 from repro.bench import build_workload
 from repro.core import (
-    AdaptiveDeltaController,
     BasicCTUP,
     BatchProcessor,
     ChangeTracker,
     CTUPConfig,
-    MultiQueryCTUP,
     NaiveCTUP,
     OptCTUP,
-    TopKHistory,
     audit_monitor,
 )
 from repro.ext import ThresholdCTUP
@@ -50,30 +45,18 @@ def test_full_system_soak(seed):
     batched = BatchProcessor(
         OptCTUP(config, workload.places, workload.units)
     )
-    adaptive = AdaptiveDeltaController(
-        OptCTUP(config, workload.places, workload.units),
-        window=50,
-        access_target=0.2,
-    )
-    multi = MultiQueryCTUP(config, workload.places, workload.units)
-    multi.register("a", 3)
-    multi.register("b", 8)
     threshold = ThresholdCTUP(
         config, workload.places, workload.units, tau=-4.0
     )
     tracker = ChangeTracker(
         OptCTUP(config, workload.places, workload.units)
     )
-    history = TopKHistory(tracker)
 
     for monitor in (naive, basic, opt):
         monitor.initialize()
     batched.monitor.initialize()
-    adaptive.monitor.initialize()
-    multi.initialize()
     threshold.initialize()
     tracker.initialize()
-    history.start(timestamp=0.0)
 
     pending = []
     for i, update in enumerate(workload.stream):
@@ -81,8 +64,6 @@ def test_full_system_soak(seed):
         naive.process(update)
         basic.process(update)
         opt.process(update)
-        adaptive.process(update)
-        multi.process(update)
         threshold.process(update)
         tracker.process(update)
         pending.append(update)
@@ -92,11 +73,9 @@ def test_full_system_soak(seed):
 
         if i % CHECK_EVERY == CHECK_EVERY - 1:
             # results agree with ground truth...
-            for monitor in (naive, basic, opt, adaptive.monitor):
+            for monitor in (naive, basic, opt, tracker.monitor):
                 verdict = oracle.validate(monitor.top_k(), config.k)
                 assert verdict.ok, (i, monitor.name, verdict.problems[:3])
-            verdict = oracle.validate(multi.top_k("b"), 8)
-            assert verdict.ok, (i, "multik", verdict.problems[:3])
             truth_below = {
                 pid for pid, s in oracle.safeties().items() if s < -4.0
             }
@@ -104,7 +83,7 @@ def test_full_system_soak(seed):
                 r.place_id for r in threshold.unsafe_places()
             } == truth_below, (i, "threshold")
             # ...and the internal invariants hold.
-            for monitor in (basic, opt, adaptive.monitor):
+            for monitor in (basic, opt, tracker.monitor):
                 problems = audit_monitor(monitor)
                 assert not problems, (i, monitor.name, problems[:3])
 
@@ -113,13 +92,9 @@ def test_full_system_soak(seed):
     verdict = oracle.validate(batched.monitor.top_k(), config.k)
     assert verdict.ok, ("batched", verdict.problems[:3])
 
-    # history reconstructs the present.
-    last_t = workload.stream[len(workload.stream) - 1].timestamp
-    assert set(history.result_at(last_t)) == set(tracker.monitor.topk_ids())
-
     # every scheme agrees on SK at the end.
     sks = {
         monitor.sk()
-        for monitor in (naive, basic, opt, adaptive.monitor, batched.monitor)
+        for monitor in (naive, basic, opt, tracker.monitor, batched.monitor)
     }
     assert len(sks) == 1, sks

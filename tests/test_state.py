@@ -21,8 +21,8 @@ from hypothesis import strategies as st
 
 from repro.api import SCHEMES, DurabilitySpec, ShardSpec, open_session
 from repro.control.events import PlaceReweighted
-from repro.core import CTUPConfig
-from repro.ext import DecayCTUP, ExtentCTUP, ExtentPlace, ThresholdCTUP
+from repro.core import CTUPConfig, CTUPMonitor
+from repro.ext import DecayCTUP, ThresholdCTUP
 from repro.engine import UpdateRejected
 from repro.geometry import Point, Rect
 from repro.grid import GridPartition
@@ -33,7 +33,6 @@ from repro.state import (
     JournalCorrupted,
     JournalRecord,
     SnapshotError,
-    Snapshottable,
     UpdateJournal,
     fingerprint_places,
     restore_monitor,
@@ -548,22 +547,16 @@ def _ext_factories():
 
 class TestSnapshottable:
     def test_every_scheme_satisfies_the_protocol(self):
+        from repro.shard.monitor import ShardedMonitor
+
         units = make_units()
         monitors = [
             factory(CONFIG, PLACES, units)
             for factory in (*SCHEMES.values(), *_ext_factories().values())
-        ]
+        ] + [ShardedMonitor(CONFIG, PLACES, units, shards=2)]
         for monitor in monitors:
-            assert isinstance(monitor, Snapshottable), type(monitor)
+            assert isinstance(monitor, CTUPMonitor), type(monitor)
             assert "counters" in monitor.state_fields()
-
-    def test_sharded_and_extent_satisfy_it_structurally(self):
-        from repro.shard.monitor import ShardedMonitor
-
-        sharded = ShardedMonitor(CONFIG, PLACES, make_units(), shards=2)
-        assert isinstance(sharded, Snapshottable)
-        extent = ExtentCTUP(CONFIG, _extent_places(), make_units())
-        assert isinstance(extent, Snapshottable)
 
     @pytest.mark.parametrize("scheme", sorted(SCHEMES))
     def test_roundtrip_through_json_is_bit_identical(self, scheme):
@@ -595,34 +588,32 @@ class TestSnapshottable:
         )
         assert state_fingerprint(restored) == state_fingerprint(monitor)
 
-    def test_extent_roundtrips(self):
-        places = _extent_places()
-        monitor = ExtentCTUP(CONFIG, places, make_units())
-        monitor.initialize()
-        for update in STREAM.prefix(40):
-            monitor.process(update)
-        document = json.loads(json.dumps(snapshot_monitor(monitor)))
-        restored = restore_monitor(
-            document,
-            places=places,
-            units=make_units(),
-            factory=ExtentCTUP,
-        )
-        assert [
-            (r.place_id, r.safety) for r in restored.top_k()
-        ] == [(r.place_id, r.safety) for r in monitor.top_k()]
-        assert restored.sk() == monitor.sk()
-
     def test_restore_against_wrong_places_rejected(self):
         monitor = SCHEMES["opt"](CONFIG, PLACES, make_units())
         monitor.initialize()
         document = snapshot_monitor(monitor)
-        with pytest.raises(SnapshotError, match="place set"):
-            restore_monitor(
-                document,
-                places=generate_places(400, seed=999),
-                units=make_units(),
+        # the same locations with every requirement 3 higher: without
+        # the fingerprint this restores silently wrong safeties.
+        reweighted = [
+            dataclasses.replace(
+                p, required_protection=p.required_protection + 3
             )
+            for p in PLACES
+        ]
+        cases = [
+            (document, generate_places(400, seed=999), "place set"),
+            (document, reweighted, "place set"),
+        ] + [
+            (
+                {k: v for k, v in document.items() if k != field},
+                reweighted,
+                "no place fingerprint",
+            )
+            for field in ("places_fingerprint", "fingerprint_version")
+        ]
+        for doc, places, message in cases:
+            with pytest.raises(SnapshotError, match=message):
+                restore_monitor(doc, places=places, units=make_units())
 
     def test_unknown_format_rejected(self):
         monitor = SCHEMES["opt"](CONFIG, PLACES, make_units())
@@ -630,29 +621,6 @@ class TestSnapshottable:
         document = dict(snapshot_monitor(monitor), format=99)
         with pytest.raises(SnapshotError, match="format"):
             restore_monitor(document, places=PLACES, units=make_units())
-
-
-def _extent_places():
-    import random
-
-    rng = random.Random(31)
-    places = []
-    for i in range(200):
-        cx, cy = rng.random(), rng.random()
-        hw, hh = rng.uniform(0, 0.01), rng.uniform(0, 0.01)
-        places.append(
-            ExtentPlace(
-                i,
-                Rect(
-                    max(0.0, cx - hw),
-                    max(0.0, cy - hh),
-                    min(1.0, cx + hw),
-                    min(1.0, cy + hh),
-                ),
-                rng.choice([0, 1, 2, 5]),
-            )
-        )
-    return places
 
 
 # -- the journal --------------------------------------------------------

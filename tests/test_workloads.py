@@ -92,49 +92,6 @@ class TestPlaceGeneration:
         assert all(p.required_protection == 6 for p in places)
 
 
-class TestExtentPlaces:
-    def test_generates_extent_records(self):
-        from repro.workloads.places import generate_extent_places
-
-        places = generate_extent_places(50, seed=3, max_half_extent=0.02)
-        assert len(places) == 50
-        space = Rect(0.0, 0.0, 1.0, 1.0)
-        for place in places:
-            assert space.contains_rect(place.extent)
-            assert place.extent.width <= 0.04 + 1e-12
-            assert place.required_protection >= 0
-
-    def test_deterministic(self):
-        from repro.workloads.places import generate_extent_places
-
-        a = generate_extent_places(20, seed=5)
-        b = generate_extent_places(20, seed=5)
-        assert a == b
-
-    def test_zero_extent_allowed(self):
-        from repro.workloads.places import generate_extent_places
-
-        places = generate_extent_places(10, seed=1, max_half_extent=0.0)
-        assert all(p.extent.area == 0.0 for p in places)
-
-    def test_invalid_args(self):
-        from repro.workloads.places import generate_extent_places
-
-        with pytest.raises(ValueError):
-            generate_extent_places(-1)
-        with pytest.raises(ValueError):
-            generate_extent_places(5, max_half_extent=-0.1)
-
-    def test_monitorable(self, small_config, small_units):
-        from repro.ext import ExtentCTUP
-        from repro.workloads.places import generate_extent_places
-
-        places = generate_extent_places(300, seed=9)
-        monitor = ExtentCTUP(small_config, places, small_units)
-        monitor.initialize()
-        assert len(monitor.top_k()) == small_config.k
-
-
 class TestPointClouds:
     def test_uniform_points_in_space(self):
         space = Rect(-1.0, -1.0, 1.0, 1.0)
