@@ -67,11 +67,37 @@ def collect_declared_fields(cls: type, attribute: str) -> tuple[str, ...]:
     return tuple(out)
 
 
+class _RemovedInConfig:
+    """A retired monitor attribute that now lives on ``config``: reading
+    or assigning it on a monitor raises ``AttributeError`` (a data
+    descriptor, so an assignment cannot land in the instance dict)."""
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def _error(self) -> AttributeError:
+        return AttributeError(
+            f"monitor.{self.name} was removed in 3.0: read config.{self.name}, "
+            f"and build a new monitor (or CTUPConfig.replace) to change it"
+        )
+
+    def __get__(self, monitor: object, owner: type | None = None) -> Any:
+        if monitor is None:
+            return self
+        raise self._error()
+
+    def __set__(self, monitor: object, value: object) -> None:
+        raise self._error()
+
+
 class CTUPMonitor(abc.ABC):
     """Base class: state assembly plus the monitoring contract."""
 
     #: short scheme name used in benchmark tables.
     name: str = "abstract"
+
+    #: Δ is ``config.delta``; the 2.x runtime knob fails loudly.
+    delta = _RemovedInConfig()
 
     #: fields whose content survives a checkpoint round-trip. Subclasses
     #: extend (never replace) the declaration; ``state_fields()`` collects

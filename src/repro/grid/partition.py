@@ -133,9 +133,14 @@ class GridPartition:
         sides and its bound is unchanged (the ``N -> N`` entry of the
         tables).
         """
-        for cell in self.cells_overlapping_rect(circle.bounding_rect()):
-            if circle.intersects_rect(self.cell_rect(cell)):
-                yield cell
+        # the stencil's block, not the bounding box's: when a box edge
+        # lies on a grid line (exactly or by rounding), the closed disk
+        # may still meet the cell beyond it at that edge.
+        i_lo, i_hi, j_lo, j_hi = self.stencil(circle.radius).block_of(circle.center)
+        for i in range(i_lo, i_hi + 1):
+            for j in range(j_lo, j_hi + 1):
+                if circle.intersects_rect(self.cell_rect((i, j))):
+                    yield (i, j)
 
     def linear(self, cell: CellId) -> int:
         """A dense integer encoding of ``cell`` (row-major).

@@ -85,7 +85,7 @@ _own(
 #: PlaceStore internals whose use outside the storage layer bypasses
 #: the IoStats charging path.
 _STORE_INTERNALS = frozenset(
-    {"_pages", "_buffer", "_array_cache", "_cell_pages"}
+    {"_pages", "_buffer", "_array_cache", "_cell_pages", "_columns"}
 )
 _STORAGE_OWNERS = ("repro.storage",)
 

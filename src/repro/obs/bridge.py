@@ -18,7 +18,7 @@ here rather than from monitor methods.
 from __future__ import annotations
 
 from dataclasses import fields
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.monitor import CTUPMonitor
@@ -32,24 +32,14 @@ def attach_observability(monitor: "CTUPMonitor", obs: "Observability") -> None:
     """Attach the bundle to a monitor (and any shard children).
 
     Also registers a sync callback so every exposition snapshot
-    refreshes the bridged ledger gauges first.
+    refreshes the bridged ledger gauges first; the callback binds its
+    gauge children once, here.
     """
     monitor.obs = obs
     for shard in getattr(monitor, "shards", ()):
         shard.monitor.obs = obs
-    obs.add_sync(lambda: sync_monitor_metrics(obs.registry, monitor))
-
-
-def _mirror(
-    registry: "MetricsRegistry | NullRegistry",
-    name: str,
-    help: str,
-    scheme: str,
-    ledger: object,
-) -> None:
-    family = registry.gauge(name, help, labelnames=("scheme", "field"))
-    for f in fields(ledger):  # type: ignore[arg-type]
-        family.labels(scheme=scheme, field=f.name).set(float(getattr(ledger, f.name)))
+    if obs.registry.enabled:
+        obs.add_sync(_LedgerMirror(obs.registry, monitor))
 
 
 def sync_monitor_metrics(
@@ -62,52 +52,77 @@ def sync_monitor_metrics(
     top-level counters only track stream totals), plus the merger stats
     and the routing delivery counters.
     """
-    if not registry.enabled:
-        return
-    scheme = monitor.name
+    if registry.enabled:
+        _LedgerMirror(registry, monitor)()
+
+
+def _ledgers(monitor: "CTUPMonitor") -> dict[str, object]:
+    """The monitor's ledgers now, by gauge family name."""
     merged_counters = getattr(monitor, "merged_counters", None)
     if callable(merged_counters):
-        counters = merged_counters()
-        io = monitor.merged_io()  # type: ignore[attr-defined]
-        unit_stats = monitor.merged_unit_stats()  # type: ignore[attr-defined]
+        ledgers: dict[str, object] = {
+            "ctup_monitor_counters": merged_counters(),
+            "ctup_io_stats": monitor.merged_io(),  # type: ignore[attr-defined]
+            "ctup_unit_kernel_stats": monitor.merged_unit_stats(),  # type: ignore[attr-defined]
+        }
     else:
-        counters = monitor.counters
-        io = monitor.store.io_stats
-        unit_stats = monitor.units.stats
-    _mirror(
-        registry,
-        "ctup_monitor_counters",
-        "MonitorCounters ledger, mirrored field by field.",
-        scheme,
-        counters,
-    )
-    _mirror(
-        registry,
-        "ctup_io_stats",
-        "IoStats page-level I/O ledger, mirrored field by field.",
-        scheme,
-        io,
-    )
-    _mirror(
-        registry,
-        "ctup_unit_kernel_stats",
-        "UnitKernelStats prefilter ledger, mirrored field by field.",
-        scheme,
-        unit_stats,
-    )
+        ledgers = {
+            "ctup_monitor_counters": monitor.counters,
+            "ctup_io_stats": monitor.store.io_stats,
+            "ctup_unit_kernel_stats": monitor.units.stats,
+        }
     merger = getattr(monitor, "merger", None)
     if merger is not None:
-        _mirror(
-            registry,
-            "ctup_merge_stats",
-            "Global top-k MergeStats ledger, mirrored field by field.",
-            scheme,
-            merger.stats,
-        )
-        deliveries = registry.gauge(
-            "ctup_shard_deliveries",
-            "Routing outcomes: full (maintain+access) vs sync-only deliveries.",
-            labelnames=("kind",),
-        )
-        deliveries.labels(kind="full").set(float(monitor.full_deliveries))  # type: ignore[attr-defined]
-        deliveries.labels(kind="sync").set(float(monitor.sync_deliveries))  # type: ignore[attr-defined]
+        ledgers["ctup_merge_stats"] = merger.stats
+    return ledgers
+
+
+_HELP = {
+    "ctup_monitor_counters": "MonitorCounters ledger, mirrored field by field.",
+    "ctup_io_stats": "IoStats page-level I/O ledger, mirrored field by field.",
+    "ctup_unit_kernel_stats": (
+        "UnitKernelStats prefilter ledger, mirrored field by field."
+    ),
+    "ctup_merge_stats": "Global top-k MergeStats ledger, mirrored field by field.",
+}
+
+
+class _LedgerMirror:
+    """One monitor's ledger gauges, every child bound at construction."""
+
+    def __init__(
+        self, registry: "MetricsRegistry | NullRegistry", monitor: "CTUPMonitor"
+    ) -> None:
+        self.monitor = monitor
+        scheme = monitor.name
+        #: per ledger family, (field name, gauge child) in field order.
+        self._fields: dict[str, list[tuple[str, Any]]] = {}
+        for name, ledger in _ledgers(monitor).items():
+            family = registry.gauge(
+                name, _HELP[name], labelnames=("scheme", "field")
+            )
+            self._fields[name] = [
+                (f.name, family.labels(scheme=scheme, field=f.name))
+                for f in fields(ledger)  # type: ignore[arg-type]
+            ]
+        self._deliveries: tuple[Any, Any] | None = None
+        if getattr(monitor, "merger", None) is not None:
+            deliveries = registry.gauge(
+                "ctup_shard_deliveries",
+                "Routing outcomes: full (maintain+access) vs sync-only deliveries.",
+                labelnames=("kind",),
+            )
+            self._deliveries = (
+                deliveries.labels(kind="full"),
+                deliveries.labels(kind="sync"),
+            )
+
+    def __call__(self) -> None:
+        """Set every gauge from the ledgers as they are now."""
+        for name, ledger in _ledgers(self.monitor).items():
+            for field_name, child in self._fields[name]:
+                child.set(float(getattr(ledger, field_name)))
+        if self._deliveries is not None:
+            full, sync = self._deliveries
+            full.set(float(self.monitor.full_deliveries))  # type: ignore[attr-defined]
+            sync.set(float(self.monitor.sync_deliveries))  # type: ignore[attr-defined]

@@ -28,7 +28,12 @@ _BATCH_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 102
 
 
 class ObservabilityHooks(MonitorHooks):
-    """Bridges session events onto an Observability bundle."""
+    """Bridges session events onto an Observability bundle.
+
+    Every metric here is label-less, and its one child is bound when the
+    hooks are built, so the session's families are exported (at 0) from
+    then on and no event looks a child up.
+    """
 
     def __init__(self, obs: "Observability") -> None:
         self.obs = obs
@@ -36,38 +41,43 @@ class ObservabilityHooks(MonitorHooks):
         self._updates = registry.counter(
             "ctup_session_updates_total",
             "Location updates fed into the session.",
-        )
+        ).labels()
         self._batches = registry.counter(
             "ctup_session_batches_total",
             "Bursts flushed through the monitor (batch mode).",
-        )
+        ).labels()
         self._changes = registry.counter(
             "ctup_session_topk_changes_total",
             "Times the top-k result (or SK) moved.",
-        )
+        ).labels()
         self._refreshes = registry.counter(
             "ctup_session_refreshes_total",
             "Access phases run by the session.",
-        )
+        ).labels()
         self._cells = registry.counter(
             "ctup_session_cells_accessed_total",
             "Cells touched by session access phases.",
-        )
+        ).labels()
         self._batch_size = registry.histogram(
             "ctup_session_batch_size",
             "Flushed burst sizes, in raw updates.",
             buckets=_BATCH_BUCKETS,
-        )
+        ).labels()
         self._sk = registry.gauge(
             "ctup_session_sk",
             "Current SK (the k-th smallest safety; +Inf below k places).",
-        )
+        ).labels()
+        #: the report the SK gauge was last set from: a flushed burst's
+        #: updates share one report, so the burst sets the gauge once.
+        self._sk_report: "UpdateReport | None" = None
 
     def on_update_start(self, update: "LocationUpdate") -> None:
         self._updates.inc()
 
     def on_update_end(self, update: "LocationUpdate", report: "UpdateReport") -> None:
-        self._sk.set(report.sk)
+        if report is not self._sk_report:
+            self._sk_report = report
+            self._sk.set(report.sk)
 
     def on_batch_flush(
         self, updates: Sequence["LocationUpdate"], report: "UpdateReport"

@@ -14,7 +14,7 @@ with everything off coerces to ``None`` for exactly that reason.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Any, Callable
 
 from repro.obs.registry import (
     NULL_REGISTRY,
@@ -56,7 +56,14 @@ class ObsSpec:
 class Observability:
     """A live registry + tracer pair shared by one session's components."""
 
-    __slots__ = ("registry", "tracer", "serve_port", "_phase_hist", "_sync_callbacks")
+    __slots__ = (
+        "registry",
+        "tracer",
+        "serve_port",
+        "_phase_hist",
+        "_phase_children",
+        "_sync_callbacks",
+    )
 
     def __init__(
         self,
@@ -74,6 +81,8 @@ class Observability:
             "Time spent per monitor phase, by scheme.",
             labelnames=("scheme", "phase"),
         )
+        #: the histogram's child per (scheme, phase), bound on first use.
+        self._phase_children: dict[tuple[str, str], Any] = {}
         self._sync_callbacks: list[Callable[[], None]] = []
 
     @classmethod
@@ -98,10 +107,16 @@ class Observability:
         # a fully-null bundle (both sinks disabled) must cost one method
         # call, not the label lookup + record plumbing — that is the
         # budget benchmarks/obs_overhead.py guards.
-        if not self.registry.enabled and isinstance(self.tracer, NullTracer):
+        tracer = self.tracer
+        if not self.registry.enabled and not tracer.enabled:
             return
-        self._phase_hist.labels(scheme=scheme, phase=phase).observe(duration_s)
-        self.tracer.record(phase, "monitor", start_s, duration_s, scheme=scheme, **args)
+        child = self._phase_children.get((scheme, phase))
+        if child is None:
+            child = self._phase_hist.labels(scheme=scheme, phase=phase)
+            self._phase_children[(scheme, phase)] = child
+        child.observe(duration_s)
+        if tracer.enabled:
+            tracer.record(phase, "monitor", start_s, duration_s, scheme=scheme, **args)
 
     def control_event(
         self,
@@ -113,7 +128,7 @@ class Observability:
     ) -> None:
         """Record one applied reconfiguration event (see repro.control):
         the epoch gauge, a per-kind counter, and a span."""
-        if not self.registry.enabled and isinstance(self.tracer, NullTracer):
+        if not self.registry.enabled and not self.tracer.enabled:
             return
         self.registry.gauge(
             "ctup_epoch", "Current reconfiguration epoch, by scheme.",

@@ -96,24 +96,27 @@ class JournalRecord:
 
 #: an update record as ``json.dumps`` writes it when the unit id is an
 #: int, the coordinates are finite floats and the timestamp is an int or
-#: a finite float (``repr`` is ``json.dumps``'s spelling of those); any
-#: other record is written by ``json.dumps`` itself, NaN and infinite
-#: timestamps included.
+#: a finite float (``repr`` is ``json.dumps``'s spelling of those, and
+#: bytes ``%r`` is its ASCII form); any other record is written by
+#: ``json.dumps`` itself, NaN and infinite timestamps included.
 _UPDATE_BODY = (
-    '{"q": %d, "op": "%s", "u": %d, "old": [%r, %r], "new": [%r, %r], "t": %r}'
+    b'{"q": %d, "op": "%s", "u": %d, "old": [%r, %r], "new": [%r, %r], "t": %r}'
 )
+_OP_BYTES = {OP_UPDATE: b"u", OP_BATCHED: b"b"}
 
 
-def _encode(record: JournalRecord) -> str:
-    """One journal line, newline included."""
-    if record.op == OP_CONTROL:
-        body = json.dumps(
-            {"q": record.seq, "op": record.op, "c": record.control}
-        )
-    elif record.update is None:
-        body = json.dumps({"q": record.seq, "op": record.op})
+def _encode(
+    seq: int,
+    op: str,
+    update: LocationUpdate | None = None,
+    control: dict | None = None,
+) -> bytes:
+    """One journal line as bytes, newline included."""
+    if op == OP_CONTROL:
+        body = json.dumps({"q": seq, "op": op, "c": control}).encode("ascii")
+    elif update is None:
+        body = json.dumps({"q": seq, "op": op}).encode("ascii")
     else:
-        update = record.update
         old = update.old_location
         new = update.new_location
         t = update.timestamp
@@ -126,22 +129,22 @@ def _encode(record: JournalRecord) -> str:
             and (type(t) is int or type(t) is float and math.isfinite(t))
         ):
             body = _UPDATE_BODY % (
-                record.seq, record.op, update.unit_id,
+                seq, _OP_BYTES[op], update.unit_id,
                 old.x, old.y, new.x, new.y, t,
             )
         else:
+            # json.dumps escapes non-ASCII, so its text is ASCII bytes.
             body = json.dumps(
                 {
-                    "q": record.seq,
-                    "op": record.op,
+                    "q": seq,
+                    "op": op,
                     "u": update.unit_id,
                     "old": [old.x, old.y],
                     "new": [new.x, new.y],
                     "t": t,
                 }
-            )
-    # json.dumps escapes non-ASCII, so the text is its own byte string.
-    return f"{zlib.crc32(body.encode('ascii')):08x} {body}\n"
+            ).encode("ascii")
+    return b"%08x %s\n" % (zlib.crc32(body), body)
 
 
 def _decode(raw: bytes) -> JournalRecord:
@@ -196,7 +199,8 @@ class UpdateJournal:
         self._scanned_end = 0
         self._controls: list[JournalRecord] = []
         self._recover_tail()
-        self._file = self.path.open("a", encoding="utf-8")
+        #: unbuffered, so every append is in the file when it returns.
+        self._file = self.path.open("ab", buffering=0)
 
     def attach_observability(self, obs: "Observability") -> None:
         """Span + count every append (fsync latency is the point)."""
@@ -263,12 +267,14 @@ class UpdateJournal:
 
     def append_update(self, update: LocationUpdate, *, batched: bool) -> int:
         """Journal one update; returns its sequence number."""
+        seq = self._last_seq + 1
         op = OP_BATCHED if batched else OP_UPDATE
-        return self._append(JournalRecord(self._last_seq + 1, op, update))
+        return self._append(seq, op, _encode(seq, op, update))
 
     def append_flush(self) -> int:
         """Journal a flush marker (the buffered batch was processed)."""
-        return self._append(JournalRecord(self._last_seq + 1, OP_FLUSH))
+        seq = self._last_seq + 1
+        return self._append(seq, OP_FLUSH, _encode(seq, OP_FLUSH))
 
     def append_control(self, payload: dict) -> int:
         """Journal a control event (write-ahead, like ``"u"``).
@@ -276,38 +282,45 @@ class UpdateJournal:
         ``payload`` is the :func:`repro.control.events.encode_event`
         dict; this layer treats it as opaque.
         """
-        record = JournalRecord(self._last_seq + 1, OP_CONTROL, control=payload)
-        seq = self._append(record)
-        self._controls.append(record)
+        seq = self._last_seq + 1
+        self._append(seq, OP_CONTROL, _encode(seq, OP_CONTROL, control=payload))
+        self._controls.append(JournalRecord(seq, OP_CONTROL, control=payload))
         return seq
 
     def sync(self) -> None:
-        """Force the journal tail to disk (idempotent, safe when closed).
+        """Force the journal to disk (idempotent, safe when closed).
 
-        Every append already flushes and fsyncs, so this is a formal
-        barrier for ``close()`` paths — it guarantees durability even if
-        the append discipline ever gains buffering.
+        The append handle is unbuffered and every append writes its
+        whole line and fsyncs it, so this fsync is a barrier that
+        ``close()`` paths repeat, not one that drains anything.
         """
         if self._file.closed:
             return
-        self._file.flush()
         os.fsync(self._file.fileno())
 
-    def _append(self, record: JournalRecord) -> int:
+    def _append(self, seq: int, op: str, line: bytes) -> int:
         obs = self.obs
-        if obs is None:
-            return self._append_synced(record)
-        with obs.tracer.span("journal.append", cat="state", op=record.op):
-            seq = self._append_synced(record)
-        self._records_of_op[record.op].inc()
+        if obs is not None and obs.tracer.enabled:
+            with obs.tracer.span("journal.append", cat="state", op=op):
+                self._write_synced(line)
+        else:
+            self._write_synced(line)
+        self._last_seq = seq
+        if obs is not None:
+            self._records_of_op[op].inc()
         return seq
 
-    def _append_synced(self, record: JournalRecord) -> int:
-        self._file.write(_encode(record))
-        self._file.flush()
-        os.fsync(self._file.fileno())
-        self._last_seq = record.seq
-        return record.seq
+    def _write_synced(self, line: bytes) -> None:
+        """One write of the whole line (continued after a short write),
+        then its fsync."""
+        file = self._file
+        written = file.write(line)
+        if written != len(line):
+            rest = memoryview(line)
+            while written != len(rest):
+                rest = rest[written:]
+                written = file.write(rest)
+        os.fsync(file.fileno())
 
     def truncate(self) -> None:
         """Drop every record (a fresh, non-resuming run owns the dir)."""
@@ -334,7 +347,6 @@ class UpdateJournal:
 
     def records(self) -> Iterator[JournalRecord]:
         """All committed records, in sequence order."""
-        self._file.flush()
         for record, _ in self._scan():
             yield record
 
@@ -344,7 +356,6 @@ class UpdateJournal:
 
         Decodes only from the first such record on: the opening scan
         indexed where each record starts."""
-        self._file.flush()
         index = bisect_right(self._seqs, after_seq)
         start = (
             self._starts[index] if index < len(self._starts) else self._scanned_end

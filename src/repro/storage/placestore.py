@@ -5,8 +5,8 @@ run per grid cell, mirroring the paper's lower level. Monitors never
 hold the full place set; they call :meth:`read_cell` when a cell must be
 illuminated/accessed, which costs page reads, and :meth:`cell_arrays`
 for the vectorised safety computation (page reads charged on the first
-touch, later calls served — and separately counted — from an immutable
-per-cell SoA snapshot cache).
+touch, later calls served — and separately counted — from a cached
+read-only view of the store's place columns).
 """
 
 from __future__ import annotations
@@ -27,6 +27,32 @@ from repro.storage.pagestore import PageStore
 FINGERPRINT_VERSION = 3
 
 
+def _columns_of(places: Sequence[Place]) -> tuple[np.ndarray, ...]:
+    """The id, x, y and required-protection columns of ``places``."""
+    n = len(places)
+    return (
+        np.fromiter((place.place_id for place in places), np.int64, n),
+        np.fromiter((place.location.x for place in places), np.float64, n),
+        np.fromiter((place.location.y for place in places), np.float64, n),
+        np.fromiter(
+            (place.required_protection for place in places), np.int64, n
+        ),
+    )
+
+
+def _hash_columns(columns: Sequence[np.ndarray]) -> str:
+    """SHA-256 of the id, x, y and required-protection columns, sorted
+    by id, as little-endian int64 / float64 bytes."""
+    ids = columns[0]
+    order = np.argsort(ids, kind="stable")
+    digest = hashlib.sha256()
+    # one gathered column at a time: a copy of all four at once would
+    # be a snapshot's heap peak.
+    for column, dtype in zip(columns, ("<i8", "<f8", "<f8", "<i8")):
+        digest.update(column.take(order).astype(dtype, copy=False))
+    return digest.hexdigest()
+
+
 def fingerprint_places(places: Iterable[Place]) -> str:
     """Exact content hash of a place set, independent of its order.
 
@@ -34,20 +60,9 @@ def fingerprint_places(places: Iterable[Place]) -> str:
     protection, in that order, as little-endian int64 and float64 bytes:
     every bit of every coordinate counts, ``-0.0`` included.
     """
-    rows = places if isinstance(places, list) else list(places)
-    n = len(rows)
-    ids = np.fromiter((place.place_id for place in rows), "<i8", n)
-    order = np.argsort(ids, kind="stable")
-    digest = hashlib.sha256(ids[order])
-    del ids
-    # one column at a time: the generators are drained only here
-    for dtype, values in (
-        ("<f8", (place.location.x for place in rows)),
-        ("<f8", (place.location.y for place in rows)),
-        ("<i8", (place.required_protection for place in rows)),
-    ):
-        digest.update(np.fromiter(values, dtype, n)[order])
-    return digest.hexdigest()
+    return _hash_columns(
+        _columns_of(places if isinstance(places, list) else list(places))
+    )
 
 
 class CellArrays:
@@ -56,12 +71,20 @@ class CellArrays:
     __slots__ = ("ids", "xs", "ys", "required")
 
     def __init__(self, places: Sequence[Place]) -> None:
-        self.ids = np.array([p.place_id for p in places], dtype=np.int64)
-        self.xs = np.array([p.location.x for p in places], dtype=np.float64)
-        self.ys = np.array([p.location.y for p in places], dtype=np.float64)
-        self.required = np.array(
-            [p.required_protection for p in places], dtype=np.int64
-        )
+        self.ids, self.xs, self.ys, self.required = _columns_of(places)
+
+    @classmethod
+    def view(
+        cls, columns: Sequence[np.ndarray], start: int, end: int
+    ) -> "CellArrays":
+        """Rows ``start:end`` of a store's columns, as views."""
+        arrays = cls.__new__(cls)
+        ids, xs, ys, required = columns
+        arrays.ids = ids[start:end]
+        arrays.xs = xs[start:end]
+        arrays.ys = ys[start:end]
+        arrays.required = required[start:end]
+        return arrays
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -95,8 +118,15 @@ class PlaceStore:
         self._buffer = BufferPool(self._pages, buffer_pages)
         self._cell_pages: dict[CellId, list[int]] = {}
         self._cell_place_counts: dict[CellId, int] = {}
-        self._place_cells: dict[int, CellId] = {}
+        #: place id -> cell, built on the first catalog lookup (only the
+        #: control plane asks) and kept up to date from then on.
+        self._place_cells: dict[int, CellId] | None = None
         self._array_cache: dict[CellId, CellArrays] = {}
+        #: the id, x, y and required-protection columns of every place,
+        #: grouped by cell (``None`` after a catalog mutation, until
+        #: rebuilt from the pages), and each cell's rows in them.
+        self._columns: tuple[np.ndarray, ...] | None = None
+        self._cell_rows: dict[CellId, tuple[int, int]] = {}
         self._place_count = 0
         self._fingerprint: str | None = None
         self._bulk_load(places)
@@ -108,11 +138,12 @@ class PlaceStore:
         ``cell_of``'s own arithmetic (truncate, then clamp the upper
         edge). Cells get their pages in order of first appearance and
         keep the input order inside, so page ids and every tie-break that
-        follows the directory order are those of a per-place loop.
+        follows the directory order are those of a per-place loop. The
+        columns, sorted the same way, are kept: every cell's
+        :class:`CellArrays` and the fingerprint read them.
         """
         rows = places if isinstance(places, list) else list(places)
         n = len(rows)
-        ids = [place.place_id for place in rows]
         xs = np.fromiter((place.location.x for place in rows), np.float64, n)
         ys = np.fromiter((place.location.y for place in rows), np.float64, n)
         grid = self.grid
@@ -125,34 +156,43 @@ class PlaceStore:
             self._reject(rows, inside)
         i = ((xs - space.xmin) / grid.cell_width).astype(np.int64)
         j = ((ys - space.ymin) / grid.cell_height).astype(np.int64)
-        # each temporary goes once used: kept to the end, they would make
-        # the load a session's heap peak (|P| = 15,000: 1.8 MB against
-        # the 1.5 MB a whole paper-single pass peaks at otherwise).
-        del xs, ys
+        # each temporary goes once used: the load is a session's heap
+        # peak otherwise.
         linear = np.minimum(i, grid.nx - 1) * grid.ny + np.minimum(j, grid.ny - 1)
         del i, j
-        occupied, first_row, group_of_row, counts = np.unique(
-            linear, return_index=True, return_inverse=True, return_counts=True
+        occupied, first_row, counts = np.unique(
+            linear, return_index=True, return_counts=True
         )
-        # one shared tuple per cell, indexed by group (ascending linear)
-        cells = np.empty(len(occupied), dtype=object)
-        for group, index in enumerate(occupied.tolist()):
-            cells[group] = (index // grid.ny, index % grid.ny)
-        self._place_cells = dict(zip(ids, cells[group_of_row].tolist()))
-        if len(self._place_cells) < n:
-            self._reject(rows, inside)
-        del ids, group_of_row
         # a stable sort groups the places by cell in input order
+        order = np.argsort(linear, kind="stable")
+        del linear
+        xs = xs.take(order)
+        ys = ys.take(order)
         records = np.empty(n, dtype=object)
         records[:] = rows
-        by_cell = records[np.argsort(linear, kind="stable")].tolist()
-        del records, linear
+        by_cell = records[order].tolist()
+        del records, order
+        ids = np.fromiter((place.place_id for place in by_cell), np.int64, n)
+        sorted_ids = np.sort(ids)
+        if (sorted_ids[1:] == sorted_ids[:-1]).any():
+            self._reject(rows, inside)
+        del sorted_ids
+        required = np.fromiter(
+            (place.required_protection for place in by_cell), np.int64, n
+        )
+        self._columns = (ids, xs, ys, required)
+        for column in self._columns:
+            column.flags.writeable = False
         bounds = [0, *np.cumsum(counts).tolist()]
+        occupied_cells = [
+            (index // grid.ny, index % grid.ny) for index in occupied.tolist()
+        ]
         for group in np.argsort(first_row).tolist():
-            cell = cells[group]
+            cell = occupied_cells[group]
             start, end = bounds[group], bounds[group + 1]
             self._cell_pages[cell] = self._pages.allocate_all(by_cell[start:end])
             self._cell_place_counts[cell] = end - start
+            self._cell_rows[cell] = (start, end)
         self._place_count = n
 
     def _reject(self, places: Sequence[Place], inside: np.ndarray) -> NoReturn:
@@ -210,30 +250,54 @@ class PlaceStore:
         places = self.read_cell(cell)
         arrays = self._array_cache.get(cell)
         if arrays is None:
-            arrays = CellArrays(places)
-            self._array_cache[cell] = arrays
+            arrays = self._array_cache[cell] = self._view(cell)
         return places, arrays
 
     def cell_arrays(self, cell: CellId) -> CellArrays:
         """Columnar view of the cell; I/O is charged on the first touch only.
 
-        Places are immutable, so the projection is built once per cell —
-        paying the page walk like :meth:`read_cell` — and every later
-        call is served from the SoA cache. Cache hits are still visible
-        in the accounting (``IoStats.array_hits``, in page equivalents)
-        so re-evaluation traffic is measurable without pretending the
+        The view slices the store's columns. The first touch pays the
+        page walk like :meth:`read_cell`, and every later call is served
+        from the cached view. Cache hits are still visible in the
+        accounting (``IoStats.array_hits``, in page equivalents) so
+        re-evaluation traffic is measurable without pretending the
         pages were read again.
         """
         arrays = self._array_cache.get(cell)
         if arrays is not None:
             self._pages.stats.array_hits += len(self._cell_pages.get(cell, ()))
             return arrays
-        places = []
         for page_id in self._cell_pages.get(cell, ()):
-            places.extend(self._buffer.read(page_id).records)
-        arrays = CellArrays(places)
-        self._array_cache[cell] = arrays
+            self._buffer.read(page_id)
+        arrays = self._array_cache[cell] = self._view(cell)
         return arrays
+
+    def _view(self, cell: CellId) -> CellArrays:
+        """The cell's rows of the columns (unaccounted)."""
+        columns = self._place_columns()
+        start, end = self._cell_rows.get(cell, (0, 0))
+        return CellArrays.view(columns, start, end)
+
+    def _place_columns(self) -> tuple[np.ndarray, ...]:
+        """The columns, rebuilt from the pages (unaccounted) after a
+        catalog mutation dropped them.
+
+        A rebuild also re-slices every cached view from the new columns,
+        so the old ones are not kept alive beside them.
+        """
+        if self._columns is None:
+            places: list[Place] = []
+            for cell in self._cell_pages:
+                start = len(places)
+                places.extend(self.peek_cell(cell))
+                self._cell_rows[cell] = (start, len(places))
+            columns = _columns_of(places)
+            for column in columns:
+                column.flags.writeable = False
+            self._columns = columns
+            for cell in self._array_cache:
+                self._array_cache[cell] = self._view(cell)
+        return self._columns
 
     # -- catalog mutation surface -----------------------------------------
     #
@@ -244,14 +308,24 @@ class PlaceStore:
     # callers to repro.storage and repro.control, so every catalog change
     # flows through an epoch-bumping control event.
 
+    def _cells_by_place(self) -> dict[int, CellId]:
+        """Place id -> cell for every stored place (unaccounted)."""
+        if self._place_cells is None:
+            self._place_cells = {
+                place.place_id: cell
+                for cell in self._cell_pages
+                for place in self.peek_cell(cell)
+            }
+        return self._place_cells
+
     def has_place(self, place_id: int) -> bool:
         """Whether ``place_id`` is currently stored."""
-        return place_id in self._place_cells
+        return place_id in self._cells_by_place()
 
     def cell_of_place(self, place_id: int) -> CellId:
         """The cell a stored place lives in (KeyError when unknown)."""
         try:
-            return self._place_cells[place_id]
+            return self._cells_by_place()[place_id]
         except KeyError:
             raise KeyError(f"no such place: {place_id}") from None
 
@@ -279,10 +353,13 @@ class PlaceStore:
         return out
 
     def _invalidate_cell(self, cell: CellId) -> None:
-        """Drop every cache derived from a mutated cell's pages."""
+        """Drop every cache derived from a mutated cell's pages: its
+        view, its buffered pages, the columns and the fingerprint."""
         self._array_cache.pop(cell, None)
         for page_id in self._cell_pages.get(cell, ()):
             self._buffer.invalidate(page_id)
+        self._columns = None
+        self._cell_rows = {}
         self._fingerprint = None
 
     def add_place(self, place: Place) -> CellId:
@@ -293,7 +370,8 @@ class PlaceStore:
         brand-new cell gets its first page). Charges the page write(s)
         the placement costs.
         """
-        if place.place_id in self._place_cells:
+        place_cells = self._cells_by_place()
+        if place.place_id in place_cells:
             raise ValueError(f"duplicate place id {place.place_id}")
         cell = self.grid.cell_of(place.location)
         pages = self._cell_pages.get(cell)
@@ -306,7 +384,7 @@ class PlaceStore:
         else:
             self._cell_pages[cell] = [self._pages.allocate([place])]
         self._cell_place_counts[cell] = self._cell_place_counts.get(cell, 0) + 1
-        self._place_cells[place.place_id] = cell
+        place_cells[place.place_id] = cell
         self._place_count += 1
         self._invalidate_cell(cell)
         return cell
@@ -337,7 +415,7 @@ class PlaceStore:
                 self._cell_pages[cell].remove(page_id)
             break
         assert removed is not None  # _place_cells said it was here
-        del self._place_cells[place_id]
+        del self._cells_by_place()[place_id]
         self._place_count -= 1
         remaining = self._cell_place_counts[cell] - 1
         if remaining:
@@ -381,14 +459,14 @@ class PlaceStore:
     @property
     def fingerprint(self) -> str:
         """:func:`fingerprint_places` of the stored place set (checkpoint
-        identity).
+        identity), hashed from the store's columns.
 
-        The scan is unaccounted (``peek``): fingerprinting a live monitor
-        at checkpoint time must not perturb its I/O counters. The digest
-        is cached until a catalog mutation invalidates it.
+        Unaccounted: fingerprinting a live monitor at checkpoint time
+        must not perturb its I/O counters. The digest is cached until a
+        catalog mutation invalidates it.
         """
         if self._fingerprint is None:
-            self._fingerprint = fingerprint_places(self.peek_all_places())
+            self._fingerprint = _hash_columns(self._place_columns())
         return self._fingerprint
 
     def export_cache_state(self) -> dict[str, Any]:
@@ -409,18 +487,15 @@ class PlaceStore:
     def restore_cache_state(self, state: Mapping[str, Any]) -> None:
         """Rebuild the transient caches captured by :meth:`export_cache_state`.
 
-        The array cache is repopulated by re-projecting the recorded
-        cells and the buffer frames are reloaded out of band; callers
+        The array cache is repopulated with the recorded cells' views
+        and the buffer frames are reloaded out of band; callers
         overwrite the shared :class:`IoStats` afterwards, so any
         accounting noise from the rebuild is erased.
         """
         self._array_cache.clear()
         for index in state["arrays"]:
             cell = self.grid.from_linear(int(index))
-            places: list[Place] = []
-            for page_id in self._cell_pages.get(cell, ()):
-                places.extend(self._pages.peek(page_id).records)
-            self._array_cache[cell] = CellArrays(places)
+            self._array_cache[cell] = self._view(cell)
         self._buffer.restore_frames([int(p) for p in state["frames"]])
         self._buffer.hits = int(state["buffer_hits"])
         self._buffer.misses = int(state["buffer_misses"])

@@ -211,11 +211,15 @@ def test_surfaces_removed_in_3_0_are_gone(
     ):
         with pytest.raises(ModuleNotFoundError):
             importlib.import_module(module)
-    # Δ is config.delta: the runtime property is gone (a monitor keeps
-    # an instance dict, so only the read can fail).
+    # Δ is config.delta: the runtime property is gone, and a write fails
+    # too instead of landing in the instance dict.
     monitor = OptCTUP(small_config, small_places, small_units)
-    with pytest.raises(AttributeError):
+    with pytest.raises(AttributeError, match="config.delta"):
         monitor.delta
+    with pytest.raises(AttributeError, match="config.delta"):
+        monitor.delta = 1
+    assert "delta" not in vars(monitor)
+    assert monitor.config.delta == small_config.delta
     assert len(repro.core.__all__) == 18
     assert len(repro.ext.__all__) == 5
     assert not hasattr(repro.state, "Snapshottable")

@@ -137,6 +137,14 @@ class TestOverlapQueries:
         for cell in grid.cells_touching_circle(circle):
             assert circle.intersects_rect(grid.cell_rect(cell))
 
+    def test_circle_touching_a_cell_only_at_its_edge(self):
+        # the disk's bounding box starts on the grid line y = 0.5, so its
+        # floor is row 3; the closed disk still meets row 2's top edge at
+        # (0.0, 0.5).
+        grid = GridPartition.unit_square(6)
+        cells = set(grid.cells_touching_circle(Circle(Point(0.0, 0.6), 0.1)))
+        assert cells == {(0, 2), (0, 3), (0, 4)}
+
     @given(unit, unit, st.floats(0.01, 0.3))
     def test_circle_touch_set_is_complete(self, cx, cy, radius):
         """Every cell the disk intersects is returned."""

@@ -423,7 +423,39 @@ class TestJournalMetrics:
             }
         assert sum(ops.values()) == session.journal.last_seq
         assert counted == {op: float(ops[op]) for op in "ubfc"}
+        assert registry.value("ctup_session_updates_total") == 50.0
         if batch_size == 0:
             assert ops["u"] == 50
         else:
             assert ops["b"] == 50 and ops["f"] > 0
+
+    @pytest.mark.parametrize("batch_size", [0, 8])
+    def test_every_append_is_one_span_when_tracing(
+        self,
+        tmp_path,
+        batch_size,
+        small_config,
+        small_places,
+        small_units,
+        small_stream,
+    ):
+        session = open_session(
+            "opt",
+            places=small_places,
+            units=small_units,
+            config=small_config,
+            batch_size=batch_size,
+            durability=DurabilitySpec(tmp_path, every=4),
+            obs=ObsSpec(metrics=False, trace=True, trace_capacity=100_000),
+        )
+        with session:
+            session.start()
+            session.run(small_stream.prefix(50))
+            ops = [record.op for record in session.journal.records()]
+            spans = [
+                span
+                for span in session.observability.tracer.spans()
+                if span.name == "journal.append"
+            ]
+        assert [span.args["op"] for span in spans] == ops
+        assert all(span.cat == "state" for span in spans)

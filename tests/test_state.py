@@ -12,26 +12,29 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
+import shutil
 import tempfile
 import zlib
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.api import SCHEMES, DurabilitySpec, ShardSpec, open_session
-from repro.control.events import PlaceReweighted
+from repro.control.events import PlaceAdded, PlaceReweighted, encode_event
 from repro.core import CTUPConfig, CTUPMonitor
 from repro.ext import DecayCTUP, ThresholdCTUP
 from repro.engine import UpdateRejected
 from repro.geometry import Point, Rect
 from repro.grid import GridPartition
-from repro.model import LocationUpdate
+from repro.model import LocationUpdate, Place
 from repro.state import (
     CheckpointPolicy,
     CheckpointStore,
     JournalCorrupted,
-    JournalRecord,
     SnapshotError,
     UpdateJournal,
     fingerprint_places,
@@ -773,7 +776,7 @@ class TestJournal:
             }
         )
         expected = f"{zlib.crc32(body.encode('ascii')):08x} {body}\n"
-        assert journal_module._encode(JournalRecord(seq, op, update)) == expected
+        assert journal_module._encode(seq, op, update) == expected.encode("ascii")
 
     def test_update_payload_roundtrips_exactly(self, tmp_path):
         original = STREAM.updates[0]
@@ -784,6 +787,145 @@ class TestJournal:
         assert record.update.old_location == original.old_location
         assert record.update.new_location == original.new_location
         assert record.update.timestamp == original.timestamp
+
+
+DATA = Path(__file__).parent / "data"
+
+
+def records_of_3_0_0():
+    """The records ``data/journal-3.0.0.jsonl`` holds, as repro 3.0.0's
+    journal wrote them: the ``%``-format case, and the ``json.dumps``
+    case for a NaN and an infinite timestamp, numpy-float coordinates
+    and out-of-int64 ids; flush markers and control events."""
+    U = LocationUpdate
+    return [
+        ("u", U(3, Point(0.25, 0.5), Point(0.3, 0.55), 1)),
+        ("u", U(4, Point(1 / 3, 2 / 3), Point(0.1, 1e-300), 2.5)),
+        ("u", U(5, Point(-0.0, 0.0), Point(1.0, 1.0), math.nan)),
+        (
+            "u",
+            U(6, Point(np.float64(0.125), 0.5), Point(0.5, np.float64(0.7)), 3),
+        ),
+        ("b", U(7, Point(0.9, 0.1), Point(0.8, 0.2), math.inf)),
+        ("b", U(2**40, Point(0.5, 0.5), Point(0.5, 0.5), -(2**62))),
+        ("f", None),
+        ("c", encode_event(PlaceAdded(Place(900, Point(0.5, 0.25), 3)))),
+        ("c", encode_event(PlaceReweighted(900, 5))),
+        ("b", U(8, Point(0.2, 0.2), Point(0.21, 0.19), 7.75)),
+        ("f", None),
+    ]
+
+
+def write_records(journal, records) -> None:
+    for op, item in records:
+        if op == "f":
+            journal.append_flush()
+        elif op == "c":
+            journal.append_control(item)
+        else:
+            journal.append_update(item, batched=op == "b")
+
+
+class TestJournalBytes:
+    """The journal writes 3.0.0's bytes: one write and one fsync per
+    record, and no byte lost to a short write."""
+
+    def test_file_equals_the_3_0_0_journal(self, tmp_path):
+        path = tmp_path / "journal.jsonl"
+        with UpdateJournal(path) as journal:
+            write_records(journal, records_of_3_0_0())
+        assert path.read_bytes() == (DATA / "journal-3.0.0.jsonl").read_bytes()
+
+    def test_one_write_then_one_fsync_per_record(self, tmp_path, monkeypatch):
+        calls: list[str] = []
+
+        class Recorded:
+            def __init__(self, raw):
+                self.raw = raw
+
+            def write(self, data):
+                calls.append("write")
+                return self.raw.write(data)
+
+            def __getattr__(self, name):
+                return getattr(self.raw, name)
+
+        monkeypatch.setattr(os, "fsync", lambda fd: calls.append("fsync"))
+        records = records_of_3_0_0()
+        with UpdateJournal(tmp_path / "journal.jsonl") as journal:
+            journal._file = Recorded(journal._file)
+            write_records(journal, records)
+        assert calls == ["write", "fsync"] * len(records)
+
+    def test_short_writes_lose_no_bytes(self, tmp_path):
+        class Short:
+            """A handle that takes at most five bytes per write."""
+
+            def __init__(self, raw):
+                self.raw = raw
+
+            def write(self, data):
+                return self.raw.write(bytes(data[:5]))
+
+            def __getattr__(self, name):
+                return getattr(self.raw, name)
+
+        path = tmp_path / "journal.jsonl"
+        with UpdateJournal(path) as journal:
+            journal._file = Short(journal._file)
+            write_records(journal, records_of_3_0_0())
+        assert path.read_bytes() == (DATA / "journal-3.0.0.jsonl").read_bytes()
+        with UpdateJournal(path) as journal:
+            assert journal.last_seq == len(records_of_3_0_0())
+
+
+class TestResumeFrom3_0_0:
+    """``data/checkpoint-3.0.0`` was written by repro 3.0.0: an opt
+    session in bursts of 8, snapshots every 4 bursts, killed after
+    :attr:`CRASH` updates (no flush, no closing snapshot)."""
+
+    CONFIG = CTUPConfig(k=6)
+    CRASH = 100
+
+    def inputs(self):
+        places = generate_places(300, seed=41)
+        units = generate_units(12, self.CONFIG.protection_range, seed=42)
+        stream = record_stream(RandomWalkMobility(units, seed=43), 120)
+        return places, units, stream.updates
+
+    def session(self, directory=None):
+        places, units, _ = self.inputs()
+        return open_session(
+            "opt",
+            places=places,
+            units=units,
+            config=self.CONFIG,
+            durability=(
+                DurabilitySpec(directory, every=4, resume=True)
+                if directory is not None
+                else None
+            ),
+            batch_size=8,
+        )
+
+    def test_resumes_equal_to_the_uninterrupted_run(self, tmp_path):
+        directory = tmp_path / "checkpoint"
+        shutil.copytree(DATA / "checkpoint-3.0.0", directory)
+        updates = self.inputs()[2]
+        resumed = self.session(directory)
+        for update in updates[self.CRASH :]:
+            resumed.feed(update)
+        resumed.flush()
+        straight = self.session()
+        straight.start()
+        for update in updates:
+            straight.feed(update)
+        straight.flush()
+        assert state_fingerprint(resumed.monitor) == state_fingerprint(
+            straight.monitor
+        )
+        resumed.close()
+        straight.close()
 
 
 class TestCheckpointPolicy:

@@ -7,8 +7,9 @@ import pytest
 from repro.geometry import Point, Rect
 from repro.grid import GridPartition
 from repro.model import Place
-from repro.storage import BufferPool, PageStore, PlaceStore
+from repro.storage import BufferPool, PageStore, PlaceStore, fingerprint_places
 from repro.storage.iostats import IoStats
+from repro.storage.placestore import CellArrays
 
 
 def make_places(n: int, grid: GridPartition) -> list[Place]:
@@ -292,7 +293,7 @@ class TestBulkLoadLayout:
         } == pages
         assert store._cell_place_counts == counts
         assert list(store._cell_place_counts) == list(counts)
-        assert store._place_cells == place_cells
+        assert store._cells_by_place() == place_cells
         assert store.place_count == len(places)
         # every place of a cell points at one shared cell tuple
         shared = {id(cell) for cell in store._place_cells.values()}
@@ -334,3 +335,86 @@ class TestBulkLoadLayout:
             PlaceStore(grid, [*places, duplicate, outside])
         with pytest.raises(ValueError, match="outside the monitored space"):
             PlaceStore(grid, [*places, outside, duplicate])
+
+
+def assert_same_columns(arrays: CellArrays, places: list[Place]) -> None:
+    """``arrays`` holds exactly the bits of ``CellArrays(places)``."""
+    expected = CellArrays(places)
+    for name in ("ids", "xs", "ys", "required"):
+        got, want = getattr(arrays, name), getattr(expected, name)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
+class TestColumnViews:
+    """Every cell's arrays slice the store's columns; the fingerprint
+    hashes the same columns."""
+
+    GRIDS = [
+        GridPartition.unit_square(10),
+        GridPartition.unit_square(3),
+        GridPartition(Rect(-1.0, 0.25, 2.0, 1.0), 7, 5),
+    ]
+
+    @pytest.mark.parametrize("grid", GRIDS)
+    def test_every_cell_view_equals_its_pages(self, grid):
+        places = edge_places(grid)
+        places.append(Place(5000, Point(grid.space.xmin, grid.space.ymin), 2))
+        views = PlaceStore(grid, places, page_capacity=4)
+        loaded = PlaceStore(grid, places, page_capacity=4)
+        for cell in grid.all_cells():
+            arrays = views.cell_arrays(cell)
+            assert_same_columns(arrays, loaded.read_cell(cell))
+            assert not arrays.xs.flags.writeable
+            _, again = views.read_cell_with_arrays(cell)
+            assert again is arrays
+
+    def test_mutations_rebuild_views_and_fingerprint_from_the_pages(self):
+        grid = GridPartition.unit_square(4)
+        store = PlaceStore(grid, make_places(60, grid), page_capacity=4)
+        for cell in grid.all_cells():
+            store.cell_arrays(cell)
+
+        def check() -> None:
+            assert store.fingerprint == fingerprint_places(store.peek_all_places())
+            for cell in grid.all_cells():
+                assert_same_columns(store.cell_arrays(cell), store.peek_cell(cell))
+            # a rebuild re-slices the cached views: no older column
+            # generation stays alive beside the current one
+            xs = store._columns[1]
+            for arrays in store._array_cache.values():
+                assert arrays.xs.base is xs
+
+        check()
+        before = store.fingerprint
+        store.add_place(Place(500, Point(0.61, 0.37), 4))
+        check()
+        assert store.fingerprint != before
+        store.reweight(500, 9)
+        check()
+        store.remove_place(3)
+        check()
+        store.remove_place(500)
+        store.add_place(Place(3, Point(0.35, 0.05), 1))
+        check()
+        assert store.fingerprint == before
+
+    def test_fingerprint_survives_a_grid_retune(self):
+        from repro.control.events import GridRetuned
+        from repro.core import CTUPConfig, OptCTUP
+        from repro.workloads import generate_places, generate_units
+
+        config = CTUPConfig(k=4, granularity=5)
+        monitor = OptCTUP(
+            config,
+            generate_places(200, seed=3),
+            generate_units(6, config.protection_range, seed=4),
+        )
+        monitor.initialize()
+        before = monitor.store.fingerprint
+        monitor.apply_control(GridRetuned(granularity=7))
+        store = monitor.store
+        assert store.fingerprint == before
+        assert store.fingerprint == fingerprint_places(store.peek_all_places())
+        for cell in store.occupied_cells():
+            assert_same_columns(store.cell_arrays(cell), store.peek_cell(cell))
