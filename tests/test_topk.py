@@ -1,6 +1,7 @@
 """Unit + property tests for the maintained-place table."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -366,6 +367,53 @@ class TestApplyUnitMove:
             was = old.squared_distance_to(Point(x, y)) <= r2
             now = new.squared_distance_to(Point(x, y)) <= r2
             assert table.safety_of(i) == float(int(now) - int(was))
+
+    @settings(max_examples=50)
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(0, 1, allow_nan=False), st.floats(0, 1, allow_nan=False)
+            ),
+            min_size=1,
+            max_size=20,
+        ),
+        st.lists(
+            st.tuples(*[st.floats(0, 1, allow_nan=False)] * 4),
+            min_size=1,
+            max_size=8,
+        ),
+    )
+    def test_burst_matches_one_move_at_a_time(self, coords, moves):
+        burst, single = MaintainedPlaces(), MaintainedPlaces()
+        for i, (x, y) in enumerate(coords):
+            burst.insert(place(i, x, y), 0.0, cell=0)
+            single.insert(place(i, x, y), 0.0, cell=0)
+        ox, oy, nx_, ny_ = (np.array(column) for column in zip(*moves))
+        assert burst.apply_unit_moves(ox, oy, nx_, ny_, 0.2) == len(coords)
+        for move in moves:
+            single.apply_unit_move(Point(*move[:2]), Point(*move[2:]), 0.2)
+        n = len(coords)
+        assert burst._safety[:n].tolist() == single._safety[:n].tolist()
+
+    def test_burst_heap_peak_is_two_row_by_move_buffers(self):
+        # the burst's transient heap scales with rows x moves; a plain
+        # broadcast expression holds about seven such arrays at once.
+        n, m = 2000, 32
+        rng = np.random.default_rng(0)
+        table = MaintainedPlaces()
+        table.insert_batch(
+            [place(i, x, y) for i, (x, y) in enumerate(rng.random((n, 2)))],
+            np.zeros(n),
+            [0] * n,
+        )
+        ox, oy, nx_, ny_ = rng.random((4, m))
+        tracemalloc.start()
+        try:
+            table.apply_unit_moves(ox, oy, nx_, ny_, 0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * n * m * 8
 
     def test_weighted_move(self):
         table = MaintainedPlaces()
