@@ -71,7 +71,7 @@ class CTUPConfig:
             raise ValueError("granularity must be positive")
 
     def replace(self, **overrides: object) -> "CTUPConfig":
-        """A copy with some fields overridden (sweep helper)."""
+        """A copy with some fields overridden."""
         from dataclasses import replace as dc_replace
 
         return dc_replace(self, **overrides)

@@ -291,6 +291,9 @@ class CTUPMonitor(abc.ABC):
         cost dominates on the few cells one step classifies (see
         ``docs/architecture.md``, "Burst execution").
         """
+        # every chain head is checked before the first raw applies, so a
+        # stale or unknown head leaves the whole burst unapplied.
+        self.units.check_chain_heads(moves)
         for move in moves:
             for raw in move.raws:
                 self._apply(raw)
@@ -492,9 +495,13 @@ class CTUPMonitor(abc.ABC):
         """World patch for ``grid_retuned``: swap grid and store.
 
         Every cell boundary and page assignment moves at once, so the
-        caller always follows with :meth:`_rebuild_in_place`.
+        caller always follows with :meth:`_rebuild_in_place`. The new
+        store is laid out in place-id order, not in the old store's cell
+        order, so a recovery that folds the journal
+        (:func:`repro.control.replay.fold_places`) lays it out the same
+        way and resumes bit-identically.
         """
-        places = self.store.peek_all_places()
+        places = sorted(self.store.peek_all_places(), key=lambda p: p.place_id)
         self.config = self.config.replace(granularity=granularity)
         self.grid = GridPartition(self.config.space, granularity, granularity)
         self.store = PlaceStore(

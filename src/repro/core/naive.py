@@ -22,7 +22,7 @@ import numpy as np
 from repro.core.config import CTUPConfig
 from repro.core.metrics import InitReport
 from repro.core.monitor import CTUPMonitor
-from repro.core.topk import kth_smallest, topk_rows
+from repro.core.topk import kth_smallest, safety_by_id, topk_rows
 from repro.geometry import Rect
 from repro.model import LocationUpdate, Place, SafetyRecord, Unit
 
@@ -139,7 +139,7 @@ class NaiveCTUP(CTUPMonitor):
 
     def _restore_scheme_state(self, fields: Mapping[str, Any]) -> None:
         # the recomputation plan is derived from the (static) store
-        # layout; rebuild it and verify the row order matches the export.
+        # layout; rebuild it and match the exported rows by place id.
         ids: list[np.ndarray] = []
         row = 0
         self._plan = []
@@ -153,11 +153,4 @@ class NaiveCTUP(CTUPMonitor):
         self._ids = (
             np.concatenate(ids) if ids else np.empty(0, dtype=np.int64)
         )
-        if self._ids.tolist() != [int(i) for i in fields["ids"]]:
-            raise ValueError(
-                "restored place rows do not match the stored place set"
-            )
-        safety = np.asarray(fields["safety"], dtype=np.float64)
-        if len(safety) != len(self._ids):
-            raise ValueError("safety table length mismatch")
-        self._safety = safety
+        self._safety = safety_by_id(self._ids, fields["ids"], fields["safety"])

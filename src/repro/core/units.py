@@ -220,6 +220,13 @@ class UnitIndex:
         self.stats.coalesced_updates += len(raws) - 1
         return old
 
+    def check_chain_heads(self, moves: Sequence[CoalescedMove]) -> None:
+        """Raise like :meth:`apply` for the first chain whose head names
+        an unknown unit or a stale ``old_location``; moves nothing.
+        :meth:`apply_moves` makes the same check before it writes."""
+        for move in moves:
+            self._tracked(move.raws[0])
+
     def apply_moves(self, moves: Sequence[CoalescedMove]) -> list[Point]:
         """Batched :meth:`apply_chain` over all of a burst's chains.
 

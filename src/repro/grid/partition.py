@@ -109,22 +109,6 @@ class GridPartition:
             for j in range(self.ny):
                 yield (i, j)
 
-    def cells_overlapping_rect(self, rect: Rect) -> Iterator[CellId]:
-        """Cells whose rectangle intersects ``rect`` (clipped to the space)."""
-        if not self.space.intersects(rect):
-            return
-        i_lo = int(math.floor((rect.xmin - self.space.xmin) / self.cell_width))
-        i_hi = int(math.floor((rect.xmax - self.space.xmin) / self.cell_width))
-        j_lo = int(math.floor((rect.ymin - self.space.ymin) / self.cell_height))
-        j_hi = int(math.floor((rect.ymax - self.space.ymin) / self.cell_height))
-        i_lo = max(i_lo, 0)
-        j_lo = max(j_lo, 0)
-        i_hi = min(i_hi, self.nx - 1)
-        j_hi = min(j_hi, self.ny - 1)
-        for i in range(i_lo, i_hi + 1):
-            for j in range(j_lo, j_hi + 1):
-                yield (i, j)
-
     def cells_touching_circle(self, circle: Circle) -> Iterator[CellId]:
         """Cells whose rectangle intersects the (closed) disk.
 
@@ -219,8 +203,8 @@ class CircleStencil:
     def block_of(self, center: Point) -> tuple[int, int, int, int]:
         """Clamped ``(i_lo, i_hi, j_lo, j_hi)`` of the disk's candidate block.
 
-        The floor arithmetic of ``cells_overlapping_rect`` applied to the
-        disk's bounding box, each floor argument widened by the edge
+        The floor arithmetic of a cell lookup applied to the disk's
+        bounding box, each floor argument widened by the edge
         tolerance: when a box edge lies on a grid line to within
         rounding, the disk may still reach a point of the cell beyond
         it (a unit at ``x = 1.0`` with ``R`` a multiple of the cell

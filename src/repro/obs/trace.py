@@ -95,8 +95,9 @@ class Tracer:
 
     The buffer is a ``deque(maxlen=capacity)``: once full, the oldest
     spans fall off silently (``emitted`` keeps the lifetime total so
-    droppage is detectable).  Appends are GIL-atomic, so shard drain
-    threads may emit concurrently without a lock.
+    droppage is detectable).  Spans come from the thread that drives
+    the session (the shard drain runs serially inside ``refresh()``),
+    and deque appends are GIL-atomic, so the buffer takes no lock.
     """
 
     enabled = True

@@ -191,10 +191,10 @@ class ShardedMonitor(CTUPMonitor):
         count *deliveries made*, which coalescing genuinely reduces.
         """
         skipped = 0
-        for move in moves:
-            old = self.units.apply_chain(move.raws)
+        # every chain head is checked before any unit moves or any shard
+        # queues a delivery: a stale head leaves the burst unapplied.
+        for move, step_old in zip(moves, self.units.apply_moves(moves)):
             targets: set[int] = set()
-            step_old = old
             for raw in move.raws:
                 targets.update(self.router.route(step_old, raw.new_location))
                 step_old = raw.new_location

@@ -8,10 +8,15 @@ exactly.
 
 from __future__ import annotations
 
+import dataclasses
+from contextlib import contextmanager
+
 import pytest
 
+from repro.api import make_monitor
 from repro.core import CTUPConfig
 from repro.model import Unit
+from repro.shard import ShardedMonitor
 from repro.validate import Oracle
 from repro.workloads import (
     RandomWalkMobility,
@@ -53,6 +58,71 @@ def assert_valid_topk(oracle: Oracle, monitor, k: int) -> None:
     assert verdict.ok, verdict.problems
 
 
+@contextmanager
+def off_the_record(monitor):
+    """Read a monitor's result without moving its I/O accounting.
+
+    The naive scheme fetches result records from storage, so a test
+    reading ``top_k()`` would change the buffer pool and the I/O
+    counters that a resumed twin is compared on. The stores' caches and
+    counters are put back on exit."""
+    stores = [monitor.store]
+    if isinstance(monitor, ShardedMonitor):
+        stores += [shard.monitor.store for shard in monitor.shards]
+    saved = [(s.export_cache_state(), s.io_stats.snapshot()) for s in stores]
+    try:
+        yield
+    finally:
+        for store, (cache, io) in zip(stores, saved):
+            if store.io_stats != io:  # every read moves a counter
+                store.restore_cache_state(cache)
+                store.io_stats.restore(io)
+
+
+def build(scheme, config, places, units, shards=0):
+    """An initialized monitor of ``scheme``, sharded when ``shards``."""
+    monitor = make_monitor(
+        scheme, places=places, units=units, config=config, shard=shards or None
+    )
+    monitor.initialize()
+    return monitor
+
+
+def result_pairs(monitor) -> list[tuple[int, float]]:
+    """The monitor's top-k as ``(place id, safety)`` pairs."""
+    return [(r.place_id, r.safety) for r in monitor.top_k()]
+
+
+def logical_counters(counters) -> dict:
+    """A counter ledger minus its wall-clock fields."""
+    return {
+        f.name: getattr(counters, f.name)
+        for f in dataclasses.fields(counters)
+        if not f.name.startswith("time_")
+    }
+
+
+def state_fingerprint(monitor, session=None) -> dict:
+    """Everything "bit-identical" quantifies over, as one comparable:
+    the result, the work counters and the I/O accounting (merged over
+    the shards too, for a sharded monitor)."""
+    with off_the_record(monitor):
+        data = {
+            "topk": result_pairs(monitor),
+            "sk": monitor.sk(),
+        }
+    data["counters"] = logical_counters(monitor.counters)
+    data["io"] = dataclasses.astuple(monitor.store.io_stats)
+    if isinstance(monitor, ShardedMonitor):
+        data["merged"] = (
+            logical_counters(monitor.merged_counters()),
+            dataclasses.astuple(monitor.merged_io()),
+        )
+    if session is not None:
+        data["updates_processed"] = session.updates_processed
+    return data
+
+
 @pytest.fixture
 def unit_at():
     """Factory for units at explicit coordinates."""
@@ -63,3 +133,33 @@ def unit_at():
         return Unit(unit_id=unit_id, location=Point(x, y), protection_range=radius)
 
     return build
+
+
+def exported_state(monitor) -> dict:
+    """``export_state()`` without its wall-clock fields (``time_*``, at
+    any depth) and without its row order.
+
+    Tables are compared as sorted rows, the store's cached cells as a
+    sorted list, and the full-table schemes' parallel ``ids``/``safety``
+    columns as sorted ``(id, safety)`` pairs: after catalog mutations a restored store lays cells and
+    places out in the folded catalog's order, not the live store's
+    (:func:`repro.core.topk.safety_by_id`), which is layout, not state.
+    """
+    with off_the_record(monitor):
+        state = monitor.export_state()
+
+    def strip(doc):
+        if isinstance(doc, list) and doc and isinstance(doc[0], dict):
+            return [strip(item) for item in doc]
+        if isinstance(doc, list) and doc and isinstance(doc[0], list):
+            return sorted(doc, key=repr)
+        if not isinstance(doc, dict):
+            return doc
+        out = {k: strip(v) for k, v in doc.items() if not k.startswith("time_")}
+        if "ids" in out and "safety" in out:
+            out["rows"] = sorted(zip(out.pop("ids"), out.pop("safety")))
+        if "arrays" in out:  # the store's array cache: a set of cells
+            out["arrays"] = sorted(out["arrays"])
+        return out
+
+    return strip(state)

@@ -1,0 +1,379 @@
+"""The session model: a state machine over one durable session.
+
+:class:`SessionModel` drives one :class:`~repro.engine.MonitorSession`
+with a checkpoint directory the way a deployment does: valid updates,
+bad input, flushes, control events, checkpoints, crashes and damaged
+journals, in any order. It keeps a model of its own: where each unit
+was fed to, which updates the monitor has applied, the place catalog
+and ``k``. :meth:`SessionModel.matches_the_oracle` checks the session's
+top-k and SK against :class:`~repro.validate.Oracle` built over that
+model, and every crash resumes a twin from the directory that must
+equal the live session bit for bit: :func:`tests.conftest.state_fingerprint`
+(result, counters, I/O) and the exported state.
+
+``tests/test_machine.py`` runs it as a hypothesis state machine for
+every scheme and mode. The named tests elsewhere drive the same steps
+through :func:`run_script`, with the invariant checked after each.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import json
+import math
+import shutil
+import tempfile
+from pathlib import Path
+from typing import Any, Iterable
+
+import pytest
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    invariant,
+    precondition,
+    rule,
+)
+
+from repro.api import DurabilitySpec, open_session
+from repro.control import (
+    GridRetuned,
+    KChanged,
+    PlaceAdded,
+    PlaceRemoved,
+    PlaceReweighted,
+    ShardPlanChanged,
+    decode_event,
+)
+from repro.core import CTUPConfig
+from repro.core.units import LOCATION_TOLERANCE2
+from repro.engine import UpdateRejected
+from repro.model import LocationUpdate, Place, Point, Unit
+from repro.state import CheckpointStore, JournalCorrupted
+from repro.validate import Oracle
+from repro.workloads import RandomWalkMobility, generate_places, generate_units, record_stream
+from tests.conftest import exported_state, off_the_record, state_fingerprint
+
+CONFIG = CTUPConfig(k=4, delta=2, protection_range=0.15, granularity=5)
+PLACES = generate_places(150, seed=61)
+FLEET = 8
+#: snapshot cadence, in flush boundaries.
+EVERY = 3
+
+
+def fleet() -> list[Unit]:
+    """Fresh unit objects at their initial positions (a monitor moves
+    the objects it is given)."""
+    return generate_units(FLEET, CONFIG.protection_range, seed=62)
+
+
+UNIT_IDS = sorted(u.unit_id for u in fleet())
+#: positions inside the space, with its edges and centre drawn often.
+coordinate = st.floats(0.0, 1.0) | st.sampled_from([0.0, 0.5, 1.0])
+
+
+def walk(n: int, seed: int = 63) -> list[LocationUpdate]:
+    """``n`` random-walk updates of the fleet from its initial positions."""
+    return list(record_stream(RandomWalkMobility(fleet(), step=0.04, seed=seed), n))
+
+
+def flip(data: bytes, at: int) -> bytes:
+    """``data`` with bit 0 of byte ``at`` flipped. Journal lines are
+    printable ASCII, so the flip never makes or removes a newline."""
+    return data[:at] + bytes([data[at] ^ 1]) + data[at + 1 :]
+
+
+def bad_update(kind: str, good: LocationUpdate) -> LocationUpdate:
+    """``good`` turned into input ``feed`` must reject."""
+    if kind == "unknown-unit":
+        return dataclasses.replace(good, unit_id=max(UNIT_IDS) + 1)
+    if kind == "nan":
+        return dataclasses.replace(good, new_location=Point(math.nan, 0.5))
+    old = good.old_location
+    return dataclasses.replace(good, old_location=Point(old.x + 0.01, old.y))
+
+
+class SessionModel(RuleBasedStateMachine):
+    scheme = "opt"
+    batch = 0
+    shards = 0
+
+    @classmethod
+    def of(cls, scheme: str, batch: int, shards: int) -> type["SessionModel"]:
+        """The machine for one scheme, burst size and shard count."""
+        return type(
+            f"SessionModel_{scheme}_b{batch}_s{shards}",
+            (cls,),
+            {"scheme": scheme, "batch": batch, "shards": shards},
+        )
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.directory = Path(tempfile.mkdtemp(prefix="ctup-model-"))
+        self.places = {p.place_id: p for p in PLACES}
+        self.next_place_id = max(self.places) + 1
+        self.k = CONFIG.k
+        #: each unit's position as fed, pending updates included.
+        self.fed = {u.unit_id: u.location for u in fleet()}
+        #: each unit's position as the monitor has applied it.
+        self.applied = dict(self.fed)
+        self.pending: list[LocationUpdate] = []
+        #: each unit's last accepted update.
+        self.last: dict[int, LocationUpdate] = {}
+        self.clock = 0
+        self.session = self.open()
+        self.session.start()
+
+    def open(self, resume: bool = False):
+        return open_session(
+            self.scheme,
+            places=PLACES,
+            units=fleet(),
+            config=CONFIG,
+            shard=self.shards,
+            batch_size=self.batch,
+            durability=DurabilitySpec(self.directory, every=EVERY, resume=resume),
+        )
+
+    def teardown(self) -> None:
+        self.session.journal.close()
+        shutil.rmtree(self.directory, ignore_errors=True)
+
+    # -- the model ---------------------------------------------------------
+
+    def apply_pending(self) -> None:
+        for update in self.pending:
+            self.applied[update.unit_id] = update.new_location
+        self.pending.clear()
+
+    def fingerprint(self) -> tuple:
+        monitor = self.session.monitor
+        return (
+            state_fingerprint(monitor, self.session),
+            exported_state(monitor),
+            self.session.pending_updates,
+        )
+
+    def directory_bytes(self) -> dict[str, bytes]:
+        return {p.name: p.read_bytes() for p in sorted(self.directory.iterdir())}
+
+    def crash(self) -> tuple:
+        """Drop the session without ``close()``: no flush, no closing
+        snapshot. Every journal record is already fsynced; closing the
+        handle is harness hygiene. Returns the live fingerprint."""
+        before = self.fingerprint()
+        self.session.journal.close()
+        return before
+
+    def resume(self, before: tuple) -> None:
+        self.session = self.open(resume=True)
+        assert self.fingerprint() == before
+
+    def snapshot_seq(self) -> int:
+        """The journal seq the newest snapshot covers (0 without one)."""
+        latest = CheckpointStore(self.directory).snapshot_paths()[-1:]
+        return int(latest[0].stem.split("-")[1]) if latest else 0
+
+    def moved(self) -> list[LocationUpdate]:
+        """Last accepted updates that moved their unit beyond the
+        location tolerance: only those are stale when sent again."""
+        return [
+            u
+            for u in self.last.values()
+            if u.old_location.squared_distance_to(u.new_location) > LOCATION_TOLERANCE2
+        ]
+
+    # -- steps shared by the rules and by scripts ----------------------------
+
+    def send(self, update: LocationUpdate) -> None:
+        """Feed a valid update and track it in the model."""
+        self.session.feed(update)
+        self.clock = max(self.clock, update.timestamp)
+        self.fed[update.unit_id] = update.new_location
+        self.last[update.unit_id] = update
+        self.pending.append(update)
+        if len(self.pending) >= max(self.batch, 1):
+            self.apply_pending()
+
+    def reject(self, update: LocationUpdate) -> None:
+        """Feed bad input: it raises and changes nothing, on disk too."""
+
+        def observed():
+            session = self.session
+            return (
+                state_fingerprint(session.monitor, session),
+                session.pending_updates,
+                self.directory_bytes(),
+            )
+
+        before = observed()
+        with pytest.raises(UpdateRejected):
+            self.session.feed(update)
+        assert observed() == before
+
+    def apply_event(self, event: Any, mode: str = "incremental") -> None:
+        self.session.apply_control(event, mode=mode)
+        self.apply_pending()
+        if isinstance(event, PlaceAdded):
+            self.places[event.place.place_id] = event.place
+            self.next_place_id = max(self.next_place_id, event.place.place_id + 1)
+        elif isinstance(event, PlaceRemoved):
+            del self.places[event.place_id]
+        elif isinstance(event, PlaceReweighted):
+            self.places[event.place_id] = dataclasses.replace(
+                self.places[event.place_id],
+                required_protection=event.required_protection,
+            )
+        elif isinstance(event, KChanged):
+            self.k = event.k
+
+    # -- rules ---------------------------------------------------------------
+
+    @rule(unit=st.sampled_from(UNIT_IDS), x=coordinate, y=coordinate)
+    def feed(self, unit: int, x: float, y: float) -> None:
+        self.send(LocationUpdate(unit, self.fed[unit], Point(x, y), self.clock + 1))
+
+    @rule(
+        unit=st.sampled_from(UNIT_IDS),
+        kind=st.sampled_from(["unknown-unit", "nan", "stale"]),
+    )
+    def feed_bad(self, unit: int, kind: str) -> None:
+        good = LocationUpdate(unit, self.fed[unit], Point(0.5, 0.5), self.clock)
+        self.reject(bad_update(kind, good))
+
+    @precondition(lambda self: self.moved())
+    @rule(data=st.data())
+    def feed_replayed(self, data: st.DataObject) -> None:
+        """A duplicate delivery of a unit's last accepted move."""
+        self.reject(data.draw(st.sampled_from(self.moved())))
+
+    @rule()
+    def flush(self) -> None:
+        self.session.flush()
+        self.apply_pending()
+
+    @rule()
+    def checkpoint(self) -> None:
+        self.session.checkpoint()
+        self.apply_pending()
+
+    @rule(data=st.data(), mode=st.sampled_from(["incremental", "rebuild"]))
+    def control(self, data: st.DataObject, mode: str) -> None:
+        ids = sorted(self.places)
+        events = [
+            st.builds(
+                PlaceAdded,
+                st.builds(
+                    Place,
+                    st.just(self.next_place_id),
+                    st.builds(Point, coordinate, coordinate),
+                    st.integers(0, 4),
+                ),
+            ),
+            st.builds(PlaceReweighted, st.sampled_from(ids), st.integers(0, 5)),
+            st.builds(KChanged, st.integers(0, 8)),
+            st.builds(GridRetuned, st.integers(2, 8)),
+        ]
+        if len(ids) > 1:
+            events.append(st.builds(PlaceRemoved, st.sampled_from(ids)))
+        if self.shards:
+            events.append(st.builds(ShardPlanChanged, st.integers(1, 4)))
+        self.apply_event(data.draw(st.one_of(events)), mode)
+
+    @rule()
+    def crash_and_resume(self) -> None:
+        self.resume(self.crash())
+
+    def torn_tail_possible(self) -> bool:
+        return self.session.journal.last_seq > self.snapshot_seq()
+
+    @precondition(
+        lambda self: self.session.journal.last_seq >= 2 or self.torn_tail_possible()
+    )
+    @rule(data=st.data())
+    def flip_journal_byte(self, data: st.DataObject) -> None:
+        """Crash, then flip a byte of one journal record.
+
+        A record with records after it stops the resume with
+        :class:`JournalCorrupted` and leaves the file as it was; the
+        intact journal then resumes. The last record is a torn tail when
+        no snapshot covers it (a snapshot follows an fsync, so no torn
+        write can reach a covered record): the resume drops it, and
+        sending what it held again restores the live state."""
+        torn_tail_possible = self.torn_tail_possible()
+        before = self.crash()
+        path = self.session.journal.path
+        intact = path.read_bytes()
+        lines = intact.splitlines(keepends=True)
+        last = len(lines) - 1
+        line = data.draw(st.integers(0, last if torn_tail_possible else last - 1))
+        cut = sum(map(len, lines[:line]))
+        damaged = flip(intact, cut + data.draw(st.integers(0, len(lines[line]) - 2)))
+        path.write_bytes(damaged)
+        if line < last:
+            with pytest.raises(JournalCorrupted):
+                self.open(resume=True)
+            assert path.read_bytes() == damaged
+            path.write_bytes(intact)
+            self.resume(before)
+            return
+        self.session = self.open(resume=True)
+        assert path.read_bytes() == intact[:cut]
+        record = json.loads(lines[line][lines[line].index(b"{") :])
+        if record["op"] == "f":
+            self.session.flush()
+        elif record["op"] == "c":
+            payload = dict(record["c"])
+            mode = payload.pop("mode")
+            self.session.apply_control(decode_event(payload), mode=mode)
+        else:
+            old, new = Point(*record["old"]), Point(*record["new"])
+            self.session.feed(LocationUpdate(record["u"], old, new, record["t"]))
+        assert self.fingerprint() == before
+
+    # -- the invariant -------------------------------------------------------
+
+    @invariant()
+    def matches_the_oracle(self) -> None:
+        """The top-k is a valid answer and SK is the true SK, over the
+        model's catalog and applied positions. The result is read off
+        the record, so the check leaves the I/O accounting as it was."""
+        assert self.session.pending_updates == len(self.pending)
+        units = [
+            Unit(unit_id, at, CONFIG.protection_range)
+            for unit_id, at in self.applied.items()
+        ]
+        oracle = Oracle(list(self.places.values()), units)
+        monitor = self.session.monitor
+        with off_the_record(monitor):
+            records, sk = monitor.top_k(), monitor.sk()
+        verdict = oracle.validate(records, self.k)
+        assert verdict.ok, verdict.problems
+        assert sk == (-math.inf if self.k <= 0 else oracle.sk(self.k))
+
+
+def run_script(
+    scheme: str,
+    batch: int,
+    shards: int,
+    steps: Iterable[Any],
+    mode: str = "incremental",
+) -> SessionModel:
+    """Run ``steps`` on a fresh machine, checking the invariant after
+    each. A step is a :class:`LocationUpdate` (sent), a control event
+    (applied in ``mode``), or a callable taking the machine. Returns the
+    machine, its directory already removed."""
+    machine = SessionModel.of(scheme, batch, shards)()
+    try:
+        machine.matches_the_oracle()
+        for step in steps:
+            if isinstance(step, LocationUpdate):
+                machine.send(step)
+            elif callable(step):
+                step(machine)
+            else:
+                machine.apply_event(step, mode)
+            machine.matches_the_oracle()
+    finally:
+        machine.teardown()
+    return machine

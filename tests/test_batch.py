@@ -2,9 +2,11 @@
 
 import pytest
 
+from repro.api import SCHEMES, make_monitor
 from repro.core import BasicCTUP, OptCTUP
 from repro.core.batch import BatchProcessor
 from repro.engine import MonitorSession
+from repro.model import LocationUpdate, Point
 from tests.conftest import assert_valid_topk
 
 
@@ -101,3 +103,60 @@ class TestProcessing:
         assert (
             processor.monitor.counters.updates_processed == len(small_stream)
         )
+
+
+def _stale(fleet, moved):
+    """Unit 0 moves correctly, then unit 1 reports from where it never was."""
+    u0, u1 = fleet[0], fleet[1]
+    return [
+        LocationUpdate(u0.unit_id, u0.location, moved, 1),
+        LocationUpdate(u1.unit_id, Point(u1.location.x + 0.01, u1.location.y), moved, 2),
+    ]
+
+
+def _broken_chain(fleet, moved):
+    """Unit 0 moves correctly, then reports again from its old position."""
+    u0 = fleet[0]
+    return [
+        LocationUpdate(u0.unit_id, u0.location, moved, 1),
+        LocationUpdate(u0.unit_id, u0.location, Point(0.5, 0.5), 2),
+    ]
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [(_stale, "carries old location"), (_broken_chain, "already moved it")],
+    ids=["stale-head", "broken-chain"],
+)
+@pytest.mark.parametrize("scheme", [*sorted(SCHEMES), "sharded"])
+def test_rejected_burst_applies_nothing(
+    small_config, small_places, small_units, scheme, bad, message
+):
+    """A burst that fails validation raises before any unit moves: every
+    chain head is checked before the first chain is applied."""
+    monitor = make_monitor(
+        "opt" if scheme == "sharded" else scheme,
+        places=small_places,
+        units=small_units,
+        config=small_config,
+        shard=2 if scheme == "sharded" else None,
+    )
+    monitor.initialize()
+
+    def state():
+        return (
+            [monitor.units.location_of(u.unit_id) for u in small_units],
+            [(r.place_id, r.safety) for r in monitor.top_k()],
+            monitor.sk(),
+            {
+                name: value
+                for name, value in monitor.counters.as_dict().items()
+                if not name.startswith("time_")
+            },
+        )
+
+    before = state()
+    burst = bad(list(monitor.units), Point(0.9, 0.9))
+    with pytest.raises(ValueError, match=message):
+        BatchProcessor(monitor).process_batch(burst)
+    assert state() == before

@@ -38,6 +38,7 @@ from repro.workloads import (
     generate_units,
     record_stream,
 )
+from tests.conftest import logical_counters, result_pairs
 
 #: counters that may legitimately differ between per-update and
 #: coalesced executions — exactly the work coalescing skips: chain
@@ -68,15 +69,6 @@ VARIANTS: dict[str, tuple[CTUPConfig, Callable]] = {
 #: schemes whose own ``_apply_burst`` folds chains (and so reports the
 #: skipped work); naive and incremental replay chains raw-for-raw.
 CHAIN_AWARE = {"basic", "opt", "opt-nodoo", "threshold"}
-
-
-def _logical(counters: Any) -> dict[str, Any]:
-    """Counter fields minus wall-clock timings."""
-    return {
-        f.name: getattr(counters, f.name)
-        for f in dataclasses.fields(counters)
-        if not f.name.startswith("time_")
-    }
 
 
 def _comparable(state: dict[str, Any]) -> dict[str, Any]:
@@ -142,13 +134,13 @@ def _replay(monitor: Any, bursts: list[list[LocationUpdate]]) -> None:
 
 def _outcome(monitor: Any) -> dict[str, Any]:
     out = {
-        "pairs": [(r.place_id, r.safety) for r in monitor.top_k()],
+        "pairs": result_pairs(monitor),
         "sk": monitor.sk(),
-        "counters": _logical(monitor.counters),
+        "counters": logical_counters(monitor.counters),
         "state": _comparable(monitor.export_state()),
     }
     if isinstance(monitor, ShardedMonitor):
-        out["merged"] = _logical(monitor.merged_counters())
+        out["merged"] = logical_counters(monitor.merged_counters())
     return out
 
 

@@ -2,16 +2,18 @@
 
 The tentpole guarantee under test is *equivalence to rebuild*: applying
 any sequence of control events incrementally must leave a monitor whose
-SK and top-k are identical to a fresh monitor constructed over the
-post-event world — for every registered scheme, unsharded and sharded —
-and must leave every work ledger untouched (control work bills to the
+SK and top-k are those of the post-event world — for every registered
+scheme, unsharded and sharded — and must leave every work ledger
+untouched (control work bills to the
 :class:`~repro.control.events.EpochReport`, never to the data plane's
 counters). On top of that sit the durability rules: control events are
 journaled in order with the data updates, crash recovery replays them
-across epoch boundaries, and ``close()`` leaves a recoverable tail.
+across epoch boundaries, and ``close()`` leaves a recoverable tail. The
+session tests run as scripts over :mod:`tests.machine`, which checks
+the answer against the oracle after every step and every resume
+against the live session.
 """
 
-import math
 import random
 
 import pytest
@@ -21,8 +23,6 @@ from hypothesis import strategies as st
 from repro.api import (
     SCHEMES,
     ControlSpec,
-    DurabilitySpec,
-    ShardSpec,
     make_monitor,
     open_session,
 )
@@ -45,9 +45,9 @@ from repro.core import CTUPConfig
 from repro.engine.session import MonitorSession
 from repro.geometry import Point, Rect
 from repro.grid.partition import GridPartition
-from repro.model import LocationUpdate, Place
+from repro.model import Place
 from repro.state.journal import UpdateJournal
-from repro.state.recovery import CheckpointPolicy, RecoveryManager
+from repro.state.recovery import CheckpointPolicy, CheckpointStore, RecoveryManager
 from repro.storage.placestore import PlaceStore
 from repro.workloads import (
     RandomWalkMobility,
@@ -55,11 +55,10 @@ from repro.workloads import (
     generate_units,
     record_stream,
 )
-from repro.workloads.control import (
-    ControlPlan,
-    generate_control_plan,
-    interleave,
-)
+from repro.workloads.control import ControlPlan, generate_control_plan, interleave
+from tests.conftest import build
+from tests.machine import PLACES as MODEL_PLACES
+from tests.machine import SessionModel, run_script, walk
 
 ALL_EVENTS = [
     PlaceAdded(Place(77, Point(0.5, 0.5), 3, kind="school")),
@@ -69,18 +68,6 @@ ALL_EVENTS = [
     GridRetuned(6),
     ShardPlanChanged(3, "striped"),
 ]
-
-
-def build(scheme, config, places, units, shards=0):
-    monitor = make_monitor(
-        scheme,
-        places=places,
-        units=units,
-        config=config,
-        shard=ShardSpec(shards=shards) if shards else None,
-    )
-    monitor.initialize()
-    return monitor
 
 
 def answer(monitor):
@@ -96,25 +83,11 @@ def answer(monitor):
     )
 
 
-def run_mixed(monitor, items, mode):
-    for item in items:
-        if isinstance(item, LocationUpdate):
-            monitor.process(item)
-        else:
-            monitor.apply_control(item, mode=mode)
-
-
-def final_settings(config, plan, shards):
-    """The (config, shards) in force after every event of ``plan``."""
-    k, granularity = config.k, config.granularity
-    for _, event in plan:
-        if isinstance(event, KChanged):
-            k = event.k
-        elif isinstance(event, GridRetuned):
-            granularity = event.granularity
-        elif isinstance(event, ShardPlanChanged):
-            shards = event.shards
-    return config.replace(k=k, granularity=granularity), shards
+def small_world(n_places, seed, n_units=8, **config):
+    """A small world: its config, places and units."""
+    config = CTUPConfig(**{"k": 4, "granularity": 6, "protection_range": 0.12, **config})
+    places = generate_places(n_places, seed=seed)
+    return config, places, generate_units(n_units, config.protection_range, seed=seed + 1)
 
 
 # -- the catalog --------------------------------------------------------
@@ -221,14 +194,12 @@ class TestEquivalence:
     @pytest.mark.parametrize("scheme", sorted(SCHEMES))
     @pytest.mark.parametrize("shards", [0, 1, 4])
     def test_event_mix_matches_fresh_monitor(self, scheme, shards):
-        config = CTUPConfig(k=5, granularity=8, protection_range=0.12)
-        places = generate_places(250, seed=11)
-        units = generate_units(12, config.protection_range, seed=12)
-        stream = record_stream(
-            RandomWalkMobility(units, step=0.04, seed=13), 48
-        )
+        """The same event mix, applied incrementally and by rebuilds,
+        keeps the answer equal to the oracle's over the post-event world
+        after every step."""
+        stream = walk(48)
         plan = generate_control_plan(
-            places,
+            MODEL_PLACES,
             stream_length=len(stream),
             n_events=6,
             seed=14,
@@ -237,23 +208,9 @@ class TestEquivalence:
             shard_counts=(2, 6) if shards else (),
         )
         items = list(interleave(stream, plan))
-
-        incremental = build(scheme, config, places, units, shards)
-        run_mixed(incremental, items, "incremental")
-        rebuilt = build(scheme, config, places, units, shards)
-        run_mixed(rebuilt, items, "rebuild")
-        final_config, final_shards = final_settings(config, plan, shards)
-        fresh = build(
-            scheme, final_config, plan.final_places(places), units,
-            final_shards,
-        )
-        for update in stream:
-            fresh.process(update)
-
-        want = answer(fresh)
-        assert answer(incremental) == want
-        assert answer(rebuilt) == want
-        assert incremental.epoch == rebuilt.epoch == len(plan)
+        for mode in ("incremental", "rebuild"):
+            machine = run_script(scheme, 0, shards, items, mode)
+            assert machine.session.monitor.epoch == len(plan)
 
     @settings(
         max_examples=10,
@@ -268,14 +225,9 @@ class TestEquivalence:
         n_events=st.integers(1, 5),
     )
     def test_random_interleavings(self, seed, k, scheme, shards, n_events):
-        config = CTUPConfig(k=k, granularity=6, protection_range=0.12)
-        places = generate_places(120, seed=seed)
-        units = generate_units(8, config.protection_range, seed=seed + 1)
-        stream = record_stream(
-            RandomWalkMobility(units, step=0.05, seed=seed + 2), 30
-        )
+        stream = walk(30, seed=seed)
         plan = generate_control_plan(
-            places,
+            MODEL_PLACES,
             stream_length=len(stream),
             n_events=n_events,
             seed=seed + 3,
@@ -283,25 +235,12 @@ class TestEquivalence:
             granularity_range=(2, 10),
             shard_counts=(2, 3) if shards else (),
         )
-        items = list(interleave(stream, plan))
-
-        incremental = build(scheme, config, places, units, shards)
-        run_mixed(incremental, items, "incremental")
-        final_config, final_shards = final_settings(config, plan, shards)
-        fresh = build(
-            scheme, final_config, plan.final_places(places), units,
-            final_shards,
-        )
-        for update in stream:
-            fresh.process(update)
-        assert answer(incremental) == answer(fresh)
+        run_script(scheme, 0, shards, [KChanged(k), *interleave(stream, plan)])
 
     @pytest.mark.parametrize("scheme", sorted(SCHEMES))
     @pytest.mark.parametrize("shards", [0, 4])
     def test_control_is_ledger_neutral(self, scheme, shards):
-        config = CTUPConfig(k=5, granularity=8, protection_range=0.12)
-        places = generate_places(200, seed=21)
-        units = generate_units(10, config.protection_range, seed=22)
+        config, places, units = small_world(200, 21, 10, k=5, granularity=8)
         monitor = build(scheme, config, places, units, shards)
         for update in record_stream(
             RandomWalkMobility(units, step=0.04, seed=23), 20
@@ -332,10 +271,7 @@ class TestEquivalence:
         assert monitor.epoch == len(events)
 
     def test_epoch_report_receipt(self):
-        config = CTUPConfig(k=4, granularity=6, protection_range=0.12)
-        places = generate_places(150, seed=31)
-        units = generate_units(8, config.protection_range, seed=32)
-        monitor = build("basic", config, places, units)
+        monitor = build("basic", *small_world(150, 31))
         report = monitor.apply_control(
             PlaceAdded(Place(9001, Point(0.3, 0.3), 2))
         )
@@ -349,28 +285,19 @@ class TestEquivalence:
         assert forced.epoch == 2
 
     def test_grid_retune_always_rebuilds(self):
-        config = CTUPConfig(k=4, granularity=6, protection_range=0.12)
-        places = generate_places(150, seed=33)
-        units = generate_units(8, config.protection_range, seed=34)
-        monitor = build("opt", config, places, units)
+        monitor = build("opt", *small_world(150, 33))
         report = monitor.apply_control(GridRetuned(9))
         assert report.rebuilt is True
         assert monitor.grid.nx == 9
         assert monitor.config.granularity == 9
 
     def test_reshard_on_plain_monitor_rejected(self):
-        config = CTUPConfig(k=4, granularity=6, protection_range=0.12)
-        places = generate_places(100, seed=35)
-        units = generate_units(6, config.protection_range, seed=36)
-        monitor = build("opt", config, places, units)
+        monitor = build("opt", *small_world(100, 35, 6))
         with pytest.raises(ValueError):
             monitor.apply_control(ShardPlanChanged(4))
 
     def test_invalid_mode_rejected(self):
-        config = CTUPConfig(k=4, granularity=6, protection_range=0.12)
-        places = generate_places(50, seed=37)
-        units = generate_units(4, config.protection_range, seed=38)
-        monitor = build("basic", config, places, units)
+        monitor = build("basic", *small_world(50, 37, 4))
         with pytest.raises(ValueError):
             monitor.apply_control(KChanged(3), mode="yolo")
 
@@ -419,9 +346,7 @@ class TestResharding:
     @pytest.mark.parametrize("scheme", ["basic", "opt"])
     def test_migration_is_online(self, scheme):
         """basic/opt migrate per-cell state without a rebuild."""
-        config = CTUPConfig(k=5, granularity=8, protection_range=0.12)
-        places = generate_places(300, seed=41)
-        units = generate_units(10, config.protection_range, seed=42)
+        config, places, units = small_world(300, 41, 10, k=5, granularity=8)
         monitor = build(scheme, config, places, units, shards=2)
         for update in record_stream(
             RandomWalkMobility(units, step=0.04, seed=43), 25
@@ -441,10 +366,7 @@ class TestResharding:
 
     @pytest.mark.parametrize("scheme", ["naive", "incremental"])
     def test_migration_falls_back_to_rebuild(self, scheme):
-        config = CTUPConfig(k=5, granularity=8, protection_range=0.12)
-        places = generate_places(200, seed=44)
-        units = generate_units(8, config.protection_range, seed=45)
-        monitor = build(scheme, config, places, units, shards=2)
+        monitor = build(scheme, *small_world(200, 44, k=5, granularity=8), shards=2)
         before = answer(monitor)
         report = monitor.apply_control(ShardPlanChanged(4))
         assert report.rebuilt is True
@@ -455,160 +377,57 @@ class TestResharding:
 # -- sessions: journaling, replay, recovery -----------------------------
 
 
-def _mixed_session_items(config, places, units, n_updates=40, seed=51):
-    stream = record_stream(
-        RandomWalkMobility(units, step=0.04, seed=seed), n_updates
+#: catalog, k and grid events at stream positions 8, 16, 24 and 32.
+SESSION_PLAN = ControlPlan(
+    (
+        (8, PlaceAdded(Place(9001, Point(0.35, 0.65), 4, kind="pop-up"))),
+        (16, KChanged(7)),
+        (24, PlaceReweighted(MODEL_PLACES[5].place_id, 7)),
+        (32, PlaceRemoved(MODEL_PLACES[9].place_id)),
     )
-    plan = ControlPlan(
-        (
-            (8, PlaceAdded(Place(9001, Point(0.35, 0.65), 4, kind="pop-up"))),
-            (16, KChanged(config.k + 3)),
-            (24, PlaceReweighted(places[5].place_id, 7)),
-            (32, PlaceRemoved(places[9].place_id)),
-        )
-    )
-    return list(interleave(stream, plan)), plan
+)
+SESSION_ITEMS = list(interleave(walk(40, seed=51), SESSION_PLAN))
+crash_and_resume = SessionModel.crash_and_resume
 
 
 class TestSessionControl:
-    def test_events_are_journaled_and_replayed(self, tmp_path):
-        config = CTUPConfig(k=5, granularity=8, protection_range=0.12)
-        places = generate_places(200, seed=52)
-        units = generate_units(10, config.protection_range, seed=53)
-        items, plan = _mixed_session_items(config, places, units)
-        session = open_session(
-            "opt",
-            places=places,
-            units=units,
-            config=config,
-            durability=str(tmp_path / "ckpt"),
-        )
-        from repro.workloads.control import drive
+    def test_events_are_journaled_and_replayed(self):
+        def journaled_in_order(machine):
+            controls = [r for r in machine.session.journal.records() if r.is_control]
+            assert [r.control["kind"] for r in controls] == [
+                event_kind(event) for _, event in SESSION_PLAN
+            ]
 
-        drive(session, items)
-        want = answer(session.monitor)
-        want_epoch = session.monitor.epoch
-        assert want_epoch == len(plan)
-        journal = session.journal
-        controls = [r for r in journal.records() if r.is_control]
-        assert [dict(r.control)["kind"] for r in controls] == [
-            event_kind(event) for _, event in plan
-        ]
-        # crash (no close); recover and compare.
-        del session
-        resumed = open_session(
-            "opt",
-            places=places,
-            units=units,
-            config=config,
-            durability=DurabilitySpec(
-                checkpoint_dir=str(tmp_path / "ckpt"), resume=True
-            ),
+        machine = run_script(
+            "opt", 0, 0, [*SESSION_ITEMS, journaled_in_order, crash_and_resume]
         )
-        assert answer(resumed.monitor) == want
-        assert resumed.monitor.epoch == want_epoch
-        resumed.close()
+        assert machine.session.monitor.epoch == len(SESSION_PLAN)
 
     @pytest.mark.parametrize("kill_after", [9, 17, 33])
-    def test_kill_points_across_epoch_boundaries(self, tmp_path, kill_after):
+    def test_kill_points_across_epoch_boundaries(self, kill_after):
         """Crash right after an event (or between them) and recover."""
-        config = CTUPConfig(k=5, granularity=8, protection_range=0.12)
-        places = generate_places(200, seed=54)
-        units = generate_units(10, config.protection_range, seed=55)
-        items, plan = _mixed_session_items(config, places, units)
-
-        # the uninterrupted run is the reference.
-        reference = open_session(
-            "opt", places=places, units=units, config=config
-        )
-        from repro.workloads.control import drive
-
-        drive(reference, items)
-        want = answer(reference.monitor)
-        want_epoch = reference.monitor.epoch
-
-        directory = tmp_path / f"kill-{kill_after}"
-        session = open_session(
+        machine = run_script(
             "opt",
-            places=places,
-            units=units,
-            config=config,
-            durability=DurabilitySpec(checkpoint_dir=str(directory), every=7),
+            0,
+            0,
+            [*SESSION_ITEMS[:kill_after], crash_and_resume, *SESSION_ITEMS[kill_after:]],
         )
-        for item in items[:kill_after]:
-            if isinstance(item, LocationUpdate):
-                session.feed(item)
-            else:
-                session.apply_control(item)
-        del session  # crash: no close, no final snapshot
-
-        resumed = open_session(
-            "opt",
-            places=places,
-            units=units,
-            config=config,
-            durability=DurabilitySpec(
-                checkpoint_dir=str(directory), resume=True
-            ),
-        )
-        for item in items[kill_after:]:
-            if isinstance(item, LocationUpdate):
-                resumed.feed(item)
-            else:
-                resumed.apply_control(item)
-        resumed.flush()
-        assert answer(resumed.monitor) == want
-        assert resumed.monitor.epoch == want_epoch
         # the catalog recovered too: the added place is in, removed out.
-        assert resumed.monitor.store.has_place(9001)
-        assert not resumed.monitor.store.has_place(places[9].place_id)
-        resumed.close()
+        store = machine.session.monitor.store
+        assert store.has_place(9001)
+        assert not store.has_place(MODEL_PLACES[9].place_id)
 
-    def test_sharded_reshard_recovers_plan(self, tmp_path):
-        config = CTUPConfig(k=5, granularity=8, protection_range=0.12)
-        places = generate_places(200, seed=56)
-        units = generate_units(10, config.protection_range, seed=57)
-        stream = record_stream(
-            RandomWalkMobility(units, step=0.04, seed=58), 30
+    def test_sharded_reshard_recovers_plan(self):
+        stream = walk(30, seed=58)
+        machine = run_script(
+            "basic", 0, 2, [*stream[:15], ShardPlanChanged(5), *stream[15:], crash_and_resume]
         )
-        session = open_session(
-            "basic",
-            places=places,
-            units=units,
-            config=config,
-            shard=ShardSpec(shards=2),
-            durability=str(tmp_path / "ckpt"),
-        )
-        session.start()
-        for update in stream[:15]:
-            session.feed(update)
-        session.apply_control(ShardPlanChanged(5))
-        for update in stream[15:]:
-            session.feed(update)
-        session.flush()
-        want = answer(session.monitor)
-        del session  # crash
-
-        resumed = open_session(
-            "basic",
-            places=places,
-            units=units,
-            config=config,
-            shard=ShardSpec(shards=2),
-            durability=DurabilitySpec(
-                checkpoint_dir=str(tmp_path / "ckpt"), resume=True
-            ),
-        )
-        assert resumed.monitor.plan.n_shards == 5
-        assert resumed.monitor.epoch == 1
-        assert answer(resumed.monitor) == want
-        resumed.close()
+        assert machine.session.monitor.plan.n_shards == 5
+        assert machine.session.monitor.epoch == 1
 
     def test_close_leaves_recoverable_tail(self, tmp_path):
         """close() fsyncs the journal even when no snapshot is due."""
-        config = CTUPConfig(k=4, granularity=6, protection_range=0.12)
-        places = generate_places(120, seed=61)
-        units = generate_units(8, config.protection_range, seed=62)
+        config, places, units = small_world(120, 61)
         stream = record_stream(
             RandomWalkMobility(units, step=0.05, seed=63), 20
         )
@@ -649,9 +468,7 @@ class TestSessionControl:
         resumed.close()
 
     def test_control_spec_sets_default_mode(self):
-        config = CTUPConfig(k=4, granularity=6, protection_range=0.12)
-        places = generate_places(80, seed=64)
-        units = generate_units(6, config.protection_range, seed=65)
+        config, places, units = small_world(80, 64, 6)
         session = open_session(
             "basic",
             places=places,
@@ -683,9 +500,7 @@ class TestSessionControl:
             def on_control(self, event, report):
                 seen.append((event, report.epoch))
 
-        config = CTUPConfig(k=4, granularity=6, protection_range=0.12)
-        places = generate_places(80, seed=66)
-        units = generate_units(6, config.protection_range, seed=67)
+        config, places, units = small_world(80, 66, 6)
         session = open_session(
             "basic", places=places, units=units, config=config, hooks=Spy()
         )
@@ -693,9 +508,7 @@ class TestSessionControl:
         assert seen == [(KChanged(2), 1)]
 
     def test_snapshot_envelope_carries_epoch(self, tmp_path):
-        config = CTUPConfig(k=4, granularity=6, protection_range=0.12)
-        places = generate_places(80, seed=68)
-        units = generate_units(6, config.protection_range, seed=69)
+        config, places, units = small_world(80, 68, 6)
         session = open_session(
             "opt",
             places=places,
@@ -705,8 +518,6 @@ class TestSessionControl:
         )
         session.apply_control(KChanged(6))
         session.checkpoint()
-        from repro.state.recovery import CheckpointStore
-
         document = CheckpointStore(tmp_path / "ckpt").latest()
         assert document["epoch"] == 1
         assert document["state"]["epoch"] == 1
@@ -745,9 +556,7 @@ class TestControlObservability:
     def test_epoch_gauge_and_event_counter(self):
         from repro.obs import ObsSpec
 
-        config = CTUPConfig(k=4, granularity=6, protection_range=0.12)
-        places = generate_places(80, seed=71)
-        units = generate_units(6, config.protection_range, seed=72)
+        config, places, units = small_world(80, 71, 6)
         session = open_session(
             "opt",
             places=places,

@@ -11,15 +11,15 @@ import math
 import pytest
 
 from repro.api import SCHEMES as REGISTERED_SCHEMES
-from repro.api import ShardSpec, make_monitor
 from repro.control import KChanged
 from repro.core import BasicCTUP, CTUPConfig, NaiveCTUP, OptCTUP
 from repro.core.audit import audit_monitor
 from repro.core.topk import tie_key
-from repro.geometry import Point, Rect
+from repro.geometry import Point
 from repro.model import Place, Unit
 from repro.validate import Oracle
 from repro.workloads import RandomWalkMobility, generate_places, record_stream
+from tests.conftest import build
 
 SCHEMES = [NaiveCTUP, BasicCTUP, OptCTUP]
 
@@ -140,18 +140,6 @@ class TestStationaryReports:
         assert opt.counters.lb_decrements <= basic.counters.lb_decrements
 
 
-def _build(scheme, config, places, units, shards=0):
-    monitor = make_monitor(
-        scheme,
-        places=places,
-        units=units,
-        config=config,
-        shard=ShardSpec(shards=shards) if shards else None,
-    )
-    monitor.initialize()
-    return monitor
-
-
 def _tied_world():
     """A straddle world: six coincident places share the lowest safety.
 
@@ -177,7 +165,7 @@ class TestDegenerateK:
     def test_k_zero(self, fleet, scheme, shards):
         config = CTUPConfig(k=0, delta=2, protection_range=0.1, granularity=8)
         places = generate_places(120, seed=6)
-        monitor = _build(scheme, config, places, fleet, shards)
+        monitor = build(scheme, config, places, fleet, shards)
         assert monitor.top_k() == []
         assert monitor.sk() == -math.inf
         for update in walk(fleet, seed=7, n=30):
@@ -190,7 +178,7 @@ class TestDegenerateK:
     def test_k_exceeds_place_count(self, fleet, scheme, shards):
         config = CTUPConfig(k=60, delta=2, protection_range=0.1, granularity=6)
         places = generate_places(20, seed=8)
-        monitor = _build(scheme, config, places, fleet, shards)
+        monitor = build(scheme, config, places, fleet, shards)
         oracle = Oracle(places, fleet)
         for update in walk(fleet, seed=9, n=30):
             oracle.apply(update)
@@ -207,11 +195,11 @@ class TestDegenerateK:
         """Shrinking k inside a tie group keeps the canonical prefix."""
         places, units = _tied_world()
         config = CTUPConfig(k=8, delta=1, protection_range=0.1, granularity=8)
-        monitor = _build(scheme, config, places, units, shards)
+        monitor = build(scheme, config, places, units, shards)
         for update in walk(units, seed=10, n=20):
             monitor.process(update)
         monitor.apply_control(KChanged(3))
-        fresh = _build(
+        fresh = build(
             scheme, config.replace(k=3), places, units, shards
         )
         for update in walk(units, seed=10, n=20):
@@ -234,7 +222,7 @@ class TestStraddleTieBreak:
         results = {}
         for scheme in sorted(REGISTERED_SCHEMES):
             for shards in (0, 4):
-                monitor = _build(scheme, config, places, units, shards)
+                monitor = build(scheme, config, places, units, shards)
                 for update in walk(units, seed=11, n=20):
                     monitor.process(update)
                 results[(scheme, shards)] = [

@@ -27,32 +27,33 @@ from repro.workloads import (
 SCHEMES = [NaiveCTUP, BasicCTUP, OptCTUP, IncrementalNaiveCTUP]
 
 
-def run_all(config, n_places, n_units, n_updates, seed):
-    places = generate_places(n_places, seed=seed)
-    units = generate_units(n_units, config.protection_range, seed=seed + 1)
-    stream = record_stream(
-        RandomWalkMobility(units, step=0.03, seed=seed + 2), n_updates
-    )
+def check_stream(config, places, units, stream):
+    """Every scheme reports a valid top-k after every update, with the
+    same SK and the same places strictly below it."""
     monitors = [cls(config, places, units) for cls in SCHEMES]
     oracle = Oracle(places, units)
     for monitor in monitors:
         monitor.initialize()
     for i, update in enumerate(stream):
         oracle.apply(update)
-        reference = None
+        answers = set()
         for monitor in monitors:
             monitor.process(update)
-            verdict = oracle.validate(monitor.top_k(), config.k)
+            result = monitor.top_k()
+            verdict = oracle.validate(result, config.k)
             assert verdict.ok, (i, monitor.name, verdict.problems[:3])
             sk = monitor.sk()
-            strict = frozenset(
-                r.place_id for r in monitor.top_k() if r.safety < sk
-            )
-            if reference is None:
-                reference = (sk, strict)
-            else:
-                assert (sk, strict) == reference, (i, monitor.name)
-    return monitors
+            answers.add((sk, frozenset(r.place_id for r in result if r.safety < sk)))
+        assert len(answers) == 1, (i, answers)
+
+
+def run_all(config, n_places, n_units, n_updates, seed):
+    places = generate_places(n_places, seed=seed)
+    units = generate_units(n_units, config.protection_range, seed=seed + 1)
+    stream = record_stream(
+        RandomWalkMobility(units, step=0.03, seed=seed + 2), n_updates
+    )
+    check_stream(config, places, units, stream)
 
 
 class TestDefaultConfig:
@@ -141,27 +142,7 @@ def test_equivalence_network_streams(network):
         seed=17,
         network=network,
     )
-    monitors = [
-        cls(config, workload.places, workload.units) for cls in SCHEMES
-    ]
-    oracle = Oracle(workload.places, workload.units)
-    for monitor in monitors:
-        monitor.initialize()
-    for i, update in enumerate(workload.stream):
-        oracle.apply(update)
-        reference = None
-        for monitor in monitors:
-            monitor.process(update)
-            verdict = oracle.validate(monitor.top_k(), config.k)
-            assert verdict.ok, (i, monitor.name, verdict.problems[:3])
-            sk = monitor.sk()
-            strict = frozenset(
-                r.place_id for r in monitor.top_k() if r.safety < sk
-            )
-            if reference is None:
-                reference = (sk, strict)
-            else:
-                assert (sk, strict) == reference, (i, monitor.name)
+    check_stream(config, workload.places, workload.units, workload.stream)
 
 
 def test_equivalence_directed_patrol_stream():
@@ -172,16 +153,7 @@ def test_equivalence_directed_patrol_stream():
     world = build_scenario(
         "directed-patrol", seed=23, n_places=900, n_units=25, stream_length=150
     )
-    monitors = [cls(config, world.places, world.units) for cls in SCHEMES]
-    oracle = Oracle(world.places, world.units)
-    for monitor in monitors:
-        monitor.initialize()
-    for i, update in enumerate(world.stream):
-        oracle.apply(update)
-        for monitor in monitors:
-            monitor.process(update)
-            verdict = oracle.validate(monitor.top_k(), config.k)
-            assert verdict.ok, (i, monitor.name, verdict.problems[:3])
+    check_stream(config, world.places, world.units, world.stream)
 
 
 @settings(

@@ -109,21 +109,6 @@ class TestLinearIndex:
 
 
 class TestOverlapQueries:
-    def test_rect_overlap_single_cell(self, grid):
-        cells = list(grid.cells_overlapping_rect(Rect(0.41, 0.41, 0.49, 0.49)))
-        assert cells == [(4, 4)]
-
-    def test_rect_overlap_multiple(self, grid):
-        cells = set(grid.cells_overlapping_rect(Rect(0.05, 0.05, 0.15, 0.15)))
-        assert cells == {(0, 0), (0, 1), (1, 0), (1, 1)}
-
-    def test_rect_outside_space(self, grid):
-        assert list(grid.cells_overlapping_rect(Rect(2.0, 2.0, 3.0, 3.0))) == []
-
-    def test_rect_partially_outside_clipped(self, grid):
-        cells = set(grid.cells_overlapping_rect(Rect(-1.0, -1.0, 0.05, 0.05)))
-        assert cells == {(0, 0)}
-
     def test_circle_touching_cells(self, grid):
         cells = set(grid.cells_touching_circle(Circle(Point(0.45, 0.45), 0.1)))
         # disk of radius 0.1 centred mid-cell: reaches the 4 orthogonal

@@ -10,7 +10,6 @@ bit-identical to running the plain scheme.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 
 import numpy as np
@@ -34,13 +33,13 @@ from repro.shard import (
     plan_for,
 )
 from repro.shard.plan import plan_for as plan_for_direct
-from repro.validate import Oracle
 from repro.workloads import (
     RandomWalkMobility,
     generate_places,
     generate_units,
     record_stream,
 )
+from tests.conftest import logical_counters, result_pairs
 
 SCHEMES = [NaiveCTUP, BasicCTUP, OptCTUP, IncrementalNaiveCTUP]
 SHARD_COUNTS = [1, 2, 4, 7]
@@ -48,19 +47,6 @@ SHARD_COUNTS = [1, 2, 4, 7]
 
 def _grid(n: int = 8) -> GridPartition:
     return GridPartition(Rect(0.0, 0.0, 1.0, 1.0), n, n)
-
-
-def _result_pairs(monitor) -> list[tuple[int, float]]:
-    return [(r.place_id, r.safety) for r in monitor.top_k()]
-
-
-def _work_fields(counters) -> dict:
-    """The deterministic (non-wall-clock) counter fields."""
-    return {
-        f.name: getattr(counters, f.name)
-        for f in dataclasses.fields(counters)
-        if not f.name.startswith("time_")
-    }
 
 
 def _replay(monitor, stream):
@@ -80,7 +66,7 @@ def _assert_same_answer(sharded, plain) -> None:
     — see ``test_topk_identical_for_full_recompute_schemes``.
     """
     assert sharded.sk() == plain.sk()
-    s_pairs, p_pairs = _result_pairs(sharded), _result_pairs(plain)
+    s_pairs, p_pairs = result_pairs(sharded), result_pairs(plain)
     assert [s for _, s in s_pairs] == [s for _, s in p_pairs]
     sk = plain.sk()
     assert sorted(p for p in s_pairs if p[1] < sk) == sorted(
@@ -357,7 +343,7 @@ class TestShardEquivalence:
         if scheme in (NaiveCTUP, IncrementalNaiveCTUP):
             # full recompute tie-breaks over *all* places, so the list
             # is unique and must match exactly, ties included.
-            assert _result_pairs(sharded) == _result_pairs(plain)
+            assert result_pairs(sharded) == result_pairs(plain)
         for update in small_stream:
             small_oracle.apply(update)
         verdict = small_oracle.validate(
@@ -381,12 +367,12 @@ class TestShardEquivalence:
             ),
             small_stream,
         )
-        assert _result_pairs(sharded) == _result_pairs(plain)
+        assert result_pairs(sharded) == result_pairs(plain)
         # with one shard every update is a full delivery, so the inner
         # monitor performs exactly the unsharded work.
         assert sharded.sync_deliveries == 0
         assert sharded.full_deliveries == len(small_stream)
-        assert _work_fields(sharded.merged_counters()) == _work_fields(
+        assert logical_counters(sharded.merged_counters()) == logical_counters(
             plain.counters
         )
 
@@ -551,7 +537,7 @@ class TestDrainBatching:
         for update in burst:
             reference.apply_update(update)
         reference.refresh()
-        assert _result_pairs(sharded) == _result_pairs(reference)
+        assert result_pairs(sharded) == result_pairs(reference)
         assert _shard_states(sharded) == _shard_states(reference)
 
     def test_repeated_unit_across_queued_bursts_flushes_again(
@@ -586,7 +572,7 @@ class TestDrainBatching:
         for update in burst1 + burst2:
             reference.apply_update(update)
         reference.refresh()
-        assert _result_pairs(sharded) == _result_pairs(reference)
+        assert result_pairs(sharded) == result_pairs(reference)
         assert _shard_states(sharded) == _shard_states(reference)
 
     def test_plain_updates_between_queued_bursts_stay_exact(
@@ -614,7 +600,7 @@ class TestDrainBatching:
                 reference.apply_update(item)
         sharded.refresh()
         reference.refresh()
-        assert _result_pairs(sharded) == _result_pairs(reference)
+        assert result_pairs(sharded) == result_pairs(reference)
         assert _shard_states(sharded) == _shard_states(reference)
 
 

@@ -4,7 +4,9 @@ The headline guarantee under test: for **every** registered scheme (and
 the sharded wrapper), killing a checkpointed run at an arbitrary batch
 boundary and resuming from the directory produces a monitor that is
 *bit-identical* to the uninterrupted run — same top-k (ids and
-safeties), same SK, same work counters, same I/O accounting.
+safeties), same SK, same work counters, same I/O accounting. The
+session tests run as scripts over :mod:`tests.machine`, whose every
+crash compares the resumed twin with the live session.
 """
 
 from __future__ import annotations
@@ -14,20 +16,18 @@ import json
 import math
 import os
 import shutil
-import tempfile
 import zlib
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import SCHEMES, DurabilitySpec, ShardSpec, open_session
+from repro.api import SCHEMES, DurabilitySpec, open_session
 from repro.control.events import PlaceAdded, PlaceReweighted, encode_event
 from repro.core import CTUPConfig, CTUPMonitor
 from repro.ext import DecayCTUP, ThresholdCTUP
-from repro.engine import UpdateRejected
 from repro.geometry import Point, Rect
 from repro.grid import GridPartition
 from repro.model import LocationUpdate, Place
@@ -44,13 +44,14 @@ from repro.state import (
 from repro.state import journal as journal_module
 from repro.state.codec import decode_config, encode_config
 from repro.storage import PlaceStore
-from repro.validate import Oracle
 from repro.workloads import (
     RandomWalkMobility,
     generate_places,
     generate_units,
     record_stream,
 )
+from tests.conftest import state_fingerprint
+from tests.machine import SessionModel, bad_update, run_script, walk
 
 CONFIG = CTUPConfig(k=5, delta=3, protection_range=0.1, granularity=8)
 PLACES = generate_places(400, seed=21)
@@ -63,6 +64,7 @@ STREAM = record_stream(
     80,
 )
 BATCH = 8
+crash_and_resume = SessionModel.crash_and_resume
 
 
 def make_units():
@@ -70,91 +72,26 @@ def make_units():
     return generate_units(24, CONFIG.protection_range, seed=22)
 
 
-def state_fingerprint(monitor, session=None):
-    """Everything "bit-identical" quantifies over, as one comparable."""
-    data = {
-        "topk": [(r.place_id, r.safety) for r in monitor.top_k()],
-        "sk": monitor.sk(),
-        "counters": {
-            name: value
-            for name, value in monitor.counters.as_dict().items()
-            if not name.startswith("time_")
-        },
-    }
-    store = getattr(monitor, "store", None)
-    if store is not None:
-        io = store.io_stats
-        data["io"] = (
-            io.page_reads,
-            io.buffered_reads,
-            io.page_writes,
-            io.array_hits,
-        )
-    if session is not None:
-        data["updates_processed"] = session.updates_processed
-    return data
-
-
-def run_straight(scheme, shards, total=80, batch_size=BATCH):
-    """The uninterrupted reference run (no checkpointing at all)."""
-    session = open_session(
+def session(durability=None, *, scheme="opt", units=None, batch_size=BATCH):
+    """A session over ``PLACES``, started unless it resumed started."""
+    opened = open_session(
         scheme,
         places=PLACES,
-        units=make_units(),
+        units=units if units is not None else make_units(),
         config=CONFIG,
-        shard=ShardSpec(shards=shards),
         batch_size=batch_size,
+        durability=durability,
     )
-    session.start()
-    for update in STREAM.updates[:total]:
-        session.feed(update)
-    session.flush()
-    return state_fingerprint(session.monitor, session)
+    if not opened.started:
+        opened.start()
+    return opened
 
 
-_STRAIGHT_CACHE: dict[tuple, dict] = {}
-
-
-def straight(scheme, shards):
-    key = (scheme, shards)
-    if key not in _STRAIGHT_CACHE:
-        _STRAIGHT_CACHE[key] = run_straight(scheme, shards)
-    return _STRAIGHT_CACHE[key]
-
-
-def crash_and_resume(
-    scheme, shards, kill, directory, total=80, every=2, batch_size=BATCH
-):
-    """Feed ``kill`` updates, die without flushing, resume, finish."""
-    session = open_session(
-        scheme,
-        places=PLACES,
-        units=make_units(),
-        config=CONFIG,
-        shard=ShardSpec(shards=shards),
-        batch_size=batch_size,
-        durability=DurabilitySpec(directory, every=every),
-    )
-    session.start()
-    for update in STREAM.updates[:kill]:
-        session.feed(update)
-    # the crash: no flush, no close-snapshot. Every journal record is
-    # already fsynced; dropping the handle is just harness hygiene.
-    session.journal.close()
-    resumed = open_session(
-        scheme,
-        places=PLACES,
-        units=make_units(),
-        config=CONFIG,
-        shard=ShardSpec(shards=shards),
-        batch_size=batch_size,
-        durability=DurabilitySpec(directory, resume=True),
-    )
-    assert resumed.started, "resume must hand back a started session"
-    for update in STREAM.updates[kill:total]:
-        resumed.feed(update)
-    resumed.flush()
-    return state_fingerprint(resumed.monitor, resumed)
+def straight(updates, **kwargs):
+    """The uninterrupted run's fingerprint (no checkpointing at all)."""
+    run = session(**kwargs)
+    run.run(updates)
+    return state_fingerprint(run.monitor, run)
 
 
 # -- the headline guarantee ---------------------------------------------
@@ -164,59 +101,50 @@ class TestCrashRecovery:
     @pytest.mark.parametrize("shards", [0, 1, 4])
     @pytest.mark.parametrize("scheme", sorted(SCHEMES))
     @given(boundary=st.integers(min_value=1, max_value=8))
-    @settings(
-        max_examples=3,
-        deadline=None,
-        suppress_health_check=[HealthCheck.function_scoped_fixture],
-    )
+    @settings(max_examples=3, deadline=None)
     def test_kill_at_batch_boundary_resumes_bit_identical(
         self, scheme, shards, boundary
     ):
+        updates = walk(BATCH * (boundary + 1))
         kill = BATCH * boundary
-        with tempfile.TemporaryDirectory() as directory:
-            resumed = crash_and_resume(scheme, shards, kill, directory)
-        assert resumed == straight(scheme, shards)
+        run_script(
+            scheme, BATCH, shards, [*updates[:kill], crash_and_resume, *updates[kill:]]
+        )
 
-    def test_mid_batch_kill_replays_the_pending_tail(self, tmp_path):
+    def test_mid_batch_kill_replays_the_pending_tail(self):
         # 21 is not a batch boundary: three journaled-but-unflushed
         # updates must come back as the resumed session's pending burst.
-        resumed = crash_and_resume("opt", 4, 21, tmp_path)
-        assert resumed == straight("opt", 4)
+        updates = walk(32)
+        run_script("opt", BATCH, 4, [*updates[:21], crash_and_resume, *updates[21:]])
 
     def test_journal_only_resume_needs_no_snapshot(self, tmp_path):
-        # checkpoint_every=0 and no close: the crash leaves a journal
-        # but zero snapshots — recovery replays from scratch.
-        resumed = crash_and_resume("basic", 0, 24, tmp_path, every=0)
+        # every=0 and no close: the crash leaves a journal but zero
+        # snapshots — recovery replays from scratch.
+        live = session(DurabilitySpec(tmp_path), scheme="basic")
+        for update in STREAM.updates[:24]:
+            live.feed(update)
+        live.journal.close()
         assert not CheckpointStore(tmp_path).snapshot_paths()
-        assert resumed == straight("basic", 0)
+        resumed = session(DurabilitySpec(tmp_path, resume=True), scheme="basic")
+        assert state_fingerprint(resumed.monitor, resumed) == straight(
+            STREAM.updates[:24], scheme="basic"
+        )
 
     def test_fresh_start_wipes_the_directory(self, tmp_path):
-        crash_and_resume("naive", 0, 16, tmp_path)
-        session = open_session(
-            "naive",
-            places=PLACES,
-            units=make_units(),
-            config=CONFIG,
-            batch_size=BATCH,
-            durability=tmp_path,
-        )
+        old = session(DurabilitySpec(tmp_path, every=1), scheme="naive")
+        for update in STREAM.updates[:16]:
+            old.feed(update)
+        old.journal.close()
+        assert CheckpointStore(tmp_path).snapshot_paths()
+        fresh = session(DurabilitySpec(tmp_path), scheme="naive")
         assert not CheckpointStore(tmp_path).snapshot_paths()
-        session.start()
-        session.feed(STREAM.updates[0])
-        assert session.journal.last_seq == 1  # seq restarted: old run gone
+        fresh.feed(STREAM.updates[0])
+        assert fresh.journal.last_seq == 1  # seq restarted: old run gone
 
     def test_close_writes_the_on_close_snapshot(self, tmp_path):
-        with open_session(
-            "opt",
-            places=PLACES,
-            units=make_units(),
-            config=CONFIG,
-            batch_size=BATCH,
-            durability=DurabilitySpec(tmp_path),
-        ) as session:
-            session.start()
+        with session(DurabilitySpec(tmp_path)) as live:
             for update in STREAM.updates[:10]:
-                session.feed(update)
+                live.feed(update)
         document = CheckpointStore(tmp_path).latest()
         assert document is not None
         assert document["session"]["updates_processed"] == 10
@@ -224,94 +152,43 @@ class TestCrashRecovery:
 
 # -- validation before journaling ---------------------------------------
 
-#: malformed updates that, once journaled, used to fail every later
-#: resume of the directory (KeyError / "cannot convert float NaN" /
-#: "carries old location ... but the server tracks ..."). Each maps the
-#: good update at stream position 21 to the bad one fed in its place.
-BAD_UPDATES = {
-    "unknown-unit": lambda u: LocationUpdate(
-        99999, u.old_location, u.new_location, u.timestamp
-    ),
-    "nan": lambda u: dataclasses.replace(
-        u, new_location=Point(math.nan, u.new_location.y)
-    ),
-    # an old_location the unit never had.
-    "stale-old": lambda u: dataclasses.replace(
-        u, old_location=Point(u.old_location.x + 0.01, u.old_location.y)
-    ),
-    # a duplicate delivery of position 20 (unit 6, which has no other
-    # update in 16..20). In batch mode position 20 is still buffered, so
-    # the old location matches the tracked position and only the pending
-    # buffer shows that the unit has already moved on.
-    "replayed": lambda u: STREAM.updates[20],
-}
-
 
 class TestUpdateRejected:
-    @pytest.mark.parametrize("batch_size", [0, BATCH], ids=["single", "batch"])
-    @pytest.mark.parametrize("kind", sorted(BAD_UPDATES))
-    def test_rejected_before_journaling_then_resume_is_exact(
-        self, tmp_path, kind, batch_size
-    ):
-        def session_for(durability):
-            return open_session(
-                "opt",
-                places=PLACES,
-                units=make_units(),
-                config=CONFIG,
-                batch_size=batch_size,
-                durability=durability,
-            )
+    """Malformed updates that, once journaled, used to fail every later
+    resume of the directory (KeyError / "cannot convert float NaN" /
+    "carries old location ... but the server tracks ..."). Each is fed
+    at stream position 21, must change nothing, in the session or on
+    disk, and the run then resumes exactly."""
 
-        session = session_for(DurabilitySpec(tmp_path, every=2))
-        session.start()
-        for update in STREAM.updates[:21]:
-            session.feed(update)
-        before = (session.journal.last_seq, session.pending_updates)
-        with pytest.raises(UpdateRejected) as rejected:
-            session.feed(BAD_UPDATES[kind](STREAM.updates[21]))
-        assert isinstance(rejected.value, ValueError)
-        assert (session.journal.last_seq, session.pending_updates) == before
-        for update in STREAM.updates[21:24]:
-            session.feed(update)
-        # 24 is a batch boundary: the live session, buffered good
-        # updates included, matches a run that never saw the bad one.
-        assert session.pending_updates == 0
-        assert state_fingerprint(session.monitor, session) == run_straight(
-            "opt", 0, total=24, batch_size=batch_size
-        )
-        for update in STREAM.updates[24:30]:
-            session.feed(update)
-        session.journal.close()  # the crash: no flush, no close-snapshot
-        resumed = session_for(DurabilitySpec(tmp_path, resume=True))
-        for update in STREAM.updates[30:]:
-            resumed.feed(update)
-        resumed.flush()
-        assert state_fingerprint(resumed.monitor, resumed) == run_straight(
-            "opt", 0, batch_size=batch_size
+    @pytest.mark.parametrize("batch_size", [0, BATCH], ids=["single", "batch"])
+    @pytest.mark.parametrize(
+        "kind", ["nan", "replayed", "stale-old", "unknown-unit"]
+    )
+    def test_rejected_before_journaling_then_resume_is_exact(self, kind, batch_size):
+        updates = walk(40)
+        unit = updates[21].unit_id
+
+        def feed_bad(machine):
+            if kind == "replayed":
+                # a duplicate delivery of the unit's last move. In batch
+                # mode it may still be buffered, so its old location
+                # matches the tracked position and only the pending
+                # buffer shows that the unit has already moved on.
+                machine.reject(machine.last[unit])
+            else:
+                machine.reject(bad_update(kind, updates[21]))
+
+        if kind == "replayed":
+            assert unit in {u.unit_id for u in updates[:21]}
+        run_script(
+            "opt",
+            batch_size,
+            0,
+            [*updates[:21], feed_bad, *updates[21:30], crash_and_resume, *updates[30:]],
         )
 
 
 # -- positions outside the monitored space ------------------------------
-
-#: where the excursion starts in the stream: the pair it inserts lands
-#: inside one burst of ``BATCH`` (stream positions 16..23).
-EXCURSION_AT = 17
-
-
-def _excursion_stream() -> list[LocationUpdate]:
-    """``STREAM`` with one unit sent to (5, 5), far outside the unit
-    square, and straight back, inside one burst."""
-    updates = list(STREAM.updates)
-    mover = updates[EXCURSION_AT]
-    here = mover.old_location
-    away = Point(5.0, 5.0)
-    stamp = mover.timestamp
-    updates[EXCURSION_AT:EXCURSION_AT] = [
-        LocationUpdate(mover.unit_id, here, away, stamp),
-        LocationUpdate(mover.unit_id, away, here, stamp),
-    ]
-    return updates
 
 
 class TestOutOfSpacePositions:
@@ -322,51 +199,19 @@ class TestOutOfSpacePositions:
 
     @pytest.mark.parametrize("shards", [0, 4], ids=["plain", "s4"])
     @pytest.mark.parametrize("batch_size", [0, BATCH], ids=["single", "batch"])
-    def test_excursion_is_oracle_exact_and_resumes(
-        self, tmp_path, shards, batch_size
-    ):
-        updates = _excursion_stream()
-
-        def session_for(durability):
-            return open_session(
-                "opt",
-                places=PLACES,
-                units=make_units(),
-                config=CONFIG,
-                shard=ShardSpec(shards=shards),
-                batch_size=batch_size,
-                durability=durability,
-            )
-
-        oracle = Oracle(PLACES, make_units())
-        session = session_for(DurabilitySpec(tmp_path, every=2))
-        session.start()
-        kill = EXCURSION_AT + 1  # the unit is at (5, 5) when the run dies
-        for update in updates[:kill]:
-            session.feed(update)
-            oracle.apply(update)
-            if not session.pending_updates:
-                verdict = oracle.validate(session.monitor.top_k(), CONFIG.k)
-                assert verdict.ok, verdict.problems
-        session.journal.close()  # the crash: no flush, no close-snapshot
-        resumed = session_for(DurabilitySpec(tmp_path, resume=True))
-        for update in updates[kill:]:
-            resumed.feed(update)
-            oracle.apply(update)
-            if not resumed.pending_updates:
-                verdict = oracle.validate(resumed.monitor.top_k(), CONFIG.k)
-                assert verdict.ok, verdict.problems
-        resumed.flush()
-        verdict = oracle.validate(resumed.monitor.top_k(), CONFIG.k)
-        assert verdict.ok, verdict.problems
-
-        straight_run = session_for(None)
-        straight_run.start()
-        for update in updates:
-            straight_run.feed(update)
-        straight_run.flush()
-        assert state_fingerprint(resumed.monitor, resumed) == state_fingerprint(
-            straight_run.monitor, straight_run
+    def test_excursion_is_oracle_exact_and_resumes(self, shards, batch_size):
+        # one unit goes to (5, 5), far outside the unit square, and
+        # straight back, inside one burst (stream positions 16..23); the
+        # run dies while the unit is away.
+        updates = walk(40)
+        mover = updates[17]
+        away = Point(5.0, 5.0)
+        updates[17:17] = [
+            LocationUpdate(mover.unit_id, mover.old_location, away, mover.timestamp),
+            LocationUpdate(mover.unit_id, away, mover.old_location, mover.timestamp),
+        ]
+        run_script(
+            "opt", batch_size, shards, [*updates[:18], crash_and_resume, *updates[18:]]
         )
 
 
@@ -406,17 +251,12 @@ CACHE_SCHEMES = {
 
 
 def cache_session(scheme, batch_size, durability=None):
-    session = open_session(
-        CACHE_SCHEMES[scheme],
-        places=PLACES,
+    return session(
+        durability,
+        scheme=CACHE_SCHEMES[scheme],
         units=generate_units(CACHE_UNITS, CONFIG.protection_range, seed=31),
-        config=CONFIG,
         batch_size=batch_size,
-        durability=durability,
     )
-    if not session.started:  # a resumed session comes back started
-        session.start()
-    return session
 
 
 def full_state(session):
@@ -433,11 +273,9 @@ def full_state(session):
 
 
 def cache_straight(scheme, batch_size):
-    session = cache_session(scheme, batch_size)
-    for update in CACHE_STREAM.updates:
-        session.feed(update)
-    session.flush()
-    return full_state(session)
+    live = cache_session(scheme, batch_size)
+    live.run(CACHE_STREAM.updates)
+    return full_state(live)
 
 
 @pytest.mark.parametrize("scheme", sorted(CACHE_SCHEMES))
@@ -459,9 +297,7 @@ class TestResumeWithPendingCaches:
         resumed = cache_session(
             scheme, batch_size, DurabilitySpec(tmp_path, resume=True)
         )
-        for update in CACHE_STREAM.updates[61:]:
-            resumed.feed(update)
-        resumed.flush()
+        resumed.run(CACHE_STREAM.updates[61:])
         assert full_state(resumed) == cache_straight(scheme, batch_size)
 
     def test_snapshots_do_not_perturb_the_live_run(
@@ -470,9 +306,7 @@ class TestResumeWithPendingCaches:
         live = cache_session(
             scheme, batch_size, DurabilitySpec(tmp_path, every=1)
         )
-        for update in CACHE_STREAM.updates:
-            live.feed(update)
-        live.flush()
+        live.run(CACHE_STREAM.updates)
         assert full_state(live) == cache_straight(scheme, batch_size)
 
 
@@ -480,22 +314,15 @@ def test_resume_decodes_each_journal_record_once(tmp_path, monkeypatch):
     """The journal is read once on resume: every record once by the
     opening scan (control events for the place set included), and the
     tail after the snapshot once more for replay."""
-    session = open_session(
-        "opt",
-        places=PLACES,
-        units=make_units(),
-        config=CONFIG,
-        batch_size=BATCH,
-        durability=DurabilitySpec(tmp_path, every=2),
-    )
-    session.start()
+    event = PlaceReweighted(PLACES[3].place_id, 5)
+    live = session(DurabilitySpec(tmp_path, every=2))
     for update in STREAM.updates[:24]:
-        session.feed(update)
-    session.apply_control(PlaceReweighted(PLACES[3].place_id, 5))
+        live.feed(update)
+    live.apply_control(event)
     for update in STREAM.updates[24:61]:
-        session.feed(update)
-    records = session.journal.last_seq
-    session.journal.close()
+        live.feed(update)
+    records = live.journal.last_seq
+    live.journal.close()
     cut = CheckpointStore(tmp_path).latest()["journal_seq"]
     assert 0 < cut < records
     decodes = []
@@ -506,33 +333,15 @@ def test_resume_decodes_each_journal_record_once(tmp_path, monkeypatch):
         return decode(raw)
 
     monkeypatch.setattr(journal_module, "_decode", counting)
-    resumed = open_session(
-        "opt",
-        places=PLACES,
-        units=make_units(),
-        config=CONFIG,
-        batch_size=BATCH,
-        durability=DurabilitySpec(tmp_path, resume=True),
-    )
+    resumed = session(DurabilitySpec(tmp_path, resume=True))
     assert len(decodes) <= records + (records - cut)
     monkeypatch.undo()
-    for update in STREAM.updates[61:]:
-        resumed.feed(update)
-    resumed.flush()
-    twin = open_session(
-        "opt",
-        places=PLACES,
-        units=make_units(),
-        config=CONFIG,
-        batch_size=BATCH,
-    )
-    twin.start()
+    resumed.run(STREAM.updates[61:])
+    twin = session()
     for update in STREAM.updates[:24]:
         twin.feed(update)
-    twin.apply_control(PlaceReweighted(PLACES[3].place_id, 5))
-    for update in STREAM.updates[24:]:
-        twin.feed(update)
-    twin.flush()
+    twin.apply_control(event)
+    twin.run(STREAM.updates[24:])
     assert state_fingerprint(resumed.monitor, resumed) == state_fingerprint(
         twin.monitor, twin
     )
@@ -704,39 +513,22 @@ class TestJournal:
         # the crash leaves 21 updates journaled; the last record (stream
         # position 20, a buffered update) is torn, so the resume feeds
         # that update again.
-        session = open_session(
-            "opt",
-            places=PLACES,
-            units=make_units(),
-            config=CONFIG,
-            batch_size=BATCH,
-            durability=DurabilitySpec(tmp_path, every=2),
-        )
-        session.start()
+        live = session(DurabilitySpec(tmp_path, every=2))
         for update in STREAM.updates[:21]:
-            session.feed(update)
-        session.journal.close()
-        path = session.journal.path
+            live.feed(update)
+        live.journal.close()
+        path = live.journal.path
         intact = path.read_bytes()
         last = intact.rindex(b"\n", 0, len(intact) - 1) + 1
         if damage == "partial":
             path.write_bytes(intact[: len(intact) - 7])
         else:
             path.write_bytes(_flip_digit(intact, last))
-        resumed = open_session(
-            "opt",
-            places=PLACES,
-            units=make_units(),
-            config=CONFIG,
-            batch_size=BATCH,
-            durability=DurabilitySpec(tmp_path, resume=True),
-        )
+        resumed = session(DurabilitySpec(tmp_path, resume=True))
         assert path.read_bytes() == intact[:last]
         assert resumed.journal.last_seq == intact.count(b"\n") - 1
-        for update in STREAM.updates[20:]:
-            resumed.feed(update)
-        resumed.flush()
-        assert state_fingerprint(resumed.monitor, resumed) == straight("opt", 0)
+        resumed.run(STREAM.updates[20:])
+        assert state_fingerprint(resumed.monitor, resumed) == straight(STREAM.updates)
 
     @settings(max_examples=300, deadline=None)
     @given(
