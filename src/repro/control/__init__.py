@@ -15,12 +15,9 @@ Layout:
     The event vocabulary (:class:`PlaceAdded` … :class:`ShardPlanChanged`),
     the JSON codec used by the journal, and :class:`EpochReport` — the
     receipt every application returns.
-``catalog``
-    :class:`PlaceCatalog` — the mutable façade over
-    :class:`~repro.storage.placestore.PlaceStore`. Direct ``add_place`` /
-    ``remove_place`` / ``reweight`` calls on a store outside
-    ``repro.storage`` / ``repro.control`` are a lint violation (RPL015).
 ``apply``
+    :func:`check_control` — refuses an event that cannot apply to the
+    current world (the session calls it before journaling).
     :func:`apply_control` — patches the world (store / config / grid),
     asks the scheme to patch its derived state incrementally, falls back
     to a documented rebuild-in-place when the scheme declines, and bumps
@@ -32,8 +29,7 @@ Layout:
     before the snapshot being restored.
 """
 
-from repro.control.apply import apply_control
-from repro.control.catalog import PlaceCatalog
+from repro.control.apply import apply_control, check_control
 from repro.control.events import (
     ControlEvent,
     EpochReport,
@@ -55,11 +51,11 @@ __all__ = [
     "GridRetuned",
     "KChanged",
     "PlaceAdded",
-    "PlaceCatalog",
     "PlaceRemoved",
     "PlaceReweighted",
     "ShardPlanChanged",
     "apply_control",
+    "check_control",
     "decode_event",
     "encode_event",
     "event_kind",

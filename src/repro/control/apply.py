@@ -1,11 +1,13 @@
 """Applying a control event to a live monitor.
 
 :func:`apply_control` is the single entry point of the control plane.
-One application is always the same four-step dance:
+One application is always the same steps:
 
+0. **Check** — :func:`check_control` refuses an event that cannot
+   apply to the current world, before anything moves.
 1. **World patch** — mutate the ground truth the event names: the place
-   catalog (through :class:`~repro.control.catalog.PlaceCatalog`), the
-   config's ``k``, the grid granularity, the shard plan.
+   catalog (the store's mutators), the config's ``k``, the grid
+   granularity, the shard plan.
 2. **Scheme patch** — ask the monitor to absorb the change into its
    derived state incrementally (the ``_control_*`` hooks). A hook
    returning ``False`` — or the caller passing ``mode="rebuild"`` —
@@ -31,7 +33,6 @@ from __future__ import annotations
 import time
 from typing import TYPE_CHECKING, Mapping
 
-from repro.control.catalog import PlaceCatalog
 from repro.control.events import (
     ControlEvent,
     EpochReport,
@@ -43,6 +44,7 @@ from repro.control.events import (
     ShardPlanChanged,
     event_kind,
 )
+from repro.model import Place
 
 if TYPE_CHECKING:
     from repro.core.monitor import CTUPMonitor
@@ -50,24 +52,61 @@ if TYPE_CHECKING:
 _MODES = ("incremental", "rebuild")
 
 
+def check_control(monitor: "CTUPMonitor", event: object, mode: str) -> None:
+    """Raise unless ``event`` applies to ``monitor``'s current world in
+    ``mode``: a new place must have a fresh id and lie in the space, a
+    removed or reweighted place must exist, a required protection, ``k``
+    and granularity must be valid, and a shard plan needs a sharded
+    monitor. Raises ``TypeError`` for an object that is not a control
+    event or an added place that is not a :class:`~repro.model.Place`,
+    ``ValueError`` otherwise, and changes nothing."""
+    if mode not in _MODES:
+        raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
+    store = monitor.store
+    if isinstance(event, PlaceAdded):
+        place = event.place
+        if not isinstance(place, Place):
+            raise TypeError(f"expected a Place, got {type(place).__name__}")
+        if store.has_place(place.place_id):
+            raise ValueError(f"duplicate place id {place.place_id}")
+        monitor.grid.cell_of(place.location)
+    elif isinstance(event, (PlaceRemoved, PlaceReweighted)):
+        if not store.has_place(event.place_id):
+            raise ValueError(f"no such place {event.place_id}")
+        if isinstance(event, PlaceReweighted) and event.required_protection < 0:
+            raise ValueError("required_protection cannot be negative")
+    elif isinstance(event, KChanged):
+        monitor.config.replace(k=event.k)
+    elif isinstance(event, GridRetuned):
+        monitor.config.replace(granularity=event.granularity)
+    elif isinstance(event, ShardPlanChanged):
+        if not hasattr(monitor, "_control_reshard"):
+            raise ValueError("shard_plan_changed applies only to sharded monitors")
+        # local import: repro.control sits above repro.shard.
+        from repro.shard.plan import plan_for
+
+        plan_for(monitor.grid, event.shards, event.strategy)
+    else:
+        raise TypeError(f"not a control event: {event!r}")
+
+
 def _patch_world_and_scheme(
     monitor: "CTUPMonitor", event: ControlEvent, incremental: bool
 ) -> bool:
     """Steps 1 and 2; returns whether the scheme absorbed the event
     incrementally (``False`` means the caller must rebuild)."""
+    store = monitor.store
     if isinstance(event, PlaceAdded):
-        cell = PlaceCatalog(monitor.store).add_place(event.place)
+        cell = store.add_place(event.place)
         return incremental and monitor._control_place_added(event.place, cell)
     if isinstance(event, PlaceRemoved):
-        cell = monitor.store.cell_of_place(event.place_id)
-        old = PlaceCatalog(monitor.store).remove_place(event.place_id)
+        cell = store.cell_of_place(event.place_id)
+        old = store.remove_place(event.place_id)
         return incremental and monitor._control_place_removed(old, cell)
     if isinstance(event, PlaceReweighted):
-        cell = monitor.store.cell_of_place(event.place_id)
-        old = PlaceCatalog(monitor.store).reweight(
-            event.place_id, event.required_protection
-        )
-        new = monitor.store.peek_place(event.place_id)
+        cell = store.cell_of_place(event.place_id)
+        old = store.reweight(event.place_id, event.required_protection)
+        new = store.peek_place(event.place_id)
         return incremental and monitor._control_place_reweighted(old, new, cell)
     if isinstance(event, KChanged):
         monitor.config = monitor.config.replace(k=event.k)
@@ -77,14 +116,9 @@ def _patch_world_and_scheme(
         # there is no incremental patch, by design.
         monitor._retune_grid(event.granularity)
         return False
-    if isinstance(event, ShardPlanChanged):
-        reshard = getattr(monitor, "_control_reshard", None)
-        if reshard is None:
-            raise ValueError(
-                "shard_plan_changed applies only to sharded monitors"
-            )
-        return reshard(event.shards, event.strategy, incremental)
-    raise TypeError(f"not a control event: {event!r}")
+    # a shard plan change: check_control refused it on a plain monitor.
+    reshard = getattr(monitor, "_control_reshard")
+    return reshard(event.shards, event.strategy, incremental)
 
 
 def _ledger_cost(
@@ -112,9 +146,8 @@ def apply_control(
     monitor: "CTUPMonitor", event: ControlEvent, *, mode: str = "incremental"
 ) -> EpochReport:
     """Apply ``event`` to ``monitor``; returns the epoch receipt."""
-    if mode not in _MODES:
-        raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
     monitor._require_initialized()
+    check_control(monitor, event, mode)
     kind = event_kind(event)
     start = time.perf_counter()
     token = monitor._control_work_snapshot()

@@ -9,10 +9,9 @@ forward first; :func:`fold_places` does exactly that fold.
 
 Only place events fold. ``k_changed`` / ``grid_retuned`` are already
 baked into the snapshot's encoded config, and ``shard_plan_changed``
-into its exported plan, so folding them here would double-apply. A
-``grid_retuned`` still orders the list: the live monitor lays its new
-store out in place-id order, and a store built from the folded list
-must match it place for place.
+into its exported plan, so folding them here would double-apply. The
+list's order does not matter: a store lays any place set out in
+place-id order.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ from typing import Iterable, Sequence
 
 from repro.control.events import (
     ControlEvent,
-    GridRetuned,
     PlaceAdded,
     PlaceRemoved,
     PlaceReweighted,
@@ -34,10 +32,7 @@ def fold_places(
 ) -> list[Place]:
     """``places`` after applying the place events in ``events``, in order.
 
-    Other events are ignored, except that a grid retune sorts the list
-    by place id (see module docstring). The result otherwise preserves
-    first-insertion order, matching how a store built from it assigns
-    pages.
+    Other events are ignored (see module docstring).
     """
     table: dict[int, Place] = {}
     for place in places:
@@ -64,6 +59,4 @@ def fold_places(
                 required_protection=event.required_protection,
                 kind=old.kind,
             )
-        elif isinstance(event, GridRetuned):
-            table = dict(sorted(table.items()))
     return list(table.values())

@@ -21,7 +21,7 @@ import numpy as np
 from repro.core.config import CTUPConfig
 from repro.core.metrics import InitReport
 from repro.core.monitor import CTUPMonitor
-from repro.core.topk import kth_smallest, safety_by_id, topk_rows
+from repro.core.topk import kth_smallest, topk_rows
 from repro.model import LocationUpdate, Place, SafetyRecord, Unit
 
 
@@ -136,8 +136,8 @@ class IncrementalNaiveCTUP(CTUPMonitor):
 
     def _restore_scheme_state(self, fields: Mapping[str, Any]) -> None:
         # the coordinate columns and the place lookup are derived from
-        # the (static) place set; rebuild them by re-reading the store
-        # and match the exported rows by place id.
+        # the place set; rebuild them by re-reading the store, whose
+        # layout the exported rows must follow.
         ids, xs, ys = [], [], []
         self._place_by_id = {}
         for cell in self.store.occupied_cells():
@@ -155,5 +155,10 @@ class IncrementalNaiveCTUP(CTUPMonitor):
             self._ids = np.empty(0, dtype=np.int64)
             self._xs = np.empty(0, dtype=np.float64)
             self._ys = np.empty(0, dtype=np.float64)
-        self._safety = safety_by_id(self._ids, fields["ids"], fields["safety"])
+        safety = np.array(fields["safety"], dtype=np.float64)
+        if fields["ids"] != self._ids.tolist() or len(safety) != len(self._ids):
+            raise ValueError(
+                "the snapshot's place rows do not follow the store's place-id layout"
+            )
+        self._safety = safety
         self._init_cells = int(fields["init_cells"])

@@ -495,18 +495,13 @@ class CTUPMonitor(abc.ABC):
         """World patch for ``grid_retuned``: swap grid and store.
 
         Every cell boundary and page assignment moves at once, so the
-        caller always follows with :meth:`_rebuild_in_place`. The new
-        store is laid out in place-id order, not in the old store's cell
-        order, so a recovery that folds the journal
-        (:func:`repro.control.replay.fold_places`) lays it out the same
-        way and resumes bit-identically.
+        caller always follows with :meth:`_rebuild_in_place`.
         """
-        places = sorted(self.store.peek_all_places(), key=lambda p: p.place_id)
         self.config = self.config.replace(granularity=granularity)
         self.grid = GridPartition(self.config.space, granularity, granularity)
         self.store = PlaceStore(
             self.grid,
-            places,
+            self.store.peek_all_places(),
             page_capacity=self.config.page_capacity,
             buffer_pages=self.config.buffer_pages,
         )

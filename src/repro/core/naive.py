@@ -22,7 +22,7 @@ import numpy as np
 from repro.core.config import CTUPConfig
 from repro.core.metrics import InitReport
 from repro.core.monitor import CTUPMonitor
-from repro.core.topk import kth_smallest, safety_by_id, topk_rows
+from repro.core.topk import kth_smallest, topk_rows
 from repro.geometry import Rect
 from repro.model import LocationUpdate, Place, SafetyRecord, Unit
 
@@ -138,8 +138,8 @@ class NaiveCTUP(CTUPMonitor):
         }
 
     def _restore_scheme_state(self, fields: Mapping[str, Any]) -> None:
-        # the recomputation plan is derived from the (static) store
-        # layout; rebuild it and match the exported rows by place id.
+        # the recomputation plan is derived from the store layout; the
+        # exported rows must be laid out on it.
         ids: list[np.ndarray] = []
         row = 0
         self._plan = []
@@ -153,4 +153,9 @@ class NaiveCTUP(CTUPMonitor):
         self._ids = (
             np.concatenate(ids) if ids else np.empty(0, dtype=np.int64)
         )
-        self._safety = safety_by_id(self._ids, fields["ids"], fields["safety"])
+        safety = np.array(fields["safety"], dtype=np.float64)
+        if fields["ids"] != self._ids.tolist() or len(safety) != len(self._ids):
+            raise ValueError(
+                "the snapshot's place rows do not follow the store's place-id layout"
+            )
+        self._safety = safety

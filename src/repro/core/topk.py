@@ -85,32 +85,6 @@ def topk_rows(ids: np.ndarray, safety: np.ndarray, k: int) -> np.ndarray:
     return np.lexsort((ids, safety))[:take]
 
 
-def safety_by_id(
-    ids: np.ndarray, exported_ids: Sequence[int], exported_safety: Sequence[float]
-) -> np.ndarray:
-    """A snapshot's per-place safeties laid out on the rows of ``ids``.
-
-    The full-table schemes (naive, incremental) keep one row per place
-    in their store's cell order. A store rebuilt by a restore is laid
-    out from the folded catalog, whose order can differ from the live
-    store's after catalog mutations (a removed place can leave its cell
-    ahead of where the catalog now first names it), so the rows are
-    matched by place id. Raises ``ValueError`` when the id sets differ.
-    """
-    exported = np.asarray(exported_ids, dtype=np.int64)
-    safety = np.asarray(exported_safety, dtype=np.float64)
-    if len(exported) != len(ids) or len(safety) != len(ids):
-        raise ValueError("restored place rows do not match the stored place set")
-    if len(ids) == 0:
-        return safety
-    order = np.argsort(exported)
-    slots = np.searchsorted(exported, ids, sorter=order)
-    rows = order[np.minimum(slots, len(ids) - 1)]
-    if not np.array_equal(exported[rows], ids):
-        raise ValueError("restored place rows do not match the stored place set")
-    return safety[rows]
-
-
 class MaintainedPlaces:
     """A dynamic table of (place, safety, owning cell) rows.
 

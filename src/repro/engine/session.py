@@ -323,19 +323,24 @@ class MonitorSession:
     def apply_control(self, event: object, *, mode: str | None = None):
         """Apply a reconfiguration event at a batch boundary.
 
-        Flushes any buffered burst first (control events only ever apply
-        between batches — the same consistent-cut rule as snapshots),
-        journals the event write-ahead, applies it through
+        Refuses an event :func:`repro.control.check_control` rejects
+        before anything moves: once journaled, it would fail every later
+        resume of the directory. Then flushes any buffered burst
+        (control events only ever apply between batches — the same
+        consistent-cut rule as snapshots), journals the event
+        write-ahead, applies it through
         :func:`repro.control.apply_control`, and primes the change
         tracker on the new world. ``mode`` defaults to the session's
         ``control_mode``. Returns the
         :class:`~repro.control.events.EpochReport`.
         """
         # local import: repro.control sits above repro.engine's core deps.
+        from repro.control.apply import check_control
         from repro.control.events import encode_event
 
         if mode is None:
             mode = self.control_mode
+        check_control(self.monitor, event, mode)
         if not self._started:
             self.start()
         self.flush()

@@ -6,10 +6,9 @@ control event, or recovery replays a different world than the live run
 saw. Concretely:
 
 * ``add_place`` / ``remove_place`` / ``reweight`` calls — the
-  :class:`~repro.storage.placestore.PlaceStore` write surface and its
-  :class:`~repro.control.catalog.PlaceCatalog` facade — are only
-  allowed inside ``repro.storage`` (the owner) and ``repro.control``
-  (the sanctioned entry point). Anywhere else they bypass epoch
+  :class:`~repro.storage.placestore.PlaceStore` write surface — are
+  only allowed inside ``repro.storage`` (the owner) and
+  ``repro.control`` (the sanctioned entry point). Anywhere else they bypass epoch
   accounting and the journal.
 * ``<monitor>.epoch`` is written only by ``repro.control`` (the bump in
   ``apply_control``) and ``repro.core.monitor`` (init / restore on
@@ -37,7 +36,7 @@ from repro.lint.flow.dataflow import (
 )
 from repro.lint.registry import Violation, rule
 
-#: the PlaceStore/PlaceCatalog write surface.
+#: the PlaceStore write surface.
 _MUTATORS = frozenset({"add_place", "remove_place", "reweight"})
 #: packages allowed to call it.
 _MUTATION_OWNERS = ("repro.storage", "repro.control")

@@ -265,6 +265,12 @@ class UpdateJournal:
         """The sequence number of the most recently appended record."""
         return self._last_seq
 
+    def continue_after(self, seq: int) -> None:
+        """Number the next record past ``seq`` too: a resume whose
+        snapshot covers a record the opening scan dropped as a torn tail
+        must not journal a new record under that record's seq."""
+        self._last_seq = max(self._last_seq, seq)
+
     def append_update(self, update: LocationUpdate, *, batched: bool) -> int:
         """Journal one update; returns its sequence number."""
         seq = self._last_seq + 1

@@ -226,6 +226,7 @@ class RecoveryManager:
                 updates_processed=int(meta.get("updates_processed", 0)),
                 applied_seq=int(document.get("journal_seq", 0)),
             )
+            journal.continue_after(session.applied_seq)
         tail = journal.tail(session.applied_seq)
         if obs is None:
             session.replay(tail)

@@ -57,14 +57,6 @@ class BufferPool:
         """Drop every cached frame (counters are kept)."""
         self._frames.clear()
 
-    def invalidate(self, page_id: int) -> None:
-        """Evict one frame if resident (page rewritten or released).
-
-        A no-op when the page is not cached; counters are kept — an
-        invalidation is bookkeeping, not traffic.
-        """
-        self._frames.pop(page_id, None)
-
     def frame_ids(self) -> list[int]:
         """Resident page ids in LRU order (oldest first)."""
         return list(self._frames)

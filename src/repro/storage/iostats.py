@@ -14,8 +14,8 @@ class IoStats:
     ``array_hits`` counts page equivalents served from the columnar
     (SoA) snapshot cache instead of the page level — re-evaluations of
     an already-projected cell are memory traffic, not I/O;
-    ``page_writes`` counts physical writes (only the initial load writes
-    pages — the set of places is static during monitoring).
+    ``page_writes`` counts physical writes (only the bulk load writes
+    pages: at construction and again after each catalog edit).
     """
 
     page_reads: int = 0

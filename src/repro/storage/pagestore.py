@@ -28,7 +28,7 @@ class Page:
 
 @dataclass
 class PageStore:
-    """An append-only collection of pages with read/write accounting."""
+    """A collection of pages with read/write accounting."""
 
     page_capacity: int = 64
     stats: IoStats = field(default_factory=IoStats)
@@ -61,34 +61,11 @@ class PageStore:
             ids.append(self.allocate(records[start : start + self.page_capacity]))
         return ids
 
-    def replace(self, page_id: int, records: Sequence[Any]) -> Page:
-        """Overwrite an existing page with ``records`` (counts one write).
-
-        The page keeps its id, so higher-level page directories stay
-        valid; only the contents change. Rejects unknown pages and
-        over-capacity record sets, like :meth:`allocate`.
-        """
-        if page_id not in self._pages:
-            raise KeyError(f"no such page: {page_id}")
-        if len(records) > self.page_capacity:
-            raise ValueError(
-                f"{len(records)} records exceed page capacity {self.page_capacity}"
-            )
-        page = Page(page_id, tuple(records))
-        self._pages[page_id] = page
-        self.stats.page_writes += 1
-        return page
-
-    def release(self, page_id: int) -> None:
-        """Drop a page entirely (counts one write — the deallocation).
-
-        Freed ids are never reused; :attr:`_next_id` is monotone so page
-        identity stays unambiguous across a store's whole life.
-        """
-        if page_id not in self._pages:
-            raise KeyError(f"no such page: {page_id}")
-        del self._pages[page_id]
-        self.stats.page_writes += 1
+    def clear(self) -> None:
+        """Drop every page and number the next one 0 again, keeping the
+        stats: a fresh directory for a new layout."""
+        self._pages.clear()
+        self._next_id = 0
 
     def read(self, page_id: int) -> Page:
         """Read one page, counting a physical read."""

@@ -1,7 +1,7 @@
 """The lower storage level: all places, grouped by grid cell.
 
-A :class:`PlaceStore` lays the (static) place set out in pages, one page
-run per grid cell, mirroring the paper's lower level. Monitors never
+A :class:`PlaceStore` lays the place set out in pages, one page run per
+grid cell, mirroring the paper's lower level. Monitors never
 hold the full place set; they call :meth:`read_cell` when a cell must be
 illuminated/accessed, which costs page reads, and :meth:`cell_arrays`
 for the vectorised safety computation (page reads charged on the first
@@ -11,6 +11,7 @@ read-only view of the store's place columns).
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 from typing import Any, Iterable, Mapping, NoReturn, Sequence
 
@@ -98,7 +99,7 @@ class PlaceStore:
     grid:
         the space partition; every place is assigned to exactly one cell.
     places:
-        the static place set.
+        the place set, in any order: the layout follows the place ids.
     page_capacity:
         places per simulated page.
     buffer_pages:
@@ -116,34 +117,39 @@ class PlaceStore:
         self.grid = grid
         self._pages = PageStore(page_capacity=page_capacity)
         self._buffer = BufferPool(self._pages, buffer_pages)
-        self._cell_pages: dict[CellId, list[int]] = {}
-        self._cell_place_counts: dict[CellId, int] = {}
         #: place id -> cell, built on the first catalog lookup (only the
         #: control plane asks) and kept up to date from then on.
         self._place_cells: dict[int, CellId] | None = None
         self._array_cache: dict[CellId, CellArrays] = {}
-        #: the id, x, y and required-protection columns of every place,
-        #: grouped by cell (``None`` after a catalog mutation, until
-        #: rebuilt from the pages), and each cell's rows in them.
-        self._columns: tuple[np.ndarray, ...] | None = None
-        self._cell_rows: dict[CellId, tuple[int, int]] = {}
-        self._place_count = 0
         self._fingerprint: str | None = None
         self._bulk_load(places)
 
     def _bulk_load(self, places: Iterable[Place]) -> None:
-        """Lay the places out cell by cell, as ``grid.cell_of`` assigns them.
+        """Lay the places out in place-id order, on a fresh page directory.
 
-        The cells are computed on the coordinate columns with
-        ``cell_of``'s own arithmetic (truncate, then clamp the upper
-        edge). Cells get their pages in order of first appearance and
-        keep the input order inside, so page ids and every tie-break that
-        follows the directory order are those of a per-place loop. The
-        columns, sorted the same way, are kept: every cell's
-        :class:`CellArrays` and the fingerprint read them.
+        Cells are ordered by their smallest place id and hold their
+        places by id, packed into pages; page ids count up in that
+        order. The layout depends on the place set only, so a store
+        edited by the catalog mutators and a store built from the edited
+        set are one layout, page for page. The cells are computed on the
+        coordinate columns with ``cell_of``'s own arithmetic (truncate,
+        then clamp the upper edge). The columns, grouped by cell, are
+        kept: every cell's :class:`CellArrays` and the fingerprint read
+        them.
         """
-        rows = places if isinstance(places, list) else list(places)
-        n = len(rows)
+        given = places if isinstance(places, list) else list(places)
+        n = len(given)
+        rows = given
+        ids = np.fromiter((place.place_id for place in rows), np.int64, n)
+        # id-ordered input (every generator's) needs no id-sized copy.
+        if not (ids[1:] > ids[:-1]).all():
+            by_id = np.argsort(ids, kind="stable")
+            ids = ids.take(by_id)
+            if (ids[1:] == ids[:-1]).any():
+                self._reject(given)
+            rows = [given[row] for row in by_id.tolist()]
+            del by_id
+        del ids
         xs = np.fromiter((place.location.x for place in rows), np.float64, n)
         ys = np.fromiter((place.location.y for place in rows), np.float64, n)
         grid = self.grid
@@ -153,7 +159,8 @@ class PlaceStore:
             & (ys >= space.ymin) & (ys <= space.ymax)
         )
         if not inside.all():
-            self._reject(rows, inside)
+            self._reject(given)
+        del inside
         i = ((xs - space.xmin) / grid.cell_width).astype(np.int64)
         j = ((ys - space.ymin) / grid.cell_height).astype(np.int64)
         # each temporary goes once used: the load is a session's heap
@@ -163,7 +170,7 @@ class PlaceStore:
         occupied, first_row, counts = np.unique(
             linear, return_index=True, return_counts=True
         )
-        # a stable sort groups the places by cell in input order
+        # a stable sort groups the places by cell in id order
         order = np.argsort(linear, kind="stable")
         del linear
         xs = xs.take(order)
@@ -171,18 +178,20 @@ class PlaceStore:
         records = np.empty(n, dtype=object)
         records[:] = rows
         by_cell = records[order].tolist()
-        del records, order
+        del records, order, rows
         ids = np.fromiter((place.place_id for place in by_cell), np.int64, n)
-        sorted_ids = np.sort(ids)
-        if (sorted_ids[1:] == sorted_ids[:-1]).any():
-            self._reject(rows, inside)
-        del sorted_ids
         required = np.fromiter(
             (place.required_protection for place in by_cell), np.int64, n
         )
         self._columns = (ids, xs, ys, required)
         for column in self._columns:
             column.flags.writeable = False
+        self._pages.clear()
+        self._buffer.clear()
+        self._cell_pages: dict[CellId, list[int]] = {}
+        self._cell_place_counts: dict[CellId, int] = {}
+        #: each cell's rows in the columns.
+        self._cell_rows: dict[CellId, tuple[int, int]] = {}
         bounds = [0, *np.cumsum(counts).tolist()]
         occupied_cells = [
             (index // grid.ny, index % grid.ny) for index in occupied.tolist()
@@ -195,15 +204,14 @@ class PlaceStore:
             self._cell_rows[cell] = (start, end)
         self._place_count = n
 
-    def _reject(self, places: Sequence[Place], inside: np.ndarray) -> NoReturn:
+    def _reject(self, places: Sequence[Place]) -> NoReturn:
         """Raise the error a per-place load meets first: a repeated id,
         or ``cell_of``'s error for a place outside the space."""
         seen: set[int] = set()
-        for place, ok in zip(places, inside.tolist()):
+        for place in places:
             if place.place_id in seen:
                 raise ValueError(f"duplicate place id {place.place_id}")
-            if not ok:
-                self.grid.cell_of(place.location)
+            self.grid.cell_of(place.location)
             seen.add(place.place_id)
         raise AssertionError("no rejected place found")  # pragma: no cover
 
@@ -274,39 +282,16 @@ class PlaceStore:
 
     def _view(self, cell: CellId) -> CellArrays:
         """The cell's rows of the columns (unaccounted)."""
-        columns = self._place_columns()
         start, end = self._cell_rows.get(cell, (0, 0))
-        return CellArrays.view(columns, start, end)
-
-    def _place_columns(self) -> tuple[np.ndarray, ...]:
-        """The columns, rebuilt from the pages (unaccounted) after a
-        catalog mutation dropped them.
-
-        A rebuild also re-slices every cached view from the new columns,
-        so the old ones are not kept alive beside them.
-        """
-        if self._columns is None:
-            places: list[Place] = []
-            for cell in self._cell_pages:
-                start = len(places)
-                places.extend(self.peek_cell(cell))
-                self._cell_rows[cell] = (start, len(places))
-            columns = _columns_of(places)
-            for column in columns:
-                column.flags.writeable = False
-            self._columns = columns
-            for cell in self._array_cache:
-                self._array_cache[cell] = self._view(cell)
-        return self._columns
+        return CellArrays.view(self._columns, start, end)
 
     # -- catalog mutation surface -----------------------------------------
     #
-    # The place set was constructor-frozen until the reconfiguration
-    # layer (repro.control) arrived. These mutators keep the page layout,
-    # the per-cell directory, the SoA cache and the buffer pool mutually
-    # consistent; they are *owner API* — the RPL015 lint rule confines
-    # callers to repro.storage and repro.control, so every catalog change
-    # flows through an epoch-bumping control event.
+    # Each mutator edits the place set and lays it out again with the
+    # bulk load, so an edited store is laid out as a store built from
+    # the edited set (a restore) is. They are *owner API* — the RPL015
+    # lint rule confines callers to repro.storage and repro.control, so
+    # every catalog change flows through an epoch-bumping control event.
 
     def _cells_by_place(self) -> dict[int, CellId]:
         """Place id -> cell for every stored place (unaccounted)."""
@@ -352,101 +337,46 @@ class PlaceStore:
             out.extend(self.peek_cell(cell))
         return out
 
-    def _invalidate_cell(self, cell: CellId) -> None:
-        """Drop every cache derived from a mutated cell's pages: its
-        view, its buffered pages, the columns and the fingerprint."""
-        self._array_cache.pop(cell, None)
-        for page_id in self._cell_pages.get(cell, ()):
-            self._buffer.invalidate(page_id)
-        self._columns = None
-        self._cell_rows = {}
+    def _edit(self, cell: CellId, places: list[Place]) -> None:
+        """Lay the edited place set ``places`` out again, ``cell`` being
+        the edited cell: its view and every buffer frame go, the other
+        cached views are sliced from the new columns."""
+        cached = [other for other in self._array_cache if other != cell]
+        self._bulk_load(places)
+        self._array_cache = {other: self._view(other) for other in cached}
         self._fingerprint = None
 
     def add_place(self, place: Place) -> CellId:
-        """Insert one place; returns the cell it landed in.
-
-        The place goes into its cell's last page when that page has
-        room, otherwise a fresh page is appended to the cell's run (a
-        brand-new cell gets its first page). Charges the page write(s)
-        the placement costs.
-        """
+        """Insert one place; returns the cell it landed in."""
         place_cells = self._cells_by_place()
         if place.place_id in place_cells:
             raise ValueError(f"duplicate place id {place.place_id}")
         cell = self.grid.cell_of(place.location)
-        pages = self._cell_pages.get(cell)
-        if pages:
-            last = self._pages.peek(pages[-1])
-            if len(last) < self._pages.page_capacity:
-                self._pages.replace(pages[-1], last.records + (place,))
-            else:
-                pages.append(self._pages.allocate([place]))
-        else:
-            self._cell_pages[cell] = [self._pages.allocate([place])]
-        self._cell_place_counts[cell] = self._cell_place_counts.get(cell, 0) + 1
+        self._edit(cell, [*self.peek_all_places(), place])
         place_cells[place.place_id] = cell
-        self._place_count += 1
-        self._invalidate_cell(cell)
         return cell
 
     def remove_place(self, place_id: int) -> Place:
         """Delete one place; returns the removed record.
 
-        The holding page is rewritten without the record; a page that
-        empties is released, and a cell that empties disappears from the
-        directory entirely (an empty cell must look exactly like a cell
-        that never had places — the monitors' cell-state tables key on
-        directory membership).
+        A cell that empties disappears from the directory entirely (an
+        empty cell must look exactly like a cell that never had places —
+        the monitors' cell-state tables key on directory membership).
         """
         cell = self.cell_of_place(place_id)
-        self._invalidate_cell(cell)
-        removed: Place | None = None
-        for page_id in list(self._cell_pages.get(cell, ())):
-            records = self._pages.peek(page_id).records
-            kept = tuple(p for p in records if p.place_id != place_id)
-            if len(kept) == len(records):
-                continue
-            removed = next(p for p in records if p.place_id == place_id)
-            if kept:
-                self._pages.replace(page_id, kept)
-            else:
-                self._pages.release(page_id)
-                self._buffer.invalidate(page_id)
-                self._cell_pages[cell].remove(page_id)
-            break
-        assert removed is not None  # _place_cells said it was here
+        removed = self.peek_place(place_id)
+        self._edit(cell, [p for p in self.peek_all_places() if p is not removed])
         del self._cells_by_place()[place_id]
-        self._place_count -= 1
-        remaining = self._cell_place_counts[cell] - 1
-        if remaining:
-            self._cell_place_counts[cell] = remaining
-        else:
-            del self._cell_place_counts[cell]
-            del self._cell_pages[cell]
         return removed
 
     def reweight(self, place_id: int, required_protection: int) -> Place:
-        """Rewrite a place's required protection in place; returns the
-        *old* record (same id, location and kind are kept)."""
+        """Change a place's required protection; returns the *old*
+        record (id, location and kind are kept)."""
         cell = self.cell_of_place(place_id)
-        for page_id in self._cell_pages.get(cell, ()):
-            records = self._pages.peek(page_id).records
-            for index, place in enumerate(records):
-                if place.place_id != place_id:
-                    continue
-                patched = Place(
-                    place_id=place.place_id,
-                    location=place.location,
-                    required_protection=required_protection,
-                    kind=place.kind,
-                )
-                self._pages.replace(
-                    page_id,
-                    records[:index] + (patched,) + records[index + 1 :],
-                )
-                self._invalidate_cell(cell)
-                return place
-        raise KeyError(f"no such place: {place_id}")  # pragma: no cover
+        old = self.peek_place(place_id)
+        new = dataclasses.replace(old, required_protection=required_protection)
+        self._edit(cell, [new if p is old else p for p in self.peek_all_places()])
+        return old
 
     def iter_all_places(self) -> Iterable[Place]:
         """Stream every stored place (used by oracles and initialisation).
@@ -466,7 +396,7 @@ class PlaceStore:
         catalog mutation invalidates it.
         """
         if self._fingerprint is None:
-            self._fingerprint = _hash_columns(self._place_columns())
+            self._fingerprint = _hash_columns(self._columns)
         return self._fingerprint
 
     def export_cache_state(self) -> dict[str, Any]:

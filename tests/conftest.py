@@ -137,29 +137,15 @@ def unit_at():
 
 def exported_state(monitor) -> dict:
     """``export_state()`` without its wall-clock fields (``time_*``, at
-    any depth) and without its row order.
-
-    Tables are compared as sorted rows, the store's cached cells as a
-    sorted list, and the full-table schemes' parallel ``ids``/``safety``
-    columns as sorted ``(id, safety)`` pairs: after catalog mutations a restored store lays cells and
-    places out in the folded catalog's order, not the live store's
-    (:func:`repro.core.topk.safety_by_id`), which is layout, not state.
-    """
+    any depth)."""
     with off_the_record(monitor):
         state = monitor.export_state()
 
     def strip(doc):
         if isinstance(doc, list) and doc and isinstance(doc[0], dict):
             return [strip(item) for item in doc]
-        if isinstance(doc, list) and doc and isinstance(doc[0], list):
-            return sorted(doc, key=repr)
         if not isinstance(doc, dict):
             return doc
-        out = {k: strip(v) for k, v in doc.items() if not k.startswith("time_")}
-        if "ids" in out and "safety" in out:
-            out["rows"] = sorted(zip(out.pop("ids"), out.pop("safety")))
-        if "arrays" in out:  # the store's array cache: a set of cells
-            out["arrays"] = sorted(out["arrays"])
-        return out
+        return {k: strip(v) for k, v in doc.items() if not k.startswith("time_")}
 
     return strip(state)

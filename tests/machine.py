@@ -93,18 +93,49 @@ def bad_update(kind: str, good: LocationUpdate) -> LocationUpdate:
     return dataclasses.replace(good, old_location=Point(old.x + 0.01, old.y))
 
 
+#: the kinds of control event :func:`bad_event` makes.
+BAD_EVENTS = (
+    "negative-weight",
+    "unknown-place",
+    "duplicate-place",
+    "negative-k",
+    "zero-grid",
+)
+
+
+def bad_event(kind: str, ids: list[int], next_id: int) -> Any:
+    """A control event ``apply_control`` must reject over a catalog of
+    ``ids`` whose next free id is ``next_id``."""
+    if kind == "negative-weight":
+        return PlaceReweighted(ids[0], -1)
+    if kind == "unknown-place":
+        return PlaceRemoved(next_id)
+    if kind == "duplicate-place":
+        return PlaceAdded(Place(ids[0], Point(0.5, 0.5), 1))
+    if kind == "negative-k":
+        return KChanged(-3)
+    return GridRetuned(0)
+
+
 class SessionModel(RuleBasedStateMachine):
     scheme = "opt"
     batch = 0
     shards = 0
+    config = CONFIG
 
     @classmethod
-    def of(cls, scheme: str, batch: int, shards: int) -> type["SessionModel"]:
-        """The machine for one scheme, burst size and shard count."""
+    def of(
+        cls, scheme: str, batch: int, shards: int, config: CTUPConfig = CONFIG
+    ) -> type["SessionModel"]:
+        """The machine for one scheme, burst size, shard count and
+        config (``CONFIG`` with another page capacity or buffer pool)."""
+        name = f"SessionModel_{scheme}_b{batch}_s{shards}"
+        if config != CONFIG:
+            name += f"_p{config.page_capacity}_f{config.buffer_pages}"
         return type(
-            f"SessionModel_{scheme}_b{batch}_s{shards}",
+            name,
             (cls,),
-            {"scheme": scheme, "batch": batch, "shards": shards},
+            {"scheme": scheme, "batch": batch, "shards": shards, "config": config},
         )
 
     def __init__(self) -> None:
@@ -112,7 +143,7 @@ class SessionModel(RuleBasedStateMachine):
         self.directory = Path(tempfile.mkdtemp(prefix="ctup-model-"))
         self.places = {p.place_id: p for p in PLACES}
         self.next_place_id = max(self.places) + 1
-        self.k = CONFIG.k
+        self.k = self.config.k
         #: each unit's position as fed, pending updates included.
         self.fed = {u.unit_id: u.location for u in fleet()}
         #: each unit's position as the monitor has applied it.
@@ -129,7 +160,7 @@ class SessionModel(RuleBasedStateMachine):
             self.scheme,
             places=PLACES,
             units=fleet(),
-            config=CONFIG,
+            config=self.config,
             shard=self.shards,
             batch_size=self.batch,
             durability=DurabilitySpec(self.directory, every=EVERY, resume=resume),
@@ -211,6 +242,14 @@ class SessionModel(RuleBasedStateMachine):
             self.session.feed(update)
         assert observed() == before
 
+    def refuse(self, event: Any) -> None:
+        """Apply a bad control event: it raises and changes nothing, on
+        disk too."""
+        before = (self.fingerprint(), self.directory_bytes())
+        with pytest.raises(ValueError):
+            self.session.apply_control(event)
+        assert (self.fingerprint(), self.directory_bytes()) == before
+
     def apply_event(self, event: Any, mode: str = "incremental") -> None:
         self.session.apply_control(event, mode=mode)
         self.apply_pending()
@@ -280,37 +319,55 @@ class SessionModel(RuleBasedStateMachine):
             events.append(st.builds(ShardPlanChanged, st.integers(1, 4)))
         self.apply_event(data.draw(st.one_of(events)), mode)
 
+    @rule(kind=st.sampled_from(BAD_EVENTS))
+    def control_bad(self, kind: str) -> None:
+        self.refuse(bad_event(kind, sorted(self.places), self.next_place_id))
+
     @rule()
     def crash_and_resume(self) -> None:
         self.resume(self.crash())
 
-    def torn_tail_possible(self) -> bool:
-        return self.session.journal.last_seq > self.snapshot_seq()
+    def flippable_lines(self) -> list[bytes]:
+        """The journal lines a flip may hit: all of them, except a last
+        line holding a place event that the newest snapshot covers. A
+        restore folds the journal's place events up to the snapshot's
+        cut into its place set, so it cannot do without that record."""
+        lines = self.session.journal.path.read_bytes().splitlines(keepends=True)
+        if lines:
+            record = json.loads(lines[-1][lines[-1].index(b"{") :])
+            if (
+                record["op"] == "c"
+                and record["c"]["kind"].startswith("place_")
+                and record["q"] <= self.snapshot_seq()
+            ):
+                return lines[:-1]
+        return lines
 
-    @precondition(
-        lambda self: self.session.journal.last_seq >= 2 or self.torn_tail_possible()
-    )
+    @precondition(lambda self: self.flippable_lines())
     @rule(data=st.data())
     def flip_journal_byte(self, data: st.DataObject) -> None:
-        """Crash, then flip a byte of one journal record.
+        lines = self.flippable_lines()
+        line = data.draw(st.integers(0, len(lines) - 1))
+        self.damage_journal(line, data.draw(st.integers(0, len(lines[line]) - 2)))
+
+    def damage_journal(self, line: int, at: int) -> None:
+        """Crash, then flip byte ``at`` of journal line ``line``.
 
         A record with records after it stops the resume with
         :class:`JournalCorrupted` and leaves the file as it was; the
-        intact journal then resumes. The last record is a torn tail when
-        no snapshot covers it (a snapshot follows an fsync, so no torn
-        write can reach a covered record): the resume drops it, and
-        sending what it held again restores the live state."""
-        torn_tail_possible = self.torn_tail_possible()
+        intact journal then resumes. A damaged last record is a torn
+        tail and the resume drops it. When the newest snapshot covers
+        it, the resumed session equals the live one as it is; otherwise
+        sending what it held again makes it equal."""
+        covered = self.snapshot_seq()
         before = self.crash()
         path = self.session.journal.path
         intact = path.read_bytes()
         lines = intact.splitlines(keepends=True)
-        last = len(lines) - 1
-        line = data.draw(st.integers(0, last if torn_tail_possible else last - 1))
         cut = sum(map(len, lines[:line]))
-        damaged = flip(intact, cut + data.draw(st.integers(0, len(lines[line]) - 2)))
+        damaged = flip(intact, cut + at)
         path.write_bytes(damaged)
-        if line < last:
+        if line < len(lines) - 1:
             with pytest.raises(JournalCorrupted):
                 self.open(resume=True)
             assert path.read_bytes() == damaged
@@ -320,6 +377,12 @@ class SessionModel(RuleBasedStateMachine):
         self.session = self.open(resume=True)
         assert path.read_bytes() == intact[:cut]
         record = json.loads(lines[line][lines[line].index(b"{") :])
+        if record["q"] > covered:
+            self.send_again(record)
+        assert self.fingerprint() == before
+
+    def send_again(self, record: dict) -> None:
+        """Send what a dropped journal record held."""
         if record["op"] == "f":
             self.session.flush()
         elif record["op"] == "c":
@@ -329,7 +392,6 @@ class SessionModel(RuleBasedStateMachine):
         else:
             old, new = Point(*record["old"]), Point(*record["new"])
             self.session.feed(LocationUpdate(record["u"], old, new, record["t"]))
-        assert self.fingerprint() == before
 
     # -- the invariant -------------------------------------------------------
 
@@ -340,7 +402,7 @@ class SessionModel(RuleBasedStateMachine):
         the record, so the check leaves the I/O accounting as it was."""
         assert self.session.pending_updates == len(self.pending)
         units = [
-            Unit(unit_id, at, CONFIG.protection_range)
+            Unit(unit_id, at, self.config.protection_range)
             for unit_id, at in self.applied.items()
         ]
         oracle = Oracle(list(self.places.values()), units)
@@ -358,12 +420,13 @@ def run_script(
     shards: int,
     steps: Iterable[Any],
     mode: str = "incremental",
+    config: CTUPConfig = CONFIG,
 ) -> SessionModel:
     """Run ``steps`` on a fresh machine, checking the invariant after
     each. A step is a :class:`LocationUpdate` (sent), a control event
     (applied in ``mode``), or a callable taking the machine. Returns the
     machine, its directory already removed."""
-    machine = SessionModel.of(scheme, batch, shards)()
+    machine = SessionModel.of(scheme, batch, shards, config)()
     try:
         machine.matches_the_oracle()
         for step in steps:

@@ -31,10 +31,10 @@ from repro.control import (
     GridRetuned,
     KChanged,
     PlaceAdded,
-    PlaceCatalog,
     PlaceRemoved,
     PlaceReweighted,
     ShardPlanChanged,
+    check_control,
     decode_event,
     encode_event,
     event_kind,
@@ -58,7 +58,7 @@ from repro.workloads import (
 from repro.workloads.control import ControlPlan, generate_control_plan, interleave
 from tests.conftest import build
 from tests.machine import PLACES as MODEL_PLACES
-from tests.machine import SessionModel, run_script, walk
+from tests.machine import BAD_EVENTS, SessionModel, run_script, walk
 
 ALL_EVENTS = [
     PlaceAdded(Place(77, Point(0.5, 0.5), 3, kind="school")),
@@ -94,6 +94,9 @@ def small_world(n_places, seed, n_units=8, **config):
 
 
 class TestPlaceCatalog:
+    """The store's mutators, and :func:`check_control`, which refuses a
+    catalog event before the world moves."""
+
     def setup_method(self):
         self.grid = GridPartition(Rect(0.0, 0.0, 1.0, 1.0), 4, 4)
         self.places = [
@@ -101,51 +104,59 @@ class TestPlaceCatalog:
             Place(2, Point(0.12, 0.1), 1),
             Place(3, Point(0.9, 0.9), 4),
         ]
-        self.store = PlaceStore(self.grid, self.places)
+        self.monitor = build(
+            "opt",
+            CTUPConfig(k=2, granularity=4),
+            self.places,
+            generate_units(2, 0.1, seed=1),
+        )
+        self.store = self.monitor.store
+
+    def refused(self, event, error=ValueError):
+        with pytest.raises(error):
+            check_control(self.monitor, event, "incremental")
 
     def test_add_place(self):
-        catalog = PlaceCatalog(self.store)
-        cell = catalog.add_place(Place(9, Point(0.6, 0.6), 3))
+        cell = self.store.add_place(Place(9, Point(0.6, 0.6), 3))
         assert cell == self.grid.cell_of(Point(0.6, 0.6))
         assert self.store.has_place(9)
-        assert 9 in catalog and len(catalog) == 4
-        assert catalog.mutations == 1
+        assert self.store.place_count == 4
 
     def test_add_duplicate_id_rejected(self):
-        catalog = PlaceCatalog(self.store)
+        self.refused(PlaceAdded(Place(2, Point(0.3, 0.3), 0)))
         with pytest.raises(ValueError):
-            catalog.add_place(Place(2, Point(0.3, 0.3), 0))
+            self.store.add_place(Place(2, Point(0.3, 0.3), 0))
 
     def test_add_requires_place(self):
-        with pytest.raises(TypeError):
-            PlaceCatalog(self.store).add_place("not-a-place")
+        self.refused(PlaceAdded("not-a-place"), TypeError)
+        self.refused(PlaceAdded(Place(9, Point(1.5, 0.5), 0)))
 
     def test_remove_place_returns_record(self):
-        catalog = PlaceCatalog(self.store)
-        removed = catalog.remove_place(2)
+        removed = self.store.remove_place(2)
         assert removed.place_id == 2
         assert not self.store.has_place(2)
+        self.refused(PlaceRemoved(2))
         with pytest.raises(KeyError):
-            catalog.remove_place(2)
+            self.store.remove_place(2)
 
     def test_remove_last_place_empties_cell(self):
-        catalog = PlaceCatalog(self.store)
         cell = self.store.cell_of_place(3)
-        catalog.remove_place(3)
+        self.store.remove_place(3)
         assert self.store.read_cell(cell) == []
         assert self.store.cell_place_count(cell) == 0
+        assert cell not in self.store.occupied_cells()
 
     def test_reweight_returns_old_record(self):
-        catalog = PlaceCatalog(self.store)
-        old = catalog.reweight(1, 7)
+        old = self.store.reweight(1, 7)
         assert old.required_protection == 2
         assert self.store.peek_place(1).required_protection == 7
-        with pytest.raises(ValueError):
-            catalog.reweight(1, -1)
+        self.refused(PlaceReweighted(1, -1))
+        self.refused(PlaceReweighted(99, 1))
+        assert self.store.peek_place(1).required_protection == 7
 
     def test_mutations_invalidate_fingerprint(self):
         before = self.store.fingerprint
-        PlaceCatalog(self.store).add_place(Place(9, Point(0.4, 0.4), 1))
+        self.store.add_place(Place(9, Point(0.4, 0.4), 1))
         assert self.store.fingerprint != before
 
 
@@ -522,6 +533,24 @@ class TestSessionControl:
         assert document["epoch"] == 1
         assert document["state"]["epoch"] == 1
         session.close()
+
+
+class TestControlRejected:
+    """Control events that, once journaled, used to fail every later
+    resume of the directory. Each is applied at stream position 10,
+    must raise and change nothing, in the session or on disk, and the
+    run then resumes exactly."""
+
+    @pytest.mark.parametrize("kind", BAD_EVENTS)
+    def test_rejected_before_journaling_then_resume_is_exact(self, kind):
+        updates = walk(20)
+
+        def control_bad(machine):
+            machine.control_bad(kind)
+
+        run_script(
+            "opt", 0, 0, [*updates[:10], control_bad, *updates[10:], crash_and_resume]
+        )
 
 
 class TestJournalControlRecords:

@@ -25,7 +25,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import SCHEMES, DurabilitySpec, open_session
-from repro.control.events import PlaceAdded, PlaceReweighted, encode_event
+from repro.control.events import (
+    PlaceAdded,
+    PlaceRemoved,
+    PlaceReweighted,
+    encode_event,
+)
 from repro.core import CTUPConfig, CTUPMonitor
 from repro.ext import DecayCTUP, ThresholdCTUP
 from repro.geometry import Point, Rect
@@ -51,6 +56,8 @@ from repro.workloads import (
     record_stream,
 )
 from tests.conftest import state_fingerprint
+from tests.machine import CONFIG as MODEL_CONFIG
+from tests.machine import PLACES as MODEL_PLACES
 from tests.machine import SessionModel, bad_update, run_script, walk
 
 CONFIG = CTUPConfig(k=5, delta=3, protection_range=0.1, granularity=8)
@@ -213,6 +220,58 @@ class TestOutOfSpacePositions:
         run_script(
             "opt", batch_size, shards, [*updates[:18], crash_and_resume, *updates[18:]]
         )
+
+
+# -- resume after catalog edits and damaged journals ---------------------
+
+#: cells of 16 places on average, four pages each.
+PAGED = dataclasses.replace(MODEL_CONFIG, granularity=3, page_capacity=4)
+#: 30 removals spread over the model's catalog.
+REMOVALS = [PlaceRemoved(p.place_id) for p in MODEL_PLACES[::5]]
+checkpoint = SessionModel.checkpoint
+flush = SessionModel.flush
+
+
+class TestResumeAfterCatalogEdits:
+    """A restore lays the folded catalog out exactly as the live store
+    is laid out after its edits, so the I/O counters and the buffer
+    frames of a resumed twin are those of the live run. The 30 updates
+    after the checkpoint go as one burst, so that no periodic snapshot
+    comes between the checkpoint and the crash: the resume replays them
+    all on the restored layout."""
+
+    STEPS = [*REMOVALS, checkpoint, *walk(30), flush, crash_and_resume]
+
+    @pytest.mark.parametrize("scheme", sorted(SCHEMES))
+    def test_removals_resume_with_identical_io(self, scheme):
+        run_script(scheme, 32, 0, self.STEPS, config=PAGED)
+
+    def test_buffer_frames_restore_after_removals(self):
+        run_script(
+            "incremental",
+            32,
+            0,
+            self.STEPS,
+            config=dataclasses.replace(PAGED, buffer_pages=6),
+        )
+
+
+class TestResumeAfterDamagedTail:
+    def test_covered_last_record_keeps_the_next_seq_fresh(self):
+        """Snapshot 3 covers update 3; its damaged line is dropped as a
+        torn tail. The next update must not reuse seq 3, or the resume
+        after it starts from snapshot 3 and loses the update."""
+        updates = walk(4)
+
+        def damage_last(machine):
+            assert machine.snapshot_seq() == 3
+            machine.damage_journal(2, 0)
+            assert machine.session.applied_seq == 3
+
+        machine = run_script(
+            "opt", 0, 0, [*updates[:3], damage_last, updates[3], crash_and_resume]
+        )
+        assert machine.session.updates_processed == 4
 
 
 class TestOpenSessionValidation:

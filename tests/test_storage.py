@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.geometry import Point, Rect
 from repro.grid import GridPartition
@@ -248,13 +250,14 @@ def edge_places(grid: GridPartition) -> list[Place]:
 
 class TestBulkLoadLayout:
     """The bulk load computes cells on columns; the layout must be the
-    one a per-place ``grid.cell_of`` loop builds."""
+    one a per-place ``grid.cell_of`` loop over the places in id order
+    builds, whatever order they come in."""
 
     @staticmethod
     def reference(grid, places, page_capacity):
         by_cell: dict = {}
         place_cells = {}
-        for place in places:
+        for place in sorted(places, key=lambda p: p.place_id):
             cell = grid.cell_of(place.location)
             place_cells[place.place_id] = cell
             by_cell.setdefault(cell, []).append(place)
@@ -418,3 +421,66 @@ class TestColumnViews:
         assert store.fingerprint == fingerprint_places(store.peek_all_places())
         for cell in store.occupied_cells():
             assert_same_columns(store.cell_arrays(cell), store.peek_cell(cell))
+
+
+def layout(store: PlaceStore) -> tuple:
+    """Everything two stores laid out alike agree on: the directory
+    order, every page's id and records, the columns, each cell's rows in
+    them, the place-id → cell map and the fingerprint."""
+    return (
+        [
+            (cell, [(pid, store._pages.peek(pid).records) for pid in ids])
+            for cell, ids in store._cell_pages.items()
+        ],
+        [column.tobytes() for column in store._columns],
+        store._cell_rows,
+        store._cells_by_place(),
+        store.fingerprint,
+    )
+
+
+class TestEditedLayout:
+    """After any catalog edits the store is laid out exactly as a store
+    built from its place set (what a restore builds)."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        capacity=st.sampled_from([1, 4, 64]),
+        edits=st.lists(
+            st.tuples(
+                st.sampled_from(["add", "remove", "reweight"]),
+                st.integers(0, 80),
+                st.floats(0.0, 1.0),
+                st.floats(0.0, 1.0),
+                st.integers(0, 5),
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+    )
+    def test_edited_store_equals_a_fresh_one(self, capacity, edits):
+        grid = GridPartition.unit_square(4)
+        places = make_places(40, grid)
+        store = PlaceStore(grid, places, page_capacity=capacity, buffer_pages=3)
+        stats = store.io_stats
+        catalog = {place.place_id: place for place in places}
+        for op, pid, x, y, weight in edits:
+            for cell in list(grid.all_cells())[::3]:
+                store.cell_arrays(cell)
+            if op == "add" and pid not in catalog:
+                catalog[pid] = Place(pid, Point(x, y), weight)
+                store.add_place(catalog[pid])
+            elif op == "remove" and pid in catalog:
+                del catalog[pid]
+                store.remove_place(pid)
+            elif op == "reweight" and pid in catalog:
+                catalog[pid] = Place(pid, catalog[pid].location, weight)
+                store.reweight(pid, weight)
+            else:
+                continue
+            fresh = PlaceStore(grid, list(catalog.values()), page_capacity=capacity)
+            assert layout(store) == layout(fresh)
+            assert store.io_stats is stats
+            assert store.buffer.frame_ids() == []
+            for cell, arrays in store._array_cache.items():
+                assert_same_columns(arrays, fresh.peek_cell(cell))

@@ -15,13 +15,13 @@ from hypothesis import strategies as st
 
 from repro.api import SCHEMES
 from repro.core import CTUPConfig
-from repro.core.safety import brute_force_safeties
 from repro.core.units import UnitIndex
 from repro.geometry import Point, Rect
 from repro.geometry.distance import point_rect_distance
 from repro.grid import GridPartition
 from repro.index import UnitGridIndex
 from repro.model import LocationUpdate, Place, Unit
+from repro.validate import Oracle
 from repro.workloads import (
     RandomWalkMobility,
     generate_places,
@@ -42,8 +42,8 @@ def make_index(unit_xy, granularity, attach=True):
 
 
 def oracle_ap(places, index):
-    """AP per place id via the scalar O(|P|*|U|) reference."""
-    safeties = brute_force_safeties(places, list(index))
+    """AP per place id via the oracle's own O(|P|*|U|) scan."""
+    safeties = Oracle(places, list(index)).safeties()
     return {p.place_id: safeties[p.place_id] + p.required_protection for p in places}
 
 
