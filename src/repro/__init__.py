@@ -54,7 +54,7 @@ from repro.shard import GlobalTopK, ShardedMonitor, ShardPlan, ShardRouter
 from repro.validate import Oracle
 from repro.workloads import generate_places, generate_units
 
-__version__ = "4.0.0"
+__version__ = "5.0.0"
 
 __all__ = [
     "CTUPConfig",

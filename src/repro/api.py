@@ -30,8 +30,8 @@ endpoint).
 :func:`make_monitor` builds any registered scheme — including the
 sharded wrapper (``"sharded"``, or any scheme plus a ``shard=`` spec) —
 and :func:`open_session` wraps the monitor in a configured session, the
-one supported way to drive a stream (batching, change tracking, audits,
-hooks and observability included).
+one supported way to drive a stream (batching, change tracking, audits
+and observability included).
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ from repro.core.incremental import IncrementalNaiveCTUP
 from repro.core.monitor import CTUPMonitor
 from repro.core.naive import NaiveCTUP
 from repro.core.opt import OptCTUP
-from repro.engine.hooks import MonitorHooks
 from repro.engine.session import MonitorSession
 from repro.model import Place, Unit
 from repro.obs.spec import Observability, ObsSpec, coerce_observability
@@ -254,7 +253,6 @@ def open_session(
     control: "ControlSpec | str | None" = None,
     batch_size: int = 0,
     audit_every: int = 0,
-    hooks: MonitorHooks | Sequence[MonitorHooks] = (),
     track_changes: bool = True,
 ) -> MonitorSession:
     """A configured :class:`MonitorSession`, ready to ``start()``.
@@ -262,9 +260,9 @@ def open_session(
     Either pass ``places`` + ``units`` (plus ``scheme`` and an optional
     ``shard=`` :class:`ShardSpec`) to build the monitor here, or pass an
     existing ``monitor`` — e.g. one restored from a checkpoint — to
-    adopt it. The session knobs (``batch_size``, ``audit_every``,
-    ``hooks`` — a sequence or one bare hook — and ``track_changes``)
-    are forwarded unchanged.
+    adopt it. The session knobs (``batch_size``, ``audit_every`` and
+    ``track_changes``) are forwarded unchanged; result changes reach
+    callers through ``session.tracker.subscribe``.
 
     ``durability=`` attaches durable state per its
     :class:`DurabilitySpec` (a bare path means "journal here, no
@@ -326,7 +324,6 @@ def open_session(
             ),
             batch_size=batch_size,
             audit_every=audit_every,
-            hooks=hooks,
             track_changes=track_changes,
             obs=bundle,
         )
@@ -360,7 +357,6 @@ def open_session(
         monitor,
         batch_size=batch_size,
         audit_every=audit_every,
-        hooks=hooks,
         track_changes=track_changes,
         checkpoint=policy_arg,
         obs=bundle,

@@ -17,7 +17,6 @@ import numpy as np
 
 from repro.core.metrics import UpdateReport
 from repro.core.monitor import CTUPMonitor
-from repro.engine.hooks import MonitorHooks
 from repro.model import LocationUpdate
 
 
@@ -40,27 +39,6 @@ class TimelineSummary:
     update_ms_max: float
 
 
-class TimelineHook(MonitorHooks):
-    """Engine hook sampling a monitor into a :class:`Timeline`.
-
-    Attach it to a :class:`~repro.engine.session.MonitorSession` to get
-    per-update samples without owning the driving loop; in batch mode
-    every update of a burst is sampled with the burst's shared report.
-    """
-
-    def __init__(self, timeline: "Timeline", monitor: CTUPMonitor) -> None:
-        self.timeline = timeline
-        self.monitor = monitor
-
-    def on_update_end(self, update: LocationUpdate, report: UpdateReport) -> None:
-        self.timeline.sk.append(report.sk)
-        self.timeline.maintained.append(self.monitor.maintained_count())
-        self.timeline.accesses.append(report.cells_accessed)
-        self.timeline.update_seconds.append(
-            report.maintain_seconds + report.access_seconds
-        )
-
-
 @dataclass
 class Timeline:
     """Sampled per-update history of one monitor."""
@@ -75,10 +53,22 @@ class Timeline:
 
     def record(self, monitor: CTUPMonitor, updates: Iterable[LocationUpdate]) -> None:
         """Drive ``monitor`` over ``updates``, sampling after each one."""
-        hook = TimelineHook(self, monitor)
         for update in updates:
-            report = monitor.process(update)
-            hook.on_update_end(update, report)
+            self.sample(monitor, monitor.process(update))
+
+    def sample(self, monitor: CTUPMonitor, report: UpdateReport) -> None:
+        """Sample ``monitor`` once per raw update ``report`` covers.
+
+        A burst report covers ``report.batch_size`` raw updates: each is
+        sampled with the burst's shared report, after the burst applied.
+        """
+        maintained = monitor.maintained_count()
+        seconds = report.maintain_seconds + report.access_seconds
+        for _ in range(report.batch_size):
+            self.sk.append(report.sk)
+            self.maintained.append(maintained)
+            self.accesses.append(report.cells_accessed)
+            self.update_seconds.append(seconds)
 
     def summary(self) -> TimelineSummary:
         """Aggregate the recorded run."""

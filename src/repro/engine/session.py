@@ -12,15 +12,17 @@ result changes, maybe batch the ingest, maybe audit periodically.
 >>> session.flush()                 # drain a partial burst
 >>> session.monitor.top_k()
 
-Instrumentation attaches through :class:`~repro.engine.hooks.MonitorHooks`
-objects rather than by editing the loop.
+Result changes reach callers through one path,
+``session.tracker.subscribe(callback)``; metrics and spans come from an
+attached :class:`~repro.obs.Observability` bundle.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, ContextManager, Iterable
 
 from repro.core.audit import audit_monitor
 from repro.core.batch import BatchProcessor
@@ -28,7 +30,6 @@ from repro.core.events import ChangeTracker
 from repro.core.metrics import InitReport, UpdateReport
 from repro.core.monitor import CTUPMonitor
 from repro.core.units import LOCATION_TOLERANCE2
-from repro.engine.hooks import HookList, MonitorHooks
 from repro.model import LocationUpdate, Point
 from repro.state.journal import JournalRecord, UpdateJournal
 from repro.state.recovery import CheckpointPolicy, CheckpointStore
@@ -36,6 +37,7 @@ from repro.state.snapshot import snapshot_monitor
 
 if TYPE_CHECKING:
     from repro.obs.expo import MetricsServer
+    from repro.obs.hooks import ObservabilityHooks
     from repro.obs.spec import Observability
 
 
@@ -48,7 +50,7 @@ class UpdateRejected(ValueError):
 
 
 class MonitorSession:
-    """A monitor plus batching, change tracking, audits and hooks."""
+    """A monitor plus batching, change tracking, audits and metrics."""
 
     def __init__(
         self,
@@ -56,7 +58,6 @@ class MonitorSession:
         *,
         batch_size: int = 0,
         audit_every: int = 0,
-        hooks: MonitorHooks | Sequence[MonitorHooks] = (),
         track_changes: bool = True,
         checkpoint: CheckpointPolicy | None = None,
         journal: UpdateJournal | None = None,
@@ -87,13 +88,13 @@ class MonitorSession:
         journal already open (recovery opens it before the monitor
         exists); without it the session opens the journal itself.
 
-        ``hooks`` is a sequence of :class:`MonitorHooks` or one bare
-        hook. ``obs`` attaches a live :class:`~repro.obs.Observability`
+        ``obs`` attaches a live :class:`~repro.obs.Observability`
         bundle: the monitor (and any shard children), the journal and
-        the hook bus are instrumented, and when the bundle carries a
-        serve port a ``/metrics`` endpoint runs for the session's
-        lifetime (pass ``obs=ObsSpec(...)`` to ``open_session`` to build
-        the bundle)."""
+        the session's stream metrics are instrumented, and when the
+        bundle carries a serve port a ``/metrics`` endpoint runs for the
+        session's lifetime (pass ``obs=ObsSpec(...)`` to
+        ``open_session`` to build the bundle). Result changes go to
+        ``tracker.subscribe`` callbacks."""
         if batch_size < 0:
             raise ValueError("batch_size cannot be negative")
         if audit_every < 0:
@@ -103,7 +104,6 @@ class MonitorSession:
         self.audit_every = audit_every
         self.track_changes = track_changes
         self.tracker = ChangeTracker(monitor)
-        self.hooks = HookList(hooks)
         self.audit_problems: list[str] = []
         self.updates_processed = 0
         self.init_report: InitReport | None = None
@@ -138,6 +138,8 @@ class MonitorSession:
         self._replaying = False
         self.observability = obs
         self._metrics_server: "MetricsServer | None" = None
+        #: the stream metrics, called directly; ``None`` without obs.
+        self._obs_hooks: "ObservabilityHooks | None" = None
         if obs is not None:
             # local imports: repro.obs sits above repro.engine's core
             # dependencies; importing it lazily keeps the layering loose.
@@ -147,7 +149,7 @@ class MonitorSession:
             attach_observability(monitor, obs)
             if self._journal is not None:
                 self._journal.attach_observability(obs)
-            self.hooks.add(ObservabilityHooks(obs))
+            self._obs_hooks = ObservabilityHooks(obs)
             if obs.serve_port is not None:
                 from repro.obs.expo import MetricsServer
 
@@ -156,10 +158,6 @@ class MonitorSession:
                 ).start()
 
     # -- wiring -----------------------------------------------------------
-
-    def add_hook(self, hook: MonitorHooks) -> None:
-        """Attach an instrumentation hook (fires in registration order)."""
-        self.hooks.add(hook)
 
     @property
     def started(self) -> bool:
@@ -269,7 +267,8 @@ class MonitorSession:
             )
         if not self._started:
             self.start()
-        self.hooks.on_update_start(update)
+        if self._obs_hooks is not None:
+            self._obs_hooks.on_update_start(update)
         if self._batcher is not None:
             if self._journal is not None and not self._replaying:
                 self._journal.append_update(update, batched=True)
@@ -295,14 +294,8 @@ class MonitorSession:
             return None
         batch, self._pending = self._pending, []
         self._pending_at.clear()
-        obs = self.observability
-        if obs is None:
+        with self._span("session.flush", "session", updates=len(batch)):
             report = self._batcher.process_batch(batch)
-        else:
-            with obs.tracer.span(
-                "session.flush", cat="session", updates=len(batch)
-            ):
-                report = self._batcher.process_batch(batch)
         self._complete(batch, report, batched=True)
         # the marker is written *after* the burst applied: a snapshot at
         # this seq never refers into the middle of a batch.
@@ -356,7 +349,6 @@ class MonitorSession:
             # the world changed under the tracker: re-prime rather than
             # report a spurious top-k "change".
             self.tracker.prime()
-        self.hooks.on_control(event, report)
         return report
 
     # -- checkpointing & recovery -----------------------------------------
@@ -371,26 +363,18 @@ class MonitorSession:
         if self._checkpoint_store is None:
             raise RuntimeError("session has no checkpoint policy")
         self.flush()
-        obs = self.observability
-        if obs is None:
-            document = snapshot_monitor(
-                self.monitor,
-                journal_seq=self._applied_seq,
-                session={"updates_processed": self.updates_processed},
-            )
-            return self._checkpoint_store.write_snapshot(document)
-        with obs.tracer.span(
-            "checkpoint.write", cat="state", seq=self._applied_seq
-        ):
+        with self._span("checkpoint.write", "state", seq=self._applied_seq):
             document = snapshot_monitor(
                 self.monitor,
                 journal_seq=self._applied_seq,
                 session={"updates_processed": self.updates_processed},
             )
             path = self._checkpoint_store.write_snapshot(document)
-        obs.registry.counter(
-            "ctup_checkpoints_total", "Checkpoint snapshots written."
-        ).inc()
+        obs = self.observability
+        if obs is not None:
+            obs.registry.counter(
+                "ctup_checkpoints_total", "Checkpoint snapshots written."
+            ).inc()
         return path
 
     def adopt_resume_state(
@@ -474,21 +458,28 @@ class MonitorSession:
 
     # -- internals --------------------------------------------------------
 
+    def _span(self, name: str, cat: str, **args: object) -> ContextManager[object]:
+        """A tracer span around a region, or a no-op without a bundle."""
+        obs = self.observability
+        return nullcontext() if obs is None else obs.tracer.span(name, cat, **args)
+
     def _complete(
         self,
         updates: list[LocationUpdate],
         report: UpdateReport,
         batched: bool,
     ) -> None:
-        self.hooks.on_refresh(report.cells_accessed)
-        for update in updates:
-            self.hooks.on_update_end(update, report)
-        if batched:
-            self.hooks.on_batch_flush(updates, report)
+        hooks = self._obs_hooks
+        if hooks is not None:
+            hooks.on_refresh(report.cells_accessed)
+            for update in updates:
+                hooks.on_update_end(update, report)
+            if batched:
+                hooks.on_batch_flush(updates, report)
         if self.track_changes:
             change = self.tracker.observe(updates[-1].timestamp)
-            if change is not None:
-                self.hooks.on_topk_change(change)
+            if change is not None and hooks is not None:
+                hooks.on_topk_change(change)
         before = self.updates_processed
         self.updates_processed += len(updates)
         if self.audit_every and (

@@ -17,19 +17,21 @@ Everything is wired through :class:`ObsSpec` (the grouped option you
 hand to ``open_session(obs=...)``) and the resulting
 :class:`Observability` bundle; :mod:`repro.obs.bridge` mirrors the
 native ``MonitorCounters``/``IoStats``/``UnitKernelStats``/``MergeStats``
-ledgers into registry gauges, and :class:`ObservabilityHooks` rides the
-engine hook bus for stream-level metrics.
+ledgers into registry gauges at scrape time, and
+:class:`ObservabilityHooks` records the stream-level metrics the session
+feeds it directly (updates, burst sizes, top-k changes, SK).
 """
 
 from __future__ import annotations
 
-from repro.obs.bridge import attach_observability, sync_monitor_metrics
+from repro.obs.bridge import attach_observability
 from repro.obs.expo import (
     MetricsServer,
     json_dump,
     parse_prometheus,
     render_prometheus,
 )
+from repro.obs.hooks import ObservabilityHooks
 from repro.obs.registry import (
     DEFAULT_BUCKETS,
     Counter,
@@ -62,17 +64,6 @@ __all__ = [
     "json_dump",
     "parse_prometheus",
     "render_prometheus",
-    "sync_monitor_metrics",
     "write_chrome_trace",
 ]
 
-
-def __getattr__(name: str) -> object:
-    # ObservabilityHooks pulls in repro.engine (and through it the core
-    # schemes); load it lazily so `import repro.obs` stays dependency-light
-    # and safe from circular imports regardless of entry point.
-    if name == "ObservabilityHooks":
-        from repro.obs.hooks import ObservabilityHooks
-
-        return ObservabilityHooks
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -25,7 +25,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.registry import MetricsRegistry, NullRegistry
     from repro.obs.spec import Observability
 
-__all__ = ["attach_observability", "sync_monitor_metrics"]
+__all__ = ["attach_observability"]
 
 
 def attach_observability(monitor: "CTUPMonitor", obs: "Observability") -> None:
@@ -42,22 +42,13 @@ def attach_observability(monitor: "CTUPMonitor", obs: "Observability") -> None:
         obs.add_sync(_LedgerMirror(obs.registry, monitor))
 
 
-def sync_monitor_metrics(
-    registry: "MetricsRegistry | NullRegistry", monitor: "CTUPMonitor"
-) -> None:
-    """Mirror the monitor's ledgers into registry gauges, field by field.
-
-    For a :class:`~repro.shard.monitor.ShardedMonitor` the *merged*
-    ledgers are mirrored (that is where the monitoring work lives — the
-    top-level counters only track stream totals), plus the merger stats
-    and the routing delivery counters.
-    """
-    if registry.enabled:
-        _LedgerMirror(registry, monitor)()
-
-
 def _ledgers(monitor: "CTUPMonitor") -> dict[str, object]:
-    """The monitor's ledgers now, by gauge family name."""
+    """The monitor's ledgers now, by gauge family name.
+
+    For a :class:`~repro.shard.monitor.ShardedMonitor` these are the
+    *merged* ledgers (that is where the monitoring work lives — the
+    top-level counters only track stream totals), plus the merger stats.
+    """
     merged_counters = getattr(monitor, "merged_counters", None)
     if callable(merged_counters):
         ledgers: dict[str, object] = {

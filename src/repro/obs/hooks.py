@@ -1,18 +1,17 @@
-"""ObservabilityHooks: session-level metrics riding the hook bus.
+"""ObservabilityHooks: the session's stream metrics.
 
 The bridge (:mod:`repro.obs.bridge`) mirrors the monitor's *ledgers*;
-this adapter records the *stream* — events the ledgers cannot see, like
-batch sizes, top-k movement and the current SK — as true registry
-counters/histograms, updated live as the session runs.  It is appended
-automatically by :class:`~repro.engine.session.MonitorSession` when an
-Observability bundle is attached.
+this class records the *stream* — events the ledgers cannot see, like
+updates fed, batch sizes, top-k movement and the current SK — as true
+registry counters/histograms, updated live as the session runs.  A
+:class:`~repro.engine.session.MonitorSession` builds one when an
+Observability bundle is attached and calls it directly; without a
+bundle the session makes no such calls at all.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Sequence
-
-from repro.engine.hooks import MonitorHooks
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.events import TopKChange
@@ -27,32 +26,25 @@ __all__ = ["ObservabilityHooks"]
 _BATCH_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0)
 
 
-class ObservabilityHooks(MonitorHooks):
-    """Bridges session events onto an Observability bundle.
+class ObservabilityHooks:
+    """Records session events onto an Observability bundle.
 
     Every metric here is label-less, and its one child is bound when the
     hooks are built, so the session's families are exported (at 0) from
-    then on and no event looks a child up.
+    then on and no event looks a child up. Bursts flushed are the
+    ``ctup_session_batch_size`` histogram's count; access phases run are
+    the ``access`` count of ``ctup_phase_seconds``.
     """
 
     def __init__(self, obs: "Observability") -> None:
-        self.obs = obs
         registry = obs.registry
         self._updates = registry.counter(
             "ctup_session_updates_total",
             "Location updates fed into the session.",
         ).labels()
-        self._batches = registry.counter(
-            "ctup_session_batches_total",
-            "Bursts flushed through the monitor (batch mode).",
-        ).labels()
         self._changes = registry.counter(
             "ctup_session_topk_changes_total",
             "Times the top-k result (or SK) moved.",
-        ).labels()
-        self._refreshes = registry.counter(
-            "ctup_session_refreshes_total",
-            "Access phases run by the session.",
         ).labels()
         self._cells = registry.counter(
             "ctup_session_cells_accessed_total",
@@ -72,9 +64,12 @@ class ObservabilityHooks(MonitorHooks):
         self._sk_report: "UpdateReport | None" = None
 
     def on_update_start(self, update: "LocationUpdate") -> None:
+        """An update entered the session, before any work."""
         self._updates.inc()
 
     def on_update_end(self, update: "LocationUpdate", report: "UpdateReport") -> None:
+        """The update's work is complete; in batch mode once per update
+        of the flushed burst, with the burst's shared report."""
         if report is not self._sk_report:
             self._sk_report = report
             self._sk.set(report.sk)
@@ -82,12 +77,13 @@ class ObservabilityHooks(MonitorHooks):
     def on_batch_flush(
         self, updates: Sequence["LocationUpdate"], report: "UpdateReport"
     ) -> None:
-        self._batches.inc()
+        """A burst was flushed through the monitor (batch mode only)."""
         self._batch_size.observe(float(len(updates)))
 
     def on_topk_change(self, change: "TopKChange") -> None:
+        """The top-k result (or SK) moved."""
         self._changes.inc()
 
     def on_refresh(self, accessed: int) -> None:
-        self._refreshes.inc()
+        """An access phase ran, touching ``accessed`` cells."""
         self._cells.inc(float(accessed))

@@ -6,8 +6,8 @@ its own full monitor of any scheme, and recombines per-shard partial
 top-k lists into the exact global answer with
 :class:`~repro.shard.merge.GlobalTopK`. It implements the same
 maintain/access phase API as every other scheme, so ``MonitorSession``,
-``BatchProcessor``, hooks, audits and the bench timeline run on top of
-it unchanged.
+``BatchProcessor``, observability, audits and the bench timeline run on
+top of it unchanged.
 
 **Why this is exact.** A shard owns whole grid cells. For one unit move,
 any cell outside the union of the old and new disks' candidate blocks

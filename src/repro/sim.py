@@ -21,11 +21,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
-from repro.bench.timeline import Timeline, TimelineHook, TimelineSummary
+from repro.bench.timeline import Timeline, TimelineSummary
 from repro.core import CTUPConfig, OptCTUP
 from repro.core.events import TopKChange
 from repro.core.monitor import CTUPMonitor
-from repro.engine import MonitorHooks, MonitorSession
+from repro.engine import MonitorSession
 from repro.model import SafetyRecord
 from repro.obs.spec import Observability, ObsSpec, coerce_observability
 from repro.workloads import build_scenario
@@ -46,16 +46,6 @@ class SimulationOutcome:
     @property
     def clean(self) -> bool:
         return not self.audit_problems
-
-
-class _ChangeLog(MonitorHooks):
-    """Hook collecting every result change into a shared list."""
-
-    def __init__(self, changes: list[TopKChange]) -> None:
-        self.changes = changes
-
-    def on_topk_change(self, change: TopKChange) -> None:
-        self.changes.append(change)
 
 
 class Simulation:
@@ -87,8 +77,7 @@ class Simulation:
         )
         self.timeline = Timeline()
         self.changes: list[TopKChange] = []
-        self.session.add_hook(TimelineHook(self.timeline, monitor))
-        self.session.add_hook(_ChangeLog(self.changes))
+        self.session.tracker.subscribe(self.changes.append)
 
     @property
     def audit_every(self) -> int:
@@ -176,15 +165,24 @@ class Simulation:
         """Generate and process ``updates`` live messages."""
         if updates <= 0:
             raise ValueError("updates must be positive")
-        if not self.session.started:
-            self.session.start()
-        problems_before = len(self.session.audit_problems)
-        processed = self.session.run(self.mobility.updates(updates))
+        session = self.session
+        if not session.started:
+            session.start()
+        problems_before = len(session.audit_problems)
+        processed = 0
+        for update in self.mobility.updates(updates):
+            report = session.feed(update)
+            if report is not None:
+                self.timeline.sample(self.monitor, report)
+            processed += 1
+        report = session.flush()
+        if report is not None:
+            self.timeline.sample(self.monitor, report)
         return SimulationOutcome(
             updates=processed,
             final_topk=self.monitor.top_k(),
             final_sk=self.monitor.sk(),
             summary=self.timeline.summary(),
             changes=list(self.changes),
-            audit_problems=self.session.audit_problems[problems_before:],
+            audit_problems=session.audit_problems[problems_before:],
         )

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import os
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
@@ -173,7 +174,6 @@ class RecoveryManager:
         fresh_monitor: Callable[[], Any],
         batch_size: int = 0,
         audit_every: int = 0,
-        hooks: Sequence = (),
         track_changes: bool = True,
         obs: "Observability | None" = None,
     ) -> "MonitorSession":
@@ -195,20 +195,22 @@ class RecoveryManager:
         try:
             if document is None:
                 monitor = fresh_monitor()
-            elif obs is None:
-                monitor = self._restore(document, journal)
             else:
-                with obs.tracer.span(
-                    "recovery.restore",
-                    cat="state",
-                    seq=int(document.get("journal_seq", 0)),
-                ):
+                span = (
+                    nullcontext()
+                    if obs is None
+                    else obs.tracer.span(
+                        "recovery.restore",
+                        cat="state",
+                        seq=int(document.get("journal_seq", 0)),
+                    )
+                )
+                with span:
                     monitor = self._restore(document, journal)
             session = MonitorSession(
                 monitor,
                 batch_size=batch_size,
                 audit_every=audit_every,
-                hooks=hooks,
                 track_changes=track_changes,
                 checkpoint=self.policy,
                 journal=journal,
@@ -228,13 +230,16 @@ class RecoveryManager:
             )
             journal.continue_after(session.applied_seq)
         tail = journal.tail(session.applied_seq)
-        if obs is None:
-            session.replay(tail)
-        else:
-            with obs.tracer.span(
+        span = (
+            nullcontext()
+            if obs is None
+            else obs.tracer.span(
                 "recovery.replay", cat="state", records=len(tail)
-            ):
-                session.replay(tail)
+            )
+        )
+        with span:
+            session.replay(tail)
+        if obs is not None:
             obs.registry.counter(
                 "ctup_recovery_replays_total",
                 "Journal-tail replays performed on resume.",

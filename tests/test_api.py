@@ -223,3 +223,38 @@ def test_surfaces_removed_in_3_0_are_gone(
     assert len(repro.core.__all__) == 18
     assert len(repro.ext.__all__) == 5
     assert not hasattr(repro.state, "Snapshottable")
+
+
+def test_surfaces_removed_in_5_0_are_gone(
+    small_config, small_places, small_units, small_stream
+):
+    import repro.obs
+    from repro.obs import ObsSpec
+    from repro.obs.hooks import ObservabilityHooks
+
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.engine.hooks")
+    world = dict(places=small_places, units=small_units, config=small_config)
+    with pytest.raises(TypeError):
+        open_session("opt", hooks=(), **world)
+    assert not hasattr(MonitorSession, "add_hook")
+    assert not hasattr(repro.obs, "sync_monitor_metrics")
+    for batch_size in (0, 8):
+        session = open_session(
+            "opt", batch_size=batch_size, obs=ObsSpec(metrics=True), **world
+        )
+        session.run(small_stream)
+        text = session.metrics_text()
+        assert "ctup_session_updates_total" in text
+        assert "ctup_session_batches_total" not in text
+        assert "ctup_session_refreshes_total" not in text
+    # perfbench traces the stream metrics by these names, looked up in
+    # the class body itself.
+    for name in (
+        "on_update_start",
+        "on_update_end",
+        "on_batch_flush",
+        "on_topk_change",
+        "on_refresh",
+    ):
+        assert name in ObservabilityHooks.__dict__

@@ -502,22 +502,6 @@ class TestSessionControl:
                 control=42,
             )
 
-    def test_hooks_see_control_events(self):
-        from repro.engine.hooks import MonitorHooks
-
-        seen = []
-
-        class Spy(MonitorHooks):
-            def on_control(self, event, report):
-                seen.append((event, report.epoch))
-
-        config, places, units = small_world(80, 66, 6)
-        session = open_session(
-            "basic", places=places, units=units, config=config, hooks=Spy()
-        )
-        session.apply_control(KChanged(2))
-        assert seen == [(KChanged(2), 1)]
-
     def test_snapshot_envelope_carries_epoch(self, tmp_path):
         config, places, units = small_world(80, 68, 6)
         session = open_session(

@@ -1,4 +1,5 @@
-"""The composable monitoring engine: phase API, session facade, hooks."""
+"""The composable monitoring engine: phase API, session facade, change
+subscribers."""
 
 import pytest
 
@@ -9,8 +10,9 @@ from repro.core import (
     NaiveCTUP,
     OptCTUP,
 )
+from repro.control import KChanged
 from repro.core.metrics import InitReport, UpdateReport
-from repro.engine import MonitorHooks, MonitorSession
+from repro.engine import MonitorSession
 from repro.validate import Oracle
 from repro.workloads import build_scenario
 
@@ -164,75 +166,98 @@ class TestSchemeAgnosticBatching:
         assert reports[-1].sk == monitor.sk()
 
 
-class RecordingHooks(MonitorHooks):
-    def __init__(self):
-        self.events = []
-
-    def on_update_start(self, update):
-        self.events.append(("update_start", update.unit_id))
-
-    def on_update_end(self, update, report):
-        self.events.append(("update_end", update.unit_id))
-
-    def on_batch_flush(self, updates, report):
-        self.events.append(("batch_flush", len(updates)))
-
-    def on_topk_change(self, change):
-        self.events.append(("topk_change", change.timestamp))
-
-    def on_refresh(self, accessed):
-        self.events.append(("refresh", accessed))
+def _result(monitor):
+    """The monitor's result now: (SK, top-k ids)."""
+    return monitor.sk(), frozenset(monitor.topk_ids())
 
 
-class TestSessionHooks:
-    def test_update_end_then_topk_change_in_order(
-        self, small_config, small_places, small_units, small_stream
+class _ExpectedChanges:
+    """Diffs the result after every report a session hands back: the
+    changes a ``tracker.subscribe`` callback must see, in order."""
+
+    def __init__(self, monitor):
+        self.monitor = monitor
+        self.last = _result(monitor)
+        self.changes = []
+
+    def after(self, report):
+        if report is None:  # buffered: nothing applied yet
+            return
+        now = _result(self.monitor)
+        if now != self.last:
+            (sk_before, before), (sk_after, after) = self.last, now
+            self.changes.append(
+                (sk_before, sk_after, after - before, before - after)
+            )
+        self.last = now
+
+    def reprime(self):
+        self.last = _result(self.monitor)
+
+
+def _as_diffs(changes):
+    return [
+        (
+            c.sk_before,
+            c.sk_after,
+            frozenset(r.place_id for r in c.entered),
+            frozenset(r.place_id for r in c.left),
+        )
+        for c in changes
+    ]
+
+
+class TestChangeSubscribers:
+    """``session.tracker.subscribe`` is the one change path: a callback
+    sees every result change exactly once, and nothing else."""
+
+    @pytest.mark.parametrize("batch_size", [0, 8])
+    def test_every_change_seen_exactly_once(
+        self, batch_size, small_config, small_places, small_units, small_stream
     ):
-        """Acceptance: on_update_end + on_topk_change fire in order."""
-        monitor = OptCTUP(small_config, small_places, small_units)
-        hooks = RecordingHooks()
-        session = MonitorSession(monitor, hooks=[hooks])
+        session = MonitorSession(
+            OptCTUP(small_config, small_places, small_units),
+            batch_size=batch_size,
+        )
+        seen = []
+        session.tracker.subscribe(seen.append)
         session.start()
+        expected = _ExpectedChanges(session.monitor)
         for update in small_stream:
-            session.feed(update)
-        kinds = [kind for kind, _ in hooks.events]
-        assert kinds.count("update_end") == len(small_stream)
-        assert "topk_change" in kinds, "stream should move the result"
-        # every change is announced immediately after the update that
-        # caused it — never before its update_end, never delayed.
-        for i, (kind, _) in enumerate(hooks.events):
-            if kind == "topk_change":
-                assert hooks.events[i - 1][0] == "update_end"
-        # per-update ordering: start, refresh, end.
-        first = kinds.index("update_start")
-        assert kinds[first : first + 3] == [
-            "update_start",
-            "refresh",
-            "update_end",
-        ]
+            expected.after(session.feed(update))
+        expected.after(session.flush())
+        assert expected.changes, "the stream should move the result"
+        assert _as_diffs(seen) == expected.changes
+        assert session.tracker.changes_seen == len(seen)
 
-    def test_changes_match_tracker(
-        self, small_config, small_places, small_units, small_stream
+    @pytest.mark.parametrize("batch_size", [0, 8])
+    def test_control_reprime_fires_nothing(
+        self, batch_size, small_config, small_places, small_units, small_stream
     ):
-        monitor = OptCTUP(small_config, small_places, small_units)
-        hooks = RecordingHooks()
-        session = MonitorSession(monitor, hooks=[hooks])
-        session.run(small_stream)
-        changes = [e for e in hooks.events if e[0] == "topk_change"]
-        assert len(changes) == session.tracker.changes_seen
-
-    def test_batch_flush_hook(
-        self, small_config, small_places, small_units, small_stream
-    ):
-        monitor = OptCTUP(small_config, small_places, small_units)
-        hooks = RecordingHooks()
-        session = MonitorSession(monitor, batch_size=40, hooks=[hooks])
-        processed = session.run(small_stream)
-        assert processed == len(small_stream)
-        flushes = [e for e in hooks.events if e[0] == "batch_flush"]
-        assert len(flushes) == -(-len(small_stream) // 40)
-        # the final partial burst is flushed by run().
-        assert flushes[-1][1] == (len(small_stream) % 40 or 40)
+        session = MonitorSession(
+            OptCTUP(small_config, small_places, small_units),
+            batch_size=batch_size,
+        )
+        seen = []
+        session.tracker.subscribe(seen.append)
+        session.start()
+        expected = _ExpectedChanges(session.monitor)
+        updates = list(small_stream)
+        for update in updates[:40]:
+            expected.after(session.feed(update))
+        expected.after(session.flush())
+        before = len(seen)
+        moved_from = _result(session.monitor)
+        session.apply_control(KChanged(small_config.k + 2))
+        assert _result(session.monitor) != moved_from
+        assert len(seen) == before, "a re-prime is not a change"
+        # later changes diff against the re-primed result.
+        expected.reprime()
+        for update in updates[40:]:
+            expected.after(session.feed(update))
+        expected.after(session.flush())
+        assert len(seen) > before
+        assert _as_diffs(seen) == expected.changes
 
 
 class TestSession:
@@ -253,13 +278,13 @@ class TestSession:
     ):
         monitor = OptCTUP(small_config, small_places, small_units)
         monitor.initialize()
-        hooks = RecordingHooks()
-        session = MonitorSession(monitor, hooks=[hooks])
+        session = MonitorSession(monitor)
+        seen = []
+        session.tracker.subscribe(seen.append)
         assert session.start() is None
         # priming means no giant bootstrap change fires on the first feed.
         session.feed(small_stream[0])
-        changes = [e for e in hooks.events if e[0] == "topk_change"]
-        assert len(changes) <= 1
+        assert len(seen) <= 1
 
     def test_batched_session_matches_single(
         self, small_config, small_places, small_units, small_stream

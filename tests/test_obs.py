@@ -18,6 +18,7 @@ from dataclasses import fields
 import pytest
 
 from repro.api import SCHEMES, DurabilitySpec, ShardSpec, open_session
+from repro.control import KChanged, PlaceRemoved
 from repro.obs import (
     MetricsRegistry,
     MetricsServer,
@@ -29,7 +30,6 @@ from repro.obs import (
     json_dump,
     parse_prometheus,
     render_prometheus,
-    sync_monitor_metrics,
     write_chrome_trace,
 )
 
@@ -265,13 +265,54 @@ class TestReconciliation:
                 assert registry.value(
                     "ctup_merge_stats", scheme=monitor.name, field=f.name
                 ) == pytest.approx(float(getattr(monitor.merger.stats, f.name)))
-        # the hook-stream counters agree with the session too.
+        # the session's stream metrics agree with the session too.
         assert registry.value("ctup_session_updates_total") == float(
             len(small_stream)
         )
         assert registry.value("ctup_session_sk") == pytest.approx(
             monitor.sk()
         )
+
+    @pytest.mark.parametrize("batch_size", [0, 8])
+    @pytest.mark.parametrize("scheme", sorted(SCHEMES))
+    def test_stream_counts_match_the_session(
+        self,
+        scheme,
+        batch_size,
+        small_config,
+        small_places,
+        small_units,
+        small_stream,
+    ):
+        """Bursts flushed are the burst-size histogram's count, and the
+        access phases run are the ``access`` count of
+        ``ctup_phase_seconds``, control events mid-run included."""
+        session = open_session(
+            scheme,
+            places=small_places,
+            units=small_units,
+            config=small_config,
+            batch_size=batch_size,
+            obs=ObsSpec(metrics=True),
+        )
+        session.start()
+        events = {
+            50: PlaceRemoved(small_places[3].place_id),
+            100: KChanged(small_config.k + 2),
+        }
+        refreshes = 0
+        for i, update in enumerate(small_stream):
+            if i in events:
+                refreshes += session.flush() is not None
+                session.apply_control(events[i])
+            refreshes += session.feed(update) is not None
+        refreshes += session.flush() is not None
+        bursts = session.batcher.batches_processed if batch_size else 0
+        assert refreshes == (bursts if batch_size else len(small_stream))
+        samples = parse_prometheus(session.metrics_text())
+        assert samples[("ctup_session_batch_size_count", ())] == bursts
+        access = (("scheme", session.monitor.name), ("phase", "access"))
+        assert samples[("ctup_phase_seconds_count", access)] == refreshes
 
     def test_prometheus_text_parses_after_a_run(
         self, small_config, small_places, small_units, small_stream
@@ -334,28 +375,6 @@ class TestSessionTracing:
         path = tmp_path / "out.json"
         write_chrome_trace(tracer.spans(), path)
         assert json.loads(path.read_text())  # valid, non-empty
-
-    def test_single_hook_instance_accepted(
-        self, small_config, small_places, small_units, small_stream
-    ):
-        from repro.engine.hooks import MonitorHooks
-
-        class CountHook(MonitorHooks):
-            seen = 0
-
-            def on_update_end(self, update, report):
-                CountHook.seen += 1
-
-        session = open_session(
-            "opt",
-            places=small_places,
-            units=small_units,
-            config=small_config,
-            hooks=CountHook(),  # a bare hook, not a sequence
-        )
-        session.start()
-        session.run(small_stream)
-        assert CountHook.seen == len(small_stream)
 
 
 # -- the CLI flags -------------------------------------------------------
