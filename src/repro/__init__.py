@@ -31,7 +31,6 @@ observability layer (:mod:`repro.obs`).
 """
 
 from repro.api import (
-    ControlSpec,
     DurabilitySpec,
     ShardSpec,
     make_monitor,
@@ -54,7 +53,7 @@ from repro.shard import GlobalTopK, ShardedMonitor, ShardPlan, ShardRouter
 from repro.validate import Oracle
 from repro.workloads import generate_places, generate_units
 
-__version__ = "5.0.0"
+__version__ = "6.0.0"
 
 __all__ = [
     "CTUPConfig",
@@ -69,7 +68,6 @@ __all__ = [
     "make_monitor",
     "open_session",
     "ShardSpec",
-    "ControlSpec",
     "DurabilitySpec",
     "ObsSpec",
     "Observability",

@@ -112,29 +112,6 @@ class ShardSpec:
 
 
 @dataclass(frozen=True, slots=True)
-class ControlSpec:
-    """How the session applies reconfiguration events (see
-    :mod:`repro.control`).
-
-    ``mode`` is the default application strategy for
-    ``session.apply_control``: ``"incremental"`` lets each scheme patch
-    its state in place (falling back to a rebuild only when it cannot
-    absorb the event), ``"rebuild"`` always rebuilds — the slow path the
-    equivalence suites compare against, and a safe big-hammer override
-    in production. A per-call ``mode=`` still wins over the spec.
-    """
-
-    mode: str = "incremental"
-
-    def __post_init__(self) -> None:
-        if self.mode not in ("incremental", "rebuild"):
-            raise ValueError(
-                f"ControlSpec.mode must be 'incremental' or 'rebuild' "
-                f"(got {self.mode!r})"
-            )
-
-
-@dataclass(frozen=True, slots=True)
 class DurabilitySpec:
     """Journal + checkpoint directory attachment for a session.
 
@@ -250,7 +227,6 @@ def open_session(
     shard: "ShardSpec | int | Sequence[int] | ShardPlan | None" = None,
     durability: "DurabilitySpec | str | Path | None" = None,
     obs: "ObsSpec | Observability | None" = None,
-    control: "ControlSpec | str | None" = None,
     batch_size: int = 0,
     audit_every: int = 0,
     track_changes: bool = True,
@@ -277,10 +253,6 @@ def open_session(
     run used, and a callable ``scheme`` to act as the factory for
     unregistered schemes.
 
-    ``control=`` sets the default application mode for
-    ``session.apply_control`` per its :class:`ControlSpec` (a bare
-    ``"incremental"`` / ``"rebuild"`` string works as shorthand).
-
     ``obs=`` attaches observability per its
     :class:`~repro.obs.ObsSpec` (or an already-built
     :class:`~repro.obs.Observability` to share a registry across
@@ -291,15 +263,6 @@ def open_session(
     shard_spec = _coerce_shard(shard)
     dura = _coerce_durability(durability)
     bundle = coerce_observability(obs)
-    if control is None:
-        control = ControlSpec()
-    elif isinstance(control, str):
-        control = ControlSpec(mode=control)
-    elif not isinstance(control, ControlSpec):
-        raise TypeError(
-            "control= takes a ControlSpec or a mode string "
-            f"(got {type(control).__name__})"
-        )
     if dura is not None and dura.resume:
         if monitor is not None:
             raise ValueError("resume=True builds its own monitor")
@@ -314,7 +277,7 @@ def open_session(
             units=units,
             factory=scheme if callable(scheme) else None,
         )
-        session = manager.resume_session(
+        return manager.resume_session(
             fresh_monitor=lambda: make_monitor(
                 scheme,
                 places=places,
@@ -327,10 +290,6 @@ def open_session(
             track_changes=track_changes,
             obs=bundle,
         )
-        # resume replays journaled events with their *recorded* modes;
-        # the spec only governs events applied from here on.
-        session.control_mode = control.mode
-        return session
     if monitor is None:
         if places is None or units is None:
             raise ValueError(
@@ -360,7 +319,6 @@ def open_session(
         track_changes=track_changes,
         checkpoint=policy_arg,
         obs=bundle,
-        control_mode=control.mode,
     )
 
 
@@ -370,7 +328,6 @@ __all__ = [
     "make_monitor",
     "open_session",
     "ShardSpec",
-    "ControlSpec",
     "DurabilitySpec",
     "ObsSpec",
     "Observability",

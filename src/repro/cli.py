@@ -132,66 +132,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     checkpoint = sub.add_parser(
         "checkpoint",
-        help="inspect a checkpoint directory (snapshots + journal)",
+        help="inspect a checkpoint directory (snapshots, journal and "
+        "its control events)",
     )
     checkpoint.add_argument(
         "directory", help="a --checkpoint-dir from a previous run"
-    )
-
-    admin = sub.add_parser(
-        "admin",
-        help="queue reconfiguration events against a checkpoint directory",
-        description=(
-            "Appends control events (see repro.control) to the checkpoint "
-            "journal; the next resumed run replays them in order with the "
-            "data updates. 'show' prints the control-plane state instead."
-        ),
-    )
-    admin.add_argument(
-        "directory", help="a --checkpoint-dir from a previous run"
-    )
-    admin.add_argument(
-        "--mode",
-        choices=["incremental", "rebuild"],
-        default="incremental",
-        help="how the resumed monitor applies the event (default "
-        "incremental; rebuild is the always-safe slow path)",
-    )
-    admin_sub = admin.add_subparsers(dest="action", required=True)
-    admin_sub.add_parser(
-        "show", help="print epoch, config and queued control events"
-    )
-    add_place = admin_sub.add_parser("add-place", help="open a new place")
-    add_place.add_argument("--id", type=int, required=True, dest="place_id")
-    add_place.add_argument("--x", type=float, required=True)
-    add_place.add_argument("--y", type=float, required=True)
-    add_place.add_argument(
-        "--required", type=int, required=True, help="required protection RP(p)"
-    )
-    add_place.add_argument("--place-kind", default="place", dest="place_kind")
-    remove_place = admin_sub.add_parser(
-        "remove-place", help="close an existing place"
-    )
-    remove_place.add_argument("--id", type=int, required=True, dest="place_id")
-    reweight = admin_sub.add_parser(
-        "reweight", help="change a place's required protection"
-    )
-    reweight.add_argument("--id", type=int, required=True, dest="place_id")
-    reweight.add_argument("--required", type=int, required=True)
-    set_k = admin_sub.add_parser("set-k", help="retune the result size k")
-    set_k.add_argument("k", type=int)
-    retune = admin_sub.add_parser(
-        "retune-grid", help="repartition the space at a new granularity"
-    )
-    retune.add_argument("granularity", type=int)
-    reshard = admin_sub.add_parser(
-        "reshard", help="migrate to a new shard count (sharded runs only)"
-    )
-    reshard.add_argument("shards", type=int)
-    reshard.add_argument(
-        "--strategy",
-        default="striped",
-        help="cell->shard assignment strategy (default striped)",
     )
 
     lint = sub.add_parser(
@@ -352,6 +297,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_checkpoint(args: argparse.Namespace) -> int:
     from pathlib import Path
 
+    from repro.control import decode_event, encode_event
     from repro.state import CheckpointStore, SnapshotError, UpdateJournal
 
     directory = Path(args.directory)
@@ -369,12 +315,17 @@ def _cmd_checkpoint(args: argparse.Namespace) -> int:
         print(f"{directory}: no snapshots")
     else:
         meta = document.get("session", {})
+        config = document.get("config", {})
         print(f"{directory}: {len(snapshots)} snapshot(s)")
         print(
             f"latest: scheme {document['scheme']!r}, "
             f"journal seq {document['journal_seq']}, "
             f"{meta.get('updates_processed', 0)} updates processed, "
             f"{snapshots[-1].stat().st_size} bytes"
+        )
+        print(
+            f"world: epoch {document.get('epoch', 0)}, k={config.get('k')}, "
+            f"granularity={config.get('granularity')}"
         )
     if store.journal_path.exists():
         journal = UpdateJournal(store.journal_path)
@@ -389,108 +340,21 @@ def _cmd_checkpoint(args: argparse.Namespace) -> int:
                 f"journal: {total} record(s), last seq {journal.last_seq}, "
                 f"{tail} past the latest snapshot"
             )
+            controls = journal.control_records()
+            print(
+                f"control events: {len(controls)} journaled, "
+                f"{sum(r.seq > after for r in controls)} past the latest "
+                "snapshot"
+            )
+            for record in controls:
+                # re-encoding drops the "mode" key of a <=5.0 record.
+                payload = encode_event(decode_event(record.control))
+                state = "tail" if record.seq > after else "snapshot"
+                print(f"  seq {record.seq:6d} [{state}] {payload}")
         finally:
             journal.close()
     else:
         print("journal: none")
-    return 0
-
-
-def _cmd_admin(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
-    from repro.control import encode_event, event_kind
-    from repro.control.events import (
-        GridRetuned,
-        KChanged,
-        PlaceAdded,
-        PlaceRemoved,
-        PlaceReweighted,
-        ShardPlanChanged,
-    )
-    from repro.model import Place, Point
-    from repro.state import CheckpointStore, SnapshotError, UpdateJournal
-
-    directory = Path(args.directory)
-    if not directory.is_dir():
-        print(f"no checkpoint directory at {directory}", file=sys.stderr)
-        return 1
-    store = CheckpointStore(directory)
-
-    if args.action == "show":
-        try:
-            document = store.latest()
-        except SnapshotError as error:
-            print(f"unreadable snapshot: {error}", file=sys.stderr)
-            return 1
-        if document is None:
-            print(f"{directory}: no snapshots")
-            snapshot_seq = 0
-        else:
-            config = document.get("config", {})
-            print(
-                f"{directory}: scheme {document['scheme']!r}, "
-                f"epoch {document.get('epoch', 0)}, "
-                f"k={config.get('k')}, "
-                f"granularity={config.get('granularity')}, "
-                f"journal seq {document['journal_seq']}"
-            )
-            snapshot_seq = int(document.get("journal_seq", 0))
-        if not store.journal_path.exists():
-            print("control events: none (no journal)")
-            return 0
-        journal = UpdateJournal(store.journal_path)
-        try:
-            controls = [
-                record for record in journal.records() if record.is_control
-            ]
-        finally:
-            journal.close()
-        pending = [r for r in controls if r.seq > snapshot_seq]
-        print(
-            f"control events: {len(controls)} journaled, "
-            f"{len(pending)} queued past the latest snapshot"
-        )
-        for record in controls:
-            payload = dict(record.control)
-            mode = payload.pop("mode", "incremental")
-            state = "queued" if record.seq > snapshot_seq else "applied"
-            print(f"  seq {record.seq:6d} [{state}] {mode}: {payload}")
-        return 0
-
-    if args.action == "add-place":
-        event = PlaceAdded(
-            Place(
-                place_id=args.place_id,
-                location=Point(args.x, args.y),
-                required_protection=args.required,
-                kind=args.place_kind,
-            )
-        )
-    elif args.action == "remove-place":
-        event = PlaceRemoved(args.place_id)
-    elif args.action == "reweight":
-        event = PlaceReweighted(args.place_id, args.required)
-    elif args.action == "set-k":
-        event = KChanged(args.k)
-    elif args.action == "retune-grid":
-        event = GridRetuned(args.granularity)
-    elif args.action == "reshard":
-        event = ShardPlanChanged(args.shards, args.strategy)
-    else:  # pragma: no cover - argparse enforces the choices
-        raise AssertionError(f"unhandled admin action {args.action!r}")
-
-    payload = encode_event(event)
-    payload["mode"] = args.mode
-    journal = UpdateJournal(store.journal_path)
-    try:
-        seq = journal.append_control(payload)
-    finally:
-        journal.close()
-    print(
-        f"queued {event_kind(event)} at journal seq {seq} "
-        f"(mode {args.mode}); the next resumed run applies it"
-    )
     return 0
 
 
@@ -519,8 +383,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _cmd_simulate(args)
     if args.command == "checkpoint":
         return _cmd_checkpoint(args)
-    if args.command == "admin":
-        return _cmd_admin(args)
     if args.command == "lint":
         return _cmd_lint(args)
     raise AssertionError(f"unhandled command {args.command!r}")

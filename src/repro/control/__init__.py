@@ -20,9 +20,11 @@ Layout:
     current world (the session calls it before journaling).
     :func:`apply_control` — patches the world (store / config / grid),
     asks the scheme to patch its derived state incrementally, falls back
-    to a documented rebuild-in-place when the scheme declines, and bumps
-    the epoch. Ledger-neutral: a control application never changes the
-    monitor's work counters.
+    to a documented rebuild-in-place when the scheme declines (and for
+    every grid retune), and bumps the epoch. Ledger-neutral: a control
+    application never changes the monitor's work counters. A durable
+    session applies and journals events only through
+    :meth:`repro.engine.MonitorSession.apply_control`.
 ``replay``
     :func:`fold_places` — folds journaled place events into a place
     list so recovery can rebuild a monitor whose catalog was mutated

@@ -10,11 +10,11 @@ One application is always the same steps:
    granularity, the shard plan.
 2. **Scheme patch** — ask the monitor to absorb the change into its
    derived state incrementally (the ``_control_*`` hooks). A hook
-   returning ``False`` — or the caller passing ``mode="rebuild"`` —
-   triggers the documented fallback: rebuild the derived state from
-   scratch over the patched world (:meth:`_rebuild_in_place`).
-   Incremental and rebuild must produce result-equivalent monitors;
-   the test suite checks exactly that.
+   returning ``False``, and every :class:`GridRetuned`, takes the
+   documented fallback: rebuild the derived state from scratch over the
+   patched world (:meth:`_rebuild_in_place`). The event and the scheme
+   decide the path; both must leave the answer the oracle gives over
+   the post-event world, and the test suite checks exactly that.
 3. **Epoch bump** — ``monitor.epoch += 1``; snapshots and reports carry
    the epoch so a recovery can tell which world a record belongs to.
 4. **Ledger neutrality** — all work done above is measured, billed to
@@ -23,9 +23,10 @@ One application is always the same steps:
    never perturbs the benchmark ledgers of the run itself.
 
 Control events apply only *between* batches — the engine session
-(:meth:`repro.engine.session.MonitorSession.apply_control`) flushes any
-buffered updates first, and the sharded monitor refuses to resnapshot
-or reshard with deliveries still queued.
+(:meth:`repro.engine.session.MonitorSession.apply_control`, the one
+place an event is checked and journaled) flushes any buffered updates
+first, and the sharded monitor refuses to resnapshot or reshard with
+deliveries still queued.
 """
 
 from __future__ import annotations
@@ -49,19 +50,14 @@ from repro.model import Place
 if TYPE_CHECKING:
     from repro.core.monitor import CTUPMonitor
 
-_MODES = ("incremental", "rebuild")
-
-
-def check_control(monitor: "CTUPMonitor", event: object, mode: str) -> None:
-    """Raise unless ``event`` applies to ``monitor``'s current world in
-    ``mode``: a new place must have a fresh id and lie in the space, a
+def check_control(monitor: "CTUPMonitor", event: object) -> None:
+    """Raise unless ``event`` applies to ``monitor``'s current world: a
+    new place must have a fresh id and lie in the space, a
     removed or reweighted place must exist, a required protection, ``k``
     and granularity must be valid, and a shard plan needs a sharded
     monitor. Raises ``TypeError`` for an object that is not a control
     event or an added place that is not a :class:`~repro.model.Place`,
     ``ValueError`` otherwise, and changes nothing."""
-    if mode not in _MODES:
-        raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
     store = monitor.store
     if isinstance(event, PlaceAdded):
         place = event.place
@@ -90,27 +86,25 @@ def check_control(monitor: "CTUPMonitor", event: object, mode: str) -> None:
         raise TypeError(f"not a control event: {event!r}")
 
 
-def _patch_world_and_scheme(
-    monitor: "CTUPMonitor", event: ControlEvent, incremental: bool
-) -> bool:
+def _patch_world_and_scheme(monitor: "CTUPMonitor", event: ControlEvent) -> bool:
     """Steps 1 and 2; returns whether the scheme absorbed the event
     incrementally (``False`` means the caller must rebuild)."""
     store = monitor.store
     if isinstance(event, PlaceAdded):
         cell = store.add_place(event.place)
-        return incremental and monitor._control_place_added(event.place, cell)
+        return monitor._control_place_added(event.place, cell)
     if isinstance(event, PlaceRemoved):
         cell = store.cell_of_place(event.place_id)
         old = store.remove_place(event.place_id)
-        return incremental and monitor._control_place_removed(old, cell)
+        return monitor._control_place_removed(old, cell)
     if isinstance(event, PlaceReweighted):
         cell = store.cell_of_place(event.place_id)
         old = store.reweight(event.place_id, event.required_protection)
         new = store.peek_place(event.place_id)
-        return incremental and monitor._control_place_reweighted(old, new, cell)
+        return monitor._control_place_reweighted(old, new, cell)
     if isinstance(event, KChanged):
         monitor.config = monitor.config.replace(k=event.k)
-        return incremental and monitor._control_k_changed()
+        return monitor._control_k_changed()
     if isinstance(event, GridRetuned):
         # every cell boundary, page assignment and bound moves at once —
         # there is no incremental patch, by design.
@@ -118,7 +112,7 @@ def _patch_world_and_scheme(
         return False
     # a shard plan change: check_control refused it on a plain monitor.
     reshard = getattr(monitor, "_control_reshard")
-    return reshard(event.shards, event.strategy, incremental)
+    return reshard(event.shards, event.strategy)
 
 
 def _ledger_cost(
@@ -142,16 +136,14 @@ def _ledger_cost(
     )
 
 
-def apply_control(
-    monitor: "CTUPMonitor", event: ControlEvent, *, mode: str = "incremental"
-) -> EpochReport:
+def apply_control(monitor: "CTUPMonitor", event: ControlEvent) -> EpochReport:
     """Apply ``event`` to ``monitor``; returns the epoch receipt."""
     monitor._require_initialized()
-    check_control(monitor, event, mode)
+    check_control(monitor, event)
     kind = event_kind(event)
     start = time.perf_counter()
     token = monitor._control_work_snapshot()
-    absorbed = _patch_world_and_scheme(monitor, event, mode == "incremental")
+    absorbed = _patch_world_and_scheme(monitor, event)
     if not absorbed:
         monitor._rebuild_in_place()
     monitor.epoch += 1

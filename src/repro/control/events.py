@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Mapping, Union
 
+from repro.core.metrics import UpdateReport
 from repro.model import Place, Point
 
 
@@ -86,7 +87,8 @@ class EpochReport:
     ``places_loaded``, ``page_reads``) is the work the application
     itself performed — measured around the ledger-neutral wrapper, so
     it is visible here even though the monitor's own counters do not
-    move.
+    move. ``flushed`` is the report of the burst a session flushed
+    before applying the event (``None`` when nothing was pending).
     """
 
     epoch: int
@@ -97,6 +99,7 @@ class EpochReport:
     places_loaded: int
     page_reads: int
     sk: float
+    flushed: UpdateReport | None = None
 
 
 def _encode_place(place: Place) -> dict[str, Any]:

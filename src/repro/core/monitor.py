@@ -429,21 +429,19 @@ class CTUPMonitor(abc.ABC):
 
     # -- reconfiguration (the control plane, repro.control) ---------------
 
-    def apply_control(
-        self, event: "ControlEvent", *, mode: str = "incremental"
-    ) -> "EpochReport":
+    def apply_control(self, event: "ControlEvent") -> "EpochReport":
         """Apply one control event (see :mod:`repro.control`).
 
         Returns the :class:`~repro.control.events.EpochReport` receipt.
-        ``mode="rebuild"`` forces the documented fallback — rebuild the
-        scheme's derived state from scratch over the patched world —
-        even when an incremental patch exists; equivalence between the
-        two is the control plane's core guarantee.
+        The scheme's ``_control_*`` hook patches its derived state, or
+        declines and the state is rebuilt over the patched world. Nothing
+        is journaled here: a durable session applies events through
+        :meth:`repro.engine.MonitorSession.apply_control`.
         """
         # local import: repro.control sits above repro.core in the layering.
         from repro.control.apply import apply_control
 
-        return apply_control(self, event, mode=mode)
+        return apply_control(self, event)
 
     def _control_work_snapshot(self) -> dict[str, Any]:
         """Freeze every work ledger before a control application.

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from contextlib import nullcontext
+from dataclasses import replace
 from pathlib import Path
 from typing import TYPE_CHECKING, ContextManager, Iterable
 
@@ -36,6 +37,7 @@ from repro.state.recovery import CheckpointPolicy, CheckpointStore
 from repro.state.snapshot import snapshot_monitor
 
 if TYPE_CHECKING:
+    from repro.control.events import EpochReport
     from repro.obs.expo import MetricsServer
     from repro.obs.hooks import ObservabilityHooks
     from repro.obs.spec import Observability
@@ -62,7 +64,6 @@ class MonitorSession:
         checkpoint: CheckpointPolicy | None = None,
         journal: UpdateJournal | None = None,
         obs: "Observability | None" = None,
-        control_mode: str = "incremental",
     ) -> None:
         """``batch_size`` > 0 buffers updates and flushes them through
         the phase API as exact bursts: each burst is move-coalesced and
@@ -80,7 +81,8 @@ class MonitorSession:
 
         ``checkpoint`` attaches a checkpoint directory: every ingested
         update is journaled (write-ahead in single mode, on buffering in
-        batch mode) and snapshots are written per the policy. The
+        batch mode), snapshots are written per the policy, and ``close()``
+        writes one more. The
         session *appends* to whatever journal the directory holds —
         wiping stale state from an earlier, unrelated run is the
         caller's job (``repro.api.open_session`` does it on any
@@ -112,14 +114,6 @@ class MonitorSession:
         #: each buffered unit's position after its last buffered update.
         self._pending_at: dict[int, Point] = {}
         self._started = False
-        if control_mode not in ("incremental", "rebuild"):
-            raise ValueError(
-                "control_mode must be 'incremental' or 'rebuild' "
-                f"(got {control_mode!r})"
-            )
-        #: default application mode for ``apply_control`` (see
-        #: ``repro.api.ControlSpec``); per-call ``mode=`` overrides it.
-        self.control_mode = control_mode
         self.checkpoint_policy = checkpoint
         self._checkpoint_store = (
             CheckpointStore(checkpoint.directory) if checkpoint else None
@@ -313,8 +307,9 @@ class MonitorSession:
         self.flush()
         return count
 
-    def apply_control(self, event: object, *, mode: str | None = None):
-        """Apply a reconfiguration event at a batch boundary.
+    def apply_control(self, event: object) -> "EpochReport":
+        """Apply a reconfiguration event at a batch boundary — the one
+        way an event is both applied and journaled.
 
         Refuses an event :func:`repro.control.check_control` rejects
         before anything moves: once journaled, it would fail every later
@@ -323,33 +318,30 @@ class MonitorSession:
         consistent-cut rule as snapshots), journals the event
         write-ahead, applies it through
         :func:`repro.control.apply_control`, and primes the change
-        tracker on the new world. ``mode`` defaults to the session's
-        ``control_mode``. Returns the
-        :class:`~repro.control.events.EpochReport`.
+        tracker on the new world. Returns the
+        :class:`~repro.control.events.EpochReport`; its ``flushed`` is
+        the burst report of that flush (``None`` when nothing was
+        pending).
         """
         # local import: repro.control sits above repro.engine's core deps.
         from repro.control.apply import check_control
         from repro.control.events import encode_event
 
-        if mode is None:
-            mode = self.control_mode
-        check_control(self.monitor, event, mode)
+        check_control(self.monitor, event)
         if not self._started:
             self.start()
-        self.flush()
+        flushed = self.flush()
         seq = 0
         if self._journal is not None and not self._replaying:
-            payload = encode_event(event)
-            payload["mode"] = mode
-            seq = self._journal.append_control(payload)
-        report = self.monitor.apply_control(event, mode=mode)
+            seq = self._journal.append_control(encode_event(event))
+        report = self.monitor.apply_control(event)
         if seq:
             self._applied_seq = seq
         if self.track_changes:
             # the world changed under the tracker: re-prime rather than
             # report a spurious top-k "change".
             self.tracker.prime()
-        return report
+        return report if flushed is None else replace(report, flushed=flushed)
 
     # -- checkpointing & recovery -----------------------------------------
 
@@ -408,9 +400,7 @@ class MonitorSession:
                     from repro.control.events import decode_event
 
                     assert record.control is not None
-                    payload = dict(record.control)
-                    mode = payload.pop("mode", "incremental")
-                    self.apply_control(decode_event(payload), mode=mode)
+                    self.apply_control(decode_event(record.control))
                 else:
                     assert record.update is not None
                     self.feed(record.update)
@@ -421,13 +411,12 @@ class MonitorSession:
         return applied
 
     def close(self) -> None:
-        """Flush, write the on-close snapshot if the policy asks for
-        one, stop the metrics endpoint, and release the journal handle
+        """Flush, write the closing snapshot (with a checkpoint policy),
+        stop the metrics endpoint, and release the journal handle
         (idempotent)."""
         self.flush()
         if (
             self.checkpoint_policy is not None
-            and self.checkpoint_policy.on_close
             and self._started
             and self.monitor.initialized
         ):
@@ -436,7 +425,7 @@ class MonitorSession:
             self._metrics_server.stop()
             self._metrics_server = None
         if self._journal is not None:
-            # make the tail durable even when no on-close snapshot ran —
+            # make the tail durable even when no closing snapshot ran —
             # a crash right after close() must lose nothing.
             self._journal.sync()
             self._journal.close()

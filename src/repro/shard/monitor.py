@@ -489,7 +489,7 @@ class ShardedMonitor(CTUPMonitor):
         from repro.control.apply import apply_control
 
         shard = self.plan.shard_of_cell(cell)
-        apply_control(self._shards[shard].monitor, event, mode="incremental")
+        apply_control(self._shards[shard].monitor, event)
         self._merge_cache = None
         return True
 
@@ -517,18 +517,14 @@ class ShardedMonitor(CTUPMonitor):
         from repro.control.events import KChanged
 
         for sh in self._shards:
-            apply_control(
-                sh.monitor, KChanged(self.config.k), mode="incremental"
-            )
+            apply_control(sh.monitor, KChanged(self.config.k))
         merger = GlobalTopK(self.config.k, self.merger.initial_request)
         merger.stats.restore(self.merger.stats)
         self.merger = merger
         self._merge_cache = None
         return True
 
-    def _control_reshard(
-        self, shards: int, strategy: str, incremental: bool
-    ) -> bool:
+    def _control_reshard(self, shards: int, strategy: str) -> bool:
         """Online resharding: swap the plan, migrate per-cell state.
 
         For the grid-bound schemes (basic/opt) the per-shard state is
@@ -540,9 +536,8 @@ class ShardedMonitor(CTUPMonitor):
         only re-arms one decrease per (unit, cell), which keeps bounds
         sound and matches what a from-scratch rebuild produces. Nor are
         OptCTUP's cached AP columns: each cell recounts at its next
-        access. Other
-        schemes (and ``mode="rebuild"``) fall back to fresh shard
-        monitors initialized over the new plan.
+        access. Other schemes fall back to fresh shard monitors
+        initialized over the new plan.
         """
         if any(sh.queue for sh in self._shards):
             raise ValueError(
@@ -551,7 +546,7 @@ class ShardedMonitor(CTUPMonitor):
             )
         new_plan = plan_for(self.grid, shards, strategy)
         self._strategy = strategy
-        if not incremental or self.scheme_name not in ("basic", "opt"):
+        if self.scheme_name not in ("basic", "opt"):
             self.plan = new_plan
             return False
         old_docs = [sh.monitor.export_state() for sh in self._shards]

@@ -41,14 +41,13 @@ class CheckpointPolicy:
 
     ``every_batches`` > 0 snapshots after every that many flush
     boundaries (a batch flush, or one update in single mode); 0 disables
-    periodic snapshots. ``on_close`` writes a final snapshot when the
-    session is closed. The journal is always written — it is what makes
-    the *tail* after the last snapshot recoverable.
+    periodic snapshots. Closing the session always writes a final
+    snapshot. The journal is always written — it is what makes the
+    *tail* after the last snapshot recoverable.
     """
 
     directory: str | Path
     every_batches: int = 0
-    on_close: bool = True
 
     def __post_init__(self) -> None:
         if self.every_batches < 0:
@@ -284,7 +283,7 @@ class RecoveryManager:
         else:
             controls = journal.control_records()
         events = [
-            decode_event({k: v for k, v in record.control.items() if k != "mode"})
+            decode_event(record.control)
             for record in controls
             if record.seq <= journal_seq
         ]

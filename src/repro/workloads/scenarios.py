@@ -40,19 +40,6 @@ class ScenarioWorld:
             p for p in self.places if p.required_protection >= min_required
         ]
 
-    def control_plan(self, n_events: int = 4, seed: int = 0, **kwargs):
-        """A deterministic reconfiguration schedule for this world
-        (see :func:`repro.workloads.control.generate_control_plan`)."""
-        from repro.workloads.control import generate_control_plan
-
-        return generate_control_plan(
-            self.places,
-            stream_length=len(self.stream),
-            n_events=n_events,
-            seed=seed,
-            **kwargs,
-        )
-
 
 @dataclass(frozen=True)
 class Scenario:

@@ -12,7 +12,7 @@ equal the live session bit for bit: :func:`tests.conftest.state_fingerprint`
 (result, counters, I/O) and the exported state.
 
 ``tests/test_machine.py`` runs it as a hypothesis state machine for
-every scheme and mode. The named tests elsewhere drive the same steps
+every scheme, burst size and shard count. The named tests elsewhere drive the same steps
 through :func:`run_script`, with the invariant checked after each.
 """
 
@@ -250,8 +250,8 @@ class SessionModel(RuleBasedStateMachine):
             self.session.apply_control(event)
         assert (self.fingerprint(), self.directory_bytes()) == before
 
-    def apply_event(self, event: Any, mode: str = "incremental") -> None:
-        self.session.apply_control(event, mode=mode)
+    def apply_event(self, event: Any) -> None:
+        self.session.apply_control(event)
         self.apply_pending()
         if isinstance(event, PlaceAdded):
             self.places[event.place.place_id] = event.place
@@ -296,8 +296,8 @@ class SessionModel(RuleBasedStateMachine):
         self.session.checkpoint()
         self.apply_pending()
 
-    @rule(data=st.data(), mode=st.sampled_from(["incremental", "rebuild"]))
-    def control(self, data: st.DataObject, mode: str) -> None:
+    @rule(data=st.data())
+    def control(self, data: st.DataObject) -> None:
         ids = sorted(self.places)
         events = [
             st.builds(
@@ -317,7 +317,7 @@ class SessionModel(RuleBasedStateMachine):
             events.append(st.builds(PlaceRemoved, st.sampled_from(ids)))
         if self.shards:
             events.append(st.builds(ShardPlanChanged, st.integers(1, 4)))
-        self.apply_event(data.draw(st.one_of(events)), mode)
+        self.apply_event(data.draw(st.one_of(events)))
 
     @rule(kind=st.sampled_from(BAD_EVENTS))
     def control_bad(self, kind: str) -> None:
@@ -386,9 +386,7 @@ class SessionModel(RuleBasedStateMachine):
         if record["op"] == "f":
             self.session.flush()
         elif record["op"] == "c":
-            payload = dict(record["c"])
-            mode = payload.pop("mode")
-            self.session.apply_control(decode_event(payload), mode=mode)
+            self.session.apply_control(decode_event(record["c"]))
         else:
             old, new = Point(*record["old"]), Point(*record["new"])
             self.session.feed(LocationUpdate(record["u"], old, new, record["t"]))
@@ -419,12 +417,11 @@ def run_script(
     batch: int,
     shards: int,
     steps: Iterable[Any],
-    mode: str = "incremental",
     config: CTUPConfig = CONFIG,
 ) -> SessionModel:
     """Run ``steps`` on a fresh machine, checking the invariant after
     each. A step is a :class:`LocationUpdate` (sent), a control event
-    (applied in ``mode``), or a callable taking the machine. Returns the
+    (applied), or a callable taking the machine. Returns the
     machine, its directory already removed."""
     machine = SessionModel.of(scheme, batch, shards, config)()
     try:
@@ -435,7 +432,7 @@ def run_script(
             elif callable(step):
                 step(machine)
             else:
-                machine.apply_event(step, mode)
+                machine.apply_event(step)
             machine.matches_the_oracle()
     finally:
         machine.teardown()

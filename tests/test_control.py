@@ -7,25 +7,22 @@ scheme, unsharded and sharded — and must leave every work ledger
 untouched (control work bills to the
 :class:`~repro.control.events.EpochReport`, never to the data plane's
 counters). On top of that sit the durability rules: control events are
-journaled in order with the data updates, crash recovery replays them
-across epoch boundaries, and ``close()`` leaves a recoverable tail. The
+journaled in order with the data updates, and crash recovery replays
+them across epoch boundaries. The
 session tests run as scripts over :mod:`tests.machine`, which checks
 the answer against the oracle after every step and every resume
 against the live session.
 """
 
+import json
 import random
+import zlib
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.api import (
-    SCHEMES,
-    ControlSpec,
-    make_monitor,
-    open_session,
-)
+from repro.api import SCHEMES, open_session
 from repro.control import (
     EpochReport,
     GridRetuned,
@@ -41,13 +38,13 @@ from repro.control import (
     fold_places,
 )
 from repro.bench import build_workload
+from repro.cli import main
 from repro.core import CTUPConfig
-from repro.engine.session import MonitorSession
 from repro.geometry import Point, Rect
 from repro.grid.partition import GridPartition
 from repro.model import Place
 from repro.state.journal import UpdateJournal
-from repro.state.recovery import CheckpointPolicy, CheckpointStore, RecoveryManager
+from repro.state.recovery import CheckpointStore
 from repro.storage.placestore import PlaceStore
 from repro.workloads import (
     RandomWalkMobility,
@@ -114,7 +111,7 @@ class TestPlaceCatalog:
 
     def refused(self, event, error=ValueError):
         with pytest.raises(error):
-            check_control(self.monitor, event, "incremental")
+            check_control(self.monitor, event)
 
     def test_add_place(self):
         cell = self.store.add_place(Place(9, Point(0.6, 0.6), 3))
@@ -205,9 +202,8 @@ class TestEquivalence:
     @pytest.mark.parametrize("scheme", sorted(SCHEMES))
     @pytest.mark.parametrize("shards", [0, 1, 4])
     def test_event_mix_matches_fresh_monitor(self, scheme, shards):
-        """The same event mix, applied incrementally and by rebuilds,
-        keeps the answer equal to the oracle's over the post-event world
-        after every step."""
+        """An event mix keeps the answer equal to the oracle's over the
+        post-event world after every step."""
         stream = walk(48)
         plan = generate_control_plan(
             MODEL_PLACES,
@@ -218,10 +214,8 @@ class TestEquivalence:
             granularity_range=(3, 12),
             shard_counts=(2, 6) if shards else (),
         )
-        items = list(interleave(stream, plan))
-        for mode in ("incremental", "rebuild"):
-            machine = run_script(scheme, 0, shards, items, mode)
-            assert machine.session.monitor.epoch == len(plan)
+        machine = run_script(scheme, 0, shards, list(interleave(stream, plan)))
+        assert machine.session.monitor.epoch == len(plan)
 
     @settings(
         max_examples=10,
@@ -291,9 +285,7 @@ class TestEquivalence:
         assert report.rebuilt is False
         assert report.seconds >= 0.0
         assert report.sk == monitor.sk()
-        forced = monitor.apply_control(PlaceRemoved(9001), mode="rebuild")
-        assert forced.rebuilt is True
-        assert forced.epoch == 2
+        assert report.flushed is None
 
     def test_grid_retune_always_rebuilds(self):
         monitor = build("opt", *small_world(150, 33))
@@ -307,15 +299,11 @@ class TestEquivalence:
         with pytest.raises(ValueError):
             monitor.apply_control(ShardPlanChanged(4))
 
-    def test_invalid_mode_rejected(self):
-        monitor = build("basic", *small_world(50, 37, 4))
-        with pytest.raises(ValueError):
-            monitor.apply_control(KChanged(3), mode="yolo")
-
     def test_incremental_place_adds_do_a_fifth_of_the_rebuild_work(self):
-        """24 ``PlaceAdded`` on a warmed OptCTUP: same answer, and the
+        """24 ``PlaceAdded`` on a warmed OptCTUP: the same answer as
+        adding each place to the store and rebuilding in place, and the
         incremental path's work counters stay under a fifth of what
-        per-event rebuilds spend."""
+        those per-event rebuilds spend."""
         workload = build_workload(
             n_units=200, n_places=2_000, stream_length=30, seed=7
         )
@@ -330,24 +318,33 @@ class TestEquivalence:
             )
             for i in range(24)
         ]
-        answers, work, rebuilds = {}, {}, {}
-        for mode in ("incremental", "rebuild"):
+
+        def warmed():
             monitor = build("opt", config, workload.places, workload.units)
             for update in workload.stream:
                 monitor.process(update)
-            reports = [
-                monitor.apply_control(PlaceAdded(p), mode=mode) for p in adds
-            ]
-            assert monitor.epoch == len(adds)
-            answers[mode] = answer(monitor)
-            work[mode] = sum(
-                r.cells_accessed + r.places_loaded + r.page_reads
-                for r in reports
-            )
-            rebuilds[mode] = sum(r.rebuilt for r in reports)
-        assert answers["incremental"] == answers["rebuild"]
-        assert rebuilds == {"incremental": 0, "rebuild": len(adds)}
-        assert 5 * work["incremental"] <= work["rebuild"]
+            return monitor
+
+        def work(counters, io):
+            return counters.cells_accessed + counters.places_loaded + io.page_reads
+
+        monitor = warmed()
+        reports = [monitor.apply_control(PlaceAdded(p)) for p in adds]
+        assert monitor.epoch == len(adds)
+        assert not any(r.rebuilt for r in reports)
+        incremental = sum(
+            r.cells_accessed + r.places_loaded + r.page_reads for r in reports
+        )
+        rebuilt = warmed()
+        spent = 0
+        for place in adds:
+            counters = rebuilt.counters.snapshot()
+            io = rebuilt.store.io_stats.snapshot()
+            rebuilt.store.add_place(place)
+            rebuilt._rebuild_in_place()
+            spent += work(rebuilt.counters - counters, rebuilt.store.io_stats - io)
+        assert answer(monitor) == answer(rebuilt)
+        assert 5 * incremental <= spent
 
 
 # -- online resharding --------------------------------------------------
@@ -436,71 +433,56 @@ class TestSessionControl:
         assert machine.session.monitor.plan.n_shards == 5
         assert machine.session.monitor.epoch == 1
 
-    def test_close_leaves_recoverable_tail(self, tmp_path):
-        """close() fsyncs the journal even when no snapshot is due."""
-        config, places, units = small_world(120, 61)
-        stream = record_stream(
-            RandomWalkMobility(units, step=0.05, seed=63), 20
-        )
-        policy = CheckpointPolicy(
-            directory=tmp_path / "tail", every_batches=0, on_close=False
-        )
-        monitor = build("opt", config, places, units)
-        session = MonitorSession(monitor, checkpoint=policy)
-        session.start()
-        for update in stream[:10]:
-            session.feed(update)
-        session.apply_control(KChanged(6))
-        for update in stream[10:]:
-            session.feed(update)
-        want = answer(session.monitor)
-        session.close()  # no snapshot written (on_close=False) — tail only
-
-        # every record must already be durable on disk.
-        journal_lines = [
-            line
-            for line in (tmp_path / "tail" / "journal.jsonl")
-            .read_text()
-            .splitlines()
-            if line.strip()
-        ]
-        assert len(journal_lines) == len(stream) + 1
-
-        manager = RecoveryManager(policy, places=places, units=units)
-        assert manager.latest_document() is None  # no snapshot: tail-only
-        resumed = manager.resume_session(
-            fresh_monitor=lambda: make_monitor(
-                "opt", places=places, units=units, config=config
-            )
-        )
-        assert answer(resumed.monitor) == want
-        assert resumed.monitor.epoch == 1
-        assert resumed.monitor.config.k == 6
-        resumed.close()
-
-    def test_control_spec_sets_default_mode(self):
+    def test_receipt_carries_the_flushed_burst(self):
+        """The burst ``apply_control`` flushes comes back on the receipt,
+        so reports plus receipts account for every burst applied."""
         config, places, units = small_world(80, 64, 6)
+        updates = record_stream(RandomWalkMobility(units, step=0.05, seed=65), 12)
         session = open_session(
-            "basic",
-            places=places,
-            units=units,
-            config=config,
-            control=ControlSpec(mode="rebuild"),
+            "opt", places=places, units=units, config=config, batch_size=8
         )
-        report = session.apply_control(KChanged(2))
-        assert report.rebuilt is True
-        shorthand = open_session(
-            "basic", places=places, units=units, config=config,
-            control="rebuild",
-        )
-        assert shorthand.control_mode == "rebuild"
-        with pytest.raises(ValueError):
-            ControlSpec(mode="yolo")
-        with pytest.raises(TypeError):
-            open_session(
-                "basic", places=places, units=units, config=config,
-                control=42,
-            )
+        reports = [r for r in map(session.feed, updates) if r is not None]
+        receipt = session.apply_control(KChanged(5))
+        assert receipt.flushed is not None
+        assert receipt.flushed.batch_size == 4
+        assert len(reports) + 1 == session.batcher.batches_processed == 2
+        assert session.apply_control(KChanged(6)).flushed is None
+        session.close()
+
+    def test_a_journal_from_5_0_resumes_exactly(self):
+        """Control records written before 6.0 carry a ``"mode"`` key.
+        Resuming folds and replays them with the key ignored and lands
+        bit for bit on the live session (``state_fingerprint``)."""
+
+        def written_by_5_0(machine):
+            before = machine.crash()
+            path = machine.session.journal.path
+            lines = path.read_bytes().splitlines(keepends=True)
+            controls = []
+            for i, line in enumerate(lines):
+                record = json.loads(line[9:])
+                if record["op"] == "c":
+                    record["c"]["mode"] = "incremental"
+                    body = json.dumps(record).encode("ascii")
+                    lines[i] = b"%08x %s\n" % (zlib.crc32(body), body)
+                    controls.append(record["q"])
+            path.write_bytes(b"".join(lines))
+            # the first event is folded below the snapshot, the last replayed.
+            assert controls[0] <= machine.snapshot_seq() < controls[-1]
+            machine.resume(before)
+
+        last = SESSION_ITEMS.index(SESSION_PLAN.events[2][1]) + 1
+        run_script("opt", 0, 0, [*SESSION_ITEMS[:last], written_by_5_0])
+
+    def test_checkpoint_command_lists_control_events(self, capsys):
+        def inspect(machine):
+            assert main(["checkpoint", str(machine.directory)]) == 0
+
+        run_script("opt", 0, 0, [*SESSION_ITEMS, inspect])
+        out = capsys.readouterr().out
+        assert "control events: 4 journaled, 0 past the latest snapshot" in out
+        for _, event in SESSION_PLAN:
+            assert f"'kind': '{event_kind(event)}'" in out
 
     def test_snapshot_envelope_carries_epoch(self, tmp_path):
         config, places, units = small_world(80, 68, 6)
@@ -540,18 +522,14 @@ class TestControlRejected:
 class TestJournalControlRecords:
     def test_append_and_decode(self, tmp_path):
         journal = UpdateJournal(tmp_path / "journal.jsonl")
-        payload = encode_event(KChanged(9))
-        payload["mode"] = "rebuild"
-        seq = journal.append_control(payload)
+        seq = journal.append_control(encode_event(KChanged(9)))
         journal.close()
         reopened = UpdateJournal(tmp_path / "journal.jsonl")
         records = list(reopened.records())
         reopened.close()
         assert [r.seq for r in records] == [seq]
         assert records[0].is_control
-        restored = dict(records[0].control)
-        assert restored.pop("mode") == "rebuild"
-        assert decode_event(restored) == KChanged(9)
+        assert decode_event(records[0].control) == KChanged(9)
 
     def test_sync_is_idempotent(self, tmp_path):
         journal = UpdateJournal(tmp_path / "journal.jsonl")

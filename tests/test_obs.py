@@ -286,7 +286,8 @@ class TestReconciliation:
     ):
         """Bursts flushed are the burst-size histogram's count, and the
         access phases run are the ``access`` count of
-        ``ctup_phase_seconds``, control events mid-run included."""
+        ``ctup_phase_seconds``, control events mid-run included. The
+        burst a control event flushes is counted off its receipt."""
         session = open_session(
             scheme,
             places=small_places,
@@ -303,8 +304,7 @@ class TestReconciliation:
         refreshes = 0
         for i, update in enumerate(small_stream):
             if i in events:
-                refreshes += session.flush() is not None
-                session.apply_control(events[i])
+                refreshes += session.apply_control(events[i]).flushed is not None
             refreshes += session.feed(update) is not None
         refreshes += session.flush() is not None
         bursts = session.batcher.batches_processed if batch_size else 0

@@ -148,7 +148,7 @@ class TestCrashRecovery:
         fresh.feed(STREAM.updates[0])
         assert fresh.journal.last_seq == 1  # seq restarted: old run gone
 
-    def test_close_writes_the_on_close_snapshot(self, tmp_path):
+    def test_close_writes_a_closing_snapshot(self, tmp_path):
         with session(DurabilitySpec(tmp_path)) as live:
             for update in STREAM.updates[:10]:
                 live.feed(update)
