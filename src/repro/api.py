@@ -243,7 +243,9 @@ def open_session(
     ``durability=`` attaches durable state per its
     :class:`DurabilitySpec` (a bare path means "journal here, no
     periodic snapshots"). A fresh (non-resuming) start wipes whatever
-    the directory held — the run owns it WAL-style. With
+    the directory held — the run owns it WAL-style — and refuses an
+    adopted ``monitor`` that is already initialized, whose moves so far
+    no journal holds. With
     ``DurabilitySpec(..., resume=True)`` the directory is recovered
     instead: the latest snapshot is restored, the journal tail
     replayed, and the returned session is **already started** and
@@ -304,6 +306,10 @@ def open_session(
         )
     elif places is not None or units is not None:
         raise ValueError("pass either a monitor or places/units, not both")
+    elif dura is not None and monitor.initialized:
+        # its moves so far were never journaled: a resume without a
+        # snapshot replays the journal from the initial positions.
+        raise ValueError("durability= needs a monitor not initialized yet")
     policy_arg: CheckpointPolicy | None = None
     if dura is not None:
         # a fresh run owns the directory: stale snapshots or journal

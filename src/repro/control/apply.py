@@ -54,10 +54,11 @@ def check_control(monitor: "CTUPMonitor", event: object) -> None:
     """Raise unless ``event`` applies to ``monitor``'s current world: a
     new place must have a fresh id and lie in the space, a
     removed or reweighted place must exist, a required protection, ``k``
-    and granularity must be valid, and a shard plan needs a sharded
-    monitor. Raises ``TypeError`` for an object that is not a control
-    event or an added place that is not a :class:`~repro.model.Place`,
-    ``ValueError`` otherwise, and changes nothing."""
+    and granularity must be valid, a sharded monitor's grid needs a cell
+    per shard, and a shard plan needs a sharded monitor. Raises
+    ``TypeError`` for an object that is not a control event or an added
+    place that is not a :class:`~repro.model.Place`, ``ValueError``
+    otherwise, and changes nothing."""
     store = monitor.store
     if isinstance(event, PlaceAdded):
         place = event.place
@@ -75,6 +76,13 @@ def check_control(monitor: "CTUPMonitor", event: object) -> None:
         monitor.config.replace(k=event.k)
     elif isinstance(event, GridRetuned):
         monitor.config.replace(granularity=event.granularity)
+        plan = getattr(monitor, "plan", None)
+        if plan is not None and plan.n_shards > event.granularity**2:
+            # a sharded monitor keeps its shards, and each needs a cell.
+            raise ValueError(
+                f"{plan.n_shards} shards cannot all own a cell of a "
+                f"{event.granularity}x{event.granularity} grid"
+            )
     elif isinstance(event, ShardPlanChanged):
         if not hasattr(monitor, "_control_reshard"):
             raise ValueError("shard_plan_changed applies only to sharded monitors")

@@ -536,7 +536,8 @@ class ShardedMonitor(CTUPMonitor):
         only re-arms one decrease per (unit, cell), which keeps bounds
         sound and matches what a from-scratch rebuild produces. Nor are
         OptCTUP's cached AP columns: each cell recounts at its next
-        access. Other schemes fall back to fresh shard monitors
+        access. Each new shard then runs its access phase against its
+        own SK. Other schemes fall back to fresh shard monitors
         initialized over the new plan.
         """
         if any(sh.queue for sh in self._shards):
@@ -606,6 +607,9 @@ class ShardedMonitor(CTUPMonitor):
         ]
         for child, doc in zip(children, docs):
             child.restore_state(doc)
+            # the rows were valid against the old shard's SK; a shard of
+            # fewer places has a higher one, so dark cells below it load.
+            child._refresh()
         self.plan = new_plan
         self.router = ShardRouter(new_plan, self.config.protection_range)
         self._shards = tuple(

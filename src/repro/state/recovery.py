@@ -153,20 +153,6 @@ class RecoveryManager:
         self.units = list(units)
         self.factory = factory
 
-    def latest_document(self) -> dict[str, Any] | None:
-        """The newest snapshot document in the directory, if any."""
-        return self.store.latest()
-
-    def recover_monitor(self) -> Any | None:
-        """Restore the latest snapshot into a monitor (no journal replay).
-
-        Returns ``None`` when the directory holds no snapshot yet.
-        """
-        document = self.store.latest()
-        if document is None:
-            return None
-        return self._restore(document)
-
     def resume_session(
         self,
         *,
@@ -245,9 +231,7 @@ class RecoveryManager:
             ).inc()
         return session
 
-    def _restore(
-        self, document: dict[str, Any], journal: UpdateJournal | None = None
-    ) -> Any:
+    def _restore(self, document: dict[str, Any], journal: UpdateJournal) -> Any:
         return restore_monitor(
             document,
             places=self._folded_places(
@@ -258,7 +242,7 @@ class RecoveryManager:
         )
 
     def _folded_places(
-        self, journal_seq: int, journal: UpdateJournal | None
+        self, journal_seq: int, journal: UpdateJournal
     ) -> Sequence[Place]:
         """The place set in force at ``journal_seq``.
 
@@ -268,23 +252,17 @@ class RecoveryManager:
         typically the workload's original one. Any catalog mutations the
         journal records before the snapshot cut must be folded in first,
         or the rebuilt store (and its fingerprint) describes the wrong
-        world. ``journal`` is the directory's open journal; without one
-        (``recover_monitor``) the journal is opened just for this.
+        world. ``journal`` is the directory's open journal.
         """
-        if journal_seq <= 0 or not self.store.journal_path.exists():
+        if journal_seq <= 0:
             return self.places
         # local imports: repro.control sits above repro.state.
         from repro.control.events import decode_event
         from repro.control.replay import fold_places
 
-        if journal is None:
-            with UpdateJournal(self.store.journal_path) as own:
-                controls = own.control_records()
-        else:
-            controls = journal.control_records()
         events = [
             decode_event(record.control)
-            for record in controls
+            for record in journal.control_records()
             if record.seq <= journal_seq
         ]
         if not events:

@@ -79,7 +79,10 @@ class Oracle:
         return ap - self._required
 
     def sk(self, k: int) -> float:
-        """The true safety of the k-th unsafe place."""
+        """The true safety of the k-th unsafe place: ``-inf`` for
+        ``k <= 0``, ``inf`` past the last place."""
+        if k <= 0:
+            return -math.inf
         values = self._safety_vector()
         if len(values) < k:
             return math.inf

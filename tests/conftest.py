@@ -1,9 +1,8 @@
 """Shared fixtures for the test suite.
 
 The "small" workload family keeps unit tests fast (hundreds of places,
-dozens of units, short streams) while the equivalence tests scale up via
-their own parameters. Everything is seeded — a failing test replays
-exactly.
+dozens of units, short streams). Everything is seeded — a failing test
+replays exactly.
 """
 
 from __future__ import annotations

@@ -7,13 +7,16 @@ journals, in any order. It keeps a model of its own: where each unit
 was fed to, which updates the monitor has applied, the place catalog
 and ``k``. :meth:`SessionModel.matches_the_oracle` checks the session's
 top-k and SK against :class:`~repro.validate.Oracle` built over that
-model, and every crash resumes a twin from the directory that must
+model, and the scheme's own state with :func:`~repro.core.audit.audit_monitor`;
+every crash resumes a twin from the directory that must
 equal the live session bit for bit: :func:`tests.conftest.state_fingerprint`
 (result, counters, I/O) and the exported state.
 
 ``tests/test_machine.py`` runs it as a hypothesis state machine for
-every scheme, burst size and shard count. The named tests elsewhere drive the same steps
-through :func:`run_script`, with the invariant checked after each.
+every scheme, burst size and shard count, each run over a query drawn
+from :data:`WORLD`. The named tests elsewhere drive the same steps
+through :func:`run_script` over a config they give, with the invariant
+checked after each.
 """
 
 from __future__ import annotations
@@ -27,9 +30,11 @@ from pathlib import Path
 from typing import Any, Iterable
 
 import pytest
+from hypothesis import assume
 from hypothesis import strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
+    initialize,
     invariant,
     precondition,
     rule,
@@ -46,6 +51,7 @@ from repro.control import (
     decode_event,
 )
 from repro.core import CTUPConfig
+from repro.core.audit import audit_monitor
 from repro.core.units import LOCATION_TOLERANCE2
 from repro.engine import UpdateRejected
 from repro.model import LocationUpdate, Place, Point, Unit
@@ -61,15 +67,31 @@ FLEET = 8
 EVERY = 3
 
 
-def fleet() -> list[Unit]:
-    """Fresh unit objects at their initial positions (a monitor moves
-    the objects it is given)."""
-    return generate_units(FLEET, CONFIG.protection_range, seed=62)
+def fleet(radius: float = CONFIG.protection_range) -> list[Unit]:
+    """Fresh unit objects at their initial positions, which ``radius``
+    does not change (a monitor moves the objects it is given)."""
+    return generate_units(FLEET, radius, seed=62)
 
 
 UNIT_IDS = sorted(u.unit_id for u in fleet())
 #: positions inside the space, with its edges and centre drawn often.
 coordinate = st.floats(0.0, 1.0) | st.sampled_from([0.0, 0.5, 1.0])
+#: where a unit may be sent: anywhere, or onto a place, as a patrol does.
+target = st.builds(Point, coordinate, coordinate) | st.sampled_from([p.location for p in PLACES])
+#: ``k`` values, a third each: 0 to 8, up to the catalog size, or past it.
+k_value = st.one_of(
+    st.integers(0, 8), st.integers(9, len(PLACES) - 2), st.integers(len(PLACES) - 1, len(PLACES) + 1)
+)
+#: the query over the paper's Table III ranges, DOO on or off (Fig. 8).
+WORLD = {
+    "k": k_value,
+    "delta": st.integers(0, 10),
+    "protection_range": st.floats(0.02, 0.25),
+    "granularity": st.integers(1, 12),
+    "use_doo": st.booleans(),
+}
+#: one coordinate of a short step, as a unit on a road network makes.
+step = st.floats(-0.05, 0.05)
 
 
 def walk(n: int, seed: int = 63) -> list[LocationUpdate]:
@@ -128,7 +150,8 @@ class SessionModel(RuleBasedStateMachine):
         cls, scheme: str, batch: int, shards: int, config: CTUPConfig = CONFIG
     ) -> type["SessionModel"]:
         """The machine for one scheme, burst size, shard count and
-        config (``CONFIG`` with another page capacity or buffer pool)."""
+        config (``CONFIG`` with another page capacity or buffer pool;
+        a hypothesis run draws the query fields anew)."""
         name = f"SessionModel_{scheme}_b{batch}_s{shards}"
         if config != CONFIG:
             name += f"_p{config.page_capacity}_f{config.buffer_pages}"
@@ -143,15 +166,27 @@ class SessionModel(RuleBasedStateMachine):
         self.directory = Path(tempfile.mkdtemp(prefix="ctup-model-"))
         self.places = {p.place_id: p for p in PLACES}
         self.next_place_id = max(self.places) + 1
-        self.k = self.config.k
-        #: each unit's position as fed, pending updates included.
-        self.fed = {u.unit_id: u.location for u in fleet()}
-        #: each unit's position as the monitor has applied it.
-        self.applied = dict(self.fed)
         self.pending: list[LocationUpdate] = []
         #: each unit's last accepted update.
         self.last: dict[int, LocationUpdate] = {}
         self.clock = 0
+        self.session: Any = None
+
+    @initialize(**WORLD)
+    def draw_world(self, **world: Any) -> None:
+        """Start over a drawn :data:`WORLD`; the page and buffer settings
+        stay the class's. Four shards need a grid of four cells."""
+        assume(self.shards == 0 or world["granularity"] > 1)
+        self.begin(self.config.replace(**world))
+
+    def begin(self, config: CTUPConfig) -> None:
+        """Start the session over ``config``, the fleet at its range."""
+        self.config = config
+        self.k = config.k
+        #: each unit's position as fed, pending updates included.
+        self.fed = {u.unit_id: u.location for u in fleet()}
+        #: each unit's position as the monitor has applied it.
+        self.applied = dict(self.fed)
         self.session = self.open()
         self.session.start()
 
@@ -159,7 +194,7 @@ class SessionModel(RuleBasedStateMachine):
         return open_session(
             self.scheme,
             places=PLACES,
-            units=fleet(),
+            units=fleet(self.config.protection_range),
             config=self.config,
             shard=self.shards,
             batch_size=self.batch,
@@ -167,7 +202,8 @@ class SessionModel(RuleBasedStateMachine):
         )
 
     def teardown(self) -> None:
-        self.session.journal.close()
+        if self.session is not None:
+            self.session.journal.close()
         shutil.rmtree(self.directory, ignore_errors=True)
 
     # -- the model ---------------------------------------------------------
@@ -268,9 +304,22 @@ class SessionModel(RuleBasedStateMachine):
 
     # -- rules ---------------------------------------------------------------
 
-    @rule(unit=st.sampled_from(UNIT_IDS), x=coordinate, y=coordinate)
-    def feed(self, unit: int, x: float, y: float) -> None:
-        self.send(LocationUpdate(unit, self.fed[unit], Point(x, y), self.clock + 1))
+    @rule(unit=st.sampled_from(UNIT_IDS), to=target)
+    def feed(self, unit: int, to: Point) -> None:
+        self.send(LocationUpdate(unit, self.fed[unit], to, self.clock + 1))
+
+    @rule(unit=st.sampled_from(UNIT_IDS))
+    def stay(self, unit: int) -> None:
+        """A report without movement: DOO's P->P case."""
+        at = self.fed[unit]
+        self.send(LocationUpdate(unit, at, at, self.clock + 1))
+
+    @rule(unit=st.sampled_from(UNIT_IDS), dx=step, dy=step)
+    def drift(self, unit: int, dx: float, dy: float) -> None:
+        """A short step from where the unit is: consecutive moves share
+        cells, as on a road network, which uniform jumps rarely do."""
+        at = self.fed[unit]
+        self.send(LocationUpdate(unit, at, Point(at.x + dx, at.y + dy), self.clock + 1))
 
     @rule(
         unit=st.sampled_from(UNIT_IDS),
@@ -299,19 +348,19 @@ class SessionModel(RuleBasedStateMachine):
     @rule(data=st.data())
     def control(self, data: st.DataObject) -> None:
         ids = sorted(self.places)
+        # a new place lands anywhere, or on a place already there.
+        location = st.builds(Point, coordinate, coordinate) | st.sampled_from(
+            [self.places[i].location for i in ids]
+        )
         events = [
             st.builds(
                 PlaceAdded,
-                st.builds(
-                    Place,
-                    st.just(self.next_place_id),
-                    st.builds(Point, coordinate, coordinate),
-                    st.integers(0, 4),
-                ),
+                st.builds(Place, st.just(self.next_place_id), location, st.integers(0, 4)),
             ),
             st.builds(PlaceReweighted, st.sampled_from(ids), st.integers(0, 5)),
-            st.builds(KChanged, st.integers(0, 8)),
-            st.builds(GridRetuned, st.integers(2, 8)),
+            st.builds(KChanged, k_value),
+            # every shard owns a cell, so a sharded grid keeps four.
+            st.builds(GridRetuned, st.integers(2 if self.shards else 1, 8)),
         ]
         if len(ids) > 1:
             events.append(st.builds(PlaceRemoved, st.sampled_from(ids)))
@@ -407,9 +456,11 @@ class SessionModel(RuleBasedStateMachine):
         monitor = self.session.monitor
         with off_the_record(monitor):
             records, sk = monitor.top_k(), monitor.sk()
+            problems = audit_monitor(monitor)
         verdict = oracle.validate(records, self.k)
         assert verdict.ok, verdict.problems
-        assert sk == (-math.inf if self.k <= 0 else oracle.sk(self.k))
+        assert sk == oracle.sk(self.k)
+        assert problems == []
 
 
 def run_script(
@@ -419,12 +470,13 @@ def run_script(
     steps: Iterable[Any],
     config: CTUPConfig = CONFIG,
 ) -> SessionModel:
-    """Run ``steps`` on a fresh machine, checking the invariant after
-    each. A step is a :class:`LocationUpdate` (sent), a control event
-    (applied), or a callable taking the machine. Returns the
-    machine, its directory already removed."""
+    """Run ``steps`` on a fresh machine over ``config``, checking the
+    invariant after each. A step is a :class:`LocationUpdate` (sent), a
+    control event (applied), or a callable taking the machine. Returns
+    the machine, its directory already removed."""
     machine = SessionModel.of(scheme, batch, shards, config)()
     try:
+        machine.begin(config)
         machine.matches_the_oracle()
         for step in steps:
             if isinstance(step, LocationUpdate):

@@ -191,12 +191,6 @@ def test_burst_modes_are_bit_identical(scheme, shards, seed, batch_size):
         assert merged_diff <= COALESCING_COUNTERS, merged_diff
 
 
-def test_registry_covers_the_expected_schemes():
-    """The property above iterates the live registry; pin the floor so a
-    scheme silently dropping out of ``SCHEMES`` fails loudly here."""
-    assert {"naive", "basic", "opt", "incremental"} <= set(SCHEMES)
-
-
 @pytest.mark.parametrize("scheme", ["basic", "opt"])
 def test_boundary_chain_matches_replay(scheme):
     """A chain along the space edge ``x = 1.0`` with ``R`` equal to the

@@ -286,16 +286,6 @@ class TestSession:
         session.feed(small_stream[0])
         assert len(seen) <= 1
 
-    def test_batched_session_matches_single(
-        self, small_config, small_places, small_units, small_stream
-    ):
-        single = OptCTUP(small_config, small_places, small_units)
-        batched = OptCTUP(small_config, small_places, small_units)
-        MonitorSession(single).run(small_stream)
-        MonitorSession(batched, batch_size=16).run(small_stream)
-        assert batched.sk() == single.sk()
-        assert batched.topk_ids() == single.topk_ids()
-
     def test_audit_runs_periodically(
         self, small_config, small_places, small_units, small_stream
     ):
@@ -312,16 +302,6 @@ class TestSession:
             MonitorSession(monitor, batch_size=-1)
         with pytest.raises(ValueError):
             MonitorSession(monitor, audit_every=-1)
-
-    def test_works_with_every_scheme(
-        self, small_config, small_places, small_units, small_stream
-    ):
-        for scheme in ALL_SCHEMES:
-            monitor = scheme(small_config, small_places, small_units)
-            session = MonitorSession(monitor, batch_size=10)
-            assert session.run(small_stream.prefix(30)) == 30
-            assert len(monitor.top_k()) == small_config.k
-
 
 class TestChangeTrackerReport:
     """Satellite: ChangeTracker.initialize() forwards the InitReport."""

@@ -117,17 +117,6 @@ class TestConstruction:
 
 
 class TestSmallK:
-    def test_k_larger_than_place_count(self, small_units):
-        from repro.workloads import generate_places
-
-        config = CTUPConfig(k=50, delta=2, protection_range=0.1, granularity=4)
-        places = generate_places(10, seed=3)
-        for cls in ALL_MONITORS:
-            monitor = cls(config, places, small_units)
-            monitor.initialize()
-            assert len(monitor.top_k()) == 10
-            assert monitor.sk() == float("inf")
-
     def test_k_equals_one(self, small_places, small_units, small_oracle):
         config = CTUPConfig(k=1, delta=2, protection_range=0.1, granularity=8)
         for cls in ALL_MONITORS:

@@ -102,18 +102,6 @@ class TestUpdateInvariants:
                     pairs = opt.dechash.pairs_of_cell(cell)
                     assert all(isinstance(u, int) for u in pairs)
 
-    def test_delta_zero_still_valid(
-        self, small_places, small_units, small_stream, small_config
-    ):
-        config = small_config.replace(delta=0)
-        monitor = OptCTUP(config, small_places, small_units)
-        monitor.initialize()
-        oracle = Oracle(small_places, small_units)
-        for update in small_stream.prefix(80):
-            oracle.apply(update)
-            monitor.process(update)
-            assert_valid_topk(oracle, monitor, config.k)
-
     def test_larger_delta_fewer_accesses(
         self, small_places, small_units, small_stream, small_config
     ):

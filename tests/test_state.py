@@ -4,9 +4,12 @@ The headline guarantee under test: for **every** registered scheme (and
 the sharded wrapper), killing a checkpointed run at an arbitrary batch
 boundary and resuming from the directory produces a monitor that is
 *bit-identical* to the uninterrupted run — same top-k (ids and
-safeties), same SK, same work counters, same I/O accounting. The
-session tests run as scripts over :mod:`tests.machine`, whose every
-crash compares the resumed twin with the live session.
+safeties), same SK, same work counters, same I/O accounting. The session model
+(:mod:`tests.machine`, run by ``tests/test_machine.py``) crashes every
+scheme, burst size and shard count at arbitrary points, and rejects bad
+input before it is journaled; the session tests here run as scripts
+over it, whose every crash compares the resumed twin with the live
+session.
 """
 
 from __future__ import annotations
@@ -58,7 +61,7 @@ from repro.workloads import (
 from tests.conftest import state_fingerprint
 from tests.machine import CONFIG as MODEL_CONFIG
 from tests.machine import PLACES as MODEL_PLACES
-from tests.machine import SessionModel, bad_update, run_script, walk
+from tests.machine import SessionModel, run_script, walk
 
 CONFIG = CTUPConfig(k=5, delta=3, protection_range=0.1, granularity=8)
 PLACES = generate_places(400, seed=21)
@@ -105,19 +108,6 @@ def straight(updates, **kwargs):
 
 
 class TestCrashRecovery:
-    @pytest.mark.parametrize("shards", [0, 1, 4])
-    @pytest.mark.parametrize("scheme", sorted(SCHEMES))
-    @given(boundary=st.integers(min_value=1, max_value=8))
-    @settings(max_examples=3, deadline=None)
-    def test_kill_at_batch_boundary_resumes_bit_identical(
-        self, scheme, shards, boundary
-    ):
-        updates = walk(BATCH * (boundary + 1))
-        kill = BATCH * boundary
-        run_script(
-            scheme, BATCH, shards, [*updates[:kill], crash_and_resume, *updates[kill:]]
-        )
-
     def test_mid_batch_kill_replays_the_pending_tail(self):
         # 21 is not a batch boundary: three journaled-but-unflushed
         # updates must come back as the resumed session's pending burst.
@@ -155,44 +145,6 @@ class TestCrashRecovery:
         document = CheckpointStore(tmp_path).latest()
         assert document is not None
         assert document["session"]["updates_processed"] == 10
-
-
-# -- validation before journaling ---------------------------------------
-
-
-class TestUpdateRejected:
-    """Malformed updates that, once journaled, used to fail every later
-    resume of the directory (KeyError / "cannot convert float NaN" /
-    "carries old location ... but the server tracks ..."). Each is fed
-    at stream position 21, must change nothing, in the session or on
-    disk, and the run then resumes exactly."""
-
-    @pytest.mark.parametrize("batch_size", [0, BATCH], ids=["single", "batch"])
-    @pytest.mark.parametrize(
-        "kind", ["nan", "replayed", "stale-old", "unknown-unit"]
-    )
-    def test_rejected_before_journaling_then_resume_is_exact(self, kind, batch_size):
-        updates = walk(40)
-        unit = updates[21].unit_id
-
-        def feed_bad(machine):
-            if kind == "replayed":
-                # a duplicate delivery of the unit's last move. In batch
-                # mode it may still be buffered, so its old location
-                # matches the tracked position and only the pending
-                # buffer shows that the unit has already moved on.
-                machine.reject(machine.last[unit])
-            else:
-                machine.reject(bad_update(kind, updates[21]))
-
-        if kind == "replayed":
-            assert unit in {u.unit_id for u in updates[:21]}
-        run_script(
-            "opt",
-            batch_size,
-            0,
-            [*updates[:21], feed_bad, *updates[21:30], crash_and_resume, *updates[30:]],
-        )
 
 
 # -- positions outside the monitored space ------------------------------
@@ -288,6 +240,22 @@ class TestOpenSessionValidation:
             open_session(
                 "opt", durability=DurabilitySpec(tmp_path, resume=True)
             )
+
+    def test_durability_refuses_an_initialized_monitor(self, tmp_path):
+        """A monitor that has moved before the session opens holds moves
+        no journal records: a journal starting at seq 1 over it would
+        make a directory that no resume can replay. The refusal comes
+        before the fresh start wipes the directory of an earlier run."""
+        with session(DurabilitySpec(tmp_path, every=1)) as earlier:
+            earlier.run(STREAM.updates[:16])
+        files = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        monitor = SCHEMES["opt"](CONFIG, PLACES, make_units())
+        monitor.initialize()
+        for update in STREAM.updates[:20]:
+            monitor.process(update)
+        with pytest.raises(ValueError, match="not initialized"):
+            open_session(monitor=monitor, durability=DurabilitySpec(tmp_path))
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == files
 
 
 # -- OptCTUP's AP caches across a crash ---------------------------------
@@ -429,23 +397,6 @@ class TestSnapshottable:
             assert isinstance(monitor, CTUPMonitor), type(monitor)
             assert "counters" in monitor.state_fields()
 
-    @pytest.mark.parametrize("scheme", sorted(SCHEMES))
-    def test_roundtrip_through_json_is_bit_identical(self, scheme):
-        monitor = SCHEMES[scheme](CONFIG, PLACES, make_units())
-        monitor.initialize()
-        for update in STREAM.prefix(40):
-            monitor.process(update)
-        document = json.loads(json.dumps(snapshot_monitor(monitor)))
-        restored = restore_monitor(
-            document, places=PLACES, units=make_units()
-        )
-        assert state_fingerprint(restored) == state_fingerprint(monitor)
-        # both must keep evolving identically after the cut.
-        for update in STREAM.updates[40:60]:
-            monitor.process(update)
-            restored.process(update)
-        assert state_fingerprint(restored) == state_fingerprint(monitor)
-
     @pytest.mark.parametrize("name", sorted(_ext_factories()))
     def test_ext_schemes_roundtrip_via_factory(self, name):
         factory = _ext_factories()[name]
@@ -485,6 +436,20 @@ class TestSnapshottable:
         for doc, places, message in cases:
             with pytest.raises(SnapshotError, match=message):
                 restore_monitor(doc, places=places, units=make_units())
+
+    @pytest.mark.parametrize("scheme", ["naive", "incremental"])
+    def test_rows_off_the_store_layout_rejected(self, scheme):
+        """Full-table rows laid out another way (a 3.0.0 checkpoint
+        written after a catalog edit) would put each safety on the wrong
+        place; the restore refuses them."""
+        monitor = SCHEMES[scheme](CONFIG, PLACES, make_units())
+        monitor.initialize()
+        document = snapshot_monitor(monitor)
+        rows = document["state"]["scheme_state"]
+        for column in ("ids", "safety"):
+            rows[column][:2] = rows[column][1::-1]
+        with pytest.raises(SnapshotError, match="place-id layout"):
+            restore_monitor(document, places=PLACES, units=make_units())
 
     def test_unknown_format_rejected(self):
         monitor = SCHEMES["opt"](CONFIG, PLACES, make_units())

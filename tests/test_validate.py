@@ -45,6 +45,13 @@ class TestSafeties:
         oracle = Oracle(*world)
         assert oracle.sk(10) == float("inf")
 
+    def test_sk_of_k_zero_is_minus_infinity(self, world):
+        """As every monitor reports it; not the largest safety, and no
+        IndexError over an empty catalog."""
+        places, units = world
+        assert Oracle(places, units).sk(0) == float("-inf")
+        assert Oracle([], units).sk(0) == float("-inf")
+
 
 class TestValidate:
     def correct(self, oracle):

@@ -187,3 +187,19 @@ class TestUpdateStream:
             RandomWalkMobility(small_units, step=0.02, seed=9), 5
         )
         assert stream[0].timestamp <= stream[4].timestamp
+
+
+class TestStreamFiles:
+    def test_save_and_load_roundtrip(self, tmp_path, small_units):
+        stream = record_stream(
+            RandomWalkMobility(small_units, step=0.05, seed=9), 30
+        )
+        path = tmp_path / "stream.jsonl"
+        stream.save(path)
+        assert path.exists()
+        assert UpdateStream.load(path) == stream
+
+    def test_save_empty_stream(self, tmp_path):
+        path = tmp_path / "empty.jsonl"
+        UpdateStream().save(path)
+        assert UpdateStream.load(path) == UpdateStream()
