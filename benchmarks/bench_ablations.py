@@ -59,20 +59,6 @@ def test_ablation_placement(benchmark, record_result):
         assert opt_peak < basic_peak, placement
 
 
-def test_ablation_snapshot_rtree(benchmark, record_result):
-    """Best-first snapshot top-k touches a fraction of the place set."""
-    result = benchmark.pedantic(
-        get_experiment("ablation_snapshot").run, rounds=1, iterations=1
-    )
-    record_result(result)
-    evaluated = column(result, "places evaluated")
-    total = column(result, "full-scan places")
-    for k, touched, everything in zip(column(result, "k"), evaluated, total):
-        assert touched < everything / 2, f"pruning too weak at k={k}"
-    # more results demand more evaluation.
-    assert evaluated == sorted(evaluated)
-
-
 def test_ablation_batch_processing(benchmark, record_result):
     """Burst processing never accesses more cells than per-update."""
     result = benchmark.pedantic(
@@ -81,19 +67,3 @@ def test_ablation_batch_processing(benchmark, record_result):
     record_result(result)
     accesses = column(result, "cells accessed")
     assert accesses[-1] <= accesses[0]
-
-
-def test_ablation_decay_models(benchmark, record_result):
-    """The generalised decay monitor stays in the core model's cost class."""
-    result = benchmark.pedantic(
-        get_experiment("ablation_decay").run, rounds=1, iterations=1
-    )
-    record_result(result)
-    ms = dict(
-        zip(column(result, "variant"), column(result, "avg update ms"))
-    )
-    # the step profile is the integer model in disguise: same SK.
-    sk = dict(zip(column(result, "variant"), column(result, "final SK")))
-    assert sk["decay step"] == sk["opt (integer)"]
-    # no variant should be an order of magnitude off the core cost.
-    assert max(ms.values()) < 10 * min(ms.values())

@@ -128,17 +128,18 @@ class DurabilitySpec:
     resume: bool = False
 
 
-def scheme_factory(scheme: str | Callable) -> Callable:
-    """Resolve a scheme name (or pass a factory through).
+def scheme_factory(scheme: str) -> Callable:
+    """Resolve a scheme name to its monitor class.
 
-    A factory is any callable ``(config, places, units) -> CTUPMonitor``
-    — the scheme classes themselves qualify. The name ``"sharded"``
-    resolves to :class:`~repro.shard.monitor.ShardedMonitor`; size it by
+    A scheme is a :data:`SCHEMES` key or ``"sharded"``, which resolves
+    to :class:`~repro.shard.monitor.ShardedMonitor`; size it by
     passing ``shard=ShardSpec(shards=...)`` to
     :func:`make_monitor` / :func:`open_session`.
     """
-    if callable(scheme):
-        return scheme
+    if not isinstance(scheme, str):
+        raise TypeError(
+            f"scheme takes a registered name (got {type(scheme).__name__})"
+        )
     if scheme == ShardedMonitor.name:
         return ShardedMonitor
     try:
@@ -146,9 +147,7 @@ def scheme_factory(scheme: str | Callable) -> Callable:
     except KeyError:
         raise ValueError(
             f"unknown scheme {scheme!r}; pick one of {sorted(SCHEMES)}, "
-            f"{ShardedMonitor.name!r} (sized via shard=ShardSpec(shards=...)), "
-            "or pass a factory "
-            "(config, places, units) -> CTUPMonitor"
+            f"or {ShardedMonitor.name!r} (sized via shard=ShardSpec(shards=...))"
         ) from None
 
 
@@ -178,7 +177,7 @@ def _coerce_durability(
 
 
 def make_monitor(
-    scheme: str | Callable = "opt",
+    scheme: str = "opt",
     *,
     places: Sequence[Place],
     units: Iterable[Unit],
@@ -218,7 +217,7 @@ def make_monitor(
 
 
 def open_session(
-    scheme: str | Callable = "opt",
+    scheme: str = "opt",
     *,
     places: Sequence[Place] | None = None,
     units: Iterable[Unit] | None = None,
@@ -252,8 +251,7 @@ def open_session(
     bit-identical to the uninterrupted run. On resume, the snapshot's
     recorded scheme and config win over the arguments (they describe
     the run being continued); pass the same ``batch_size`` the original
-    run used, and a callable ``scheme`` to act as the factory for
-    unregistered schemes.
+    run used.
 
     ``obs=`` attaches observability per its
     :class:`~repro.obs.ObsSpec` (or an already-built
@@ -262,6 +260,7 @@ def open_session(
     trace phases / flushes / shard drains / journal I/O, and a serve
     port runs a ``/metrics`` endpoint for the session's lifetime.
     """
+    scheme_factory(scheme)  # refuse a non-name before any directory is touched
     shard_spec = _coerce_shard(shard)
     dura = _coerce_durability(durability)
     bundle = coerce_observability(obs)
@@ -273,12 +272,7 @@ def open_session(
         policy = CheckpointPolicy(
             directory=dura.checkpoint_dir, every_batches=dura.every
         )
-        manager = RecoveryManager(
-            policy,
-            places=places,
-            units=units,
-            factory=scheme if callable(scheme) else None,
-        )
+        manager = RecoveryManager(policy, places=places, units=units)
         return manager.resume_session(
             fresh_monitor=lambda: make_monitor(
                 scheme,

@@ -8,7 +8,7 @@ share with the ``benchmarks/`` pytest suite and the CLI.
 """
 
 from repro.bench.workload import Workload, build_workload
-from repro.bench.harness import RunResult, run_monitor, MONITOR_FACTORIES
+from repro.bench.harness import RunResult, run_monitor
 from repro.bench.reporting import format_table
 from repro.bench.timeline import Timeline, TimelineSummary
 
@@ -17,7 +17,6 @@ __all__ = [
     "build_workload",
     "RunResult",
     "run_monitor",
-    "MONITOR_FACTORIES",
     "format_table",
     "Timeline",
     "TimelineSummary",

@@ -4,24 +4,15 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
 
 from repro.api import SCHEMES
 from repro.bench.workload import Workload
 from repro.core import CTUPConfig
 from repro.core.metrics import InitReport, MonitorCounters
 from repro.core.units import UnitKernelStats
-from repro.core.monitor import CTUPMonitor
 from repro.engine.session import MonitorSession
-from repro.model import Place, Unit
 from repro.storage.iostats import IoStats
 from repro.validate import Oracle
-
-MonitorFactory = Callable[[CTUPConfig, Sequence[Place], Sequence[Unit]], CTUPMonitor]
-
-#: the measurable schemes by their table name — the ``repro.api``
-#: registry is the single source of truth.
-MONITOR_FACTORIES: dict[str, MonitorFactory] = dict(SCHEMES)
 
 
 @dataclass
@@ -80,7 +71,6 @@ def run_monitor(
     workload: Workload,
     updates: int | None = None,
     validate: bool = True,
-    factory: MonitorFactory | None = None,
 ) -> RunResult:
     """Initialize a monitor, replay the stream, measure, and self-check.
 
@@ -88,14 +78,13 @@ def run_monitor(
     the brute-force oracle — every benchmark run doubles as an
     end-to-end correctness test.
     """
-    if factory is None:
-        try:
-            factory = MONITOR_FACTORIES[algorithm]
-        except KeyError:
-            raise ValueError(
-                f"unknown algorithm {algorithm!r}; "
-                f"pick one of {sorted(MONITOR_FACTORIES)}"
-            ) from None
+    try:
+        factory = SCHEMES[algorithm]
+    except KeyError:
+        raise ValueError(
+            f"unknown algorithm {algorithm!r}; "
+            f"pick one of {sorted(SCHEMES)}"
+        ) from None
     monitor = factory(config, workload.places, workload.units)
     init = monitor.initialize()
     after_init = monitor.counters.snapshot()

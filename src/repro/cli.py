@@ -208,17 +208,8 @@ def _cmd_report(out: str, scale: float | None, seed: int, only) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    from repro.api import ObsSpec, ShardSpec, make_monitor
+    from repro.api import ObsSpec
     from repro.sim import Simulation
-
-    def factory(config, places, units):
-        return make_monitor(
-            args.scheme,
-            places=places,
-            units=units,
-            config=config,
-            shard=ShardSpec(shards=args.shards),
-        )
 
     if args.resume and args.checkpoint_dir is None:
         print("--resume needs --checkpoint-dir", file=sys.stderr)
@@ -234,7 +225,8 @@ def _cmd_simulate(args) -> int:
         n_places=args.places,
         n_units=args.units,
         seed=args.seed,
-        monitor_factory=factory,
+        scheme=args.scheme,
+        shards=args.shards,
         batch_size=args.batch_size,
         checkpoint_dir=args.checkpoint_dir,
         checkpoint_every=args.checkpoint_every,

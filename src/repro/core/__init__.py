@@ -19,7 +19,7 @@ from repro.core.opt import OptCTUP
 from repro.core.incremental import IncrementalNaiveCTUP
 from repro.core.batch import BatchProcessor
 from repro.core.audit import audit_monitor
-from repro.core.tuning import choose_delta, suggest_granularity
+from repro.core.tuning import suggest_granularity
 from repro.core.topk import MaintainedPlaces
 from repro.core.units import UnitIndex
 
@@ -32,7 +32,6 @@ __all__ = [
     "IncrementalNaiveCTUP",
     "BatchProcessor",
     "audit_monitor",
-    "choose_delta",
     "suggest_granularity",
     "DecHash",
     "MaintainedPlaces",

@@ -185,11 +185,7 @@ class OptCTUP(CTUPMonitor):
         self.dechash.clear()
 
     def _running_sk(self, scratch: list[np.ndarray]) -> float:
-        """The SK over the safeties in ``scratch`` (init and cell access).
-
-        Overridable: the threshold variant (§VII) monitors against a
-        fixed safety threshold instead of the k-th smallest value.
-        """
+        """The SK over the safeties in ``scratch`` (init and cell access)."""
         if not scratch:
             return math.inf
         return kth_smallest(np.concatenate(scratch), self.config.k)

@@ -15,7 +15,7 @@ stay dense.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence, cast
+from typing import TYPE_CHECKING, Any, Iterable, Sequence, cast
 
 import numpy as np
 
@@ -457,25 +457,3 @@ class MaintainedPlaces:
             [row[1] for row in materialized],
             [row[2] for row in materialized],
         )
-
-    def apply_unit_move_weighted(
-        self,
-        old: Point,
-        new: Point,
-        weight_of_distance: Callable[[np.ndarray], np.ndarray],
-    ) -> int:
-        """Decaying-protection version of :meth:`apply_unit_move`.
-
-        ``weight_of_distance`` maps a numpy distance array to protection
-        weights; each maintained safety changes by ``w(d_new) - w(d_old)``.
-        """
-        n = self._n
-        if n == 0:
-            return 0
-        xs = self._xs[:n]
-        ys = self._ys[:n]
-        d_old = np.hypot(xs - old.x, ys - old.y)
-        d_new = np.hypot(xs - new.x, ys - new.y)
-        self._safety[:n] += weight_of_distance(d_new) - weight_of_distance(d_old)
-        self._version += 1
-        return n

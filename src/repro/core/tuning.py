@@ -1,33 +1,18 @@
 """Choosing the system parameters (§VI's "insights", operationalised).
 
-The paper's evaluation exposes two free knobs and how they trade off:
-
 * **Partition granularity** (Fig. 6): cells much larger than the
   protection disk blur the N/P/F classification (everything is P, bounds
   decay constantly); cells much smaller multiply bookkeeping and leave
   cells nearly empty. :func:`suggest_granularity` encodes the sweet spot
   — cell width about the protection range, capped so cells keep a
   useful number of places.
-
-* **Δ** (Fig. 9): more slack maintains more places but accesses fewer
-  cells. The right value depends on the workload, so
-  :func:`choose_delta` measures it: replay a stream prefix at candidate
-  values and pick the cheapest under a chosen cost metric (wall time, or
-  the machine-independent touched-places count).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
 
-from repro.core.config import CTUPConfig
 from repro.geometry import Rect
-
-if TYPE_CHECKING:  # repro.bench sits above repro.core; import lazily.
-    from repro.bench.harness import RunResult
-    from repro.bench.workload import Workload
 
 
 def suggest_granularity(
@@ -54,60 +39,3 @@ def suggest_granularity(
         1, math.isqrt(max(1, n_places // min_places_per_cell))
     )
     return max(2, min(by_range, by_population))
-
-
-@dataclass(frozen=True)
-class DeltaChoice:
-    """The outcome of an empirical Δ calibration."""
-
-    delta: int
-    results: dict[int, RunResult]
-    metric: str
-
-    def cost_of(self, delta: int) -> float:
-        return _metric_value(self.results[delta], self.metric)
-
-
-def _metric_value(result: RunResult, metric: str) -> float:
-    if metric == "wall":
-        return result.avg_update_ms
-    if metric == "work":
-        # machine-independent: places touched per update, combining the
-        # maintain scans (rises with delta) and cell loads (falls).
-        counters = result.update_counters
-        updates = max(result.n_updates, 1)
-        return (counters.maintained_scans + counters.places_loaded) / updates
-    raise ValueError(f"unknown metric {metric!r}; use 'wall' or 'work'")
-
-
-def choose_delta(
-    workload: Workload,
-    config: CTUPConfig,
-    candidates: Sequence[int] = (0, 2, 4, 6, 8, 10),
-    updates: int | None = None,
-    metric: str = "work",
-) -> DeltaChoice:
-    """Calibrate Δ empirically on (a prefix of) a recorded stream.
-
-    Runs OptCTUP once per candidate and returns the cheapest, with all
-    measurements attached so callers can inspect the trade-off curve.
-    ``metric='work'`` (default) optimises touched places per update —
-    stable across machines; ``metric='wall'`` optimises measured time.
-    """
-    if not candidates:
-        raise ValueError("no candidate deltas")
-    from repro.bench.harness import run_monitor
-
-    results: dict[int, RunResult] = {}
-    for delta in candidates:
-        results[delta] = run_monitor(
-            "opt",
-            config.replace(delta=delta),
-            workload,
-            updates=updates,
-            validate=False,
-        )
-    best = min(
-        results, key=lambda delta: (_metric_value(results[delta], metric), delta)
-    )
-    return DeltaChoice(delta=best, results=results, metric=metric)

@@ -441,7 +441,10 @@ class UnitIndex:
         rect: Rect,
         weight_of_distance: Callable[[np.ndarray], np.ndarray],
     ) -> tuple[np.ndarray, int]:
-        """Decaying-protection sums (§VII extension).
+        """Distance-weighted protection sums.
+
+        Nothing in the package calls this; ``perfbench/layers.py`` wraps
+        it by name, so it goes when that table drops it.
 
         Like :meth:`ap_counts_near`, but instead of counting units inside
         the disk it sums ``weight_of_distance(d)`` over the reachable

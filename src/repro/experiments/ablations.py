@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from repro.bench.harness import run_monitor
 from repro.bench.workload import build_workload
-from repro.core.incremental import IncrementalNaiveCTUP
 from repro.experiments import defaults
 from repro.experiments.figures import _scaled
 from repro.experiments.registry import Experiment, ExperimentResult, register
@@ -68,9 +67,7 @@ def run_ablation_incremental(
     config = defaults.default_config()
     results = {
         "naive": run_monitor("naive", config, workload),
-        "incremental": run_monitor(
-            "incremental", config, workload, factory=IncrementalNaiveCTUP
-        ),
+        "incremental": run_monitor("incremental", config, workload),
         "opt": run_monitor("opt", config, workload),
     }
     rows = [
@@ -179,67 +176,6 @@ def run_ablation_placement(
     )
 
 
-def run_ablation_snapshot(
-    scale: float | None = None, seed: int = 0
-) -> ExperimentResult:
-    """Cold-start snapshot top-k: full scan vs R-tree best-first."""
-    import time
-
-    from repro.core.units import UnitIndex
-    from repro.index import RTree, snapshot_top_k_unsafe
-    from repro.validate import Oracle
-
-    n_places, _, _ = _scaled(scale)
-    workload = build_workload(
-        n_units=defaults.N_UNITS,
-        n_places=n_places,
-        protection_range=defaults.PROTECTION_RANGE,
-        stream_length=0,
-        seed=seed,
-    )
-    units = UnitIndex(workload.units)
-    oracle = Oracle(workload.places, workload.units)
-    rows = []
-    for k in (5, 15, 50):
-        start = time.perf_counter()
-        tree = RTree(workload.places)
-        build_seconds = time.perf_counter() - start
-        start = time.perf_counter()
-        answer = snapshot_top_k_unsafe(tree, units, k)
-        query_seconds = time.perf_counter() - start
-        verdict = oracle.validate(answer.records, k)
-        if not verdict.ok:
-            raise AssertionError(verdict.problems[:3])
-        rows.append(
-            [
-                k,
-                query_seconds * 1e3,
-                answer.places_evaluated,
-                n_places,
-                answer.nodes_pruned,
-                build_seconds * 1e3,
-            ]
-        )
-    return ExperimentResult(
-        experiment_id="ablation_snapshot",
-        title="Snapshot top-k: R-tree best-first vs full scan",
-        headers=[
-            "k",
-            "query ms",
-            "places evaluated",
-            "full-scan places",
-            "nodes pruned",
-            "tree build ms",
-        ],
-        rows=rows,
-        notes=[
-            "the best-first search touches a fraction of the places a "
-            "cold full scan would; the bulk-load cost amortises over "
-            "repeated snapshots"
-        ],
-    )
-
-
 def run_ablation_batch(
     scale: float | None = None, seed: int = 0
 ) -> ExperimentResult:
@@ -296,93 +232,6 @@ def run_ablation_batch(
     )
 
 
-def run_ablation_decay(
-    scale: float | None = None, seed: int = 0
-) -> ExperimentResult:
-    """Decaying protection (§VII): cost of the generalised monitor."""
-    from repro.core import OptCTUP
-    from repro.engine.session import MonitorSession
-    from repro.ext import DecayCTUP, linear_decay, step_decay
-
-    n_places, _, sweep_updates = _scaled(scale)
-    workload = build_workload(
-        n_units=defaults.N_UNITS,
-        n_places=n_places,
-        protection_range=defaults.PROTECTION_RANGE,
-        stream_length=sweep_updates,
-        seed=seed,
-    )
-    config = defaults.default_config()
-    rows = []
-    variants = [
-        ("opt (integer)", lambda: OptCTUP(config, workload.places, workload.units)),
-        (
-            "decay step",
-            lambda: DecayCTUP(
-                config,
-                workload.places,
-                workload.units,
-                decay=step_decay(config.protection_range),
-            ),
-        ),
-        (
-            "decay linear",
-            lambda: DecayCTUP(
-                config,
-                workload.places,
-                workload.units,
-                decay=linear_decay(config.protection_range),
-            ),
-        ),
-    ]
-    for name, factory in variants:
-        monitor = factory()
-        monitor.initialize()
-        base = monitor.counters.snapshot()
-        MonitorSession(monitor, track_changes=False).run(workload.stream)
-        diff = monitor.counters.snapshot() - base
-        rows.append(
-            [
-                name,
-                diff.total_update_time_s() / len(workload.stream) * 1e3,
-                diff.cells_accessed / len(workload.stream),
-                monitor.counters.maintained_peak,
-                monitor.sk(),
-            ]
-        )
-    return ExperimentResult(
-        experiment_id="ablation_decay",
-        title="Decaying protection vs the integer core model",
-        headers=["variant", "avg update ms", "cells/upd", "maintained peak", "final SK"],
-        rows=rows,
-        notes=[
-            "the step profile reproduces the integer model through the "
-            "generalised (no-DOO, loss-bounded) machinery; the linear "
-            "profile yields fractional safeties and a different SK"
-        ],
-    )
-
-
-register(
-    Experiment(
-        "ablation_decay",
-        "Decaying protection vs integer protection",
-        "DESIGN.md §7",
-        "ablation",
-        "generalised monitor stays near the core model's cost",
-        run_ablation_decay,
-    )
-)
-register(
-    Experiment(
-        "ablation_snapshot",
-        "Snapshot top-k via R-tree best-first",
-        "DESIGN.md §6",
-        "ablation",
-        "best-first evaluates far fewer places than a full scan",
-        run_ablation_snapshot,
-    )
-)
 register(
     Experiment(
         "ablation_batch",

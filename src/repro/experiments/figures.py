@@ -308,10 +308,7 @@ def run_fig8(scale: float | None = None, seed: int = 0) -> ExperimentResult:
             "opt", defaults.default_config(use_doo=True), workload
         )
         without_doo = run_monitor(
-            "opt-nodoo",
-            defaults.default_config(use_doo=False),
-            workload,
-            factory=OptCTUP,
+            "opt", defaults.default_config(use_doo=False), workload
         )
         ratio = (
             without_doo.avg_update_ms / with_doo.avg_update_ms

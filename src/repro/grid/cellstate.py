@@ -2,9 +2,8 @@
 
 Both monitors keep one :class:`CellState` per grid cell. BasicCTUP uses
 the ``illuminated`` flag (Fig. 1); OptCTUP keeps every cell dark and only
-uses the lower bound (Fig. 2). The lower bound is a float so that the
-decaying-protection extension (real-valued safeties) can reuse the same
-state; the core monitors only ever store integers or ``+inf`` in it.
+uses the lower bound (Fig. 2). The lower bound is a float so that it
+can hold ``+inf``; the monitors only ever store integers or ``+inf`` in it.
 """
 
 from __future__ import annotations

@@ -1,32 +1,13 @@
-"""In-memory spatial index and snapshot queries.
+"""In-memory spatial index over the moving units.
 
-The continuous monitors (grid-based, per the paper) answer the *standing*
-CTUP query. Deployments also need *snapshot* spatial queries — "top-k
-unsafe right now, from cold", "places within this district", "nearest
-places to an incident" — which classically run on an R-tree (the paper's
-related work [23] computes top-k influential sites exactly this way).
-
-This package provides:
-
-* :class:`~repro.index.rtree.RTree` — an STR bulk-loaded R-tree over
-  places with range and nearest-neighbour queries;
-* :mod:`repro.index.snapshot` — a best-first snapshot top-k-unsafe
-  algorithm that descends the tree guided by per-subtree safety lower
-  bounds, pruning everything that cannot beat the current k-th result;
 * :class:`~repro.index.unitgrid.UnitGridIndex` — a grid-bucketed
   secondary index over the *moving units*, maintained incrementally per
   location update, that turns the AP kernels' reachability prefilter
   from an O(|U|) scan into a bucket-neighbourhood gather.
 """
 
-from repro.index.rtree import RTree, RTreeNode
-from repro.index.snapshot import SnapshotTopK, snapshot_top_k_unsafe
 from repro.index.unitgrid import UnitGridIndex
 
 __all__ = [
-    "RTree",
-    "RTreeNode",
-    "SnapshotTopK",
-    "snapshot_top_k_unsafe",
     "UnitGridIndex",
 ]

@@ -78,7 +78,7 @@ _own(
         "distance_rows",
         "maintained_scans",
     ),
-    ("repro.core", "repro.ext", "repro.shard"),
+    ("repro.core", "repro.shard"),
     "MonitorCounters work fields (owned by the monitor implementations)",
 )
 

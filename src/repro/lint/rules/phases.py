@@ -44,7 +44,6 @@ MAINTAIN_SINKS = frozenset(
 WALK_SCOPES = (
     "repro.core",
     "repro.shard",
-    "repro.ext",
     "repro.index",
     "repro.grid",
     "repro.storage",

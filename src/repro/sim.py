@@ -19,10 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
 
 from repro.bench.timeline import Timeline, TimelineSummary
-from repro.core import CTUPConfig, OptCTUP
+from repro.core import CTUPConfig
 from repro.core.events import TopKChange
 from repro.core.monitor import CTUPMonitor
 from repro.engine import MonitorSession
@@ -94,7 +93,8 @@ class Simulation:
         n_places: int = 6_000,
         n_units: int = 60,
         seed: int = 0,
-        monitor_factory: Callable | None = None,
+        scheme: str = "opt",
+        shards: int = 0,
         audit_every: int = 0,
         batch_size: int = 0,
         checkpoint_dir: str | Path | None = None,
@@ -104,6 +104,8 @@ class Simulation:
     ) -> "Simulation":
         """Build a ready-to-run simulation from a named scenario.
 
+        ``scheme`` (a registered name) and ``shards`` (0 = unsharded)
+        are handed to :func:`repro.api.open_session`.
         ``checkpoint_dir`` makes the run durable (journal + snapshots
         every ``checkpoint_every`` flush boundaries, one on close);
         ``resume=True`` recovers the directory instead of starting
@@ -114,6 +116,7 @@ class Simulation:
         recovered run stopped. ``obs`` attaches observability
         (:class:`repro.obs.ObsSpec`) to the session either way.
         """
+        from repro.api import DurabilitySpec, open_session
         from repro.core.tuning import suggest_granularity
 
         world = build_scenario(
@@ -131,35 +134,26 @@ class Simulation:
             granularity=granularity
             or suggest_granularity(n_places, protection_range),
         )
-        factory = monitor_factory or OptCTUP
-        if checkpoint_dir is not None:
-            from repro.api import DurabilitySpec, open_session
-
-            session = open_session(
-                factory,
-                places=world.places,
-                units=world.units,
-                config=config,
-                batch_size=batch_size,
-                audit_every=audit_every,
-                durability=DurabilitySpec(
-                    checkpoint_dir, every=checkpoint_every, resume=resume
-                ),
-                obs=obs,
-            )
-            replayed = session.updates_processed + session.pending_updates
-            if resume and replayed:
-                for _ in world.mobility.updates(replayed):
-                    pass
-            return cls(session.monitor, world.mobility, session=session)
-        monitor = factory(config, world.places, world.units)
-        return cls(
-            monitor,
-            world.mobility,
-            audit_every=audit_every,
+        session = open_session(
+            scheme,
+            places=world.places,
+            units=world.units,
+            config=config,
+            shard=shards,
             batch_size=batch_size,
+            audit_every=audit_every,
+            durability=None
+            if checkpoint_dir is None
+            else DurabilitySpec(
+                checkpoint_dir, every=checkpoint_every, resume=resume
+            ),
             obs=obs,
         )
+        replayed = session.updates_processed + session.pending_updates
+        if resume and replayed:
+            for _ in world.mobility.updates(replayed):
+                pass
+        return cls(session.monitor, world.mobility, session=session)
 
     def run(self, updates: int) -> SimulationOutcome:
         """Generate and process ``updates`` live messages."""

@@ -145,13 +145,11 @@ class RecoveryManager:
         *,
         places: Sequence[Place],
         units: Iterable[Unit],
-        factory: Callable | None = None,
     ) -> None:
         self.policy = policy
         self.store = CheckpointStore(policy.directory)
         self.places = places
         self.units = list(units)
-        self.factory = factory
 
     def resume_session(
         self,
@@ -238,7 +236,6 @@ class RecoveryManager:
                 int(document.get("journal_seq", 0)), journal
             ),
             units=self.units,
-            factory=self.factory,
         )
 
     def _folded_places(

@@ -24,7 +24,7 @@ without them does not restore either.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Iterable, Mapping
 
 from repro.core.monitor import CTUPMonitor
 from repro.model import Unit
@@ -94,17 +94,13 @@ def restore_monitor(
     *,
     places: Any,
     units: Iterable[Unit],
-    factory: Callable | None = None,
 ) -> Any:
     """Rebuild a monitor from a snapshot document and the static inputs.
 
     The document's own ``scheme`` and ``config`` decide what gets built
     — they are the authoritative record of the checkpointed run; the
     caller supplies the static place set and the fleet (unit positions
-    are overwritten by the restore). Pass ``factory`` for schemes
-    outside the registry (the extensions): it is called as
-    ``factory(config, places, units)`` and must produce a monitor of the
-    snapshotted scheme.
+    are overwritten by the restore).
 
     The restored monitor is ready for ``process()`` immediately — no
     initialization pass runs.
@@ -119,9 +115,7 @@ def restore_monitor(
         config = decode_config(document["config"])
         scheme = document["scheme"]
         state = document["state"]
-        if factory is not None:
-            monitor = factory(config, places, units)
-        elif scheme == ShardedMonitor.name:
+        if scheme == ShardedMonitor.name:
             shard_fields = state["scheme_state"]
             monitor = ShardedMonitor(
                 config,
@@ -136,10 +130,7 @@ def restore_monitor(
             try:
                 cls = SCHEMES[scheme]
             except KeyError:
-                raise SnapshotError(
-                    f"unknown scheme {scheme!r}; pass factory= for "
-                    "unregistered schemes"
-                ) from None
+                raise SnapshotError(f"unknown scheme {scheme!r}") from None
             monitor = cls(config, places, units)
         _verify_fingerprint(document, monitor)
         monitor.restore_state(state)

@@ -1,13 +1,12 @@
 """Access-band invariant: every cell access keeps exactly the Δ band.
 
-When OptCTUP (and every monitor built on its access step) accesses a
-cell, the cell's maintained rows must be exactly its places with
-``safety < SK + Δ`` or ``safety <= SK``, and the cell's bound must be the
-minimum safety of the rest (``+inf`` when nothing was dropped). The
-accessed cells of each ``refresh()`` are spotted by their
+When OptCTUP accesses a cell, the cell's maintained rows must be exactly
+its places with ``safety < SK + Δ`` or ``safety <= SK``, and the cell's
+bound must be the minimum safety of the rest (``+inf`` when nothing was
+dropped). The accessed cells of each ``refresh()`` are spotted by their
 ``CellState.access_count`` rising; the truth comes from
-:class:`repro.validate.Oracle`. The matrix covers the opt and threshold
-schemes, single updates and bursts of 32, monolithic and 4 shards.
+:class:`repro.validate.Oracle`. The matrix covers single updates and
+bursts of 32, monolithic and 4 shards.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ import pytest
 from repro.api import ShardSpec, make_monitor
 from repro.core import CTUPConfig, OptCTUP
 from repro.core.batch import coalesce_burst
-from repro.ext.threshold import ThresholdCTUP
 from repro.validate import Oracle
 from repro.workloads import (
     RandomWalkMobility,
@@ -29,14 +27,6 @@ from repro.workloads import (
 )
 
 PLACES = generate_places(600, seed=11)
-TAU = -2.0
-
-FACTORIES = {
-    "opt": OptCTUP,
-    "threshold": lambda config, places, units: ThresholdCTUP(
-        config, places, units, tau=TAU
-    ),
-}
 
 
 def _leaves(monitor) -> list[OptCTUP]:
@@ -93,7 +83,7 @@ def _check_bands(leaf: OptCTUP, before: dict, sks: dict, truth: dict) -> int:
 
 @pytest.mark.parametrize("shards", [0, 4], ids=["mono", "s4"])
 @pytest.mark.parametrize("burst", [1, 32])
-@pytest.mark.parametrize("scheme", sorted(FACTORIES))
+@pytest.mark.parametrize("scheme", ["opt"])
 @pytest.mark.parametrize("delta", [0, 3])
 def test_access_keeps_exactly_the_delta_band(scheme, burst, shards, delta):
     config = CTUPConfig(k=5, delta=delta, protection_range=0.1, granularity=8)
@@ -101,7 +91,7 @@ def test_access_keeps_exactly_the_delta_band(scheme, burst, shards, delta):
     stream = record_stream(RandomWalkMobility(units, step=0.03, seed=13), 256)
     oracle = Oracle(PLACES, units)
     monitor = make_monitor(
-        FACTORIES[scheme],
+        scheme,
         places=PLACES,
         units=units,
         config=config,
@@ -131,11 +121,10 @@ def test_access_keeps_exactly_the_delta_band(scheme, burst, shards, delta):
         truth = oracle.safeties()
         for leaf, seen, log in zip(leaves, before, sks):
             checked += _check_bands(leaf, seen, log, truth)
-            if scheme == "opt":
-                local = sorted(
-                    truth[p.place_id] for p in leaf.store.iter_all_places()
-                )
-                assert leaf.sk() == (
-                    local[config.k - 1] if len(local) >= config.k else math.inf
-                )
+            local = sorted(
+                truth[p.place_id] for p in leaf.store.iter_all_places()
+            )
+            assert leaf.sk() == (
+                local[config.k - 1] if len(local) >= config.k else math.inf
+            )
     assert checked > 0

@@ -27,7 +27,6 @@ from repro.control.events import (
 from repro.core import CTUPConfig, OptCTUP
 from repro.core.audit import audit_monitor
 from repro.core.batch import coalesce_burst
-from repro.ext import ThresholdCTUP
 from repro.geometry import Point, Rect
 from repro.grid import GridPartition
 from repro.model import LocationUpdate, Place, Unit
@@ -76,8 +75,8 @@ def make_units(n: int = 120) -> list[Unit]:
     return generate_units(n, R, seed=42)
 
 
-def fresh_opt(cls=OptCTUP, places=PLACES, units=None, config=CONFIG, **kwargs):
-    monitor = cls(config, places, units or make_units(), **kwargs)
+def fresh_opt():
+    monitor = OptCTUP(CONFIG, PLACES, make_units())
     monitor.initialize()
     return monitor
 
@@ -292,12 +291,7 @@ class TestControlEvents:
         )
         assert np.array_equal(monitor.cell_states[cell].ap.column, fresh)
         monitor.refresh()
-        problems = audit_monitor(monitor)
-        if isinstance(monitor, ThresholdCTUP):
-            # its result is every place below tau, not a top-k the
-            # auditor's result check could judge.
-            problems = [p for p in problems if "cached AP" in p]
-        assert problems == []
+        assert audit_monitor(monitor) == []
 
     def test_place_added(self):
         monitor = fresh_opt()
@@ -341,11 +335,3 @@ class TestControlEvents:
         assert audit_monitor(monitor) == []
         for state in monitor.cell_states.values():
             assert state.ap is None or not state.ap.moved
-
-    def test_threshold_scheme_caches_too(self):
-        monitor = fresh_opt(ThresholdCTUP, tau=1.0)
-        assert cached_cells(monitor)
-        cell, place = self._cell_and_place(monitor)
-        self._moved_near(monitor, cell)
-        monitor.apply_control(PlaceRemoved(place.place_id))
-        self._assert_recounts_next(monitor, cell)

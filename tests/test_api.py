@@ -27,10 +27,10 @@ class TestSchemeRegistry:
         assert SCHEMES["opt"] is OptCTUP
         assert SCHEMES["incremental"] is IncrementalNaiveCTUP
 
-    def test_scheme_factory_resolves_names_and_passes_callables(self):
+    def test_scheme_factory_resolves_names_and_rejects_callables(self):
         assert scheme_factory("opt") is OptCTUP
-        custom = lambda config, places, units: NaiveCTUP(config, places, units)
-        assert scheme_factory(custom) is custom
+        with pytest.raises(TypeError, match="registered name"):
+            scheme_factory(OptCTUP)
 
     def test_scheme_factory_rejects_unknown(self):
         with pytest.raises(ValueError, match="unknown scheme"):
@@ -198,7 +198,6 @@ def test_surfaces_removed_in_3_0_are_gone(
     small_config, small_places, small_units
 ):
     import repro.core
-    import repro.ext
     import repro.state
 
     for module in (
@@ -220,8 +219,7 @@ def test_surfaces_removed_in_3_0_are_gone(
         monitor.delta = 1
     assert "delta" not in vars(monitor)
     assert monitor.config.delta == small_config.delta
-    assert len(repro.core.__all__) == 18
-    assert len(repro.ext.__all__) == 5
+    assert len(repro.core.__all__) == 17
     assert not hasattr(repro.state, "Snapshottable")
 
 
@@ -258,3 +256,37 @@ def test_surfaces_removed_in_5_0_are_gone(
         "on_refresh",
     ):
         assert name in ObservabilityHooks.__dict__
+
+
+def test_surfaces_removed_in_8_0_are_gone(
+    small_config, small_places, small_units, tmp_path
+):
+    import inspect
+
+    import repro.bench
+    import repro.core
+    import repro.index
+    from repro.bench import run_monitor
+    from repro.sim import Simulation
+    from repro.state import RecoveryManager, restore_monitor
+
+    for module in ("repro.ext", "repro.index.rtree", "repro.index.snapshot"):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(module)
+    assert repro.index.__all__ == ["UnitGridIndex"]
+    assert "choose_delta" not in repro.core.__all__
+    assert not hasattr(repro.bench, "MONITOR_FACTORIES")
+    # a scheme is a registered name: no entry point takes a factory.
+    world = dict(places=small_places, units=small_units, config=small_config)
+    with pytest.raises(TypeError):
+        make_monitor(OptCTUP, **world)
+    with pytest.raises(TypeError):
+        open_session(OptCTUP, durability=tmp_path / "run", **world)
+    assert not (tmp_path / "run").exists()
+    for callee, argument in (
+        (restore_monitor, "factory"),
+        (RecoveryManager, "factory"),
+        (run_monitor, "factory"),
+        (Simulation.from_scenario, "monitor_factory"),
+    ):
+        assert argument not in inspect.signature(callee).parameters

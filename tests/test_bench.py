@@ -2,12 +2,8 @@
 
 import pytest
 
-from repro.bench import (
-    MONITOR_FACTORIES,
-    build_workload,
-    format_table,
-    run_monitor,
-)
+from repro.api import SCHEMES
+from repro.bench import build_workload, format_table, run_monitor
 from repro.core import CTUPConfig
 
 
@@ -51,7 +47,7 @@ class TestBuildWorkload:
 
 
 class TestRunMonitor:
-    @pytest.mark.parametrize("algorithm", sorted(MONITOR_FACTORIES))
+    @pytest.mark.parametrize("algorithm", sorted(SCHEMES))
     def test_runs_and_validates(self, algorithm, tiny_workload, tiny_config):
         result = run_monitor(algorithm, tiny_config, tiny_workload)
         assert result.validated
@@ -81,17 +77,6 @@ class TestRunMonitor:
             result.wall_seconds / 60 * 1e3
         )
         assert result.cells_per_update >= 0
-
-    def test_custom_factory(self, tiny_workload, tiny_config):
-        from repro.core import OptCTUP
-
-        result = run_monitor(
-            "opt-nodoo",
-            tiny_config.replace(use_doo=False),
-            tiny_workload,
-            factory=OptCTUP,
-        )
-        assert result.algorithm == "opt-nodoo"
 
 
 class TestReporting:

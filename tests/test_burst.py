@@ -11,9 +11,8 @@ The two must be bit-identical in results, in the exported cell,
 maintained and DecHash state, and in every counter except the ones that
 measure exactly the work coalescing exists to skip
 (:data:`COALESCING_COUNTERS`). The property runs every registered
-scheme, OptCTUP without DOO and the threshold variant (the only
-``OptCTUP`` subclass), plain and behind a sharded monitor (1 and 4
-shards), over streams whose bursts are guaranteed to contain
+scheme and OptCTUP without DOO, plain and behind a sharded monitor (1
+and 4 shards), over streams whose bursts are guaranteed to contain
 duplicate-unit chains.
 """
 
@@ -29,7 +28,6 @@ from hypothesis import strategies as st
 from repro.api import SCHEMES
 from repro.core import CTUPConfig, OptCTUP
 from repro.core.batch import BatchProcessor, coalesce_burst
-from repro.ext.threshold import ThresholdCTUP
 from repro.model import LocationUpdate, Point, Unit
 from repro.shard import ShardedMonitor
 from repro.workloads import (
@@ -60,15 +58,14 @@ STREAM_LEN = 72
 CONFIG = CTUPConfig(k=4, delta=2, protection_range=0.1, granularity=5)
 
 #: scheme variants on top of the registry: OptCTUP with DOO off (Table I
-#: bounds) and the threshold subclass, which inherits OptCTUP's burst.
+#: bounds).
 VARIANTS: dict[str, tuple[CTUPConfig, Callable]] = {
     "opt-nodoo": (dataclasses.replace(CONFIG, use_doo=False), OptCTUP),
-    "threshold": (CONFIG, lambda c, p, u: ThresholdCTUP(c, p, u, tau=-2.0)),
 }
 
 #: schemes whose own ``_apply_burst`` folds chains (and so reports the
 #: skipped work); naive and incremental replay chains raw-for-raw.
-CHAIN_AWARE = {"basic", "opt", "opt-nodoo", "threshold"}
+CHAIN_AWARE = {"basic", "opt", "opt-nodoo"}
 
 
 def _comparable(state: dict[str, Any]) -> dict[str, Any]:

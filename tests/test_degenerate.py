@@ -116,18 +116,3 @@ class TestStraddleTieBreak:
         assert tied == sorted(tied)
         for key, got in results.items():
             assert got == reference, key
-
-    def test_threshold_orders_by_tie_key(self):
-        from repro.ext import ThresholdCTUP
-
-        places, units = _tied_world()
-        config = CTUPConfig(k=3, delta=1, protection_range=0.1, granularity=8)
-        monitor = ThresholdCTUP(config, places, units, tau=10.0)
-        monitor.initialize()
-        for update in walk(units, seed=12, n=20):
-            monitor.process(update)
-        records = monitor.unsafe_places()
-        assert [(r.place_id, r.safety) for r in records] == sorted(
-            ((r.place_id, r.safety) for r in records),
-            key=lambda t: tie_key(t[1], t[0]),
-        )

@@ -53,7 +53,6 @@ class TestReadme:
             "repro.geometry",
             "repro.grid",
             "repro.storage",
-            "repro.ext",
             "repro.index",
             "repro.roadnet",
             "repro.workloads",

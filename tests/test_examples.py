@@ -29,5 +29,4 @@ def test_examples_present():
         "quickstart",
         "city_patrol",
         "bank_distraction",
-        "threshold_alerts",
     } <= names

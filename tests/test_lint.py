@@ -78,7 +78,7 @@ GOOD_SCHEME = """
 
 class TestSchemeContract:
     def test_good_scheme_is_clean(self):
-        fixture = src(GOOD_SCHEME, module="repro.ext.fixture")
+        fixture = src(GOOD_SCHEME, module="repro.core.fixture")
         result = run_rules([MONITOR_BASE, fixture], "RPL001")
         assert codes_of(result) == []
 
@@ -88,7 +88,7 @@ class TestSchemeContract:
             class HollowScheme(CTUPMonitor):
                 def top_k(self): ...
             """,
-            module="repro.ext.fixture",
+            module="repro.core.fixture",
         )
         result = run_rules([MONITOR_BASE, fixture], "RPL001")
         messages = [v.message for v in result.violations]
@@ -101,20 +101,20 @@ class TestSchemeContract:
             GOOD_SCHEME
             + "        def process(self, update):\n"
             + "            return None\n",
-            module="repro.ext.fixture",
+            module="repro.core.fixture",
         )
         result = run_rules([MONITOR_BASE, fixture], "RPL001")
         assert codes_of(result) == ["RPL001"]
         assert "process" in result.violations[0].message
 
     def test_phase_api_may_come_from_an_intermediate_class(self):
-        base = src(GOOD_SCHEME, module="repro.ext.fixture", path="a.py")
+        base = src(GOOD_SCHEME, module="repro.core.fixture", path="a.py")
         leaf = src(
             """
             class LeafScheme(GoodScheme):
                 pass
             """,
-            module="repro.ext.fixture2",
+            module="repro.core.fixture2",
             path="b.py",
         )
         result = run_rules([MONITOR_BASE, base, leaf], "RPL001")
@@ -126,7 +126,7 @@ class TestSchemeContract:
                 "def partial_top_k(self, m):",
                 "def partial_top_k(self, m, extra):",
             ),
-            module="repro.ext.fixture",
+            module="repro.core.fixture",
         )
         result = run_rules([MONITOR_BASE, fixture], "RPL001")
         assert codes_of(result) == ["RPL001"]
@@ -191,7 +191,7 @@ class TestCounterDiscipline:
             def fake_timing(monitor):
                 monitor.counters.time_access_s += 0.5
             """,
-            module="repro.ext.fixture",
+            module="repro.core.fixture",
         )
         result = run_rules([fixture], "RPL002")
         assert codes_of(result) == ["RPL002"]
@@ -719,12 +719,25 @@ class TestShippedTree:
         with (REPO_ROOT / "pyproject.toml").open("rb") as handle:
             data = tomllib.load(handle)
         strict = data["tool"]["reprolint"]["strict-typed-modules"]
-        assert {"repro.core", "repro.obs", "repro.state", "repro.ext"} <= set(
-            strict
-        )
+        assert set(strict) == {
+            "repro.api",
+            "repro.model",
+            "repro.geometry",
+            "repro.grid",
+            "repro.storage",
+            "repro.core",
+            "repro.shard",
+            "repro.index",
+            "repro.lint",
+            "repro.obs",
+            "repro.state",
+            "repro.control",
+            "repro.validate",
+            "repro.sim",
+        }
         (override,) = data["tool"]["mypy"]["overrides"]
         assert [m.removesuffix(".*") for m in override["module"]] == strict
-        assert data["project"]["version"] == "7.0.0"
+        assert data["project"]["version"] == "8.0.0"
 
 
 if __name__ == "__main__":

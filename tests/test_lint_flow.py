@@ -737,7 +737,7 @@ class TestPhaseProtocol:
                 def _drain(self):
                     self.apply_update(None)
             """,
-            module="repro.ext.eager",
+            module="repro.core.eager",
             path="eager.py",
         )
         result = run_rules([base, ext], "RPL014")

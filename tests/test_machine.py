@@ -21,7 +21,7 @@ through the machine's methods.
 from __future__ import annotations
 
 import pytest
-from hypothesis import HealthCheck, settings
+from hypothesis import HealthCheck, Phase, settings
 from hypothesis.stateful import run_state_machine_as_test
 
 from repro.api import SCHEMES
@@ -48,6 +48,12 @@ def test_session_model(scheme: str, batch: int, shards: int, config) -> None:
             max_examples=6,
             stateful_step_count=20,
             deadline=None,
+            # the explain phase re-runs a shrunk failure for minutes
+            # before it is printed, and each further distinct bug is
+            # shrunk on its own: report the first one as soon as it is
+            # shrunk.
+            phases=[p for p in Phase if p is not Phase.explain],
+            report_multiple_bugs=False,
             suppress_health_check=[HealthCheck.too_slow],
         ),
     )

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from repro.core.topk import MaintainedPlaces
 from repro.geometry import Point, Rect
 from repro.grid import GridPartition
-from repro.index import RTree
 from repro.model import Place
 from repro.storage import PlaceStore
 from repro.workloads import generate_places
@@ -102,28 +101,3 @@ def test_grid_linear_encoding_is_a_bijection(nx, ny):
     assert sorted(codes) == list(range(nx * ny))
     for cell in grid.all_cells():
         assert grid.from_linear(grid.linear(cell)) == cell
-
-
-@settings(max_examples=25, deadline=None)
-@given(
-    n=st.integers(1, 400),
-    seed=st.integers(0, 500),
-    fanout=st.integers(2, 24),
-)
-def test_rtree_structural_invariants_all_fanouts(n, seed, fanout):
-    places = generate_places(n, seed=seed)
-    tree = RTree(places, fanout=fanout)
-    assert len(tree) == n
-    total = 0
-    for node in tree.iter_nodes():
-        if node.is_leaf:
-            total += len(node.places)
-            assert 1 <= len(node.places) <= fanout
-            for place in node.places:
-                assert node.mbr.contains_point(place.location)
-        else:
-            assert 1 <= len(node.children) <= fanout
-            for child in node.children:
-                assert node.mbr.contains_rect(child.mbr)
-                assert node.max_required >= child.max_required
-    assert total == n

@@ -14,7 +14,6 @@ PACKAGES = [
     "repro.workloads",
     "repro.roadnet",
     "repro.bench",
-    "repro.ext",
     "repro.index",
     "repro.experiments",
     "repro.validate",

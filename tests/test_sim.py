@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import BasicCTUP, CTUPConfig, OptCTUP
+from repro.shard import ShardedMonitor
 from repro.sim import Simulation
 from repro.workloads import RandomWalkMobility, generate_places, generate_units
 
@@ -73,14 +74,13 @@ class TestFromScenario:
         # 600 places at range 0.1: the population cap keeps it below 10.
         assert sim.monitor.config.granularity < 10
 
-    def test_custom_monitor_factory(self):
-        sim = Simulation.from_scenario(
-            "suburbia",
-            k=4,
-            n_places=400,
-            n_units=10,
-            seed=2,
-            monitor_factory=BasicCTUP,
-        )
+    def test_scheme_and_shards_by_name(self):
+        world = dict(k=4, n_places=400, n_units=10, seed=2, scheme="basic")
+        sim = Simulation.from_scenario("suburbia", **world)
         assert isinstance(sim.monitor, BasicCTUP)
-        assert sim.run(updates=50).updates == 50
+        sharded = Simulation.from_scenario("suburbia", shards=2, **world)
+        assert isinstance(sharded.monitor, ShardedMonitor)
+        assert {type(s.monitor) for s in sharded.monitor.shards} == {BasicCTUP}
+        outcome = sim.run(updates=50)
+        assert outcome.updates == 50
+        assert sharded.run(updates=50).final_topk == outcome.final_topk

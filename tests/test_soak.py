@@ -5,7 +5,6 @@ One road-network workload drives, simultaneously:
 * all three core monitors (cross-validated against each other and the
   oracle at checkpoints),
 * a batched OptCTUP,
-* a threshold monitor,
 * a change tracker,
 
 with the invariant auditor run at intervals on the grid schemes. If any
@@ -25,7 +24,6 @@ from repro.core import (
     OptCTUP,
     audit_monitor,
 )
-from repro.ext import ThresholdCTUP
 from repro.validate import Oracle
 
 CHECK_EVERY = 60
@@ -45,9 +43,6 @@ def test_full_system_soak(seed):
     batched = BatchProcessor(
         OptCTUP(config, workload.places, workload.units)
     )
-    threshold = ThresholdCTUP(
-        config, workload.places, workload.units, tau=-4.0
-    )
     tracker = ChangeTracker(
         OptCTUP(config, workload.places, workload.units)
     )
@@ -55,7 +50,6 @@ def test_full_system_soak(seed):
     for monitor in (naive, basic, opt):
         monitor.initialize()
     batched.monitor.initialize()
-    threshold.initialize()
     tracker.initialize()
 
     pending = []
@@ -64,7 +58,6 @@ def test_full_system_soak(seed):
         naive.process(update)
         basic.process(update)
         opt.process(update)
-        threshold.process(update)
         tracker.process(update)
         pending.append(update)
         if len(pending) == 12:
@@ -76,12 +69,6 @@ def test_full_system_soak(seed):
             for monitor in (naive, basic, opt, tracker.monitor):
                 verdict = oracle.validate(monitor.top_k(), config.k)
                 assert verdict.ok, (i, monitor.name, verdict.problems[:3])
-            truth_below = {
-                pid for pid, s in oracle.safeties().items() if s < -4.0
-            }
-            assert {
-                r.place_id for r in threshold.unsafe_places()
-            } == truth_below, (i, "threshold")
             # ...and the internal invariants hold.
             for monitor in (basic, opt, tracker.monitor):
                 problems = audit_monitor(monitor)

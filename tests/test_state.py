@@ -35,7 +35,6 @@ from repro.control.events import (
     encode_event,
 )
 from repro.core import CTUPConfig, CTUPMonitor
-from repro.ext import DecayCTUP, ThresholdCTUP
 from repro.geometry import Point, Rect
 from repro.grid import GridPartition
 from repro.model import LocationUpdate, Place
@@ -271,16 +270,12 @@ CACHE_STREAM = record_stream(
     ),
     96,
 )
-CACHE_SCHEMES = {
-    "opt": "opt",
-    "threshold": lambda c, p, u: ThresholdCTUP(c, p, u, tau=4.0),
-}
 
 
 def cache_session(scheme, batch_size, durability=None):
     return session(
         durability,
-        scheme=CACHE_SCHEMES[scheme],
+        scheme=scheme,
         units=generate_units(CACHE_UNITS, CONFIG.protection_range, seed=31),
         batch_size=batch_size,
     )
@@ -305,7 +300,7 @@ def cache_straight(scheme, batch_size):
     return full_state(live)
 
 
-@pytest.mark.parametrize("scheme", sorted(CACHE_SCHEMES))
+@pytest.mark.parametrize("scheme", ["opt"])
 @pytest.mark.parametrize("batch_size", [0, BATCH], ids=["single", "batch"])
 class TestResumeWithPendingCaches:
     def test_crash_with_recorded_moves_resumes_bit_identical(
@@ -377,13 +372,6 @@ def test_resume_decodes_each_journal_record_once(tmp_path, monkeypatch):
 # -- the snapshot protocol ----------------------------------------------
 
 
-def _ext_factories():
-    return {
-        "threshold": lambda c, p, u: ThresholdCTUP(c, p, u, tau=-5.0),
-        "decay": DecayCTUP,
-    }
-
-
 class TestSnapshottable:
     def test_every_scheme_satisfies_the_protocol(self):
         from repro.shard.monitor import ShardedMonitor
@@ -391,24 +379,11 @@ class TestSnapshottable:
         units = make_units()
         monitors = [
             factory(CONFIG, PLACES, units)
-            for factory in (*SCHEMES.values(), *_ext_factories().values())
+            for factory in SCHEMES.values()
         ] + [ShardedMonitor(CONFIG, PLACES, units, shards=2)]
         for monitor in monitors:
             assert isinstance(monitor, CTUPMonitor), type(monitor)
             assert "counters" in monitor.state_fields()
-
-    @pytest.mark.parametrize("name", sorted(_ext_factories()))
-    def test_ext_schemes_roundtrip_via_factory(self, name):
-        factory = _ext_factories()[name]
-        monitor = factory(CONFIG, PLACES, make_units())
-        monitor.initialize()
-        for update in STREAM.prefix(40):
-            monitor.process(update)
-        document = json.loads(json.dumps(snapshot_monitor(monitor)))
-        restored = restore_monitor(
-            document, places=PLACES, units=make_units(), factory=factory
-        )
-        assert state_fingerprint(restored) == state_fingerprint(monitor)
 
     def test_restore_against_wrong_places_rejected(self):
         monitor = SCHEMES["opt"](CONFIG, PLACES, make_units())

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from repro.api import SCHEMES, ShardSpec, make_monitor
 from repro.core.topk import MaintainedPlaces, kth_smallest, topk_rows
-from repro.ext import DecayCTUP, ThresholdCTUP
 from repro.geometry import Point
 from repro.grid import GridPartition
 from repro.model import Place
@@ -415,19 +414,6 @@ class TestApplyUnitMove:
             tracemalloc.stop()
         assert peak < 3 * n * m * 8
 
-    def test_weighted_move(self):
-        table = MaintainedPlaces()
-        table.insert(place(1, 0.5, 0.5), 0.0, cell=0)
-
-        def weight(d):
-            return np.clip(1 - d / 0.1, 0, 1)
-
-        # unit moves from distance 0.05 (w=0.5) to distance 0.025 (w=0.75)
-        table.apply_unit_move_weighted(
-            Point(0.55, 0.5), Point(0.525, 0.5), weight
-        )
-        assert table.safety_of(1) == pytest.approx(0.25)
-
 
 # -- the per-version result cache ------------------------------------------
 
@@ -445,7 +431,6 @@ _MUTATORS = (
     "set_safety",
     "apply_unit_move",
     "apply_unit_moves",
-    "apply_unit_move_weighted",
     "restore_rows",
 )
 
@@ -510,9 +495,6 @@ def _mutate(table: MaintainedPlaces, op: str, data) -> None:
             np.array([p.y for p in news]),
             0.3,
         )
-    elif op == "apply_unit_move_weighted":
-        weight = lambda d: np.where(d <= 0.3, 1.0, 0.0)  # noqa: E731
-        table.apply_unit_move_weighted(*_points(data, 2), weight)
     elif op == "restore_rows":
         exported = table.export_rows()
         # restore_rows needs an empty table: empty this one, refill it.
@@ -543,15 +525,11 @@ class TestResultCache:
 
 
 @pytest.fixture(
-    params=["naive", "basic", "opt", "incremental", "threshold", "decay", "sharded"]
+    params=["naive", "basic", "opt", "incremental", "sharded"]
 )
 def any_monitor(request, small_config, small_places, small_units):
     name = request.param
-    if name == "threshold":
-        monitor = ThresholdCTUP(small_config, small_places, small_units, tau=-2.0)
-    elif name == "decay":
-        monitor = DecayCTUP(small_config, small_places, small_units)
-    elif name == "sharded":
+    if name == "sharded":
         monitor = make_monitor(
             "opt",
             places=small_places,

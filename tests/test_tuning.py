@@ -1,10 +1,8 @@
-"""Parameter tuning heuristics and calibration."""
+"""The partition-granularity heuristic."""
 
 import pytest
 
-from repro.bench import build_workload
-from repro.core import CTUPConfig
-from repro.core.tuning import DeltaChoice, choose_delta, suggest_granularity
+from repro.core.tuning import suggest_granularity
 from repro.geometry import Rect
 
 
@@ -41,49 +39,3 @@ class TestSuggestGranularity:
             suggest_granularity(0, 0.1)
         with pytest.raises(ValueError):
             suggest_granularity(100, 0.0)
-
-
-class TestChooseDelta:
-    @pytest.fixture(scope="class")
-    def workload(self):
-        return build_workload(
-            n_units=25, n_places=800, stream_length=150, seed=5
-        )
-
-    @pytest.fixture(scope="class")
-    def config(self):
-        return CTUPConfig(k=5, protection_range=0.1, granularity=6)
-
-    def test_returns_candidate(self, workload, config):
-        choice = choose_delta(workload, config, candidates=(0, 4, 8))
-        assert choice.delta in (0, 4, 8)
-        assert isinstance(choice, DeltaChoice)
-
-    def test_best_has_lowest_cost(self, workload, config):
-        choice = choose_delta(workload, config, candidates=(0, 4, 8))
-        best_cost = choice.cost_of(choice.delta)
-        for delta in (0, 4, 8):
-            assert best_cost <= choice.cost_of(delta)
-
-    def test_all_candidates_measured(self, workload, config):
-        choice = choose_delta(workload, config, candidates=(0, 6))
-        assert set(choice.results) == {0, 6}
-
-    def test_wall_metric(self, workload, config):
-        choice = choose_delta(
-            workload, config, candidates=(0, 6), metric="wall"
-        )
-        assert choice.metric == "wall"
-        assert choice.cost_of(choice.delta) > 0
-
-    def test_unknown_metric_rejected(self, workload, config):
-        with pytest.raises(ValueError):
-            choose_delta(workload, config, candidates=(0,), metric="magic")
-
-    def test_empty_candidates_rejected(self, workload, config):
-        with pytest.raises(ValueError):
-            choose_delta(workload, config, candidates=())
-
-    def test_updates_prefix_respected(self, workload, config):
-        choice = choose_delta(workload, config, candidates=(4,), updates=30)
-        assert choice.results[4].n_updates == 30
