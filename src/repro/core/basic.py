@@ -257,6 +257,9 @@ class BasicCTUP(CTUPMonitor):
     def topk_ids(self) -> list[int]:
         return self.maintained.topk_ids(self.config.k)
 
+    def result_version(self) -> int:
+        return self.maintained.result_version(self.config.k)
+
     # -- checkpointing ----------------------------------------------------
 
     def _export_scheme_state(self) -> dict[str, Any]:

@@ -44,6 +44,8 @@ class ChangeTracker:
     _subscribers: list[ChangeCallback] = field(default_factory=list)
     _last: dict[int, SafetyRecord] = field(default_factory=dict)
     _last_sk: float = float("inf")
+    #: the monitor's result version as of the last diff (or prime).
+    _last_version: int = -1
     changes_seen: int = 0
 
     def subscribe(self, callback: ChangeCallback) -> None:
@@ -67,6 +69,7 @@ class ChangeTracker:
         (restored from a checkpoint, driven elsewhere) without replaying
         its history as one giant change.
         """
+        self._last_version = self.monitor.result_version()
         self._last = {r.place_id: r for r in self.monitor.top_k()}
         self._last_sk = self.monitor.sk()
 
@@ -80,9 +83,16 @@ class ChangeTracker:
 
         For callers that drive the monitor themselves (the simulation
         shell, batch processors) and only want the change detection.
-        SK and the result ids are compared first; the records are only
-        built when one of them moved.
+        Returns ``None`` at once while the monitor's
+        :meth:`~repro.core.monitor.CTUPMonitor.result_version` is the
+        one last seen: the result cannot have moved. Otherwise SK and
+        the result ids are compared; the records are only built when
+        one of them moved.
         """
+        version = self.monitor.result_version()
+        if version == self._last_version:
+            return None
+        self._last_version = version
         sk = self.monitor.sk()
         if sk == self._last_sk and self._last.keys() == set(self.monitor.topk_ids()):
             return None

@@ -40,6 +40,7 @@ if TYPE_CHECKING:
 
 from repro.core.config import CTUPConfig
 from repro.core.metrics import InitReport, MonitorCounters, UpdateReport
+from repro.core.topk import fresh_version
 from repro.core.units import UnitIndex, UnitKernelStats
 from repro.grid.partition import GridPartition
 from repro.model import CoalescedMove, LocationUpdate, Place, SafetyRecord, Unit
@@ -548,9 +549,23 @@ class CTUPMonitor(abc.ABC):
             raise RuntimeError(f"{self.name}: initialize() may run only once")
 
     def topk_ids(self) -> list[int]:
-        """Place ids of ``top_k()``, in order (what change tracking diffs).
+        """Place ids of ``top_k()``, in order.
 
-        Schemes that can answer without building the records override
-        this; the override must agree with ``top_k()``.
+        Change tracking diffs these ids, with ``sk()``, whenever
+        :meth:`result_version` moved. Schemes that can answer without
+        building the records override this; the override must agree
+        with ``top_k()``.
         """
         return [record.place_id for record in self.top_k()]
+
+    def result_version(self) -> int:
+        """A version that stays equal while ``sk()`` and the ids of
+        ``top_k()`` cannot have changed.
+
+        The default hands out a new version on every call, so a caller
+        diffs the full result each time. Schemes that answer from a
+        :class:`~repro.core.topk.MaintainedPlaces` forward its
+        result version, which moves only when a mutation touched a row
+        at or below SK.
+        """
+        return fresh_version()

@@ -408,6 +408,9 @@ class OptCTUP(CTUPMonitor):
     def topk_ids(self) -> list[int]:
         return self.maintained.topk_ids(self.config.k)
 
+    def result_version(self) -> int:
+        return self.maintained.result_version(self.config.k)
+
     # -- checkpointing ----------------------------------------------------
 
     def _export_scheme_state(self) -> dict[str, Any]:

@@ -8,12 +8,15 @@ illuminated cell, OptCTUP keeps exactly the places that were within
 It is columnar (numpy) so the per-update hot path — adjusting the
 safety of every maintained place against a unit's old and new protection
 disk — is one vectorised pass, and ``SK`` (the k-th smallest safety) is
-one ``np.partition``. Rows are removed with swap-to-last so the arrays
-stay dense.
+one ``np.partition``. A cell → rows index lets a cell access touch only
+that cell's rows: a removal moves the last rows into the holes (so the
+columns stay dense) and repoints each moved row's index entry in O(1).
+A result version tells readers when SK and the top-k may have moved.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import TYPE_CHECKING, Any, Iterable, Sequence, cast
 
@@ -28,6 +31,20 @@ if TYPE_CHECKING:
     from repro.storage.placestore import PlaceStore
 
 _INITIAL_CAPACITY = 64
+#: removals of more rows than this move the column values with fancy
+#: indexing; fewer rows are cheaper moved one scalar at a time.
+_SCALAR_DROP = 8
+
+_VERSIONS = itertools.count(1)
+
+
+def fresh_version() -> int:
+    """A result version no table or monitor has handed out before.
+
+    Versions come from one process-wide counter, so two tables (a
+    monitor that rebuilt its table, say) never hand out equal ones.
+    """
+    return next(_VERSIONS)
 
 
 def tie_key(safety: float, place_id: int) -> tuple[float, int]:
@@ -55,8 +72,13 @@ def kth_smallest(safety: np.ndarray, k: int) -> float:
     return float(np.partition(safety, k - 1)[k - 1])
 
 
-def topk_rows(ids: np.ndarray, safety: np.ndarray, k: int) -> np.ndarray:
+def topk_rows(
+    ids: np.ndarray, safety: np.ndarray, k: int, kth: float | None = None
+) -> np.ndarray:
     """Row indices of the k smallest safeties, ties broken by id.
+
+    ``kth`` is the k-th smallest safety when the caller already holds
+    it (``kth_smallest(safety, k)``); it saves the partition.
 
     Shared by the maintained table and the naïve monitor so every scheme
     reports an identical, deterministic result set.
@@ -78,7 +100,8 @@ def topk_rows(ids: np.ndarray, safety: np.ndarray, k: int) -> np.ndarray:
         return np.empty(0, dtype=np.int64)
     take = min(k, n)
     if n > take:
-        kth = np.partition(safety, take - 1)[take - 1]
+        if kth is None:
+            kth = np.partition(safety, take - 1)[take - 1]
         candidates = np.nonzero(safety <= kth)[0]
         order = np.lexsort((ids[candidates], safety[candidates]))
         return candidates[order][:take]
@@ -88,11 +111,33 @@ def topk_rows(ids: np.ndarray, safety: np.ndarray, k: int) -> np.ndarray:
 class MaintainedPlaces:
     """A dynamic table of (place, safety, owning cell) rows.
 
-    Every mutator that changes a row bumps ``_version`` (a unit move
-    that changes no coverage and an empty band keep it); :meth:`sk` and
-    the top-k rows are memoised per ``(version, k)``, so the reads
-    between two mutations (a refresh's last round, ``process()``'s
-    report, change tracking) share one computation.
+    **Layout.** ``ids``, ``xs``, ``ys`` and ``safety`` are dense numpy
+    columns over rows ``0 .. len - 1``; each row's ``Place`` and owning
+    cell sit in plain lists. ``_cell_rows`` maps every cell that owns
+    rows to the list of its rows, and ``_slot`` holds each row's
+    position in that list, so :meth:`remove_cell` finds a cell's rows
+    without a column compare and a row moved by a removal repoints its
+    entry in O(1). No id → row index is kept: the rare lookups by id
+    (:meth:`remove_id`, :meth:`safety_of`, ``in``) search the id column.
+
+    **Memo.** Every mutator that changes a row bumps ``_version``;
+    :meth:`sk` and the top-k rows are memoised per ``(version, k)``, so
+    the reads between two mutations (a refresh's last round,
+    ``process()``'s report, change tracking) share one computation.
+
+    **Result version.** :meth:`result_version` hands out a version and
+    records the SK as of that read. A mutator marks the result changed
+    when a row it touches, adds or removes has a safety at or below
+    that SK, before or after the write; the next read then hands out a
+    fresh version. One pair is judged as a whole: the rows a
+    :meth:`remove_cell` takes at or below SK, and the next insert into
+    the same cell (a cell access's band). If that insert brings exactly
+    those ``(id, safety)`` rows back at or below SK, nothing is marked.
+    The rule is exact: if nothing was marked, the rows at or below the
+    recorded SK are the same rows with the same safeties, and every
+    other row is still above it, so SK and the ``(safety, id)`` top-k
+    are unchanged. It holds for any number of readers, since any read
+    after a mark sees a new version.
     """
 
     def __init__(self) -> None:
@@ -102,18 +147,63 @@ class MaintainedPlaces:
         self._xs = np.empty(cap, dtype=np.float64)
         self._ys = np.empty(cap, dtype=np.float64)
         self._safety = np.empty(cap, dtype=np.float64)
-        self._cell = np.empty(cap, dtype=np.int64)
-        self._row_of: dict[int, int] = {}
-        self._place_at: list[Place | None] = [None] * cap
+        self._place_at: list[Place] = []
+        self._cell: list[int] = []
+        self._slot: list[int] = []
+        self._cell_rows: dict[int, list[int]] = {}
         self._version = 0
         self._sk_memo: tuple[int, int, float] = (-1, 0, math.inf)
         self._rows_memo: tuple[int, int, np.ndarray] = (-1, 0, self._ids[:0])
+        # the result version: handed out at reads, renewed after a mark.
+        self._result = 0
+        self._result_changed = True
+        self._watch_k = 0
+        self._watch_sk = math.inf
+        # (cell, {id: safety}) of the rows at or below SK that the last
+        # remove_cell took, until the next mutation judges them.
+        self._left: tuple[int, dict[int, float]] | None = None
 
     def __len__(self) -> int:
         return self._n
 
     def __contains__(self, place_id: int) -> bool:
-        return place_id in self._row_of
+        return bool(np.count_nonzero(self._ids[: self._n] == place_id))
+
+    def _row(self, place_id: int) -> int:
+        """The row holding ``place_id`` (a search of the id column)."""
+        hit = (self._ids[: self._n] == place_id).nonzero()[0]
+        if not len(hit):
+            raise KeyError(place_id)
+        return int(hit[0])
+
+    # -- the result version ---------------------------------------------
+
+    def result_version(self, k: int) -> int:
+        """A version that stays equal while ``sk(k)`` and the top-k ids
+        cannot have changed (see the class docstring)."""
+        if self._left is not None:
+            self._settle()
+        if self._result_changed or k != self._watch_k:
+            self._result = fresh_version()
+            self._watch_k = k
+            self._watch_sk = self.sk(k)
+            self._result_changed = False
+        return self._result
+
+    def _touch(self, lowest: float) -> None:
+        """Mark the result changed if ``lowest`` — the least safety a
+        mutation touched, before or after — is at or below the SK of the
+        last result-version read."""
+        if lowest <= self._watch_sk:
+            self._result_changed = True
+
+    def _settle(self) -> None:
+        """Judge a pending cell removal that no insert into the cell
+        followed: rows at or below SK left for good."""
+        assert self._left is not None
+        if self._left[1]:
+            self._result_changed = True
+        self._left = None
 
     # -- growth ---------------------------------------------------------
 
@@ -127,26 +217,22 @@ class MaintainedPlaces:
         self._xs = np.resize(self._xs, cap)
         self._ys = np.resize(self._ys, cap)
         self._safety = np.resize(self._safety, cap)
-        self._cell = np.resize(self._cell, cap)
-        self._place_at.extend([None] * (cap - len(self._place_at)))
 
     # -- insertion ------------------------------------------------------
 
     def insert(self, place: Place, safety: float, cell: int) -> None:
         """Add one place; rejects duplicates (a maintenance bug otherwise)."""
-        if place.place_id in self._row_of:
+        if place.place_id in self:
             raise ValueError(f"place {place.place_id} already maintained")
-        self._ensure_capacity(self._n + 1)
-        row = self._n
-        self._ids[row] = place.place_id
-        self._xs[row] = place.location.x
-        self._ys[row] = place.location.y
-        self._safety[row] = safety
-        self._cell[row] = cell
-        self._place_at[row] = place
-        self._row_of[place.place_id] = row
-        self._n += 1
-        self._version += 1
+        location = place.location
+        self._append(
+            [place],
+            np.array([place.place_id], dtype=np.int64),
+            np.array([location.x]),
+            np.array([location.y]),
+            np.array([safety], dtype=np.float64),
+            cell,
+        )
 
     def insert_batch(
         self,
@@ -161,31 +247,37 @@ class MaintainedPlaces:
         ``columns`` are the places' ``(ids, xs, ys)`` arrays when the
         caller holds them (a cell's ``CellArrays``); otherwise they are
         read off the places. Equals :meth:`insert` row by row, except
-        that a bad batch (a length mismatch, or an id repeated or
-        already maintained) raises ``ValueError`` before anything is
-        written.
+        that a bad batch raises ``ValueError`` before anything is
+        written: a length mismatch, or, for a batch that joins rows
+        already maintained (per-row cells, or a cell that owns rows), an
+        id repeated or already maintained. A batch into a cell that owns
+        no rows is that cell's places — distinct, and owned by no other
+        cell — so it is not searched: the illumination and band paths
+        pay no per-id check.
         """
-        start, m = self._n, len(places)
-        if len(safeties) != m or (np.ndim(cell) and np.size(cell) != m):
+        m = len(places)
+        per_row = np.ndim(cell) > 0
+        if len(safeties) != m or (per_row and np.size(cell) != m):
             raise ValueError("places, safeties and cells length mismatch")
         if columns is None:
             arrays = CellArrays(places)
             columns = (arrays.ids, arrays.xs, arrays.ys)
         ids, xs, ys = columns
-        end = start + m
-        index = dict(zip(ids.tolist(), range(start, end)))
-        if len(index) != m or not self._row_of.keys().isdisjoint(index):
-            raise ValueError("batch repeats a place id or one already maintained")
-        self._ensure_capacity(end)
-        self._ids[start:end] = ids
-        self._xs[start:end] = xs
-        self._ys[start:end] = ys
-        self._safety[start:end] = safeties
-        self._cell[start:end] = cell
-        self._place_at[start:end] = places
-        self._row_of.update(index)
-        self._n = end
-        self._version += 1
+        if per_row or cell in self._cell_rows:
+            maintained = self._ids[: self._n]
+            if len(set(ids.tolist())) != m or np.isin(ids, maintained).any():
+                raise ValueError(
+                    "batch repeats a place id or one already maintained"
+                )
+        if not m:
+            return
+        safety = np.asarray(safeties, dtype=np.float64)
+        if per_row:
+            self._append_rows(places, ids, xs, ys, safety)
+            cells = [int(c) for c in np.asarray(cell).tolist()]
+            self._index_rows(self._n - m, cells)
+        else:
+            self._append(places, ids, xs, ys, safety, int(cast(int, cell)))
 
     def insert_band(
         self,
@@ -212,33 +304,118 @@ class MaintainedPlaces:
         # first implies the second.
         cut = sk + delta
         keep = safeties < cut if cut > sk else safeties <= sk
-        take = np.flatnonzero(keep)
-        if len(take):
-            self.insert_batch(
-                [places[i] for i in take.tolist()],
-                safeties.take(take),
-                cell,
-                (arrays.ids.take(take), arrays.xs.take(take), arrays.ys.take(take)),
-            )
-        if len(take) == len(safeties):
+        take = keep.nonzero()[0]
+        kept = len(take)
+        if kept:
+            band = [places[i] for i in take.tolist()]
+            columns = (arrays.ids[take], arrays.xs[take], arrays.ys[take])
+            if cell in self._cell_rows:
+                self.insert_batch(band, safeties[take], cell, columns)
+            else:
+                self._append(band, *columns, safeties[take], cell)
+        if kept == len(safeties):
             return math.inf
         return float(safeties[~keep].min())
 
+    def _append_rows(
+        self,
+        places: Sequence[Place],
+        ids: np.ndarray,
+        xs: np.ndarray,
+        ys: np.ndarray,
+        safety: np.ndarray,
+        judged: bool = False,
+    ) -> None:
+        """Write rows at the end of the columns (not yet indexed).
+
+        ``judged``: the caller has already judged the rows against the
+        result version.
+        """
+        start = self._n
+        end = start + len(places)
+        self._ensure_capacity(end)
+        self._ids[start:end] = ids
+        self._xs[start:end] = xs
+        self._ys[start:end] = ys
+        self._safety[start:end] = safety
+        self._place_at.extend(places)
+        self._n = end
+        self._version += 1
+        if judged:
+            return
+        if self._left is not None:
+            self._settle()
+        if not self._result_changed:
+            self._touch(float(safety.min()))
+
+    def _append(
+        self,
+        places: Sequence[Place],
+        ids: np.ndarray,
+        xs: np.ndarray,
+        ys: np.ndarray,
+        safety: np.ndarray,
+        cell: int,
+    ) -> None:
+        """Append rows all owned by ``cell`` and extend its entry."""
+        start = self._n
+        left = self._left
+        if left is not None and left[0] == cell:
+            # the cell's band after its removal: the result stays when
+            # the rows at or below SK are the ones that left.
+            self._left = None
+            watch = self._watch_sk
+            back = {
+                pid: value
+                for pid, value in zip(ids.tolist(), safety.tolist())
+                if value <= watch
+            }
+            if back != left[1]:
+                self._result_changed = True
+            self._append_rows(places, ids, xs, ys, safety, judged=True)
+        else:
+            self._append_rows(places, ids, xs, ys, safety)
+        end = self._n
+        rows = self._cell_rows.get(cell)
+        if rows is None:
+            self._cell_rows[cell] = list(range(start, end))
+            self._slot.extend(range(end - start))
+        else:
+            self._slot.extend(range(len(rows), len(rows) + end - start))
+            rows.extend(range(start, end))
+        self._cell.extend([cell] * (end - start))
+
+    def _index_rows(self, start: int, cells: list[int]) -> None:
+        """Index rows ``start ..`` under their per-row ``cells``."""
+        cell_rows = self._cell_rows
+        slot = self._slot
+        for row, cell in enumerate(cells, start):
+            rows = cell_rows.get(cell)
+            if rows is None:
+                rows = cell_rows[cell] = []
+            slot.append(len(rows))
+            rows.append(row)
+        self._cell.extend(cells)
+
     # -- removal --------------------------------------------------------
 
-    def remove_row(self, row: int) -> tuple[Place, float]:
-        """Remove one row (swap-with-last); returns the evicted record."""
-        if not (0 <= row < self._n):
-            raise IndexError(f"row {row} out of range")
-        place = self._place_at[row]
-        assert place is not None
-        hit = np.zeros(self._n, dtype=bool)
-        hit[row] = True
-        return place, self._drop(hit)
-
     def remove_id(self, place_id: int) -> tuple[Place, float]:
-        """Remove a place by id."""
-        return self.remove_row(self._row_of[place_id])
+        """Remove a place by id; returns the evicted record.
+
+        Raises ``KeyError`` when the place is not maintained.
+        """
+        row = self._row(place_id)
+        place = self._place_at[row]
+        cell = self._cell[row]
+        rows = self._cell_rows[cell]
+        last = rows.pop()
+        if last != row:
+            slot = self._slot[row]
+            rows[slot] = last
+            self._slot[last] = slot
+        if not rows:
+            del self._cell_rows[cell]
+        return place, self._drop([row])
 
     def remove_cell(self, cell: int) -> float:
         """Drop every place owned by ``cell``; min removed safety.
@@ -246,53 +423,95 @@ class MaintainedPlaces:
         Returns ``+inf`` when the cell owns no row — exactly the value
         the monitors assign as a cell bound when no place was dropped.
         """
-        return self._drop(self._cell[: self._n] == cell)
-
-    def _drop(self, hit: np.ndarray) -> float:
-        """Swap-remove the rows where ``hit`` is set; min removed safety.
-
-        The kept rows past the new end move into the removed rows below
-        it, so the arrays stay dense and the Python work is O(removed).
-        """
-        rows = np.flatnonzero(hit)
-        if len(rows) == 0:
+        rows = self._cell_rows.pop(cell, None)
+        if rows is None:
             return math.inf
+        if self._left is not None:
+            self._settle()
+        if self._result_changed or len(rows) > _SCALAR_DROP:
+            return self._drop(rows)
+        # defer the judgement to the next mutation: a band that puts
+        # the same rows back at or below SK does not move the result.
+        ids, safety, watch = self._ids, self._safety, self._watch_sk
+        left: dict[int, float] = {}
+        for row in rows:
+            value = safety.item(row)
+            if value <= watch:
+                left[ids.item(row)] = value
+        self._left = (cell, left)
+        return self._drop(rows, judged=True)
+
+    def _drop(self, rows: list[int], judged: bool = False) -> float:
+        """Remove ``rows`` (already out of the cell index); min removed
+        safety.
+
+        The last rows that stay move into the holes below the new end,
+        in ascending order on both sides, so the columns stay dense and
+        the layout depends on the removed rows alone, not on the order
+        of a cell's index entry. Each moved row repoints its index
+        entry through its slot. ``judged``: the caller has already
+        judged the rows against the result version.
+        """
         n = self._n
-        end = n - len(rows)
-        holes = rows[rows < end]
-        movers = end + np.flatnonzero(~hit[end:])
-        min_removed = float(self._safety[rows].min())
-        row_of = self._row_of
-        for place_id in self._ids[rows].tolist():
-            del row_of[place_id]
-        for column in (self._ids, self._xs, self._ys, self._safety, self._cell):
-            column[holes] = column[movers]
-        place_at = self._place_at
-        for hole, mover in zip(holes.tolist(), movers.tolist()):
+        m = len(rows)
+        end = n - m
+        ids, xs, ys, safety = self._ids, self._xs, self._ys, self._safety
+        if m > _SCALAR_DROP:
+            gone = np.array(rows)
+            min_removed = float(safety[gone].min())
+            holes = np.sort(gone[gone < end])
+            stays = np.ones(m, dtype=bool)
+            stays[gone[gone >= end] - end] = False
+            movers = end + stays.nonzero()[0]
+            for column in (ids, xs, ys, safety):
+                column[holes] = column[movers]
+            pairs = zip(holes.tolist(), movers.tolist())
+        else:
+            min_removed = min(map(safety.item, rows))
+            tail = set(rows)
+            hole_list = sorted(row for row in rows if row < end)
+            mover_list = [row for row in range(end, n) if row not in tail]
+            for hole, mover in zip(hole_list, mover_list):
+                ids[hole] = ids[mover]
+                xs[hole] = xs[mover]
+                ys[hole] = ys[mover]
+                safety[hole] = safety[mover]
+            pairs = zip(hole_list, mover_list)
+        place_at, cells, slots = self._place_at, self._cell, self._slot
+        cell_rows = self._cell_rows
+        for hole, mover in pairs:
             place_at[hole] = place_at[mover]
-        row_of.update(zip(self._ids[holes].tolist(), holes.tolist()))
-        place_at[end:n] = [None] * len(rows)
+            cell = cells[hole] = cells[mover]
+            slot = slots[hole] = slots[mover]
+            cell_rows[cell][slot] = hole
+        del place_at[end:], cells[end:], slots[end:]
         self._n = end
         self._version += 1
+        if judged:
+            return min_removed
+        if self._left is not None:
+            self._settle()
+        if not self._result_changed:
+            self._touch(min_removed)
         return min_removed
 
     # -- queries --------------------------------------------------------
 
-    def cells_present(self) -> set[int]:
-        """The owning cells of all maintained places."""
-        return set(np.unique(self._cell[: self._n]).tolist())
-
     def safety_of(self, place_id: int) -> float:
-        return float(self._safety[self._row_of[place_id]])
+        return float(self._safety[self._row(place_id)])
 
     def place_of(self, place_id: int) -> Place:
-        place = self._place_at[self._row_of[place_id]]
-        assert place is not None
-        return place
+        return self._place_at[self._row(place_id)]
 
     def set_safety(self, place_id: int, safety: float) -> None:
-        self._safety[self._row_of[place_id]] = safety
+        row = self._row(place_id)
+        before = float(self._safety[row])
+        self._safety[row] = safety
         self._version += 1
+        if self._left is not None:
+            self._settle()
+        if not self._result_changed:
+            self._touch(min(before, safety))
 
     def export_rows(self) -> list[list[float]]:
         """JSON-codable ``[place_id, safety, cell]`` rows in table order.
@@ -305,7 +524,7 @@ class MaintainedPlaces:
         rows = zip(
             self._ids[:n].tolist(),
             self._safety[:n].tolist(),
-            self._cell[:n].tolist(),
+            self._cell,
         )
         return [list(row) for row in rows]
 
@@ -317,10 +536,8 @@ class MaintainedPlaces:
 
     def safeties_snapshot(self) -> dict[int, float]:
         """id -> safety for every maintained place (testing/diagnostics)."""
-        return {
-            int(self._ids[row]): float(self._safety[row])
-            for row in range(self._n)
-        }
+        n = self._n
+        return dict(zip(self._ids[:n].tolist(), self._safety[:n].tolist()))
 
     def sk(self, k: int) -> float:
         """The k-th smallest maintained safety; ``+inf`` with < k rows.
@@ -340,7 +557,7 @@ class MaintainedPlaces:
         version, memo_k, rows = self._rows_memo
         if version != self._version or memo_k != k:
             n = self._n
-            rows = topk_rows(self._ids[:n], self._safety[:n], k)
+            rows = topk_rows(self._ids[:n], self._safety[:n], k, self.sk(k))
             self._rows_memo = (self._version, k, rows)
         return rows
 
@@ -349,18 +566,13 @@ class MaintainedPlaces:
         place_at = self._place_at
         safety = self._safety
         return [
-            SafetyRecord(cast(Place, place_at[row]), float(safety[row]))
+            SafetyRecord(place_at[row], float(safety[row]))
             for row in self._top_rows(k).tolist()
         ]
 
     def topk_ids(self, k: int) -> list[int]:
         """Place ids of :meth:`top_k`, in the same order."""
         return self._ids[self._top_rows(k)].tolist()
-
-    def min_safety(self) -> float:
-        if self._n == 0:
-            return math.inf
-        return float(self._safety[: self._n].min())
 
     # -- the hot path ---------------------------------------------------
 
@@ -383,9 +595,7 @@ class MaintainedPlaces:
         dxn = xs - new.x
         dyn = ys - new.y
         now = dxn * dxn + dyn * dyn <= r2
-        if (now != was).any():
-            self._safety[:n] += now.astype(np.float64) - was.astype(np.float64)
-            self._version += 1
+        self._add_change(np.subtract(now, was, dtype=np.float64))
         return n
 
     def apply_unit_moves(
@@ -403,8 +613,9 @@ class MaintainedPlaces:
         the integer sum of its per-move ``now - was`` terms, and adding
         that sum once is bit-identical to accumulating the per-move
         float terms (safeties are integer-valued, far below 2**53).
-        Returns the rows scanned *per move* — callers charge their scan
-        counters once per move, matching the sequential path.
+        The result version is judged on that net change. Returns the
+        rows scanned *per move* — callers charge their scan counters
+        once per move, matching the sequential path.
         """
         n = self._n
         if n == 0 or len(old_x) == 0:
@@ -425,11 +636,22 @@ class MaintainedPlaces:
             np.multiply(dy, dy, out=dy)
             np.add(d2, dy, out=d2)
             covered.append(np.count_nonzero(d2 <= r2, axis=1))
-        change = covered[1] - covered[0]
-        if change.any():
-            self._safety[:n] += change.astype(np.float64)
-            self._version += 1
+        self._add_change((covered[1] - covered[0]).astype(np.float64))
         return n
+
+    def _add_change(self, change: np.ndarray) -> None:
+        """Add a per-row safety ``change`` (one entry per live row)."""
+        moved = change.nonzero()[0]
+        if not len(moved):
+            return
+        safety = self._safety
+        if self._left is not None:
+            self._settle()
+        if not self._result_changed:
+            before = safety[moved]
+            self._touch(min(before.tolist() + (before + change[moved]).tolist()))
+        safety[: self._n] += change
+        self._version += 1
 
     def restore_rows(
         self,
@@ -443,7 +665,8 @@ class MaintainedPlaces:
         :class:`Place` records, then the rows are appended in one batch
         in their exported order — row placement is identical to the
         snapshotted table, so a resumed monitor's swap-removals evolve
-        exactly like the original's. Must be called on an empty table.
+        exactly like the original's. The cell index is rebuilt from the
+        rows whatever their order. Must be called on an empty table.
         """
         if self._n:
             raise ValueError("restore_rows requires an empty table")

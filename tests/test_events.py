@@ -88,6 +88,29 @@ class TestChangeTracker:
         assert (change.sk_before, change.sk_after) == (-2.0, -1.0)
         assert change.sk_changed
 
+    def test_sk_only_move_is_a_change(self):
+        # k=2: places 3 and 5 are bare (-2 each), place 1 needs nothing
+        # (0). The unit moves onto place 3, which rises to -1 and stays
+        # in the result: SK moves, the id set does not.
+        config = CTUPConfig(k=2, protection_range=0.1, granularity=4)
+        places = [
+            Place(3, Point(0.2, 0.2), 2),
+            Place(5, Point(0.8, 0.8), 2),
+            Place(1, Point(0.5, 0.8), 0),
+        ]
+        tracker = ChangeTracker(
+            OptCTUP(config, places, [Unit(0, Point(0.5, 0.5), 0.1)])
+        )
+        tracker.initialize()
+        assert sorted(tracker.monitor.topk_ids()) == [3, 5]
+        change = tracker.process(
+            LocationUpdate(0, Point(0.5, 0.5), Point(0.2, 0.2), 1.0)
+        )
+        assert sorted(tracker.monitor.topk_ids()) == [3, 5]
+        assert change is not None and change.sk_changed
+        assert (change.sk_before, change.sk_after) == (-2.0, -1.0)
+        assert change.entered == () and change.left == ()
+
     def test_entered_and_left_sorted(self, two_moves):
         tracker, swap, _ = two_moves
         assert set(tracker.monitor.topk_ids()) == set(EAST)

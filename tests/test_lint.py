@@ -737,7 +737,7 @@ class TestShippedTree:
         }
         (override,) = data["tool"]["mypy"]["overrides"]
         assert [m.removesuffix(".*") for m in override["module"]] == strict
-        assert data["project"]["version"] == "8.0.0"
+        assert data["project"]["version"] == "9.0.0"
 
 
 if __name__ == "__main__":

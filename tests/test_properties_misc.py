@@ -1,15 +1,16 @@
 """Cross-cutting property tests on the substrates.
 
 These target the bookkeeping-heavy structures whose bugs would corrupt
-monitors silently: the swap-remove/compaction paths of the maintained
-table, the page partitioning of the place store, and the grid's linear
-encoding — each checked against a trivial model under random operation
-sequences.
+monitors silently: the swap-remove paths, cell index and result version
+of the maintained table, the page partitioning of the place store, and
+the grid's linear encoding — each checked against a trivial model under
+random operation sequences.
 """
 
 import math
 import random
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,56 +19,138 @@ from repro.geometry import Point, Rect
 from repro.grid import GridPartition
 from repro.model import Place
 from repro.storage import PlaceStore
+from repro.storage.placestore import CellArrays
 from repro.workloads import generate_places
+
+
+#: the k of each lockstep table in the table model test.
+RESULT_KS = (0, 1, 3, 5)
 
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 10_000), ops=st.integers(20, 150))
 def test_maintained_table_matches_dict_model(seed, ops):
-    """Random insert/remove/move sequences agree with a plain dict."""
+    """Random insert/remove/move sequences agree with a plain dict of
+    ``id -> (safety, cell)``, and an unchanged result version means an
+    unchanged SK and top-k.
+
+    One table per k of ``RESULT_KS`` runs the same steps, each read at
+    its own k only (a read at another k hands out a new version).
+    """
     rng = random.Random(seed)
-    table = MaintainedPlaces()
-    model: dict[int, float] = {}
-    next_id = 0
+    tables = {k: MaintainedPlaces() for k in RESULT_KS}
+    last = {
+        k: (table.result_version(k), table.sk(k), table.topk_ids(k))
+        for k, table in tables.items()
+    }
+    model: dict[int, tuple[float, int]] = {}
+    made: list[Place] = []
+
+    def new_place() -> Place:
+        made.append(Place(len(made), Point(rng.random(), rng.random()), 0))
+        return made[-1]
+
+    def move(old: Point, new: Point) -> None:
+        # mirror one unit move on the model.
+        for pid, (safety, cell) in model.items():
+            loc = made[pid].location
+            was = old.squared_distance_to(loc) <= 0.04
+            now = new.squared_distance_to(loc) <= 0.04
+            model[pid] = (safety + int(now) - int(was), cell)
+
     for _ in range(ops):
         action = rng.random()
-        if action < 0.5 or not model:
-            place = Place(next_id, Point(rng.random(), rng.random()), 0)
+        if action < 0.3 or not model:
+            place = new_place()
             safety = float(rng.randint(-10, 10))
             cell = rng.randrange(4)
-            table.insert(place, safety, cell)
-            model[next_id] = safety
-            next_id += 1
-        elif action < 0.75:
-            victim = rng.choice(list(model))
-            table.remove_id(victim)
-            del model[victim]
-        elif action < 0.9 and len(model) > 3:
-            # bulk removal of one cell's rows.
+            for each in tables.values():
+                each.insert(place, safety, cell)
+            model[place.place_id] = (safety, cell)
+        elif action < 0.45:
+            # a cell access's band: the kept rows enter, the rest bound.
+            places = [new_place() for _ in range(rng.randint(1, 6))]
+            safeties = np.array([float(rng.randint(-10, 10)) for _ in places])
             cell = rng.randrange(4)
-            ids = [
-                pid for pid in model if table._cell[table._row_of[pid]] == cell
+            sk = float(rng.randint(-6, 6))
+            delta = rng.choice([0, 1, 3])
+            kept = [
+                (p, s)
+                for p, s in zip(places, safeties.tolist())
+                if s < sk + delta or s <= sk
             ]
-            removed = table.remove_cell(cell)
-            assert removed == min((model[pid] for pid in ids), default=math.inf)
+            rest = [s for s in safeties.tolist() if not (s < sk + delta or s <= sk)]
+            for each in tables.values():
+                bound = each.insert_band(
+                    places, CellArrays(places), safeties, cell, sk, delta
+                )
+                assert bound == min(rest, default=math.inf)
+            for p, s in kept:
+                model[p.place_id] = (s, cell)
+        elif action < 0.55:
+            # a cell access: the cell's rows leave and its band comes
+            # back, often with the same (id, safety) rows.
+            cell = rng.randrange(4)
+            ids = [pid for pid, (_, owner) in model.items() if owner == cell]
+            places = [made[pid] for pid in ids] + [
+                new_place() for _ in range(rng.randint(0, 2))
+            ]
+            safeties = np.array(
+                [model[pid][0] + rng.choice([0, 0, 0, -1, 1]) for pid in ids]
+                + [float(rng.randint(-10, 10)) for _ in places[len(ids) :]]
+            )
+            sk = float(rng.randint(-6, 6))
+            for each in tables.values():
+                each.remove_cell(cell)
+                each.insert_band(places, CellArrays(places), safeties, cell, sk, 1)
             for pid in ids:
                 del model[pid]
-        else:
+            for p, value in zip(places, safeties.tolist()):
+                if value < sk + 1:
+                    model[p.place_id] = (value, cell)
+        elif action < 0.65:
+            victim = rng.choice(list(model))
+            for each in tables.values():
+                removed, safety = each.remove_id(victim)
+                assert (removed.place_id, safety) == (victim, model[victim][0])
+            del model[victim]
+        elif action < 0.78 and len(model) > 3:
+            # bulk removal of one cell's rows.
+            cell = rng.randrange(4)
+            ids = [pid for pid, (_, owner) in model.items() if owner == cell]
+            expected = min((model[pid][0] for pid in ids), default=math.inf)
+            for each in tables.values():
+                assert each.remove_cell(cell) == expected
+            for pid in ids:
+                del model[pid]
+        elif action < 0.9:
             old = Point(rng.random(), rng.random())
             new = Point(rng.random(), rng.random())
-            # mirror the move on the model.
-            for pid in model:
-                loc = table.place_of(pid).location
-                was = old.squared_distance_to(loc) <= 0.04
-                now = new.squared_distance_to(loc) <= 0.04
-                model[pid] += int(now) - int(was)
-            table.apply_unit_move(old, new, radius=0.2)
-        assert table.safeties_snapshot() == model
-        if model:
-            assert table.min_safety() == min(model.values())
-            assert table.sk(1) == min(model.values())
+            move(old, new)
+            for each in tables.values():
+                each.apply_unit_move(old, new, radius=0.2)
         else:
-            assert table.min_safety() == math.inf
+            moves = [
+                [rng.random() for _ in range(4)] for _ in range(rng.randint(1, 4))
+            ]
+            for ox, oy, nx, ny in moves:
+                move(Point(ox, oy), Point(nx, ny))
+            columns = [np.array(column) for column in zip(*moves)]
+            for each in tables.values():
+                each.apply_unit_moves(*columns, 0.2)
+        rows = {pid: [pid, safety, cell] for pid, (safety, cell) in model.items()}
+        ranked = sorted((safety, pid) for pid, (safety, _) in model.items())
+        for k, each in tables.items():
+            assert sorted(each.export_rows()) == sorted(rows.values())
+            version, sk, ids = each.result_version(k), each.sk(k), each.topk_ids(k)
+            assert ids == [pid for _, pid in ranked[:k]]
+            if k <= 0:
+                assert sk == -math.inf
+            else:
+                assert sk == (ranked[k - 1][0] if len(ranked) >= k else math.inf)
+            if version == last[k][0]:
+                assert (sk, ids) == last[k][1:]
+            last[k] = (version, sk, ids)
 
 
 @settings(max_examples=40, deadline=None)

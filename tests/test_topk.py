@@ -116,10 +116,11 @@ class TestInsertRemove:
         assert table.remove_cell(5) == math.inf
         assert len(table) == 1
 
-    def test_remove_row_out_of_range(self):
+    def test_remove_id_of_an_absent_place(self):
         table = table_with([(1, -1.0)])
-        with pytest.raises(IndexError):
-            table.remove_row(5)
+        with pytest.raises(KeyError):
+            table.remove_id(5)
+        assert table.export_rows() == [[1, -1.0, 0]]
 
     def test_bulk_removal_path(self):
         # a large batch: most of the table leaves in one call.
@@ -252,13 +253,13 @@ class TestCellQueries:
         table.insert(place(3), 0.0, cell=3)
         table.remove_cell(3)
         assert {pid for pid, _, _ in table.export_rows()} == {2}
-        assert table.cells_present() == {4}
+        assert {cell for _, _, cell in table.export_rows()} == {4}
 
     def test_cells_present(self):
         table = MaintainedPlaces()
         table.insert(place(1), 0.0, cell=3)
         table.insert(place(2), 0.0, cell=9)
-        assert table.cells_present() == {3, 9}
+        assert {cell for _, _, cell in table.export_rows()} == {3, 9}
 
     def test_safeties_is_a_live_read_only_view(self):
         table = table_with([(1, -1.0), (2, 3.0)])
@@ -297,8 +298,8 @@ class TestSkAndTopK:
 
     def test_min_safety(self):
         table = table_with([(1, 2.0), (2, -7.0)])
-        assert table.min_safety() == -7.0
-        assert MaintainedPlaces().min_safety() == math.inf
+        assert min(table.safeties_snapshot().values()) == -7.0
+        assert MaintainedPlaces().safeties_snapshot() == {}
 
     def test_set_safety(self):
         table = table_with([(1, 2.0)])
@@ -425,7 +426,6 @@ _MUTATORS = (
     "insert",
     "insert_batch",
     "insert_band",
-    "remove_row",
     "remove_id",
     "remove_cell",
     "set_safety",
@@ -475,12 +475,11 @@ def _mutate(table: MaintainedPlaces, op: str, data) -> None:
             sk = data.draw(st.sampled_from([-1.0, 0.0, math.inf]))
             delta = data.draw(st.sampled_from([0, 1, 3]))
             table.insert_band(batch, CellArrays(batch), values, 0, sk, delta)
-    elif op == "remove_row" and n:
-        table.remove_row(data.draw(st.integers(0, n - 1)))
     elif op == "remove_id" and n:
         table.remove_id(data.draw(st.sampled_from(present)).place_id)
     elif op == "remove_cell" and n:
-        table.remove_cell(data.draw(st.sampled_from(table._cell[:n].tolist())))
+        cells = [cell for _, _, cell in table.export_rows()]
+        table.remove_cell(data.draw(st.sampled_from(cells)))
     elif op == "set_safety" and n:
         pid = data.draw(st.sampled_from(present)).place_id
         table.set_safety(pid, data.draw(safeties))
@@ -498,9 +497,11 @@ def _mutate(table: MaintainedPlaces, op: str, data) -> None:
     elif op == "restore_rows":
         exported = table.export_rows()
         # restore_rows needs an empty table: empty this one, refill it.
-        for cell in table.cells_present():
+        for cell in {cell for _, _, cell in exported}:
             table.remove_cell(cell)
         rows = [[pid, safety, _cell_of(_UNIVERSE[pid])] for pid, safety, _ in exported]
+        # the cell index must come back from the rows in any order.
+        rows = data.draw(st.permutations(rows))
         store = PlaceStore(_GRID, _UNIVERSE, page_capacity=8, buffer_pages=0)
         table.restore_rows(rows, store, _GRID)
 
@@ -516,12 +517,119 @@ class TestResultCache:
         table = MaintainedPlaces()
         for p in _UNIVERSE[:10]:
             table.insert(p, float(p.place_id % 5 - 2), _cell_of(p))
+        last = (table.result_version(k), table.sk(k), table.topk_ids(k))
         for op in ops:
             # read first, so a stale memo at this k would be served next.
             _assert_reads_fresh(table, k)
             _mutate(table, op, data)
             _assert_reads_fresh(table, k)
+            version = table.result_version(k)
+            if version == last[0]:
+                assert (table.sk(k), table.topk_ids(k)) == last[1:]
+            last = (version, table.sk(k), table.topk_ids(k))
             _assert_reads_fresh(table, data.draw(st.integers(0, 6)))
+
+
+_VERSION_OPS = ["insert", "remove_id", "remove_cell", "set_safety"]
+
+
+class TestResultVersion:
+    """Named cases of the result-version rule (``MaintainedPlaces``)."""
+
+    def test_a_move_above_sk_keeps_the_version(self):
+        table = MaintainedPlaces()
+        table.insert(place(1, 0.1, 0.1), -3.0, cell=0)
+        table.insert(place(2, 0.9, 0.9), 5.0, cell=1)
+        version = table.result_version(1)
+        # place 2 (above SK -3) leaves the old disk: 5 -> 4.
+        table.apply_unit_move(Point(0.9, 0.9), Point(0.5, 0.5), 0.05)
+        assert table.safety_of(2) == 4.0
+        assert table.result_version(1) == version
+
+    def test_an_sk_only_move_renews_the_version(self):
+        # the k-th row rises off SK: the id set stays, SK moves.
+        table = MaintainedPlaces()
+        table.insert(place(1, 0.1, 0.1), -3.0, cell=0)
+        table.insert(place(2, 0.9, 0.9), -2.0, cell=1)
+        table.insert(place(3, 0.5, 0.1), 4.0, cell=2)
+        version, ids = table.result_version(2), table.topk_ids(2)
+        table.apply_unit_move(Point(0.0, 0.9), Point(0.9, 0.9), 0.05)
+        assert table.topk_ids(2) == ids and table.sk(2) == -1.0
+        assert table.result_version(2) != version
+
+    @pytest.mark.parametrize("op", _VERSION_OPS)
+    def test_rows_at_or_below_sk_renew_the_version(self, op):
+        table = table_with([(1, -3.0), (2, -1.0), (3, 4.0)])
+        table.insert(place(4), 6.0, cell=5)
+        version = table.result_version(2)
+        if op == "insert":
+            table.insert(place(9), -1.0, cell=1)
+        elif op == "remove_id":
+            table.remove_id(2)
+        elif op == "remove_cell":
+            table.remove_cell(0)
+        else:
+            table.set_safety(3, -1.0)
+        assert table.result_version(2) != version
+
+    @pytest.mark.parametrize("op", _VERSION_OPS)
+    def test_rows_above_sk_keep_the_version(self, op):
+        table = table_with([(1, -3.0), (2, -1.0), (3, 4.0)])
+        table.insert(place(4), 6.0, cell=5)
+        version = table.result_version(2)
+        if op == "insert":
+            table.insert(place(9), 0.0, cell=1)
+        elif op == "remove_id":
+            table.remove_id(3)
+        elif op == "remove_cell":
+            assert table.remove_cell(5) == 6.0
+        else:
+            table.set_safety(3, 7.0)
+        assert table.result_version(2) == version
+
+    @pytest.mark.parametrize(
+        "band, same",
+        [
+            ([(1, -3.0), (2, 9.0)], True),  # the rows come back as they were
+            ([(1, -3.0)], True),  # a row above SK stays out
+            ([(1, -2.0), (2, 9.0)], False),  # a row below SK comes back moved
+            ([(2, 9.0)], False),  # a row below SK stays out
+            ([(1, -3.0), (2, 9.0), (7, -1.0)], False),  # a new row below SK
+            (None, False),  # no band follows the removal
+        ],
+    )
+    def test_an_access_is_judged_as_a_whole(self, band, same):
+        table = MaintainedPlaces()
+        table.insert(place(1), -3.0, cell=4)
+        table.insert(place(2), 9.0, cell=4)
+        table.insert(place(3), -1.0, cell=5)
+        version = table.result_version(2)  # SK -1
+        table.remove_cell(4)
+        if band is not None:
+            places = [place(pid) for pid, _ in band]
+            safeties = np.array([value for _, value in band])
+            table.insert_band(places, CellArrays(places), safeties, 4, 9.0, 1)
+        assert (table.result_version(2) == version) == same
+
+    def test_a_burst_is_judged_on_its_net_change(self):
+        # the unit covers place 1 (at SK) and leaves again: net zero.
+        table = table_with([(1, -1.0)])
+        version = table.result_version(1)
+        there, back = [0.0, 0.5], [0.5, 0.0]
+        table.apply_unit_moves(*map(np.array, (there, there, back, back)), 0.1)
+        assert table.safety_of(1) == -1.0
+        assert table.result_version(1) == version
+        table.apply_unit_moves(
+            np.array([0.0]), np.array([0.0]), np.array([0.5]), np.array([0.5]), 0.1
+        )
+        assert table.result_version(1) != version
+
+    def test_versions_are_unique_across_tables_and_k(self):
+        first, second = MaintainedPlaces(), MaintainedPlaces()
+        version = first.result_version(3)
+        assert second.result_version(3) != version
+        assert first.result_version(3) == version
+        assert first.result_version(2) != version
 
 
 @pytest.fixture(
