@@ -6,17 +6,16 @@ timing/counter bookkeeping to the base class), every storage touch must
 be charged through :class:`~repro.storage.iostats.IoStats`, and the
 sharded execution layer must stay deterministic so the global top-k
 merge and the equivalence suite remain provable. ``repro.lint`` encodes
-those invariants as AST rules over the source tree. The path-aware
-rules run a worklist dataflow solver over per-function CFGs (and, for
-RPL014, a project-wide call graph) built by :mod:`repro.lint.flow`.
+those invariants as AST shape rules over the source tree; each one
+guards an invariant no test sees before the code runs.
 
 ``python -m repro.lint --list-rules`` prints the registered rules, and
 ``docs/architecture.md`` ("Static analysis & invariants") says what each
 one guards and why it stays.
 
-Violations are suppressed per line with ``# reprolint: disable=RPL003
--- reason`` (the reason is mandatory, enforced by RPL000) or per file
-with ``# reprolint: disable-file=RPL003 -- reason``.
+Violations are suppressed per line with an end-of-line ``# reprolint:
+disable=RPL003 -- reason`` (the reason is mandatory, enforced by
+RPL000) or per file with ``# reprolint: disable-file=RPL003 -- reason``.
 
 Run as ``python -m repro.lint src tests`` or ``ctup lint``;
 ``--format sarif`` writes a code-scanning upload.

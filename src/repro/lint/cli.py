@@ -31,7 +31,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro.lint",
         description=(
             "repo-aware static analysis: scheme contracts, counter "
-            "discipline, determinism, flow-sensitive safety rules and "
+            "discipline, determinism, durability/lock/catalog rules and "
             "the strict typing gate"
         ),
     )

@@ -1,13 +1,13 @@
 """The lint driver: file loading, suppressions, the project pre-pass.
 
 Linting is two-phase. The pre-pass walks every parsed file once for the
-facts the cross-file rules need — class declarations, scheme-registry
-entries and call-graph function summaries — and merges them into one
-:class:`ProjectIndex` (the class hierarchy and the project call graph).
-The rule pass then runs every registered rule over every file against
-that shared index, filters the findings through the suppression
-comments, and returns one sorted report. A cold run over ``src tests``
-takes a few seconds, so every run is cold.
+facts the cross-file rules need — class declarations and
+scheme-registry entries — and merges them into one
+:class:`ProjectIndex` (the class hierarchy). The rule pass then runs
+every registered rule over every file against that shared index,
+filters the findings through the end-of-line suppression comments, and
+returns one sorted report. A cold run over ``src tests`` takes a few
+seconds, so every run is cold.
 """
 
 from __future__ import annotations
@@ -21,15 +21,11 @@ import tokenize
 from typing import Iterable, Iterator, Sequence
 
 from repro.lint.config import LintConfig, load_config
-from repro.lint.flow.callgraph import (
-    CallGraph,
-    FunctionSummary,
-    function_summaries,
-)
 from repro.lint.registry import RULES, Violation, known_codes
 
-#: ``# reprolint: disable=RPL001,RPL002 -- reason`` (file-level with
-#: ``disable-file``). The reason is mandatory; RPL000 enforces it.
+#: ``# reprolint: disable=RPL001,RPL002 -- reason`` at the end of the
+#: line it covers (file-level with ``disable-file``). The reason is
+#: mandatory; RPL000 enforces it.
 _SUPPRESS_RE = re.compile(
     r"#\s*reprolint:\s*(?P<kind>disable(?:-file)?)\s*=\s*"
     r"(?P<codes>[A-Z0-9,\s]+?)\s*(?:--\s*(?P<reason>.*\S))?\s*$"
@@ -46,9 +42,6 @@ class Suppression:
     line: int
     file_level: bool
     reason: str | None
-    #: whether the comment sits alone on its line (then it covers the
-    #: next code line instead of its own).
-    standalone: bool
 
 
 class SourceFile:
@@ -72,15 +65,12 @@ class SourceFile:
         )
 
     def suppressed_codes_for_line(self, line: int) -> frozenset[str]:
-        codes: set[str] = set()
-        for sup in self.suppressions:
-            if sup.file_level:
-                codes.update(sup.codes)
-            elif sup.standalone and sup.line + 1 == line:
-                codes.update(sup.codes)
-            elif not sup.standalone and sup.line == line:
-                codes.update(sup.codes)
-        return frozenset(codes)
+        return frozenset(
+            code
+            for sup in self.suppressions
+            if sup.file_level or sup.line == line
+            for code in sup.codes
+        )
 
 
 def _parse_suppressions(text: str) -> Iterator[Suppression]:
@@ -102,7 +92,6 @@ def _parse_suppressions(text: str) -> Iterator[Suppression]:
                 line=token.start[0],
                 file_level=match.group("kind") == "disable-file",
                 reason=match.group("reason"),
-                standalone=token.line[: token.start[1]].strip() == "",
             )
     except tokenize.TokenError:  # unterminated strings etc.: no comments
         return
@@ -122,8 +111,6 @@ class ClassInfo:
     bases: tuple[str, ...]
     #: method name -> definition line.
     methods: dict[str, int]
-    #: method name -> number of positional parameters (incl. self).
-    method_arity: dict[str, int]
     #: ``STATE_FIELDS`` tuple literal from the class body (``None`` when
     #: the class doesn't declare one).
     state_fields: tuple[str, ...] | None = None
@@ -133,17 +120,12 @@ class ClassInfo:
 
 def _class_info(source: SourceFile, node: ast.ClassDef) -> ClassInfo:
     methods: dict[str, int] = {}
-    arity: dict[str, int] = {}
     field_decls: dict[str, tuple[str, ...]] = {}
     for item in node.body:
         if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
             methods.setdefault(item.name, item.lineno)
-            arity.setdefault(
-                item.name,
-                len(item.args.posonlyargs) + len(item.args.args),
-            )
         else:
-            decl = _field_tuple_literal(item)
+            decl = field_tuple_literal(item, ("STATE_FIELDS", "TRANSIENT_FIELDS"))
             if decl is not None:
                 field_decls.setdefault(*decl)
     return ClassInfo(
@@ -157,7 +139,6 @@ def _class_info(source: SourceFile, node: ast.ClassDef) -> ClassInfo:
             if base is not None
         ),
         methods=methods,
-        method_arity=arity,
         state_fields=field_decls.get("STATE_FIELDS"),
         transient_fields=field_decls.get("TRANSIENT_FIELDS"),
     )
@@ -201,7 +182,6 @@ class ProjectIndex:
         self.classes: dict[str, ClassInfo] = {}
         #: class names registered as values of ``repro.api.SCHEMES``.
         self.scheme_classes: dict[str, tuple[str, int]] = {}
-        functions: list[FunctionSummary] = []
         for source in self.sources:
             for node in ast.walk(source.tree):
                 if isinstance(node, ast.ClassDef):
@@ -218,21 +198,6 @@ class ProjectIndex:
                         self.scheme_classes.setdefault(
                             name, (source.path, line)
                         )
-            functions.extend(
-                function_summaries(
-                    source.tree, source.module or "", source.path
-                )
-            )
-        #: call-graph function summaries across the whole project.
-        self.functions = tuple(functions)
-        self._callgraph: CallGraph | None = None
-
-    @property
-    def callgraph(self) -> CallGraph:
-        """The project call graph (built lazily, then cached)."""
-        if self._callgraph is None:
-            self._callgraph = CallGraph(self.functions, self)
-        return self._callgraph
 
     # -- hierarchy queries ------------------------------------------------
 
@@ -271,17 +236,12 @@ class ProjectIndex:
     def is_descendant_of(self, class_name: str, root: str) -> bool:
         return any(info.name == root for info in self.ancestors(class_name))
 
-    def monitor_classes(self) -> Iterator[ClassInfo]:
-        """Every known subclass of ``CTUPMonitor`` (the root excluded)."""
-        for name, info in self.classes.items():
-            if name != "CTUPMonitor" and self.is_descendant_of(name, "CTUPMonitor"):
-                yield info
 
-
-def _field_tuple_literal(
-    node: ast.stmt,
+def field_tuple_literal(
+    node: ast.stmt, declarations: Sequence[str]
 ) -> tuple[str, tuple[str, ...]] | None:
-    """Parse ``STATE_FIELDS = ("a", "b")`` class-body declarations."""
+    """Parse a ``STATE_FIELDS = ("a", "b")``-style class-body
+    declaration of one of the ``declarations`` names."""
     if isinstance(node, ast.AnnAssign):
         targets, value = [node.target], node.value
     elif isinstance(node, ast.Assign):
@@ -291,8 +251,7 @@ def _field_tuple_literal(
     names = {
         t.id
         for t in targets
-        if isinstance(t, ast.Name)
-        and t.id in ("STATE_FIELDS", "TRANSIENT_FIELDS")
+        if isinstance(t, ast.Name) and t.id in declarations
     }
     if len(names) != 1 or not isinstance(value, (ast.Tuple, ast.List)):
         return None

@@ -11,7 +11,6 @@ from repro.lint.rules import (  # noqa: F401  (imported for registration)
     hygiene,
     locks,
     obs,
-    phases,
     state,
 )
 from repro.lint import typing_gate  # noqa: F401  (registers RPLT01)

@@ -1,14 +1,18 @@
 """RPL011 — durability discipline on the checkpoint/journal write path.
 
-Crash recovery (PR 6) only works if what the recovery pass reads was
-actually on disk when the writer claimed it was. That is a *path*
-property, not a call property: every CFG path from a file write to the
-rename/publish of that file must pass ``flush()`` **and**
-``os.fsync()`` first (``write_text`` + ``replace`` is the classic bug
-— the rename is durable, the contents are not). The second half is
-exception hygiene: a monitor-state mutation inside a ``try`` whose
-handler swallows the exception leaves half-applied state visible to
-the next snapshot unless the handler rolls the attribute back.
+Crash recovery only works if what the recovery pass reads was actually
+on disk when the writer claimed it was. So a publish — ``os.replace`` /
+``os.rename``, or a path's one-argument ``.replace`` / ``.rename`` —
+needs a write, then ``flush()``, then ``os.fsync()`` among the
+statements that always run before it in the same function
+(``write_text`` + ``replace`` is the classic bug — the rename is
+durable, the contents are not). Those are the earlier siblings in each
+enclosing body; the search looks inside their ``with`` bodies but not
+inside ``if``, loop, ``try`` or ``except`` bodies, which may not run.
+The second half is exception hygiene: a monitor-state mutation inside a
+``try`` whose handler swallows the exception leaves half-applied state
+visible to the next snapshot unless the handler rolls the attribute
+back.
 
 Scope: ``repro.state`` — the package whose whole contract is
 durability.
@@ -20,39 +24,31 @@ import ast
 from typing import Iterator
 
 from repro.lint.engine import ProjectIndex, SourceFile
-from repro.lint.flow.cfg import CFG, Block, function_cfgs, scan_roots
-from repro.lint.flow.dataflow import BOTTOM, FlagLattice, FlagState, solve_forward
 from repro.lint.registry import Violation, rule
 
 SCOPES = ("repro.state",)
 
-#: the per-function durability protocol states, in protocol order.
-_CLEAN = "clean"
-_WRITTEN = "written"
-_FLUSHED = "flushed"
-_DURABLE = "durable"
-
 _WRITE_METHODS = frozenset(
     {"write", "writelines", "write_text", "write_bytes", "dump"}
 )
-_PUBLISH_METHODS = frozenset({"replace", "rename"})
-
-_LATTICE = FlagLattice(default=_CLEAN)
-_KEY = "written-data"
+#: what is still missing before a publish, by how far the
+#: write -> flush -> fsync sequence got.
+_MISSING = ("a write -> flush -> fsync sequence", "flush+fsync", "os.fsync")
+_DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 @rule(
     "RPL011",
     "durability-discipline",
-    "every checkpoint/journal write path reaches flush+fsync before "
-    "rename/publish, and no state mutation survives a swallowed "
-    "exception without rollback",
+    "every checkpoint/journal publish (rename/replace) follows "
+    "write -> flush -> fsync in the statements that always run before "
+    "it, and no state mutation survives a swallowed exception without "
+    "rollback",
 )
 def check(source: SourceFile, project: ProjectIndex) -> Iterator[Violation]:
     if not source.in_packages(*SCOPES):
         return
-    for node, cfg in function_cfgs(source.tree):
-        yield from _check_publish_protocol(source, cfg)
+    yield from _check_body(source, source.tree.body, [])
     for node in ast.walk(source.tree):
         if isinstance(node, ast.Try):
             yield from _check_swallowed_mutations(source, node)
@@ -60,119 +56,100 @@ def check(source: SourceFile, project: ProjectIndex) -> Iterator[Violation]:
 
 # -- half one: write -> flush -> fsync -> publish ------------------------
 
-
-def _events(node: ast.AST) -> Iterator[tuple[str, ast.Call]]:
-    """Durability protocol events inside one statement, in AST order."""
-    for root in scan_roots(node):
-        yield from _events_in(root)
+Event = tuple[str, ast.Call]
 
 
-def _events_in(root: ast.AST) -> Iterator[tuple[str, ast.Call]]:
-    for sub in ast.walk(root):
-        if not isinstance(sub, ast.Call):
+def _events(node: ast.AST) -> list[Event]:
+    """Durability protocol events inside ``node``, in AST order."""
+    found: list[Event] = []
+    for sub in ast.walk(node):
+        if not (isinstance(sub, ast.Call) and isinstance(sub.func, ast.Attribute)):
             continue
-        func = sub.func
-        if not isinstance(func, ast.Attribute):
-            continue
-        if func.attr in _WRITE_METHODS:
-            yield ("write", sub)
-        elif func.attr == "flush":
-            yield ("flush", sub)
-        elif func.attr == "fsync":
-            # os.fsync(handle.fileno()) or a raw fd; receiver shape is
-            # not discriminated — fsync of anything counts.
-            yield ("fsync", sub)
-        elif func.attr in _PUBLISH_METHODS:
-            # Path.replace/Path.rename take exactly one positional
-            # argument; str.replace takes two — use the arity to avoid
-            # flagging string surgery. os.replace/os.rename take two,
-            # so accept those when the receiver is literally ``os``.
-            receiver = func.value
-            receiver_is_os = (
-                isinstance(receiver, ast.Name) and receiver.id == "os"
-            )
-            arity = len(sub.args)
-            if (receiver_is_os and arity == 2) or (
-                not receiver_is_os and arity == 1 and not sub.keywords
-            ):
-                yield ("publish", sub)
+        attr, receiver = sub.func.attr, sub.func.value
+        if attr in _WRITE_METHODS:
+            found.append(("write", sub))
+        elif attr in ("flush", "fsync"):  # fsync of any fd counts
+            found.append((attr, sub))
+        elif attr in ("replace", "rename") and not sub.keywords:
+            # str.replace takes two arguments, Path.replace/rename one;
+            # os.replace/os.rename take two.
+            is_os = isinstance(receiver, ast.Name) and receiver.id == "os"
+            if len(sub.args) == (2 if is_os else 1):
+                found.append(("publish", sub))
+    return found
 
 
-def _advance(state: str, event: str) -> str:
-    """The per-path protocol automaton (strings from the lattice)."""
-    if event == "write":
-        return _WRITTEN
-    if event == "flush":
-        return _FLUSHED if state == _WRITTEN else state
-    if event == "fsync":
-        return _DURABLE if state in (_FLUSHED, _WRITTEN) else state
-    return state
-
-
-def _transfer(block: Block, state: FlagState) -> FlagState:
-    if block.node is None:
-        return state
-    possible = _LATTICE.read(state, _KEY)
-    for event, _call in _events(block.node):
-        if event == "publish":
-            # publishing resets the protocol: the next write starts a
-            # fresh cycle (violations are detected separately).
-            possible = frozenset(
-                _CLEAN if value != _CLEAN else value for value in possible
-            )
+def _parts(stmt: ast.stmt) -> tuple[list[Event], list[list[ast.stmt]]]:
+    """A statement's header events (those that run whenever it runs:
+    all of a simple statement, an ``if`` test, a ``with`` item) and its
+    nested statement bodies."""
+    header: list[Event] = []
+    bodies: list[list[ast.stmt]] = []
+    for name, value in ast.iter_fields(stmt):
+        if name in ("body", "orelse", "finalbody"):
+            bodies.append(value)
+        elif name in ("handlers", "cases"):
+            bodies.extend(clause.body for clause in value)
         else:
-            possible = frozenset(
-                _advance(value, event) for value in possible
-            )
-    updated = dict(state)
-    updated[_KEY] = possible
-    return updated
+            for item in value if isinstance(value, list) else [value]:
+                if isinstance(item, ast.AST):
+                    header.extend(_events(item))
+    return header, bodies
 
 
-def _check_publish_protocol(
-    source: SourceFile, cfg: CFG
+def _always_run(stmt: ast.stmt) -> list[Event]:
+    """Events that ran once ``stmt`` completed: its header, plus a
+    ``with`` body's; never a branch, loop, ``try`` or handler body."""
+    events, _ = _parts(stmt)
+    if isinstance(stmt, (ast.With, ast.AsyncWith)):
+        for child in stmt.body:
+            events.extend(_always_run(child))
+    return events
+
+
+def _check_body(
+    source: SourceFile, body: list[ast.stmt], before: list[Event]
 ) -> Iterator[Violation]:
-    in_states = solve_forward(
-        cfg, _LATTICE.initial([_KEY]), _transfer, _LATTICE.join
-    )
-    for block in cfg.statement_blocks():
-        state = in_states.get(block.block_id, BOTTOM)
-        if state is BOTTOM or not isinstance(state, dict):
-            continue
-        possible = _LATTICE.read(state, _KEY)
-        if block.node is None:
-            continue
-        for event, call in _events(block.node):
+    """Check each publish in ``body`` against the events that always
+    run before it: ``before`` (from the enclosing bodies) plus the
+    earlier siblings'."""
+    events = list(before)
+    for stmt in body:
+        header, bodies = _parts(stmt)
+        for event, call in header:
             if event == "publish":
-                undrained = possible - frozenset({_CLEAN, _DURABLE})
-                if undrained:
-                    missing = (
-                        "flush+fsync"
-                        if _WRITTEN in undrained
-                        else "os.fsync"
-                    )
-                    yield Violation(
-                        code="RPL011",
-                        message=(
-                            "rename/publish reachable on a path where "
-                            f"written data was not made durable ({missing} "
-                            "missing before the publish) — a crash after "
-                            "the rename can expose an empty or truncated "
-                            "file to recovery (write -> flush -> fsync -> "
-                            "rename, as repro.state.journal does)"
-                        ),
-                        path=source.path,
-                        line=call.lineno,
-                        col=call.col_offset,
-                    )
-                possible = frozenset(
-                    _CLEAN if value != _CLEAN else value
-                    for value in possible
-                )
-            else:
-                possible = frozenset(
-                    _advance(value, event) for value in possible
-                )
+                yield from _check_publish(source, events, call)
+        inner = [] if isinstance(stmt, _DEFINITIONS) else events + header
+        for child in bodies:
+            yield from _check_body(source, child, inner)
+        events.extend(_always_run(stmt))
+
+
+def _check_publish(
+    source: SourceFile, events: list[Event], call: ast.Call
+) -> Iterator[Violation]:
+    reached = 0  # 1 after a write, 2 after its flush, 3 after the fsync
+    for event, _ in events:
+        if event == "publish":
+            reached = 0
+        elif event == "write":
+            reached = 1
+        elif (event, reached) in (("flush", 1), ("fsync", 2)):
+            reached += 1
+    if reached < 3:
+        yield Violation(
+            code="RPL011",
+            message=(
+                f"rename/publish without {_MISSING[reached]} in the "
+                "statements that always run before it — a crash after "
+                "the rename can expose an empty or truncated file to "
+                "recovery (write -> flush -> fsync -> rename, as "
+                "CheckpointStore.write_snapshot does)"
+            ),
+            path=source.path,
+            line=call.lineno,
+            col=call.col_offset,
+        )
 
 
 # -- half two: no state mutation survives a swallowed exception ----------

@@ -244,7 +244,6 @@ class ShardedMonitor(CTUPMonitor):
 
         def flush() -> None:
             if burst:
-                # reprolint: disable=RPL014 -- deliberate phase crossing: the sharded design defers per-shard maintain work into the drain that runs at refresh time; the shard monitor's own phase ledger still bills it as maintain
                 shard.monitor.apply_burst(burst)
                 burst.clear()
                 burst_units.clear()
@@ -263,7 +262,6 @@ class ShardedMonitor(CTUPMonitor):
                 burst.append(delivery)
                 burst_units.add(delivery.unit_id)
             else:
-                # reprolint: disable=RPL014 -- deliberate phase crossing: queued deliveries are maintain work the sharded scheme replays inside its access-phase drain (same contract as the burst flush above)
                 shard.monitor.apply_update(delivery)
         flush()
         shard.queue.clear()

@@ -7,10 +7,13 @@ journals, in any order. It keeps a model of its own: where each unit
 was fed to, which updates the monitor has applied, the place catalog
 and ``k``. :meth:`SessionModel.matches_the_oracle` checks the session's
 top-k and SK against :class:`~repro.validate.Oracle` built over that
-model, and the scheme's own state with :func:`~repro.core.audit.audit_monitor`;
-every crash resumes a twin from the directory that must
-equal the live session bit for bit: :func:`tests.conftest.state_fingerprint`
-(result, counters, I/O) and the exported state.
+model, and the scheme's own state with :func:`~repro.core.audit.audit_monitor`.
+:func:`guard_phases` makes every monitor it opens fail a maintain call
+made during its own access phase, which no result check can see when
+the call changes nothing. Every crash resumes a twin from the directory
+that must equal the live session bit for bit:
+:func:`tests.conftest.state_fingerprint` (result, counters, I/O) and
+the exported state.
 
 ``tests/test_machine.py`` runs it as a hypothesis state machine for
 every scheme, burst size and shard count, each run over a query drawn
@@ -139,6 +142,48 @@ def bad_event(kind: str, ids: list[int], next_id: int) -> Any:
     return GridRetuned(0)
 
 
+#: the two phases of an update (§III-C): maintain (Steps 1–2, Tables
+#: I/II) mutates the monitor, then access (Step 3) reads it.
+ACCESS_PHASE = ("refresh", "top_k", "sk", "partial_top_k")
+MAINTAIN_PHASE = ("apply_update", "apply_burst", "_apply", "_apply_burst")
+
+
+def guard_phases(monitor: Any) -> None:
+    """Make a maintain call on ``monitor`` fail while that same monitor
+    is in its access phase, a sharded monitor's shard monitors each on
+    their own. Wraps the instance's methods, once."""
+    for shard in getattr(monitor, "shards", ()):
+        guard_phases(shard.monitor)
+    if "refresh" in vars(monitor):
+        return
+    depth = [0]
+
+    def access(method: Any) -> Any:
+        def entered(*args: Any, **kwargs: Any) -> Any:
+            depth[0] += 1
+            try:
+                return method(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+
+        return entered
+
+    def maintain(name: str, method: Any) -> Any:
+        def checked(*args: Any, **kwargs: Any) -> Any:
+            if depth[0]:
+                raise AssertionError(
+                    f"{type(monitor).__name__}.{name} called in the access phase"
+                )
+            return method(*args, **kwargs)
+
+        return checked
+
+    for name in ACCESS_PHASE:
+        setattr(monitor, name, access(getattr(monitor, name)))
+    for name in MAINTAIN_PHASE:
+        setattr(monitor, name, maintain(name, getattr(monitor, name)))
+
+
 class SessionModel(RuleBasedStateMachine):
     scheme = "opt"
     batch = 0
@@ -194,7 +239,7 @@ class SessionModel(RuleBasedStateMachine):
         self.session.start()
 
     def open(self, resume: bool = False):
-        return open_session(
+        session = open_session(
             self.scheme,
             places=PLACES,
             units=fleet(self.config.protection_range),
@@ -203,6 +248,8 @@ class SessionModel(RuleBasedStateMachine):
             batch_size=self.batch,
             durability=DurabilitySpec(self.directory, every=EVERY, resume=resume),
         )
+        guard_phases(session.monitor)
+        return session
 
     def teardown(self) -> None:
         if self.session is not None:
@@ -291,6 +338,7 @@ class SessionModel(RuleBasedStateMachine):
 
     def apply_event(self, event: Any) -> None:
         self.session.apply_control(event)
+        guard_phases(self.session.monitor)  # a reshard builds new shards
         self.apply_pending()
         if isinstance(event, PlaceAdded):
             self.places[event.place.place_id] = event.place

@@ -1,8 +1,15 @@
 """The ctup command-line interface."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import main
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
 class TestList:
@@ -42,3 +49,45 @@ class TestParser:
     def test_bad_scale_exits(self):
         with pytest.raises(SystemExit):
             main(["run", "fig3", "--scale", "abc"])
+
+
+class TestRecovery:
+    """Crash recovery end to end: a checkpointed run killed mid-batch in
+    a process of its own, then inspected and resumed through the CLI."""
+
+    CRASH = """
+import os, sys
+from repro.sim import Simulation
+sim = Simulation.from_scenario(
+    "downtown", k=10, n_places=4000, n_units=50, seed=0,
+    batch_size=16, checkpoint_dir=sys.argv[1], checkpoint_every=5,
+)
+sim.session.start()
+for update in sim.mobility.updates(250):
+    sim.session.feed(update)
+os._exit(0)  # no flush, no closing snapshot: 10 updates left pending
+"""
+
+    def test_hard_kill_then_resume_matches_the_straight_run(
+        self, tmp_path, capsys
+    ):
+        directory = str(tmp_path / "ckpt")
+        crashed = subprocess.run(
+            [sys.executable, "-c", self.CRASH, directory],
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            capture_output=True,
+            text=True,
+        )
+        assert crashed.returncode == 0, crashed.stderr
+        assert main(["checkpoint", directory]) == 0
+        inspected = capsys.readouterr().out
+        assert "10 past the latest snapshot" in inspected  # the kill's batch
+        simulate = ["simulate", "downtown", "--batch-size", "16"]
+        resume = ["--checkpoint-dir", directory, "--resume"]
+        assert main([*simulate, "--updates", "350", *resume]) == 0
+        resumed = capsys.readouterr().out
+        assert resumed.startswith(f"resumed from {directory}")
+        assert main([*simulate, "--updates", "600"]) == 0
+        straight = capsys.readouterr().out
+        top = "current top unsafe places:"
+        assert resumed[resumed.index(top) :] == straight[straight.index(top) :]

@@ -24,8 +24,9 @@ import pytest
 from hypothesis import HealthCheck, Phase, settings
 from hypothesis.stateful import run_state_machine_as_test
 
-from repro.api import SCHEMES
-from tests.machine import CONFIG, SessionModel
+from repro.api import SCHEMES, make_monitor
+from repro.model import LocationUpdate
+from tests.machine import CONFIG, PLACES, SessionModel, fleet, guard_phases
 
 PAGED = CONFIG.replace(page_capacity=4)
 
@@ -57,3 +58,17 @@ def test_session_model(scheme: str, batch: int, shards: int, config) -> None:
             suppress_health_check=[HealthCheck.too_slow],
         ),
     )
+
+
+def test_phase_guard_fails_a_maintain_call_in_the_access_phase() -> None:
+    """A maintain call from inside the access phase fails, even a move
+    that changes nothing the oracle could see; outside it, it runs."""
+    monitor = make_monitor("opt", places=PLACES, units=fleet(), config=CONFIG)
+    monitor.initialize()
+    guard_phases(monitor)
+    unit = fleet()[0]
+    stay = LocationUpdate(unit.unit_id, unit.location, unit.location, 1.0)
+    monitor.apply_update(stay)
+    monitor._refresh = lambda: monitor._apply(stay)
+    with pytest.raises(AssertionError, match="_apply called in the access phase"):
+        monitor.refresh()
