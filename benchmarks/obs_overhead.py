@@ -1,9 +1,11 @@
 """Observability overhead budget: the disabled path against a null bundle.
 
 Runs the same stream with ``obs=None`` (the shipped disabled path — one
-``is None`` branch per phase) and with a null-sink ``Observability``
-bundle (every instrumentation call executes, into no-op twins), and
-fails when the min-of-repeats wall time diverges past 3%.
+``is None`` branch per phase, no clock read) and with a null-sink
+``Observability`` bundle (the session's hooks execute into no-op twins;
+the monitor leaves a bundle that records nothing unattached, so its
+phases stay unclocked), and fails when the min-of-repeats wall time
+diverges past 3%.
 
 CLI (also wired into CI as the ``obs-smoke`` budget step)::
 

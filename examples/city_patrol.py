@@ -10,6 +10,8 @@ amounts of work.
 Run:  python examples/city_patrol.py
 """
 
+import time
+
 from repro import BasicCTUP, ChangeTracker, CTUPConfig, OptCTUP
 from repro.roadnet import NetworkMobility, radial_network
 from repro.workloads import generate_places, record_stream
@@ -52,9 +54,12 @@ def main() -> None:
     opt.initialize()
     basic.initialize()
 
-    for update in stream:
-        opt.process(update)
-        basic.process(update)
+    seconds = {}
+    for name, tracker in (("opt", opt), ("basic", basic)):
+        start = time.perf_counter()
+        for update in stream:
+            tracker.process(update)
+        seconds[name] = time.perf_counter() - start
 
     print(f"\n... {alerts} alerts over {len(stream)} location updates")
     print(f"result changes seen: opt={opt.changes_seen} basic={basic.changes_seen}")
@@ -64,7 +69,7 @@ def main() -> None:
         print(
             f"{name:6s} work: {counters.cells_accessed:5d} cell accesses, "
             f"peak {counters.maintained_peak:5d} maintained places, "
-            f"{counters.total_update_time_s():6.2f} s processing"
+            f"{seconds[name]:6.2f} s processing"
         )
 
 

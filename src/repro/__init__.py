@@ -53,7 +53,7 @@ from repro.shard import GlobalTopK, ShardedMonitor, ShardPlan, ShardRouter
 from repro.validate import Oracle
 from repro.workloads import generate_places, generate_units
 
-__version__ = "9.0.0"
+__version__ = "10.0.0"
 
 __all__ = [
     "CTUPConfig",

@@ -3,14 +3,14 @@
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.api import SCHEMES
 from repro.bench.workload import Workload
 from repro.core import CTUPConfig
 from repro.core.metrics import InitReport, MonitorCounters
-from repro.core.units import UnitKernelStats
 from repro.engine.session import MonitorSession
+from repro.obs import Observability, attach_observability
 from repro.storage.iostats import IoStats
 from repro.validate import Oracle
 
@@ -25,37 +25,20 @@ class RunResult:
     #: counters restricted to the update phase (init work subtracted).
     update_counters: MonitorCounters
     io: IoStats
-    #: reachability-prefilter work (candidate vs reachable units).
-    unit_stats: UnitKernelStats
-    #: prefilter work restricted to the update phase.
-    update_unit_stats: UnitKernelStats
     n_updates: int
     wall_seconds: float
     final_sk: float
+    #: Fig. 9's split of the update cost: the ``ctup_phase_seconds``
+    #: ``maintain`` / ``access`` sums, per update.
+    avg_maintain_ms: float = 0.0
+    avg_access_ms: float = 0.0
     validated: bool = False
-    extra: dict = field(default_factory=dict)
-
-    @property
-    def init_ms(self) -> float:
-        return self.init.seconds * 1e3
 
     @property
     def avg_update_ms(self) -> float:
         if self.n_updates == 0:
             return 0.0
         return self.wall_seconds / self.n_updates * 1e3
-
-    @property
-    def avg_maintain_ms(self) -> float:
-        if self.n_updates == 0:
-            return 0.0
-        return self.counters.time_maintain_s / self.n_updates * 1e3
-
-    @property
-    def avg_access_ms(self) -> float:
-        if self.n_updates == 0:
-            return 0.0
-        return self.counters.time_access_s / self.n_updates * 1e3
 
     @property
     def cells_per_update(self) -> float:
@@ -88,8 +71,11 @@ def run_monitor(
     monitor = factory(config, workload.places, workload.units)
     init = monitor.initialize()
     after_init = monitor.counters.snapshot()
-    after_init_units = monitor.units.stats.snapshot()
     stream = workload.stream if updates is None else workload.stream.prefix(updates)
+    # phase time lives only in an observability bundle: a registry-only
+    # one (no tracer, no session hooks) times maintain and access.
+    obs = Observability()
+    attach_observability(monitor, obs)
     # change tracking is off: reading top_k() after every update would
     # charge result-view I/O to the measured run.
     session = MonitorSession(monitor, track_changes=False)
@@ -109,16 +95,23 @@ def run_monitor(
                 f"{verdict.problems[:5]}"
             )
         validated = True
+
+    def phase_ms(phase: str) -> float:
+        seconds = obs.registry.value(
+            "ctup_phase_seconds", scheme=monitor.name, phase=phase
+        )
+        return seconds / n * 1e3 if n else 0.0
+
     return RunResult(
         algorithm=algorithm,
         init=init,
         counters=monitor.counters.snapshot(),
         update_counters=monitor.counters.snapshot() - after_init,
         io=monitor.store.io_stats.snapshot(),
-        unit_stats=monitor.units.stats.snapshot(),
-        update_unit_stats=monitor.units.stats.snapshot() - after_init_units,
         n_updates=n,
         wall_seconds=wall,
         final_sk=monitor.sk(),
+        avg_maintain_ms=phase_ms("maintain"),
+        avg_access_ms=phase_ms("access"),
         validated=validated,
     )

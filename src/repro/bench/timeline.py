@@ -10,6 +10,7 @@ summarises them (quantiles, spike counts, drift).
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -54,21 +55,27 @@ class Timeline:
     def record(self, monitor: CTUPMonitor, updates: Iterable[LocationUpdate]) -> None:
         """Drive ``monitor`` over ``updates``, sampling after each one."""
         for update in updates:
-            self.sample(monitor, monitor.process(update))
+            start = time.perf_counter()
+            report = monitor.process(update)
+            self.sample(monitor, report, time.perf_counter() - start)
 
-    def sample(self, monitor: CTUPMonitor, report: UpdateReport) -> None:
+    def sample(
+        self, monitor: CTUPMonitor, report: UpdateReport, seconds: float
+    ) -> None:
         """Sample ``monitor`` once per raw update ``report`` covers.
 
-        A burst report covers ``report.batch_size`` raw updates: each is
-        sampled with the burst's shared report, after the burst applied.
+        ``seconds`` is the caller's wall time for the work ``report``
+        covers. A burst report covers ``report.batch_size`` raw updates:
+        its cell accesses are charged once, to the first, and its time
+        is split evenly over all of them.
         """
         maintained = monitor.maintained_count()
-        seconds = report.maintain_seconds + report.access_seconds
-        for _ in range(report.batch_size):
+        n = report.batch_size
+        for i in range(n):
             self.sk.append(report.sk)
             self.maintained.append(maintained)
-            self.accesses.append(report.cells_accessed)
-            self.update_seconds.append(seconds)
+            self.accesses.append(report.cells_accessed if i == 0 else 0)
+            self.update_seconds.append(seconds / n)
 
     def summary(self) -> TimelineSummary:
         """Aggregate the recorded run."""

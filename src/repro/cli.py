@@ -12,6 +12,7 @@ The entry point is installed as ``ctup`` and also runs as
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from typing import Sequence
@@ -365,6 +366,19 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = _build_parser().parse_args(argv)
+    try:
+        code = _dispatch(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early (`ctup simulate ... | head`):
+        # end quietly, with stdout on devnull so that the interpreter's
+        # last flush of the unwritten buffer cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
+    return code
+
+
+def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "list":
         return _cmd_list()
     if args.command == "run":

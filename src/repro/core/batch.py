@@ -180,9 +180,6 @@ class BatchProcessor:
             return UpdateReport(
                 sk=monitor.sk(), batch_size=0, coalesced_size=0
             )
-        counters = monitor.counters
-        maintain_before = counters.time_maintain_s
-        access_before = counters.time_access_s
         moves = coalesce_burst(updates)
         monitor.apply_burst(moves)
         n_moves = len(moves)
@@ -193,8 +190,6 @@ class BatchProcessor:
         return UpdateReport(
             sk=monitor.sk(),
             cells_accessed=accessed,
-            maintain_seconds=counters.time_maintain_s - maintain_before,
-            access_seconds=counters.time_access_s - access_before,
             batch_size=len(updates),
             coalesced_size=n_moves,
         )

@@ -3,14 +3,14 @@
 The paper reports update cost in milliseconds; a Python reproduction on
 different hardware cannot match absolute numbers, so every monitor also
 counts machine-independent work: cells accessed, places loaded, bound
-adjustments, distance-kernel rows. Fig. 9's split of the update cost
-into "modify maintained information" versus "access cells" maps onto
-``time_maintain_s`` / ``time_access_s``.
+adjustments, distance-kernel rows. These are integers only; wall time
+lives in an attached :class:`~repro.obs.Observability` bundle, whose
+``ctup_phase_seconds`` sums give Fig. 9's maintain/access split.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 
 @dataclass(slots=True)
@@ -41,16 +41,8 @@ class MonitorCounters:
     distance_rows: int = 0
     #: maintained places touched by safety-adjustment scans.
     maintained_scans: int = 0
-    #: wall-clock split of `process()`: steps 1-2 vs step 3(+4).
-    time_maintain_s: float = 0.0
-    time_access_s: float = 0.0
-    time_init_s: float = 0.0
     #: high-water mark of the maintained-place table.
     maintained_peak: int = 0
-
-    def total_update_time_s(self) -> float:
-        """Wall-clock spent inside ``process`` (init excluded)."""
-        return self.time_maintain_s + self.time_access_s
 
     def snapshot(self) -> "MonitorCounters":
         """An independent copy (bench harness diffs snapshots)."""
@@ -80,7 +72,7 @@ class MonitorCounters:
             }
         )
 
-    def as_dict(self) -> dict[str, float]:
+    def as_dict(self) -> dict[str, int]:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def restore(self, values: "MonitorCounters") -> None:
@@ -89,12 +81,14 @@ class MonitorCounters:
             setattr(self, f.name, getattr(values, f.name))
 
     @classmethod
-    def from_dict(cls, values: dict[str, float]) -> "MonitorCounters":
+    def from_dict(cls, values: dict[str, int]) -> "MonitorCounters":
         """Inverse of :meth:`as_dict` (checkpoint decoding).
 
         Fields absent from ``values`` keep their dataclass default, so
         snapshots written before a counter existed restore cleanly (the
-        counter was necessarily 0 when they were taken).
+        counter was necessarily 0 when they were taken). Keys of retired
+        fields are ignored: a snapshot from before 10.0 still carries
+        the ``time_*`` wall-clock fields.
         """
         return cls(
             **{f.name: values[f.name] for f in fields(cls) if f.name in values}
@@ -116,8 +110,6 @@ class UpdateReport:
     sk: float
     unit_id: int | None = None
     cells_accessed: int = 0
-    maintain_seconds: float = 0.0
-    access_seconds: float = 0.0
     batch_size: int = 1
     coalesced_size: int = 1
 
@@ -131,4 +123,3 @@ class InitReport:
     places_loaded: int
     sk: float
     maintained_places: int = 0
-    extra: dict = field(default_factory=dict)

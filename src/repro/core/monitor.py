@@ -11,8 +11,8 @@ structures the concrete scheme needs. Driving a monitor is always:
 ...     monitor.top_k()           # the continuously monitored answer
 
 Internally every scheme's update handling splits into two phases that
-the base class composes (and times, and counts — the bookkeeping lives
-here once, not in every scheme):
+the base class composes (and counts, and times into an attached obs
+bundle — the bookkeeping lives here once, not in every scheme):
 
 * the **maintain phase** ``_apply(update)`` — absorb one unit move into
   the cheap state (maintained safeties, cell bounds). Applications of
@@ -212,7 +212,9 @@ class CTUPMonitor(abc.ABC):
         """
         return self.top_k()[:m]
 
-    # -- lifecycle (base owns timing and counters) ----------------------
+    # -- lifecycle (base owns counters and phase timing) ----------------
+    # Phase time goes to ``self.obs`` only: detached, the maintain and
+    # access wrappers read no clock (``initialize`` times its one call).
 
     def initialize(self) -> InitReport:
         """Build the initial monitoring state (executed only once)."""
@@ -220,7 +222,6 @@ class CTUPMonitor(abc.ABC):
         start = time.perf_counter()
         self._build_initial_state()
         elapsed = time.perf_counter() - start
-        self.counters.time_init_s = elapsed
         self._initialized = True
         if self.obs is not None:
             self.obs.phase(self.name, "initialize", start, elapsed)
@@ -247,13 +248,12 @@ class CTUPMonitor(abc.ABC):
         storage accesses.
         """
         self._require_initialized()
-        start = time.perf_counter()
+        obs = self.obs
+        start = 0.0 if obs is None else time.perf_counter()
         self._apply(update)
-        elapsed = time.perf_counter() - start
+        if obs is not None:
+            obs.phase(self.name, "maintain", start, time.perf_counter() - start)
         self.counters.updates_processed += 1
-        self.counters.time_maintain_s += elapsed
-        if self.obs is not None:
-            self.obs.phase(self.name, "maintain", start, elapsed)
 
     def apply_burst(self, moves: Sequence[CoalescedMove]) -> None:
         """Run the maintain phase for one coalesced burst (public phase API).
@@ -266,16 +266,14 @@ class CTUPMonitor(abc.ABC):
         ``counters.coalesced_updates``.
         """
         self._require_initialized()
-        start = time.perf_counter()
+        obs = self.obs
+        start = 0.0 if obs is None else time.perf_counter()
         skipped = self._apply_burst(moves)
-        elapsed = time.perf_counter() - start
+        if obs is not None:
+            elapsed = time.perf_counter() - start
+            obs.phase(self.name, "maintain_burst", start, elapsed, moves=len(moves))
         self.counters.updates_processed += sum(m.raw_count for m in moves)
         self.counters.coalesced_updates += skipped
-        self.counters.time_maintain_s += elapsed
-        if self.obs is not None:
-            self.obs.phase(
-                self.name, "maintain_burst", start, elapsed, moves=len(moves)
-            )
 
     def _apply_burst(self, moves: Sequence[CoalescedMove]) -> int:
         """Maintain phase for a coalesced burst; returns updates skipped.
@@ -303,30 +301,23 @@ class CTUPMonitor(abc.ABC):
     def refresh(self) -> int:
         """Run the access phase (public phase API); returns cells accessed."""
         self._require_initialized()
-        start = time.perf_counter()
+        obs = self.obs
+        start = 0.0 if obs is None else time.perf_counter()
         accessed = self._refresh()
-        elapsed = time.perf_counter() - start
-        self.counters.time_access_s += elapsed
+        if obs is not None:
+            elapsed = time.perf_counter() - start
+            obs.phase(self.name, "access", start, elapsed, accessed=accessed)
         self.counters.maintained_peak = max(
             self.counters.maintained_peak, self.maintained_count()
         )
-        if self.obs is not None:
-            self.obs.phase(self.name, "access", start, elapsed, accessed=accessed)
         return accessed
 
     def process(self, update: LocationUpdate) -> UpdateReport:
         """Absorb one location update, keeping the top-k result current."""
-        self._require_initialized()
-        maintain_before = self.counters.time_maintain_s
-        access_before = self.counters.time_access_s
         self.apply_update(update)
         accessed = self.refresh()
         return UpdateReport(
-            unit_id=update.unit_id,
-            sk=self.sk(),
-            cells_accessed=accessed,
-            maintain_seconds=self.counters.time_maintain_s - maintain_before,
-            access_seconds=self.counters.time_access_s - access_before,
+            unit_id=update.unit_id, sk=self.sk(), cells_accessed=accessed
         )
 
     # -- checkpointable state (repro.state) -----------------------------

@@ -9,8 +9,6 @@ experiment's ``expected_shape``.
 
 from __future__ import annotations
 
-import time
-
 from repro.bench.harness import RunResult, run_monitor
 from repro.bench.workload import Workload, build_workload
 from repro.core import BasicCTUP, NaiveCTUP, OptCTUP
@@ -72,14 +70,12 @@ def run_fig3(scale: float | None = None, seed: int = 0) -> ExperimentResult:
     timings = {}
     for factory in (NaiveCTUP, BasicCTUP, OptCTUP):
         monitor = factory(config, workload.places, workload.units)
-        start = time.perf_counter()
         report = monitor.initialize()
-        wall = time.perf_counter() - start
-        timings[monitor.name] = wall
+        timings[monitor.name] = report.seconds
         rows.append(
             [
                 monitor.name,
-                wall * 1e3,
+                report.seconds * 1e3,
                 report.cells_accessed,
                 report.places_loaded,
                 report.maintained_places,

@@ -3,7 +3,7 @@
 The work and I/O counters are the measured quantities of the
 reproduction; their meaning depends on *who* is allowed to bump them.
 ``IoStats`` belongs to the storage layer (a page read that is counted
-anywhere else is a fabricated measurement), the timing/stream fields of
+anywhere else is a fabricated measurement), the stream fields of
 ``MonitorCounters`` belong to the ``CTUPMonitor`` lifecycle methods,
 ``UnitKernelStats`` to the unit index, ``MergeStats`` to the merger —
 and nothing outside ``repro.storage`` may reach into ``PlaceStore``'s
@@ -34,16 +34,10 @@ _own(
     "IoStats (owned by repro.storage)",
 )
 _own(
-    (
-        "time_maintain_s",
-        "time_access_s",
-        "time_init_s",
-        "updates_processed",
-        "maintained_peak",
-    ),
+    ("updates_processed", "maintained_peak"),
     ("repro.core.monitor", "repro.core.metrics"),
-    "MonitorCounters timing/stream fields (owned by the CTUPMonitor "
-    "lifecycle in repro.core.monitor)",
+    "MonitorCounters stream fields (owned by the CTUPMonitor lifecycle "
+    "in repro.core.monitor)",
 )
 _own(
     ("candidate_units", "reachable_units"),

@@ -9,9 +9,9 @@ unordered set whose order leaks into results. Inside ``repro.core``,
 
 * ``random`` / ``numpy.random`` usage (workload *generation* is seeded
   and lives in ``repro.workloads`` / ``repro.roadnet``, out of scope);
-* wall-clock reads (``time.time``, ``datetime.now``) — the base monitor
-  owns all timing via ``time.perf_counter``, and timings never feed
-  results;
+* wall-clock reads (``time.time``, ``datetime.now``) — phase timing
+  (``time.perf_counter`` in the ``CTUPMonitor`` lifecycle) feeds only
+  an attached observability bundle, never a result or a counter;
 * direct iteration over sets (literals, ``set()``/``frozenset()``
   calls, set comprehensions, names or ``self`` attributes annotated as
   sets, and set values pulled out of ``dict[..., set[...]]``
@@ -140,9 +140,9 @@ def _check_wallclock(source: SourceFile, node: ast.Call) -> Iterator[Violation]:
             code="RPL003",
             message=(
                 f"wall-clock read '{ast.unparse(func)}' in a monitoring "
-                "update path — the base monitor owns all timing "
-                "(time.perf_counter), and clock values must never feed "
-                "results"
+                "update path — phase timing (time.perf_counter) feeds "
+                "only the observability bundle, and clock values must "
+                "never feed results or counters"
             ),
             path=source.path,
             line=node.lineno,

@@ -33,8 +33,12 @@ def attach_observability(monitor: "CTUPMonitor", obs: "Observability") -> None:
 
     Also registers a sync callback so every exposition snapshot
     refreshes the bridged ledger gauges first; the callback binds its
-    gauge children once, here.
+    gauge children once, here. A bundle whose registry and tracer are
+    both null records nothing, so the monitor stays detached and its
+    phases read no clock.
     """
+    if not obs.registry.enabled and not obs.tracer.enabled:
+        return
     monitor.obs = obs
     for shard in getattr(monitor, "shards", ()):
         shard.monitor.obs = obs

@@ -8,7 +8,9 @@ monitors, journals and sessions.
 
 Disabled observability is represented by ``None`` (nothing attached at
 all), so the hot path's only cost is one ``is None`` check.  A spec
-with everything off coerces to ``None`` for exactly that reason.
+with everything off coerces to ``None`` for exactly that reason, and
+``attach_observability`` leaves a monitor detached from a bundle whose
+sinks are both null.
 """
 
 from __future__ import annotations
@@ -104,12 +106,7 @@ class Observability:
         **args: object,
     ) -> None:
         """Record one already-timed monitor phase (maintain/access/...)."""
-        # a fully-null bundle (both sinks disabled) must cost one method
-        # call, not the label lookup + record plumbing — that is the
-        # budget benchmarks/obs_overhead.py guards.
         tracer = self.tracer
-        if not self.registry.enabled and not tracer.enabled:
-            return
         child = self._phase_children.get((scheme, phase))
         if child is None:
             child = self._phase_hist.labels(scheme=scheme, phase=phase)
@@ -128,8 +125,6 @@ class Observability:
     ) -> None:
         """Record one applied reconfiguration event (see repro.control):
         the epoch gauge, a per-kind counter, and a span."""
-        if not self.registry.enabled and not self.tracer.enabled:
-            return
         self.registry.gauge(
             "ctup_epoch", "Current reconfiguration epoch, by scheme.",
             labelnames=("scheme",),

@@ -17,6 +17,7 @@ wants recorded, replayable streams rather than live generation.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -164,14 +165,22 @@ class Simulation:
             session.start()
         problems_before = len(session.audit_problems)
         processed = 0
+        # ingest time since the last report: a burst's sample covers the
+        # feeds that buffered it as well as the one that flushed it.
+        seconds = 0.0
         for update in self.mobility.updates(updates):
+            start = time.perf_counter()
             report = session.feed(update)
+            seconds += time.perf_counter() - start
             if report is not None:
-                self.timeline.sample(self.monitor, report)
+                self.timeline.sample(self.monitor, report, seconds)
+                seconds = 0.0
             processed += 1
+        start = time.perf_counter()
         report = session.flush()
         if report is not None:
-            self.timeline.sample(self.monitor, report)
+            seconds += time.perf_counter() - start
+            self.timeline.sample(self.monitor, report, seconds)
         return SimulationOutcome(
             updates=processed,
             final_topk=self.monitor.top_k(),

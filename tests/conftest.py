@@ -92,15 +92,6 @@ def result_pairs(monitor) -> list[tuple[int, float]]:
     return [(r.place_id, r.safety) for r in monitor.top_k()]
 
 
-def logical_counters(counters) -> dict:
-    """A counter ledger minus its wall-clock fields."""
-    return {
-        f.name: getattr(counters, f.name)
-        for f in dataclasses.fields(counters)
-        if not f.name.startswith("time_")
-    }
-
-
 def state_fingerprint(monitor, session=None) -> dict:
     """Everything "bit-identical" quantifies over, as one comparable:
     the result, the work counters and the I/O accounting (merged over
@@ -110,11 +101,11 @@ def state_fingerprint(monitor, session=None) -> dict:
             "topk": result_pairs(monitor),
             "sk": monitor.sk(),
         }
-    data["counters"] = logical_counters(monitor.counters)
+    data["counters"] = monitor.counters.as_dict()
     data["io"] = dataclasses.astuple(monitor.store.io_stats)
     if isinstance(monitor, ShardedMonitor):
         data["merged"] = (
-            logical_counters(monitor.merged_counters()),
+            monitor.merged_counters().as_dict(),
             dataclasses.astuple(monitor.merged_io()),
         )
     if session is not None:
@@ -135,16 +126,7 @@ def unit_at():
 
 
 def exported_state(monitor) -> dict:
-    """``export_state()`` without its wall-clock fields (``time_*``, at
-    any depth)."""
+    """``export_state()`` taken off the record (it holds no clock value,
+    so two equal runs export equal documents)."""
     with off_the_record(monitor):
-        state = monitor.export_state()
-
-    def strip(doc):
-        if isinstance(doc, list) and doc and isinstance(doc[0], dict):
-            return [strip(item) for item in doc]
-        if not isinstance(doc, dict):
-            return doc
-        return {k: strip(v) for k, v in doc.items() if not k.startswith("time_")}
-
-    return strip(state)
+        return monitor.export_state()

@@ -1,5 +1,6 @@
 """The ``repro.api`` facade: the one supported way in."""
 
+import dataclasses
 import importlib
 
 import pytest
@@ -299,3 +300,19 @@ def test_surfaces_removed_in_9_0_are_gone():
     for name in ("min_safety", "cells_present", "remove_row"):
         assert not hasattr(MaintainedPlaces, name), name
     assert not hasattr(MaintainedPlaces(), "_row_of")
+
+
+def test_surfaces_removed_in_10_0_are_gone():
+    from repro.bench import RunResult
+    from repro.core.metrics import InitReport, MonitorCounters, UpdateReport
+
+    # the ledger holds work counts only; phase time lives in the obs
+    # bundle's ctup_phase_seconds.
+    assert all(type(v) is int for v in MonitorCounters().as_dict().values())
+    assert not [name for name in dir(MonitorCounters) if name.endswith("_s")]
+    report = {f.name for f in dataclasses.fields(UpdateReport)}
+    assert report == {"sk", "unit_id", "cells_accessed", "batch_size", "coalesced_size"}
+    run = {f.name for f in dataclasses.fields(RunResult)}
+    assert not run & {"unit_stats", "update_unit_stats", "extra"}
+    assert not hasattr(RunResult, "init_ms")
+    assert "extra" not in {f.name for f in dataclasses.fields(InitReport)}

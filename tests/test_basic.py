@@ -92,5 +92,3 @@ class TestUpdateInvariants:
         c = basic.counters
         assert c.updates_processed == 30
         assert c.maintained_scans > 0
-        assert c.time_maintain_s >= 0
-        assert c.time_access_s >= 0

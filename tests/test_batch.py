@@ -148,11 +148,7 @@ def test_rejected_burst_applies_nothing(
             [monitor.units.location_of(u.unit_id) for u in small_units],
             [(r.place_id, r.safety) for r in monitor.top_k()],
             monitor.sk(),
-            {
-                name: value
-                for name, value in monitor.counters.as_dict().items()
-                if not name.startswith("time_")
-            },
+            monitor.counters.snapshot(),
         )
 
     before = state()

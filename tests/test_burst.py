@@ -36,7 +36,7 @@ from repro.workloads import (
     generate_units,
     record_stream,
 )
-from tests.conftest import logical_counters, result_pairs
+from tests.conftest import result_pairs
 
 #: counters that may legitimately differ between per-update and
 #: coalesced executions — exactly the work coalescing skips: chain
@@ -69,14 +69,14 @@ CHAIN_AWARE = {"basic", "opt", "opt-nodoo"}
 
 
 def _comparable(state: dict[str, Any]) -> dict[str, Any]:
-    """An ``export_state()`` document minus timings and the fields that
+    """An ``export_state()`` document minus the fields that
     count coalescing itself (the skipped-work counters and the sharded
     wrapper's per-chain delivery counts)."""
     out = dict(state)
     out["counters"] = {
         k: v
         for k, v in state["counters"].items()
-        if not k.startswith("time_") and k not in COALESCING_COUNTERS
+        if k not in COALESCING_COUNTERS
     }
     out["unit_stats"] = {
         k: v for k, v in state["unit_stats"].items()
@@ -133,11 +133,11 @@ def _outcome(monitor: Any) -> dict[str, Any]:
     out = {
         "pairs": result_pairs(monitor),
         "sk": monitor.sk(),
-        "counters": logical_counters(monitor.counters),
+        "counters": monitor.counters.as_dict(),
         "state": _comparable(monitor.export_state()),
     }
     if isinstance(monitor, ShardedMonitor):
-        out["merged"] = logical_counters(monitor.merged_counters())
+        out["merged"] = monitor.merged_counters().as_dict()
     return out
 
 

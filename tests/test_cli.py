@@ -91,3 +91,18 @@ os._exit(0)  # no flush, no closing snapshot: 10 updates left pending
         straight = capsys.readouterr().out
         top = "current top unsafe places:"
         assert resumed[resumed.index(top) :] == straight[straight.index(top) :]
+
+
+class TestClosedPipe:
+    def test_reader_closing_stdout_early_ends_quietly(self):
+        # `ctup simulate ... | head`, with the reader gone before the
+        # first line is written.
+        argv = "-m repro.cli simulate downtown --updates 50 --places 300 --units 10"
+        proc = subprocess.Popen(
+            [sys.executable, *argv.split()],
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        proc.stdout.close()
+        assert proc.communicate()[1] == b"" and proc.returncode == 0

@@ -71,10 +71,6 @@ class TestCounters:
         assert diff.updates_processed == 6
         assert diff.cells_accessed == 5
 
-    def test_total_update_time(self):
-        counters = MonitorCounters(time_maintain_s=1.5, time_access_s=0.5)
-        assert counters.total_update_time_s() == 2.0
-
     def test_as_dict_covers_all_fields(self):
         data = MonitorCounters().as_dict()
         assert data["updates_processed"] == 0

@@ -77,17 +77,7 @@ class TestPhaseAPI:
             whole.process(update)
             split.apply_update(update)
             split.refresh()
-        whole_counts = {
-            name: value
-            for name, value in whole.counters.as_dict().items()
-            if not name.startswith("time_")
-        }
-        split_counts = {
-            name: value
-            for name, value in split.counters.as_dict().items()
-            if not name.startswith("time_")
-        }
-        assert whole_counts == split_counts
+        assert whole.counters == split.counters
 
     def test_refresh_before_initialize_raises(
         self, scenario_config, scenario_world

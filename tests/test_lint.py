@@ -186,11 +186,11 @@ class TestCounterDiscipline:
         )
         assert codes_of(run_rules([fixture], "RPL002")) == []
 
-    def test_timing_fields_outside_lifecycle_fire(self):
+    def test_stream_fields_outside_lifecycle_fire(self):
         fixture = src(
             """
-            def fake_timing(monitor):
-                monitor.counters.time_access_s += 0.5
+            def fake_peak(monitor):
+                monitor.counters.maintained_peak += 1
             """,
             module="repro.core.fixture",
         )
@@ -1270,7 +1270,7 @@ class TestShippedTree:
         }
         (override,) = data["tool"]["mypy"]["overrides"]
         assert [m.removesuffix(".*") for m in override["module"]] == strict
-        assert data["project"]["version"] == "9.0.0"
+        assert data["project"]["version"] == "10.0.0"
 
 
 if __name__ == "__main__":

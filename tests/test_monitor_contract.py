@@ -2,11 +2,14 @@
 
 import pytest
 
-from repro.api import open_session
-from repro.core import BasicCTUP, CTUPConfig, NaiveCTUP, OptCTUP
+import repro.core.monitor
+from repro.api import ObsSpec, open_session
+from repro.core import BasicCTUP, BatchProcessor, CTUPConfig, NaiveCTUP, OptCTUP
 from repro.core.incremental import IncrementalNaiveCTUP
 from repro.geometry import Point
 from repro.model import LocationUpdate, Unit
+from repro.obs import Observability, attach_observability
+from repro.obs.registry import NULL_REGISTRY
 from repro.shard import ShardedMonitor
 
 # ShardedMonitor rides along: the sharded wrapper must satisfy the
@@ -61,21 +64,41 @@ class TestLifecycle:
         self, monitor, small_config, small_places, small_units, small_stream
     ):
         # the runtime side of the counter contract: every raw update is
-        # charged once and every lifecycle phase is timed, per update
-        # (batch_size=0) and per coalesced burst (batch_size=8).
+        # charged once and every lifecycle phase is timed, into the obs
+        # bundle, per update (batch_size=0) and per coalesced burst
+        # (batch_size=8).
         fresh = type(monitor)(small_config, small_places, small_units)
         for batch_size, mon in ((0, monitor), (8, fresh)):
             session = open_session(
-                monitor=mon, batch_size=batch_size, track_changes=False
+                monitor=mon,
+                batch_size=batch_size,
+                track_changes=False,
+                obs=ObsSpec(),
             )
             session.start()
             assert session.run(small_stream) == len(small_stream)
             counters = mon.counters
             assert counters.updates_processed == len(small_stream)
-            assert counters.time_init_s > 0
-            assert counters.time_maintain_s > 0
-            assert counters.time_access_s > 0
             assert counters.maintained_peak >= mon.maintained_count()
+            bursts = session.batcher.batches_processed if batch_size else 0
+            calls = bursts or len(small_stream)
+            maintain = "maintain_burst" if batch_size else "maintain"
+            timed = session.observability.registry.get("ctup_phase_seconds")
+            for phase, count in ("initialize", 1), (maintain, calls), ("access", calls):
+                child = timed.labels(scheme=mon.name, phase=phase)
+                assert child.count == count and child.total > 0
+
+    def test_detached_phases_read_no_clock(
+        self, monitor, small_stream, monkeypatch
+    ):
+        # without a bundle that records something (a null one is never
+        # attached), the maintain and access wrappers time nothing.
+        attach_observability(monitor, Observability(registry=NULL_REGISTRY))
+        monitor.initialize()
+        monkeypatch.setattr(repro.core.monitor, "time", None)
+        for update in small_stream.updates[:8]:
+            monitor.process(update)
+        BatchProcessor(monitor).process_batch(small_stream.updates[8:40])
 
     def test_unknown_unit_update_raises(self, monitor):
         monitor.initialize()

@@ -19,6 +19,7 @@ import pytest
 
 from repro.api import SCHEMES, DurabilitySpec, ShardSpec, open_session
 from repro.control import KChanged, PlaceRemoved
+from repro.core import CTUPConfig
 from repro.obs import (
     MetricsRegistry,
     MetricsServer,
@@ -31,6 +32,12 @@ from repro.obs import (
     parse_prometheus,
     render_prometheus,
     write_chrome_trace,
+)
+from repro.workloads import (
+    RandomWalkMobility,
+    generate_places,
+    generate_units,
+    record_stream,
 )
 
 
@@ -314,22 +321,24 @@ class TestReconciliation:
         access = (("scheme", session.monitor.name), ("phase", "access"))
         assert samples[("ctup_phase_seconds_count", access)] == refreshes
 
-    def test_prometheus_text_parses_after_a_run(
-        self, small_config, small_places, small_units, small_stream
-    ):
-        session = open_session(
-            "opt",
-            places=small_places,
-            units=small_units,
-            config=small_config,
-            obs=ObsSpec(metrics=True),
-        )
-        session.start()
-        session.run(small_stream)
-        samples = parse_prometheus(session.metrics_text())
-        assert samples[("ctup_session_updates_total", ())] == float(
-            len(small_stream)
-        )
+    def test_prometheus_text_parses_after_a_run(self):
+        # served live too: a /metrics scrape parses with the strict
+        # parser and counts every update fed.
+        config = CTUPConfig(k=5)
+        places = generate_places(500, seed=1)
+        units = generate_units(20, config.protection_range, seed=2)
+        obs = ObsSpec(metrics=True, serve_port=0)
+        with open_session(
+            "opt", places=places, units=units, config=config, obs=obs
+        ) as session:
+            session.start()
+            for update in record_stream(RandomWalkMobility(units, seed=3), 100):
+                session.feed(update)
+            session.flush()
+            body = urllib.request.urlopen(session.metrics_server.url).read()
+            for text in (body.decode("utf-8"), session.metrics_text()):
+                samples = parse_prometheus(text)
+                assert samples[("ctup_session_updates_total", ())] == 100.0
 
     def test_metrics_text_requires_observability(
         self, small_config, small_places, small_units
@@ -382,33 +391,34 @@ class TestSessionTracing:
 
 class TestCliObsFlags:
     def test_simulate_metrics_and_trace(self, tmp_path, capsys):
+        # journaled, so the tracing-on journal path and its bound
+        # records-by-op counter run end to end too.
         from repro.cli import main
 
         trace_path = tmp_path / "trace.json"
-        assert (
-            main(
-                [
-                    "simulate",
-                    "suburbia",
-                    "--updates",
-                    "60",
-                    "--places",
-                    "400",
-                    "--units",
-                    "10",
-                    "--metrics",
-                    "--trace-out",
-                    str(trace_path),
-                ]
-            )
-            == 0
-        )
-        out = capsys.readouterr().out
-        start = out.index("# HELP")
-        samples = parse_prometheus(out[start:])
-        assert samples[("ctup_session_updates_total", ())] == 60.0
+        argv = "simulate downtown --updates 300 --places 2000 --units 40"
+        durable = ["--checkpoint-dir", str(tmp_path / "ckpt")]
+        traced = ["--metrics", "--trace-out", str(trace_path)]
+        assert main([*argv.split(), *durable, *traced]) == 0
+        # the metrics block is the contiguous tail from "# HELP" on.
+        lines = capsys.readouterr().out.splitlines()
+        start = next(i for i, l in enumerate(lines) if l.startswith("# HELP"))
+        samples = parse_prometheus("\n".join(lines[start:]))
+        assert samples[("ctup_session_updates_total", ())] == 300.0
+        assert samples[("ctup_journal_records_total", (("op", "u"),))] == 300.0
+        counters = (("scheme", "opt"), ("field", "updates_processed"))
+        assert ("ctup_monitor_counters", counters) in samples
+        # no family copies another: the burst count and the refresh
+        # count live in the histograms' _count samples only.
+        names = {name for name, _ in samples}
+        assert "ctup_session_batches_total" not in names
+        assert "ctup_session_refreshes_total" not in names
+        # single-mode ingest: one access phase per update, timed once.
+        access = (("scheme", "opt"), ("phase", "access"))
+        assert samples[("ctup_phase_seconds_count", access)] == 300.0
         events = json.loads(trace_path.read_text())
-        assert events and all(event["ph"] == "X" for event in events)
+        assert events and all(e["ph"] == "X" and "ts" in e and "dur" in e for e in events)
+        assert any(e["name"] == "journal.append" for e in events)
 
 
 class TestJournalMetrics:

@@ -39,7 +39,7 @@ from repro.workloads import (
     generate_units,
     record_stream,
 )
-from tests.conftest import logical_counters, result_pairs
+from tests.conftest import result_pairs
 
 SCHEMES = [NaiveCTUP, BasicCTUP, OptCTUP, IncrementalNaiveCTUP]
 SHARD_COUNTS = [1, 2, 4, 7]
@@ -372,9 +372,7 @@ class TestShardEquivalence:
         # monitor performs exactly the unsharded work.
         assert sharded.sync_deliveries == 0
         assert sharded.full_deliveries == len(small_stream)
-        assert logical_counters(sharded.merged_counters()) == logical_counters(
-            plain.counters
-        )
+        assert sharded.merged_counters() == plain.counters
 
     def test_intermediate_results_track_unsharded(
         self, small_config, small_places, small_units, small_stream

@@ -146,6 +146,19 @@ class TestCrashRecovery:
         assert document["session"]["updates_processed"] == 10
 
 
+class TestSnapshotBytes:
+    def test_same_seed_runs_write_identical_files(self, tmp_path):
+        # a snapshot holds work counts, never a clock value, so two runs
+        # of one stream write the same bytes, periodic and closing alike.
+        written = []
+        for directory in (tmp_path / "first", tmp_path / "second"):
+            with session(DurabilitySpec(directory, every=2)) as live:
+                live.run(STREAM.updates)
+            paths = CheckpointStore(directory).snapshot_paths()
+            written.append({path.name: path.read_bytes() for path in paths})
+        assert len(written[0]) > 2 and written[0] == written[1]
+
+
 # -- positions outside the monitored space ------------------------------
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from repro.bench.timeline import Timeline
 from repro.core import OptCTUP
+from repro.sim import Simulation
 
 
 @pytest.fixture
@@ -85,3 +86,18 @@ class TestSparkline:
         timeline = Timeline()
         line = timeline.sparkline(values=[math.inf, 1.0, 2.0])
         assert line[0] == "·"
+
+
+@pytest.mark.parametrize("batch_size", [0, 32])
+def test_accesses_total_counts_each_cell_access_once(batch_size):
+    # a burst's report covers its 32 updates: its cell accesses are
+    # charged once, and its time is spread over all of them.
+    sim = Simulation.from_scenario(
+        "downtown", n_places=2_000, n_units=40, batch_size=batch_size
+    )
+    sim.session.start()
+    before = sim.monitor.counters.cells_accessed
+    summary = sim.run(updates=640).summary
+    accessed = sim.monitor.counters.cells_accessed - before
+    assert summary.updates == len(sim.timeline.update_seconds) == 640
+    assert summary.accesses_total == accessed > 0
