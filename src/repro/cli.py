@@ -162,11 +162,6 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print the rule table and exit",
     )
-    lint.add_argument(
-        "--mypy",
-        action="store_true",
-        help="also run mypy over the strict-typed module set, if installed",
-    )
     return parser
 
 
@@ -358,8 +353,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     forwarded += ["--format", args.lint_format]
     if args.list_rules:
         forwarded.append("--list-rules")
-    if args.mypy:
-        forwarded.append("--mypy")
     return lint_main(forwarded)
 
 

@@ -93,8 +93,9 @@ def replay_chain_steps(
     exactly, and DecHash is keyed per ``(unit, cell)``, so each key
     only ever sees its own chain's steps, in order.
 
-    This is the per-step loop of :func:`apply_chains`; reprolint
-    RPL010 keeps observability out of it.
+    This is the per-step loop of :func:`apply_chains`; observability
+    stays out of it (``tests/test_burst.py`` fails a burst whose obs
+    calls grow with its size).
     """
     radius = monitor.config.protection_range
     adjust = monitor._adjust_bounds

@@ -102,9 +102,9 @@ class CTUPMonitor(abc.ABC):
 
     #: fields whose content survives a checkpoint round-trip. Subclasses
     #: extend (never replace) the declaration; ``state_fields()`` collects
-    #: the union over the MRO. Reprolint rule RPL008 enforces that every
-    #: field a scheme mutates outside ``__init__`` appears here or in
-    #: :attr:`TRANSIENT_FIELDS`.
+    #: the union over the MRO. Every attribute a scheme binds outside
+    #: ``__init__`` appears here or in :attr:`TRANSIENT_FIELDS`; the
+    #: session model test (``guard_fields``) checks it on live monitors.
     STATE_FIELDS: ClassVar[tuple[str, ...]] = ("units", "counters", "epoch")
     #: fields rebuilt (not serialized) on restore. ``config`` / ``grid``
     #: / ``store`` are constructor state: the snapshot *envelope* records

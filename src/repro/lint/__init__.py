@@ -1,13 +1,16 @@
 """reprolint — repo-aware static analysis for the CTUP reproduction.
 
 The monitors rest on conventions that ordinary linters cannot see:
-every scheme must speak the phase-split monitor API (and leave the
-timing/counter bookkeeping to the base class), every storage touch must
-be charged through :class:`~repro.storage.iostats.IoStats`, and the
-sharded execution layer must stay deterministic so the global top-k
-merge and the equivalence suite remain provable. ``repro.lint`` encodes
-those invariants as AST shape rules over the source tree; each one
-guards an invariant no test sees before the code runs.
+every storage touch must be charged through
+:class:`~repro.storage.iostats.IoStats`, the update paths must stay
+deterministic so the global top-k merge and the equivalence suite
+remain provable, snapshots must be fsynced before they are published,
+and the place catalog changes only through the control plane.
+``repro.lint`` encodes those invariants as AST shape rules over the
+source tree, one file at a time; each one guards an invariant no test
+sees before the code runs. Contracts about the live classes (the
+scheme API, declared snapshot fields, observability at burst
+boundaries) are checked by the test suite on the classes themselves.
 
 ``python -m repro.lint --list-rules`` prints the registered rules, and
 ``docs/architecture.md`` ("Static analysis & invariants") says what each

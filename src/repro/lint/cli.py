@@ -2,9 +2,7 @@
 
 Exit code 0 means the tree is clean (including the RPLT01 typing gate
 for the strict module set); any violation or unparsable file exits 1.
-``--mypy`` additionally shells out to mypy when one is installed —
-absence is reported as a skip, not a pass. ``--format sarif`` emits
-SARIF 2.1.0 for code-scanning uploads.
+``--format sarif`` emits SARIF 2.1.0 for code-scanning uploads.
 """
 
 from __future__ import annotations
@@ -23,16 +21,15 @@ from repro.lint.report import (
     render_sarif,
     render_text,
 )
-from repro.lint.typing_gate import run_mypy
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro.lint",
         description=(
-            "repo-aware static analysis: scheme contracts, counter "
-            "discipline, determinism, durability/lock/catalog rules and "
-            "the strict typing gate"
+            "repo-aware static analysis: counter discipline, "
+            "determinism, durability/lock/catalog rules and the strict "
+            "typing gate"
         ),
     )
     parser.add_argument(
@@ -53,11 +50,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print the registered rule table and exit",
     )
-    parser.add_argument(
-        "--mypy",
-        action="store_true",
-        help="additionally run mypy (skipped with a notice if not installed)",
-    )
     return parser
 
 
@@ -74,16 +66,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(render_sarif(result))
     else:
         print(render_text(result))
-    exit_code = 0 if result.ok else 1
-    if args.mypy:
-        mypy_code, output = run_mypy([str(p) for p in args.paths])
-        if mypy_code is None:
-            print(output, file=sys.stderr)
-        else:
-            if output.strip():
-                print(output)
-            exit_code = exit_code or (0 if mypy_code == 0 else 1)
-    return exit_code
+    return 0 if result.ok else 1
 
 
 if __name__ == "__main__":

@@ -1,7 +1,7 @@
 """The rule registry: one decorated check function per RPL code.
 
-A rule is a pure function from one parsed source file (plus the
-project-wide index built in a pre-pass) to an iterable of
+A rule is a pure function from one parsed source file and the run's
+:class:`~repro.lint.config.LintConfig` to an iterable of
 :class:`Violation`. Registration is declarative so the engine, the
 reporters and the docs all read the same table.
 """
@@ -12,7 +12,8 @@ import dataclasses
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 if TYPE_CHECKING:  # circular at runtime: engine imports the registry.
-    from repro.lint.engine import ProjectIndex, SourceFile
+    from repro.lint.config import LintConfig
+    from repro.lint.engine import SourceFile
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -29,7 +30,7 @@ class Violation:
         return (self.path, self.line, self.col, self.code)
 
 
-CheckFn = Callable[["SourceFile", "ProjectIndex"], Iterable[Violation]]
+CheckFn = Callable[["SourceFile", "LintConfig"], Iterable[Violation]]
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -41,8 +42,8 @@ class Rule:
     summary: str
     check: CheckFn
 
-    def run(self, source: "SourceFile", project: "ProjectIndex") -> Iterator[Violation]:
-        yield from self.check(source, project)
+    def run(self, source: "SourceFile", config: "LintConfig") -> Iterator[Violation]:
+        yield from self.check(source, config)
 
 
 #: every registered rule, keyed by code (populated on import of

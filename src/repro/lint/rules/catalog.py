@@ -26,7 +26,8 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.lint.engine import ProjectIndex, SourceFile
+from repro.lint.config import LintConfig
+from repro.lint.engine import SourceFile
 from repro.lint.registry import Violation, rule
 
 #: the PlaceStore write surface.
@@ -46,7 +47,7 @@ _EPOCH_SELF_OWNER = "repro.core.monitor"
     "epoch writes only happen via repro.storage / repro.control entry "
     "points; outside them a mutator is not even named",
 )
-def check(source: SourceFile, project: ProjectIndex) -> Iterator[Violation]:
+def check(source: SourceFile, config: LintConfig) -> Iterator[Violation]:
     if not source.in_packages("repro"):
         return
     yield from _check_epoch_writes(source)

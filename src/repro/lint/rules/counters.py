@@ -16,7 +16,8 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.lint.engine import ProjectIndex, SourceFile
+from repro.lint.config import LintConfig
+from repro.lint.engine import SourceFile
 from repro.lint.registry import Violation, rule
 
 #: counter field -> (owning module prefixes, owner description).
@@ -91,7 +92,7 @@ _STORAGE_OWNERS = ("repro.storage",)
     "only by their owning modules; no PlaceStore page access bypasses "
     "IoStats charging",
 )
-def check(source: SourceFile, project: ProjectIndex) -> Iterator[Violation]:
+def check(source: SourceFile, config: LintConfig) -> Iterator[Violation]:
     if not source.in_packages("repro"):
         return
     for node in ast.walk(source.tree):

@@ -24,7 +24,8 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.lint.engine import ProjectIndex, SourceFile
+from repro.lint.config import LintConfig
+from repro.lint.engine import SourceFile
 from repro.lint.registry import Violation, rule
 
 SCOPES = ("repro.core", "repro.shard", "repro.index", "repro.grid")
@@ -42,7 +43,7 @@ _DICT_VALUE_PULLS = frozenset({"get", "pop", "setdefault"})
     "no random/wall-clock/unordered-set iteration in the core, shard, "
     "index or grid update paths; ties go through the (safety, id) key",
 )
-def check(source: SourceFile, project: ProjectIndex) -> Iterator[Violation]:
+def check(source: SourceFile, config: LintConfig) -> Iterator[Violation]:
     if not source.in_packages(*SCOPES):
         return
     set_names, set_attrs, dict_of_set_names, dict_of_set_attrs = _collect_set_types(

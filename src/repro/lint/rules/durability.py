@@ -23,7 +23,8 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.lint.engine import ProjectIndex, SourceFile
+from repro.lint.config import LintConfig
+from repro.lint.engine import SourceFile
 from repro.lint.registry import Violation, rule
 
 SCOPES = ("repro.state",)
@@ -45,7 +46,7 @@ _DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     "it, and no state mutation survives a swallowed exception without "
     "rollback",
 )
-def check(source: SourceFile, project: ProjectIndex) -> Iterator[Violation]:
+def check(source: SourceFile, config: LintConfig) -> Iterator[Violation]:
     if not source.in_packages(*SCOPES):
         return
     yield from _check_body(source, source.tree.body, [])

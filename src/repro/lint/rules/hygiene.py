@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from repro.lint.engine import ProjectIndex, SourceFile
+from repro.lint.config import LintConfig
+from repro.lint.engine import SourceFile
 from repro.lint.registry import Violation, known_codes, rule
 
 
@@ -20,7 +21,7 @@ from repro.lint.registry import Violation, known_codes, rule
     "'-- reason'",
 )
 def check_suppressions(
-    source: SourceFile, project: ProjectIndex
+    source: SourceFile, config: LintConfig
 ) -> Iterator[Violation]:
     registered = known_codes()
     for suppression in source.suppressions:

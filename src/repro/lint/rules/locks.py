@@ -17,10 +17,9 @@ outside ``__init__`` sits lexically inside ``with self._lock:``. A bare
 ``acquire()`` / ``release()`` pair does not count: ``with`` is the one
 form whose extent the reader (and the rule) can see. Attributes not
 declared are documented-immutable by that same convention (set in
-``__init__`` and never mutated — the snapshot rule RPL008 polices that
-separately). A lock-owning class in scope that declares no
-``GUARDED_FIELDS`` at all is itself a violation: an undeclared lock
-guards nothing checkable.
+``__init__`` and never mutated). A lock-owning class in scope that
+declares no ``GUARDED_FIELDS`` at all is itself a violation: an
+undeclared lock guards nothing checkable.
 """
 
 from __future__ import annotations
@@ -28,7 +27,8 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.lint.engine import ProjectIndex, SourceFile, field_tuple_literal
+from repro.lint.config import LintConfig
+from repro.lint.engine import SourceFile
 from repro.lint.registry import Violation, rule
 
 SCOPES = ("repro.obs", "repro.shard")
@@ -42,7 +42,7 @@ _LOCK_FACTORIES = frozenset({"Lock", "RLock", "Condition"})
     "attributes shared with the /metrics thread are accessed inside "
     "'with <owning lock>:' (GUARDED_FIELDS) or are documented-immutable",
 )
-def check(source: SourceFile, project: ProjectIndex) -> Iterator[Violation]:
+def check(source: SourceFile, config: LintConfig) -> Iterator[Violation]:
     if not source.in_packages(*SCOPES):
         return
     for node in source.tree.body:
@@ -84,11 +84,25 @@ def _lock_fields(node: ast.ClassDef) -> frozenset[str]:
 
 
 def _guarded_fields(node: ast.ClassDef) -> frozenset[str] | None:
-    """The ``GUARDED_FIELDS`` literal's names, ``None`` when absent."""
+    """The names of the class body's ``GUARDED_FIELDS = ("a", ...)``
+    literal, ``None`` when it declares none."""
     for item in node.body:
-        decl = field_tuple_literal(item, ("GUARDED_FIELDS",))
-        if decl is not None:
-            return frozenset(decl[1])
+        if isinstance(item, ast.Assign):
+            targets, value = item.targets, item.value
+        elif isinstance(item, ast.AnnAssign):
+            targets, value = [item.target], item.value
+        else:
+            continue
+        named = any(
+            isinstance(t, ast.Name) and t.id == "GUARDED_FIELDS" for t in targets
+        )
+        if named and isinstance(value, (ast.Tuple, ast.List)):
+            names = [
+                e.value if isinstance(e, ast.Constant) else None
+                for e in value.elts
+            ]
+            if all(isinstance(name, str) for name in names):
+                return frozenset(names)
     return None
 
 

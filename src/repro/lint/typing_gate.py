@@ -1,26 +1,21 @@
 """RPLT01 — the strict typing gate.
 
-The gate has two layers. The one that always runs is the AST
-annotation-strictness pass below: every function in the strict module
-set (``[tool.reprolint] strict-typed-modules`` in pyproject, the
-committed allowlist) must annotate every parameter and its return type
-— the same contract as mypy's ``disallow_untyped_defs`` +
-``disallow_incomplete_defs``, checkable with the stdlib alone. The
-second layer is mypy itself: :func:`run_mypy` shells out to a ``mypy``
-binary when one is installed (CI installs it; the gate degrades to
-"skipped" where it is absent, never to a silent pass being reported as
-checked). ``[tool.mypy]`` in pyproject carries the matching
-configuration, and ``py.typed`` ships the annotations downstream.
+Every function in the strict module set (``[tool.reprolint]
+strict-typed-modules`` in pyproject, the committed allowlist) must
+annotate every parameter and its return type — the same contract as
+mypy's ``disallow_untyped_defs`` + ``disallow_incomplete_defs``,
+checkable with the stdlib alone, so it runs wherever the linter runs.
+mypy itself runs as its own CI step, configured by ``[tool.mypy]`` in
+pyproject; ``py.typed`` ships the annotations downstream.
 """
 
 from __future__ import annotations
 
 import ast
-import shutil
-import subprocess
-from typing import Iterator, Sequence
+from typing import Iterator
 
-from repro.lint.engine import ProjectIndex, SourceFile
+from repro.lint.config import LintConfig
+from repro.lint.engine import SourceFile
 from repro.lint.registry import Violation, rule
 
 #: decorators under which a def is exempt (their bodies are stubs or
@@ -34,8 +29,8 @@ _EXEMPT_DECORATORS = frozenset({"overload"})
     "functions in the strict-typed module set annotate every parameter "
     "and the return type",
 )
-def check(source: SourceFile, project: ProjectIndex) -> Iterator[Violation]:
-    if not project.config.is_strict_typed(source.module):
+def check(source: SourceFile, config: LintConfig) -> Iterator[Violation]:
+    if not config.is_strict_typed(source.module):
         return
     for node, owner in _walk_functions(source.tree):
         if _is_exempt(node):
@@ -116,24 +111,3 @@ def _missing_annotations(
         missing.append(("is missing a return annotation", node))
     return missing
 
-
-# -- the mypy layer -----------------------------------------------------
-
-
-def run_mypy(paths: Sequence[str]) -> tuple[int | None, str]:
-    """Run mypy over ``paths`` if a binary is available.
-
-    Returns ``(exit_code, output)``; ``exit_code`` is ``None`` when no
-    mypy is installed (the caller reports "skipped", never "passed").
-    The configuration comes from ``[tool.mypy]`` in pyproject.toml.
-    """
-    binary = shutil.which("mypy")
-    if binary is None:
-        return None, "mypy not installed; typing gate ran annotation checks only"
-    proc = subprocess.run(
-        [binary, *paths],
-        capture_output=True,
-        text=True,
-        check=False,
-    )
-    return proc.returncode, proc.stdout + proc.stderr

@@ -10,9 +10,10 @@ with what the Python API reports.
 
 ``attach_observability`` is the one sanctioned way to hang an
 :class:`~repro.obs.spec.Observability` bundle on a monitor: monitors
-are snapshottable (RPL008 audits ``self.<attr>`` mutations outside
-``__init__``), so the transient ``obs`` handle is assigned from out
-here rather than from monitor methods.
+are snapshottable (every attribute a monitor binds after construction
+is declared in ``STATE_FIELDS`` or ``TRANSIENT_FIELDS``), so the
+transient ``obs`` handle is assigned from out here rather than from
+monitor methods.
 """
 
 from __future__ import annotations

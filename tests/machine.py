@@ -10,10 +10,13 @@ top-k and SK against :class:`~repro.validate.Oracle` built over that
 model, and the scheme's own state with :func:`~repro.core.audit.audit_monitor`.
 :func:`guard_phases` makes every monitor it opens fail a maintain call
 made during its own access phase, which no result check can see when
-the call changes nothing. Every crash resumes a twin from the directory
-that must equal the live session bit for bit:
-:func:`tests.conftest.state_fingerprint` (result, counters, I/O) and
-the exported state.
+the call changes nothing. :func:`guard_fields` records the attributes
+of every monitor it opens that no ``STATE_FIELDS`` or
+``TRANSIENT_FIELDS`` declares, and the invariant fails when one is
+rebound or a new one appears: a snapshot would drop it. Every crash
+resumes a twin from the directory that must equal the live session bit
+for bit: :func:`tests.conftest.state_fingerprint` (result, counters,
+I/O), the exported state and the undeclared attribute names.
 
 ``tests/test_machine.py`` runs it as a hypothesis state machine for
 every scheme, burst size and shard count, each run over a query drawn
@@ -29,6 +32,7 @@ import json
 import math
 import shutil
 import tempfile
+import weakref
 from pathlib import Path
 from typing import Any, Iterable
 
@@ -184,6 +188,47 @@ def guard_phases(monitor: Any) -> None:
         setattr(monitor, name, maintain(name, getattr(monitor, name)))
 
 
+def monitors_of(monitor: Any) -> list[Any]:
+    """``monitor`` and, when it is sharded, each of its shard monitors."""
+    return [monitor, *(shard.monitor for shard in getattr(monitor, "shards", ()))]
+
+
+def undeclared_fields(monitor: Any) -> dict[str, Any]:
+    """The attributes of ``monitor`` outside ``state_fields()`` and
+    ``transient_fields()``: nothing a snapshot keeps or a restore
+    rebuilds."""
+    declared = {*monitor.state_fields(), *monitor.transient_fields()}
+    return {name: value for name, value in vars(monitor).items() if name not in declared}
+
+
+#: each guarded monitor's undeclared attributes when it was opened.
+_OPENED: "weakref.WeakKeyDictionary[Any, dict[str, Any]]" = weakref.WeakKeyDictionary()
+_MISSING = object()
+
+
+def guard_fields(monitor: Any) -> None:
+    """Record the undeclared attributes of ``monitor`` and of its shard
+    monitors, once per monitor, for :func:`check_fields`."""
+    for each in monitors_of(monitor):
+        _OPENED.setdefault(each, undeclared_fields(each))
+
+
+def check_fields(monitor: Any) -> None:
+    """Fail when ``monitor`` or one of its shard monitors rebound an
+    undeclared attribute, or bound a new one, since it was guarded."""
+    for each in monitors_of(monitor):
+        before, now = _OPENED[each], undeclared_fields(each)
+        changed = sorted(
+            name
+            for name in before.keys() | now.keys()
+            if before.get(name, _MISSING) is not now.get(name, _MISSING)
+        )
+        assert not changed, (
+            f"{type(each).__name__} binds {changed} outside STATE_FIELDS and "
+            "TRANSIENT_FIELDS: a snapshot drops them"
+        )
+
+
 class SessionModel(RuleBasedStateMachine):
     scheme = "opt"
     batch = 0
@@ -248,8 +293,13 @@ class SessionModel(RuleBasedStateMachine):
             batch_size=self.batch,
             durability=DurabilitySpec(self.directory, every=EVERY, resume=resume),
         )
-        guard_phases(session.monitor)
+        self.guard(session.monitor)
         return session
+
+    @staticmethod
+    def guard(monitor: Any) -> None:
+        guard_phases(monitor)
+        guard_fields(monitor)
 
     def teardown(self) -> None:
         if self.session is not None:
@@ -269,6 +319,7 @@ class SessionModel(RuleBasedStateMachine):
             state_fingerprint(monitor, self.session),
             exported_state(monitor),
             self.session.pending_updates,
+            [sorted(undeclared_fields(each)) for each in monitors_of(monitor)],
         )
 
     def directory_bytes(self) -> dict[str, bytes]:
@@ -338,7 +389,7 @@ class SessionModel(RuleBasedStateMachine):
 
     def apply_event(self, event: Any) -> None:
         self.session.apply_control(event)
-        guard_phases(self.session.monitor)  # a reshard builds new shards
+        self.guard(self.session.monitor)  # a reshard builds new shards
         self.apply_pending()
         if isinstance(event, PlaceAdded):
             self.places[event.place.place_id] = event.place
@@ -487,6 +538,7 @@ class SessionModel(RuleBasedStateMachine):
             self.session.flush()
         elif record["op"] == "c":
             self.session.apply_control(decode_event(record["c"]))
+            self.guard(self.session.monitor)
         else:
             old, new = Point(*record["old"]), Point(*record["new"])
             self.session.feed(LocationUpdate(record["u"], old, new, record["t"]))
@@ -512,6 +564,7 @@ class SessionModel(RuleBasedStateMachine):
         assert verdict.ok, verdict.problems
         assert sk == oracle.sk(self.k)
         assert problems == []
+        check_fields(monitor)
 
 
 def run_script(

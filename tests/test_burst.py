@@ -219,3 +219,60 @@ def test_boundary_chain_matches_replay(scheme):
     assert diff <= COALESCING_COUNTERS, diff
     assert b["counters"]["coalesced_updates"] == 1
     assert a["state"] == b["state"]
+
+
+class CallCounter:
+    """An obs bundle that counts every call made through it: each
+    attribute, the tracer and registry included, is the counter itself,
+    and so is what a call returns (a span opens and closes as one)."""
+
+    def __init__(self) -> None:
+        self.calls = 0
+
+    def __getattr__(self, name: str) -> "CallCounter":
+        return self
+
+    def __call__(self, *args: Any, **kwargs: Any) -> "CallCounter":
+        self.calls += 1
+        return self
+
+    def __enter__(self) -> "CallCounter":
+        return self
+
+    def __exit__(self, *exc: Any) -> None:
+        return None
+
+
+def _chained_burst(units: list[Unit], n_moves: int) -> list[LocationUpdate]:
+    """A burst moving the first ``n_moves`` units, unit ``i`` through
+    ``i % 3 + 1`` short steps."""
+    burst = []
+    for i, unit in enumerate(units[:n_moves]):
+        at = unit.location
+        for step in range(i % 3 + 1):
+            to = Point(abs(at.x - 0.03), abs(at.y - 0.02))
+            burst.append(LocationUpdate(unit.unit_id, at, to, float(step)))
+            at = to
+    return burst
+
+
+@pytest.mark.parametrize("scheme", ["basic", "opt"])
+def test_obs_calls_do_not_grow_with_the_burst(scheme):
+    """One ``apply_burst`` + ``refresh`` makes as many calls into an
+    attached bundle for 2 moves as for 32, chains included: the burst
+    pass (``apply_chains``, ``UnitIndex.apply_moves``, the maintained
+    table's ``apply_unit_moves``, the Table I/II replay) is observed
+    around, never per move or per step."""
+    calls = {}
+    for n_moves in (2, 32):
+        units = generate_units(32, CONFIG.protection_range, seed=37)
+        burst = _chained_burst(units, n_moves)
+        monitor = SCHEMES[scheme](CONFIG, PLACES, units)
+        monitor.initialize()
+        monitor.obs = counter = CallCounter()
+        moves = coalesce_burst(burst)
+        assert len(moves) == n_moves < len(burst)
+        monitor.apply_burst(moves)
+        monitor.refresh()
+        calls[n_moves] = counter.calls
+    assert calls[2] == calls[32] > 0

@@ -7,9 +7,25 @@ import sys
 
 import pytest
 
+from repro import (
+    CTUPConfig,
+    DurabilitySpec,
+    generate_places,
+    generate_units,
+    open_session,
+)
 from repro.cli import main
+from repro.control import KChanged
+from repro.workloads import (
+    RandomWalkMobility,
+    generate_control_plan,
+    interleave,
+    record_stream,
+)
+from repro.workloads.control import drive
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 
 
 class TestList:
@@ -91,6 +107,111 @@ os._exit(0)  # no flush, no closing snapshot: 10 updates left pending
         straight = capsys.readouterr().out
         top = "current top unsafe places:"
         assert resumed[resumed.index(top) :] == straight[straight.index(top) :]
+
+
+def reconfig_world():
+    """A control-plane run: 200 random-walk updates of 40 units over
+    2,000 places with 6 control events interleaved (catalog edits,
+    reweights, grid retunes), built anew: a monitor moves the units it
+    is given. Returns the config, places, units and merged items."""
+    config = CTUPConfig(k=8)
+    places = generate_places(2000, seed=4)
+    units = generate_units(40, config.protection_range, seed=5)
+    stream = record_stream(RandomWalkMobility(units, seed=6), 200)
+    plan = generate_control_plan(places, stream_length=200, n_events=6, seed=7)
+    return config, places, units, list(interleave(stream, plan))
+
+
+def open_reconfig(directory, resume):
+    """An opt session over :func:`reconfig_world`, bursts of 16,
+    snapshotting into ``directory`` every 5 flushes; returns it and the
+    world's items."""
+    config, places, units, items = reconfig_world()
+    session = open_session(
+        "opt",
+        places=places,
+        units=units,
+        config=config,
+        durability=DurabilitySpec(directory, every=5, resume=resume),
+        batch_size=16,
+    )
+    return session, items
+
+
+def result_of(session):
+    monitor = session.monitor
+    return monitor.epoch, [(row.place_id, row.safety) for row in monitor.top_k()]
+
+
+class TestReconfiguredRecovery:
+    """Recovery across control events: a run with interleaved control
+    events and one refused bad event, killed mid-stream in a process of
+    its own, resumes from its snapshot (whose place set folds in the
+    journaled catalog edits) and journal tail onto the uninterrupted
+    run; a control event applied to a resumed session survives the next
+    resume, replayed from the journal tail and then from a snapshot."""
+
+    CRASH = """
+import os, sys
+from repro.control import ControlEvent, PlaceRemoved
+from tests.test_cli import open_reconfig
+session, items = open_reconfig(sys.argv[1], resume=False)
+session.start()
+for item in items[:130]:  # 125 updates and 5 control events
+    if isinstance(item, ControlEvent.__args__):
+        session.apply_control(item)
+    else:
+        session.feed(item)
+try:
+    session.apply_control(PlaceRemoved(10**9))  # no such place
+except ValueError:
+    pass
+else:
+    raise AssertionError("an unknown PlaceRemoved was applied")
+os._exit(0)  # no flush, no closing snapshot: a burst left pending
+"""
+
+    def test_hard_kill_mid_reconfiguration_then_resume(self, tmp_path, capsys):
+        directory = tmp_path / "ckpt"
+        crashed = subprocess.run(
+            [sys.executable, "-c", self.CRASH, str(directory)],
+            env={**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), str(ROOT)])},
+            capture_output=True,
+            text=True,
+        )
+        assert crashed.returncode == 0, crashed.stderr
+        # the refused event was checked before it was journaled.
+        assert main(["checkpoint", str(directory)]) == 0
+        listing = capsys.readouterr().out
+        assert "control events: 5 journaled" in listing
+        assert str(10**9) not in listing
+        session, items = open_reconfig(directory, resume=True)
+        assert session.monitor.epoch == 5
+        drive(session, items[130:])  # the journal covers items[:130]
+        resumed = result_of(session)
+        session.close()
+        config, places, units, items = reconfig_world()
+        with open_session(
+            "opt", places=places, units=units, config=config, batch_size=16
+        ) as straight:
+            straight.start()
+            drive(straight, items)
+            assert resumed == result_of(straight)
+        # a control event applied to the resumed run survives the next
+        # resume: first from the journal tail (the session is dropped
+        # unclosed, so no snapshot covers it), then from the closing
+        # snapshot; the checkpoint listing shows it.
+        session, _ = open_reconfig(directory, resume=True)
+        session.apply_control(KChanged(12))
+        session.journal.close()
+        for _ in range(2):
+            session, _ = open_reconfig(directory, resume=True)
+            assert session.monitor.epoch == 7
+            assert session.monitor.config.k == 12
+            assert len(session.monitor.top_k()) == 12
+            session.close()
+        assert main(["checkpoint", str(directory)]) == 0
+        assert "'kind': 'k_changed', 'k': 12" in capsys.readouterr().out
 
 
 class TestClosedPipe:

@@ -26,7 +26,15 @@ from hypothesis.stateful import run_state_machine_as_test
 
 from repro.api import SCHEMES, make_monitor
 from repro.model import LocationUpdate
-from tests.machine import CONFIG, PLACES, SessionModel, fleet, guard_phases
+from tests.machine import (
+    CONFIG,
+    PLACES,
+    SessionModel,
+    check_fields,
+    fleet,
+    guard_fields,
+    guard_phases,
+)
 
 PAGED = CONFIG.replace(page_capacity=4)
 
@@ -72,3 +80,15 @@ def test_phase_guard_fails_a_maintain_call_in_the_access_phase() -> None:
     monitor._refresh = lambda: monitor._apply(stay)
     with pytest.raises(AssertionError, match="_apply called in the access phase"):
         monitor.refresh()
+
+
+def test_field_guard_fails_an_undeclared_binding() -> None:
+    """Rebinding an undeclared attribute, or binding a new one, fails
+    the check; binding a declared field does not."""
+    monitor = make_monitor("opt", places=PLACES, units=fleet(), config=CONFIG)
+    guard_fields(monitor)
+    monitor.initialize()
+    check_fields(monitor)
+    monitor._refreshes = 1
+    with pytest.raises(AssertionError, match=r"OptCTUP binds \['_refreshes'\]"):
+        check_fields(monitor)

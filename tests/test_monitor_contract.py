@@ -1,10 +1,19 @@
 """The common monitor contract, checked for every scheme."""
 
+import inspect
+
 import pytest
 
 import repro.core.monitor
-from repro.api import ObsSpec, open_session
-from repro.core import BasicCTUP, BatchProcessor, CTUPConfig, NaiveCTUP, OptCTUP
+from repro.api import SCHEMES, ObsSpec, open_session
+from repro.core import (
+    BasicCTUP,
+    BatchProcessor,
+    CTUPConfig,
+    CTUPMonitor,
+    NaiveCTUP,
+    OptCTUP,
+)
 from repro.core.incremental import IncrementalNaiveCTUP
 from repro.geometry import Point
 from repro.model import LocationUpdate, Unit
@@ -21,6 +30,46 @@ ALL_MONITORS = [
     IncrementalNaiveCTUP,
     ShardedMonitor,
 ]
+
+
+#: where CTUPMonitor keeps the stream counters and all phase timing,
+#: exactly once: no scheme class may define them.
+LIFECYCLE = ("initialize", "apply_update", "apply_burst", "refresh", "process")
+
+
+def monitor_classes() -> list[type]:
+    """Every ``CTUPMonitor`` subclass the package defines, transitively."""
+    found: list[type] = []
+    stack = [CTUPMonitor]
+    while stack:
+        for cls in stack.pop().__subclasses__():
+            if cls.__module__.startswith("repro.") and cls not in found:
+                found.append(cls)
+                stack.append(cls)
+    return found
+
+
+class TestSchemeContract:
+    """What the engine's two phases, the shard merger and
+    ``make_monitor`` rely on from every scheme class."""
+
+    def test_every_registered_scheme_is_a_monitor_class(self):
+        classes = monitor_classes()
+        assert set(ALL_MONITORS) <= set(classes)
+        assert all(scheme in classes for scheme in SCHEMES.values())
+
+    @pytest.mark.parametrize("cls", monitor_classes(), ids=lambda cls: cls.__name__)
+    def test_scheme_class_keeps_the_contract(self, cls):
+        # abc enforces the phase API (_build_initial_state, _apply,
+        # _refresh, top_k, sk) on instantiation; check it on the class.
+        assert not inspect.isabstract(cls)
+        assert not set(LIFECYCLE) & set(vars(cls))
+        # the shard merger calls partial_top_k(m) positionally.
+        parameters = inspect.signature(cls.partial_top_k).parameters.values()
+        assert [(p.name, p.kind) for p in parameters] == [
+            ("self", inspect.Parameter.POSITIONAL_OR_KEYWORD),
+            ("m", inspect.Parameter.POSITIONAL_OR_KEYWORD),
+        ]
 
 
 @pytest.fixture(params=ALL_MONITORS, ids=lambda cls: cls.name)
